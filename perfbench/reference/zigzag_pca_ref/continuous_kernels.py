@@ -1,0 +1,529 @@
+"""Kernels on the real line: the Gaussian family (closed-form invariant
+chain, AR(1) link), the Beta family (candidate kernels with a drift
+obstruction), quadrature residuals for the invariance conditions, and
+grid-discretized eigenvector solves.
+
+The Gaussian kernel draws the child cell from N((a+b)/m, sigma^2).  For
+|m| > 2 it has the closed-form invariant zigzag chain
+
+    d(a; c) = u(a; c) = normal density with mean phi*a, std sigma',
+    r0      = centered normal with variance sigma^2 / sqrt(1 - 4/m^2),
+
+where l = 1 + sqrt(1 - 4/m^2), phi = 2/(m l) and sigma'^2 = 2 sigma^2 / l.
+Read along the zigzag, the chain is an AR(1) process with coefficient phi
+and innovation variance sigma'^2.
+
+The Beta kernel draws uniformly-in-shape Beta(alpha, beta) between the two
+neighbor values and shifts left by m.  The shifted-Gamma candidates (d1, u1)
+satisfy the factorization and commutation identities exactly, but no initial
+probability density is stationary: each down-up step drifts by
+(alpha + beta)/theta.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import betaincinv, betaln, gammaincinv, gammaln, ndtr, ndtri
+
+from .core_types import (QUAD_TOL, CheckReport, DensityLaw, GridMeasure, HzmcSpec,
+                         KernelDensity, MarkovKernel, gauss_legendre_grid)
+from .finite_solver import EigenSolveResult, SolverConvergenceError
+
+_GL_NODES = 64
+_gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
+_gl_x01 = 0.5 * (_gl_x + 1.0)          # nodes on [0, 1]
+_gl_w01 = 0.5 * _gl_w
+
+
+def _norm_pdf(x, mean, std):
+    z = (np.asarray(x, dtype=float) - mean) / std
+    return np.exp(-0.5 * z * z) / (std * np.sqrt(2.0 * np.pi))
+
+
+def _gamma_pdf(x, shape, rate):
+    """Shape-rate convention: mean shape/rate."""
+    x = np.asarray(x, dtype=float)
+    pos = x > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logpdf = shape * np.log(rate) + (shape - 1.0) * np.log(np.where(pos, x, 1.0)) \
+            - rate * np.where(pos, x, 0.0) - gammaln(shape)
+        out = np.where(pos, np.exp(logpdf), 0.0)
+    if shape == 1.0:
+        out = np.where(x == 0.0, float(rate), out)
+    return out
+
+
+@dataclass(frozen=True)
+class GaussianPcaParams:
+    """Two-neighbor Gaussian kernel parameters; needs |m| > 2."""
+
+    m: float
+    sigma: float
+
+    def __post_init__(self):
+        if abs(self.m) <= 2.0:
+            raise ValueError(
+                f"gaussian family requires |m| > 2 (got m={self.m}): below that the cell "
+                "variance grows without bound and no integrable invariant profile exists")
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
+
+    @property
+    def contraction(self) -> float:
+        """l = 1 + sqrt(1 - 4/m^2)."""
+        return 1.0 + np.sqrt(1.0 - 4.0 / self.m ** 2)
+
+    @property
+    def stationary_std(self) -> float:
+        return float((1.0 - 4.0 / self.m ** 2) ** -0.25 * self.sigma)
+
+
+@dataclass(frozen=True)
+class Ar1Params:
+    """X_i = theta + phi X_{i-1} + N(0, innovation_var)."""
+
+    phi: float
+    theta: float
+    innovation_var: float
+
+    def __post_init__(self):
+        if not abs(self.phi) < 1:
+            raise ValueError("need |phi| < 1 for a stationary AR(1) law")
+        if self.innovation_var <= 0:
+            raise ValueError("innovation variance must be positive")
+
+    @property
+    def stationary_var(self) -> float:
+        return self.innovation_var / (1.0 - self.phi ** 2)
+
+
+@dataclass(frozen=True)
+class BetaPcaParams:
+    alpha: float
+    beta: float
+    m_shift: float
+    theta_rate: float
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "theta_rate"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+
+    @property
+    def drift_per_step(self) -> float:
+        """Mean displacement of one down-up step of the candidate chain."""
+        return (self.alpha + self.beta) / self.theta_rate
+
+
+# ---------------------------------------------------------------------------
+# Gaussian family
+# ---------------------------------------------------------------------------
+
+def gaussian_kernel_density(params: GaussianPcaParams) -> KernelDensity:
+    m, sigma = params.m, params.sigma
+
+    def density(a, b, c):
+        return _norm_pdf(c, (np.asarray(a, dtype=float) + b) / m, sigma)
+
+    def sampler(a, b, u):
+        u = np.asarray(u, dtype=float)
+        if u.ndim and u.shape[-1] == 1:
+            u = u[..., 0]
+        return (np.asarray(a, dtype=float) + b) / m + sigma * ndtri(u)
+
+    return KernelDensity(density=density, sampler=sampler, support="R",
+                         uniforms_per_cell=1, tag=f"gaussian(m={m},sigma={sigma})")
+
+
+def gaussian_diag_kernel_density(params: GaussianPcaParams) -> KernelDensity:
+    """Gaussian kernel overridden to a point mass on coinciding neighbors.
+
+    Off the diagonal this is exactly the Gaussian kernel; on it, the child
+    copies the common value.  The density reports +inf at the copied point
+    so that probes can see where the two kernels disagree.
+    """
+    base = gaussian_kernel_density(params)
+
+    def density(a, b, c):
+        a = np.asarray(a, dtype=float)
+        g = base.density(a, b, c)
+        same = (a == b)
+        atom = np.where(np.asarray(c) == a, np.inf, 0.0)
+        return np.where(same, atom, g)
+
+    def sampler(a, b, u):
+        a = np.asarray(a, dtype=float)
+        return np.where(a == b, a, base.sampler(a, b, u))
+
+    return KernelDensity(density=density, sampler=sampler, support="R",
+                         uniforms_per_cell=1,
+                         tag=f"gaussian_diag(m={params.m},sigma={params.sigma})")
+
+
+def default_gaussian_grid(params: GaussianPcaParams, points: int = 257) -> GridMeasure:
+    """Gauss-Legendre grid out to 8 stationary standard deviations."""
+    return gauss_legendre_grid(8.0 * params.stationary_std, points)
+
+
+def ar1_parameters(params: GaussianPcaParams) -> Ar1Params:
+    l = params.contraction
+    return Ar1Params(phi=2.0 / (params.m * l), theta=0.0,
+                     innovation_var=2.0 * params.sigma ** 2 / l)
+
+
+def gaussian_invariant_hzmc(params: GaussianPcaParams) -> HzmcSpec:
+    """Closed-form invariant chain of the Gaussian kernel."""
+    ar = ar1_parameters(params)
+    phi = ar.phi
+    sp = float(np.sqrt(ar.innovation_var))
+    s0 = params.stationary_std
+
+    def make_step():
+        def density(x, y):
+            return _norm_pdf(y, phi * np.asarray(x, dtype=float), sp)
+
+        def sampler(x, u):
+            u = np.asarray(u, dtype=float)
+            if u.ndim and u.shape[-1] == 1:
+                u = u[..., 0]
+            return phi * np.asarray(x, dtype=float) + sp * ndtri(u)
+
+        return MarkovKernel(density=density, sampler=sampler, tag="ar1-step")
+
+    rho0 = DensityLaw(
+        density=lambda x: _norm_pdf(x, 0.0, s0),
+        sampler=lambda u: s0 * ndtri(_flat_u(u)),
+        cdf=lambda x: ndtr(np.asarray(x, dtype=float) / s0),
+        support=(-np.inf, np.inf),
+        tag="centered-normal",
+    )
+    return HzmcSpec(d=make_step(), u=make_step(), rho0=rho0, lattice="N",
+                    meta={"family": "gaussian_closed_form", "m": params.m,
+                          "sigma": params.sigma, "l": params.contraction,
+                          "phi": phi, "sigma_prime_sq": ar.innovation_var,
+                          "stationary_std": s0})
+
+
+def _flat_u(u):
+    u = np.asarray(u, dtype=float)
+    if u.ndim and u.shape[-1] == 1:
+        return u[..., 0]
+    return u
+
+
+def gaussian_eta_eigenvalue_reference(params: GaussianPcaParams) -> float:
+    """Published reference expression for the weight-solve eigenvalue,
+    sqrt(pi sigma^2) / l^2.  Recorded next to the observed eigenvalue for
+    comparison; nothing asserts their equality."""
+    return float(np.sqrt(np.pi * params.sigma ** 2) / params.contraction ** 2)
+
+
+def gaussian_closed_profiles(params: GaussianPcaParams) -> dict:
+    """Closed-form diagonal and weight profiles, unnormalized:
+    nu(x) = exp(-(1 - 4/m^2) x^2 / (2 sigma^2)),
+    eta(x) = exp(-l x^2 / (4 sigma^2))."""
+    m, sigma = params.m, params.sigma
+    l = params.contraction
+    coef_nu = (1.0 - 4.0 / m ** 2) / (2.0 * sigma ** 2)
+    coef_eta = l / (4.0 * sigma ** 2)
+    return {
+        "nu": lambda x: np.exp(-coef_nu * np.asarray(x, dtype=float) ** 2),
+        "eta": lambda x: np.exp(-coef_eta * np.asarray(x, dtype=float) ** 2),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Beta family
+# ---------------------------------------------------------------------------
+
+def beta_kernel_density(params: BetaPcaParams) -> KernelDensity:
+    """Child cell = a + (b - a) * Beta(alpha, beta) - m.
+
+    The density carries the 1/|b - a| change-of-variable factor so that each
+    row integrates to one.  Coinciding neighbors give a point mass at a - m;
+    the density reports 0 there (a null set under the line measure).
+    """
+    al, be, m, _ = params.alpha, params.beta, params.m_shift, params.theta_rate
+    lbeta = betaln(al, be)
+
+    def density(a, b, c):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        c = np.asarray(c, dtype=float)
+        span = b - a
+        safe = np.where(span == 0.0, 1.0, span)
+        frac = (c + m - a) / safe
+        ok = (span != 0.0) & (frac >= 0.0) & (frac <= 1.0)
+        frac_c = np.clip(frac, 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logpdf = (al - 1.0) * np.log(np.where(frac_c > 0, frac_c, 1.0)) \
+                + (be - 1.0) * np.log(np.where(frac_c < 1, 1.0 - frac_c, 1.0)) - lbeta
+            val = np.exp(logpdf) / np.abs(safe)
+        return np.where(ok, val, 0.0)
+
+    def sampler(a, b, u):
+        u = _flat_u(u)
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        return a + (b - a) * betaincinv(al, be, u) - m
+
+    return KernelDensity(density=density, sampler=sampler,
+                         support="between the neighbors, shifted left by m",
+                         uniforms_per_cell=1,
+                         tag=f"beta(alpha={al},beta={be},m={m})")
+
+
+def beta_candidate_kernels(params: BetaPcaParams) -> tuple[MarkovKernel, MarkovKernel]:
+    """Shifted-Gamma candidate steps: down adds Gamma(alpha, theta) - m,
+    up adds Gamma(beta, theta) + m."""
+    al, be, m, th = params.alpha, params.beta, params.m_shift, params.theta_rate
+
+    d1 = MarkovKernel(
+        density=lambda a, c: _gamma_pdf(np.asarray(c, dtype=float) - np.asarray(a, dtype=float) + m, al, th),
+        sampler=lambda a, u: np.asarray(a, dtype=float) - m + gammaincinv(al, _flat_u(u)) / th,
+        out_support=lambda a: (np.asarray(a, dtype=float) - m, np.inf),
+        in_support=lambda c: (-np.inf, np.asarray(c, dtype=float) + m),
+        tag="gamma-shift-down",
+    )
+    u1 = MarkovKernel(
+        density=lambda c, b: _gamma_pdf(np.asarray(b, dtype=float) - np.asarray(c, dtype=float) - m, be, th),
+        sampler=lambda c, u: np.asarray(c, dtype=float) + m + gammaincinv(be, _flat_u(u)) / th,
+        out_support=lambda c: (np.asarray(c, dtype=float) + m, np.inf),
+        in_support=lambda b: (-np.inf, np.asarray(b, dtype=float) - m),
+        tag="gamma-shift-up",
+    )
+    return d1, u1
+
+
+def beta_candidate_hzmc(params: BetaPcaParams) -> HzmcSpec:
+    """Candidate chain for the Beta kernel.
+
+    No probability density on the line is stationary for the down step (it
+    is a nondegenerate shift), so the initial law here is only a documented
+    reference candidate, the Gamma(alpha, theta) density; its one-step
+    stationarity residual quantifies the obstruction.
+    """
+    d1, u1 = beta_candidate_kernels(params)
+    al, th = params.alpha, params.theta_rate
+    rho0 = DensityLaw(
+        density=lambda x: _gamma_pdf(x, al, th),
+        sampler=lambda u: gammaincinv(al, _flat_u(u)) / th,
+        support=(0.0, np.inf),
+        tag="gamma-candidate",
+    )
+    return HzmcSpec(d=d1, u=u1, rho0=rho0, lattice="N",
+                    meta={"family": "beta_candidate", "alpha": params.alpha,
+                          "beta": params.beta, "m": params.m_shift,
+                          "theta": params.theta_rate,
+                          "drift_per_step": params.drift_per_step})
+
+
+def default_beta_grid(params: BetaPcaParams, points: int = 257) -> GridMeasure:
+    al, be, th, m = params.alpha, params.beta, params.theta_rate, params.m_shift
+    reach = (al + np.sqrt(al)) / th + (be + np.sqrt(be)) / th + abs(m)
+    return gauss_legendre_grid(8.0 * reach, points)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature machinery
+# ---------------------------------------------------------------------------
+
+def _eval_markov(kernel, xs, ys) -> np.ndarray:
+    """Matrix K[i, j] = kernel.density(xs[i], ys[j])."""
+    return kernel.density(np.asarray(xs, dtype=float)[:, None],
+                          np.asarray(ys, dtype=float)[None, :])
+
+
+def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np.ndarray:
+    """(k1 k2)(a; b) = integral of k1(a; c) k2(c; b) over c, on the grid pairs.
+
+    When both kernels expose support bounds and every pairwise intersection
+    is a finite interval, the integral runs on Gauss-Legendre nodes placed on
+    exactly that interval (this keeps indicator-supported kernels exact).
+    Otherwise it contracts the grid-sampled matrices with the grid weights.
+    """
+    p = grid.points
+    n = p.size
+    if k1.out_support is not None and k2.in_support is not None:
+        lo1, hi1 = (np.broadcast_to(np.asarray(s, dtype=float), (n,)) for s in k1.out_support(p))
+        lo2, hi2 = (np.broadcast_to(np.asarray(s, dtype=float), (n,)) for s in k2.in_support(p))
+        # the inner integral runs on the exact continuum support of the
+        # integrand (not truncated to the grid window): both kernels are
+        # evaluable anywhere, and truncating would break the composition
+        # identities within one shift of the boundary
+        lo = np.maximum(lo1[:, None], lo2[None, :])
+        hi = np.minimum(hi1[:, None], hi2[None, :])
+        if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
+            width = np.clip(hi - lo, 0.0, None)
+            out = np.zeros((n, n))
+            chunk = max(1, int(2_000_000 // (n * _GL_NODES)))
+            for i0 in range(0, n, chunk):
+                i1 = min(i0 + chunk, n)
+                nodes = lo[i0:i1, :, None] + width[i0:i1, :, None] * _gl_x01[None, None, :]
+                vals = k1.density(p[i0:i1, None, None], nodes) * k2.density(nodes, p[None, :, None])
+                out[i0:i1] = (vals * _gl_w01[None, None, :]).sum(axis=2) * width[i0:i1]
+            return out
+    m1 = _eval_markov(k1, p, p)
+    m2 = _eval_markov(k2, p, p)
+    return (m1 * grid.weights[None, :]) @ m2
+
+
+def apply_law(rho: DensityLaw, kernel: MarkovKernel, grid: GridMeasure) -> np.ndarray:
+    """Density of (rho kernel) at the grid points."""
+    p = grid.points
+    n = p.size
+    if kernel.in_support is not None and np.isfinite(rho.support[0]):
+        lo_k, hi_k = (np.broadcast_to(np.asarray(s, dtype=float), (n,)) for s in kernel.in_support(p))
+        lo = np.maximum(np.full(n, rho.support[0]), lo_k)
+        hi = np.minimum(np.full(n, rho.support[1]), hi_k)
+        if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
+            width = np.clip(hi - lo, 0.0, None)
+            nodes = lo[:, None] + width[:, None] * _gl_x01[None, :]
+            vals = rho.density(nodes) * kernel.density(nodes, p[:, None])
+            return (vals * _gl_w01[None, :]).sum(axis=1) * width
+    rvec = rho.density(p)
+    kmat = _eval_markov(kernel, p, p)
+    return (rvec * grid.weights) @ kmat
+
+
+def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure):
+    p = grid.points
+    n = p.size
+    d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
+    du = compose_kernels(d, u, grid)
+    ud = compose_kernels(u, d, grid)
+    d_mat = _eval_markov(d, p, p)
+    u_mat = _eval_markov(u, p, p)
+
+    off_diag = ~np.eye(n, dtype=bool)
+    r1 = 0.0
+    w1 = (0, 0, 0)
+    chunk = max(1, int(4_000_000 // (n * n)))
+    for i0 in range(0, n, chunk):
+        i1 = min(i0 + chunk, n)
+        t_chunk = kernel.density(p[i0:i1, None, None], p[None, :, None], p[None, None, :])
+        lhs = t_chunk * du[i0:i1, :, None]
+        rhs = d_mat[i0:i1, None, :] * u_mat.T[None, :, :]
+        diff = np.abs(lhs - rhs) * off_diag[i0:i1, :, None]
+        m = float(diff.max())
+        if m > r1:
+            r1 = m
+            loc = np.unravel_index(int(diff.argmax()), diff.shape)
+            w1 = (int(loc[0]) + i0, int(loc[1]), int(loc[2]))
+
+    r2 = float(np.abs(du - ud).max())
+    w2 = np.unravel_index(int(np.abs(du - ud).argmax()), du.shape)
+
+    rho_vec = rho0.density(p)
+    stepped = apply_law(rho0, d, grid)
+    r3 = float(np.abs(stepped - rho_vec).max())
+    w3 = int(np.abs(stepped - rho_vec).argmax())
+    return (r1, w1), (r2, tuple(int(i) for i in w2)), (r3, (w3,))
+
+
+def quadrature_check_conditions(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
+                                tol: float = QUAD_TOL, richardson: bool = False):
+    """Factorization, commutation and stationarity residuals on the grid.
+
+    The factorization sweep skips the exact neighbor diagonal a == b, a null
+    set under the line measure where atom-carrying kernels are allowed to
+    disagree.  With ``richardson=True`` the residuals are recomputed on a
+    doubled grid; a residual that moves by more than 10x is flagged as
+    discretization-dominated (grid too coarse).
+    """
+    (r1, w1), (r2, w2), (r3, w3) = _cond_residuals(kernel, hzmc, grid)
+    notes = ["", "", ""]
+    if richardson:
+        fine = gauss_legendre_grid(grid.halfwidth, 2 * grid.size - 1)
+        (f1, _), (f2, _), (f3, _) = _cond_residuals(kernel, hzmc, fine)
+        for i, (coarse, refined) in enumerate(((r1, f1), (r2, f2), (r3, f3))):
+            lo = min(coarse, refined)
+            hi = max(coarse, refined)
+            # only flag residuals that are both discretization-dominated and
+            # close enough to the tolerance for the verdict to be in doubt
+            if lo > 0 and hi / lo > 10.0 and hi > tol / 100.0:
+                notes[i] = (f"warning: residual moved {hi / lo:.1f}x under grid refinement; "
+                            "grid too coarse for this check")
+    return (
+        CheckReport("factorization", r1, tol, witnesses={"argmax": w1}, notes=notes[0]),
+        CheckReport("commutation", r2, tol, witnesses={"argmax": w2}, notes=notes[1]),
+        CheckReport("stationarity", r3, tol, witnesses={"argmax": w3}, notes=notes[2]),
+    )
+
+
+def _grid_power_iteration(mat: np.ndarray, grid: GridMeasure, tol: float = 1e-12,
+                          max_iter: int = 100_000) -> EigenSolveResult:
+    """Power iteration normalizing to unit quadrature mass."""
+    n = mat.shape[0]
+    v = np.full(n, 1.0 / (2.0 * grid.halfwidth))
+    resid = np.inf
+    for it in range(1, max_iter + 1):
+        vnew = mat @ v
+        lam = grid.integrate(vnew)
+        if not np.isfinite(lam) or lam <= 0:
+            raise SolverConvergenceError("grid iteration collapsed", np.inf)
+        resid = float(np.abs(vnew - lam * v).max())
+        v = vnew / lam
+        if resid <= tol:
+            return EigenSolveResult(vector=v, eigenvalue=lam, iterations=it, residual=resid)
+    raise SolverConvergenceError("grid power iteration did not converge", resid)
+
+
+def grid_eta_solve(kernel: KernelDensity, grid: GridMeasure,
+                   base: tuple = (0.0, 0.0, 0.0), tol: float = 1e-12):
+    """Discretized eigenvector solves on the grid.
+
+    First the diagonal-in profile nu from M1[a, x] = t(x, x; a) w_x, then the
+    weight profile eta from M2[a, x] = nu(a) t(a, a; c0) / t(a, x; c0) w_x.
+    Both come back normalized to unit quadrature mass.
+    """
+    p, w = grid.points, grid.weights
+    c0 = float(base[2])     # only the third anchor coordinate enters the solves
+    m1 = kernel.density(p[None, :], p[None, :], p[:, None]) * w[None, :]
+    nu = _grid_power_iteration(m1, grid, tol=tol)
+
+    tdiag = kernel.density(p, p, np.full_like(p, c0))
+    tax = kernel.density(p[:, None], p[None, :], np.full((1, 1), c0))
+    if np.any(tax <= 0):
+        raise ValueError("kernel is not positive on the grid; eta solve needs positivity")
+    m2 = (nu.vector * tdiag)[:, None] / tax * w[None, :]
+    eta = _grid_power_iteration(m2, grid, tol=tol)
+    return nu, eta
+
+
+def mu_equivalence_probe(kernel_a: KernelDensity, kernel_b: KernelDensity,
+                         grid: GridMeasure, thresh: float = 1e-9) -> CheckReport:
+    """Grid mass of the neighbor pairs where two kernels disagree.
+
+    Passes when every disagreeing pair sits within one grid cell of the
+    diagonal (a one-dimensional, hence null, set on the line).
+    """
+    p, w = grid.points, grid.weights
+    n = p.size
+    differs = np.zeros((n, n), dtype=bool)
+    chunk = max(1, int(4_000_000 // (n * n)))
+    for i0 in range(0, n, chunk):
+        i1 = min(i0 + chunk, n)
+        ta = kernel_a.density(p[i0:i1, None, None], p[None, :, None], p[None, None, :])
+        tb = kernel_b.density(p[i0:i1, None, None], p[None, :, None], p[None, None, :])
+        with np.errstate(invalid="ignore"):
+            close = np.abs(ta - tb) <= thresh
+        differs[i0:i1] = ~np.all(close, axis=2)
+    idx = np.arange(n)
+    band = np.abs(idx[:, None] - idx[None, :]) <= 1
+    pair_mass = w[:, None] * w[None, :]
+    mass_total = float(pair_mass[differs].sum())
+    off = differs & ~band
+    mass_off = float(pair_mass[off].sum())
+    return CheckReport(
+        condition="mu-equivalence",
+        residual=mass_off,
+        tolerance=0.0,
+        witnesses={"differing_pairs": int(differs.sum()),
+                   "off_band_pairs": int(off.sum()),
+                   "differing_mass": mass_total},
+        notes="disagreement confined to the diagonal band" if mass_off == 0.0
+        else "kernels disagree on a set of positive mass",
+    )

@@ -1,0 +1,462 @@
+"""Shared domain vocabulary: alphabets, reference measures, kernels, reports.
+
+Two concrete reference measures are supported, and only two: the counting
+measure on a finite alphabet, and a weighted quadrature grid on a truncated
+interval [-L, L].  Kernels come in three shapes:
+
+* ``TransitionTensor``     -- a two-neighbor kernel on a finite alphabet,
+  stored as a kappa x kappa x kappa array with stochastic rows t[a, b, :].
+* ``KernelDensity``        -- a two-neighbor kernel on the line, given by an
+  evaluable density (a, b, c) -> t(a, b; c) plus an exact inverse-CDF sampler.
+* ``MarkovKernel``         -- a one-step kernel on the line (the "down" and
+  "up" legs of a zigzag chain), density (x, y) plus sampler.
+
+All containers are frozen and their arrays are write-locked after
+construction, so every object in this module is safe to share across threads.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
+
+import numpy as np
+
+# Exact-arithmetic-backed finite checks vs discretization-limited grid checks.
+EXACT_TOL = 1e-10
+QUAD_TOL = 1e-6
+ROW_TOL = 1e-12
+
+
+def _locked(a, dtype=float):
+    arr = np.array(a, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class FiniteAlphabet:
+    """A finite state set; labels are for display only."""
+
+    size: int
+    labels: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError(f"alphabet size must be >= 1, got {self.size}")
+        if not self.labels:
+            object.__setattr__(self, "labels", tuple(str(i) for i in range(self.size)))
+        if len(self.labels) != self.size:
+            raise ValueError("labels length must equal alphabet size")
+
+
+@dataclass(frozen=True)
+class GridMeasure:
+    """Quadrature carrier for integrals over a truncated interval.
+
+    ``points`` are strictly increasing abscissae in [-L, L] and ``weights``
+    the positive quadrature weights, so that sum(f(points) * weights)
+    approximates the integral of f.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        pts = _locked(self.points)
+        wts = _locked(self.weights)
+        if pts.ndim != 1 or wts.ndim != 1 or pts.size != wts.size:
+            raise ValueError("points and weights must be 1-d arrays of equal length")
+        if not np.all(np.diff(pts) > 0):
+            raise ValueError("grid points must be strictly increasing")
+        if not np.all(wts > 0):
+            raise ValueError("quadrature weights must be positive")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", wts)
+
+    @property
+    def size(self) -> int:
+        return self.points.size
+
+    @property
+    def halfwidth(self) -> float:
+        return float(max(-self.points[0], self.points[-1]))
+
+    def integrate(self, values: np.ndarray) -> float:
+        return float(np.dot(np.asarray(values, dtype=float), self.weights))
+
+
+def gauss_legendre_grid(halfwidth: float, points: int = 257) -> GridMeasure:
+    """Gauss-Legendre nodes and weights scaled to [-halfwidth, halfwidth]."""
+    if halfwidth <= 0 or points < 2:
+        raise ValueError("need halfwidth > 0 and points >= 2")
+    x, w = np.polynomial.legendre.leggauss(points)
+    return GridMeasure(points=x * halfwidth, weights=w * halfwidth)
+
+
+def trapezoid_grid(halfwidth: float, points: int = 257) -> GridMeasure:
+    """Uniform composite trapezoid rule; second order, handy for refinement checks."""
+    if halfwidth <= 0 or points < 2:
+        raise ValueError("need halfwidth > 0 and points >= 2")
+    x = np.linspace(-halfwidth, halfwidth, points)
+    h = x[1] - x[0]
+    w = np.full(points, h)
+    w[0] = w[-1] = h / 2
+    return GridMeasure(points=x, weights=w)
+
+
+@dataclass(frozen=True)
+class TransitionTensor:
+    """Finite-alphabet two-neighbor kernel t[a, b, c] = T(a, b; {c}).
+
+    Every row t[a, b, :] must be a probability vector within ROW_TOL.
+    """
+
+    alphabet: FiniteAlphabet
+    t: np.ndarray
+
+    def __post_init__(self):
+        k = self.alphabet.size
+        arr = _locked(self.t)
+        if arr.shape != (k, k, k):
+            raise ValueError(f"tensor shape {arr.shape} does not match alphabet size {k}")
+        if np.any(arr < 0):
+            raise ValueError("tensor entries must be nonnegative")
+        rowsums = arr.sum(axis=2)
+        worst = float(np.abs(rowsums - 1.0).max())
+        if worst > ROW_TOL:
+            bad = np.unravel_index(int(np.abs(rowsums - 1.0).argmax()), rowsums.shape)
+            raise ValueError(
+                f"row {bad} sums to {rowsums[bad]!r}; off by {worst:g} > {ROW_TOL:g}"
+            )
+        object.__setattr__(self, "t", arr)
+
+    @property
+    def size(self) -> int:
+        return self.alphabet.size
+
+    @property
+    def mu_positive(self) -> bool:
+        """True when every entry is strictly positive."""
+        return bool(np.all(self.t > 0))
+
+    def restrict(self, indices: Sequence[int]) -> "TransitionTensor":
+        """Sub-tensor on a subset of states that the kernel leaves closed.
+
+        Valid only when each restricted row still sums to one, i.e. the
+        kernel never leaves the subset from within it.
+        """
+        idx = np.asarray(indices, dtype=int)
+        sub = self.t[np.ix_(idx, idx, idx)]
+        labels = tuple(self.alphabet.labels[i] for i in idx)
+        return TransitionTensor(FiniteAlphabet(len(idx), labels), sub)
+
+
+@dataclass(frozen=True)
+class MarkovKernel:
+    """One-step kernel on the line: density(x, y) and sampler(x, u).
+
+    ``density`` must accept broadcastable arrays.  ``sampler`` maps uniforms
+    in (0, 1) through the inverse CDF of density(x, .), one uniform per draw,
+    so that simulations are reproducible from counter-based streams.
+
+    ``out_support(x)`` / ``in_support(y)`` return (lo, hi) bounds for the
+    support of density(x, .) / of {x : density(x, y) > 0}.  Finite bounds let
+    integrators place quadrature nodes on exactly the supported interval,
+    which matters for kernels with indicator factors.
+    """
+
+    density: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    sampler: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    out_support: Callable[[np.ndarray], tuple] | None = None
+    in_support: Callable[[np.ndarray], tuple] | None = None
+    tag: str = ""
+
+
+@dataclass(frozen=True)
+class DensityLaw:
+    """Probability law on the line: density(x), sampler(u), optional cdf."""
+
+    density: Callable[[np.ndarray], np.ndarray]
+    sampler: Callable[[np.ndarray], np.ndarray]
+    cdf: Callable[[np.ndarray], np.ndarray] | None = None
+    support: tuple = (-np.inf, np.inf)
+    tag: str = ""
+
+
+@dataclass(frozen=True)
+class KernelDensity:
+    """Two-neighbor kernel on the line: density (a, b, c) plus exact sampler.
+
+    ``sampler(a, b, u)`` consumes ``uniforms_per_cell`` uniforms per output
+    cell (u has shape (..., uniforms_per_cell) or (...,) when one suffices).
+    """
+
+    density: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    sampler: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    support: str = "R"
+    uniforms_per_cell: int = 1
+    tag: str = ""
+
+
+@dataclass(frozen=True)
+class HzmcSpec:
+    """Candidate invariant zigzag chain: down kernel, up kernel, initial law.
+
+    Finite case: ``d``/``u`` are stochastic matrices and ``rho0`` a
+    probability vector.  Continuous case: MarkovKernel / DensityLaw.
+    On the two-sided lattice the one law ``rho0`` stands for the whole
+    (constant) family of site marginals.
+    """
+
+    d: object
+    u: object
+    rho0: object
+    lattice: str = "N"
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.lattice not in ("N", "Z"):
+            raise ValueError(f"lattice must be 'N' or 'Z', got {self.lattice!r}")
+        if isinstance(self.d, np.ndarray):
+            d = _locked(self.d)
+            u = _locked(self.u)
+            r = _locked(self.rho0)
+            for name, mat in (("d", d), ("u", u)):
+                if np.abs(mat.sum(axis=1) - 1.0).max() > 1e-9:
+                    raise ValueError(f"{name} rows must sum to 1 within 1e-9")
+            if abs(r.sum() - 1.0) > 1e-9:
+                raise ValueError("rho0 must sum to 1 within 1e-9")
+            object.__setattr__(self, "d", d)
+            object.__setattr__(self, "u", u)
+            object.__setattr__(self, "rho0", r)
+
+    @property
+    def is_finite(self) -> bool:
+        return isinstance(self.d, np.ndarray)
+
+
+@dataclass(frozen=True)
+class ChzmcSpec:
+    """Cyclic zigzag chain on 2n cells with its partition constant z."""
+
+    d: object
+    u: object
+    n: int
+    z: float
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("cycle length must be >= 1")
+        if not np.isfinite(self.z) or self.z <= 0:
+            raise ValueError(f"partition constant must be finite and positive, got {self.z!r}")
+        if isinstance(self.d, np.ndarray):
+            object.__setattr__(self, "d", _locked(self.d))
+            object.__setattr__(self, "u", _locked(self.u))
+
+
+@dataclass(frozen=True)
+class SpaceTimeDiagram:
+    """Stacked states of a synchronous run.
+
+    ``states[t, j]`` is the value of site j at step t.  Runs with a shrinking
+    window pad missing right-edge cells with NaN; cyclic runs index sites
+    mod width.
+    """
+
+    lattice: str
+    width: int
+    steps: int
+    states: np.ndarray
+    seed: int
+
+    def __post_init__(self):
+        arr = _locked(self.states)
+        if arr.shape != (self.steps + 1, self.width):
+            raise ValueError(
+                f"states shape {arr.shape} inconsistent with steps={self.steps}, width={self.width}"
+            )
+        object.__setattr__(self, "states", arr)
+
+    def row(self, t: int) -> np.ndarray:
+        """Live cells of step t (NaN padding stripped)."""
+        r = self.states[t]
+        return r[~np.isnan(r)]
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one condition check: max residual against a tolerance.
+
+    ``passed`` is always residual <= tolerance; it is stored for the JSON
+    emitters but never set independently.
+    """
+
+    condition: str
+    residual: float
+    tolerance: float
+    witnesses: dict = field(default_factory=dict)
+    notes: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.tolerance)
+
+    def to_dict(self) -> dict:
+        wit = {}
+        for key, val in self.witnesses.items():
+            if isinstance(val, np.ndarray):
+                wit[key] = val.tolist()
+            elif isinstance(val, (np.floating, np.integer)):
+                wit[key] = val.item()
+            elif isinstance(val, tuple):
+                wit[key] = list(val)
+            else:
+                wit[key] = val
+        return {
+            "condition": self.condition,
+            "residual": float(self.residual),
+            "tolerance": float(self.tolerance),
+            "passed": self.passed,
+            "witnesses": wit,
+            "notes": self.notes,
+        }
+
+    def __str__(self):
+        flag = "pass" if self.passed else "FAIL"
+        return f"[{flag}] {self.condition}: residual {self.residual:.3e} (tol {self.tolerance:.1e})"
+
+
+def normalize_rows(array: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rescale the last axis of a kernel array to unit sums.
+
+    Works for both one-step matrices (rows indexed by a) and two-neighbor
+    tensors (rows indexed by (a, b)).  Returns the normalized copy and the
+    largest L1 change applied to any single row.  Rows that are all zero
+    cannot be normalized and are rejected with their index.
+    """
+    arr = np.array(array, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("entries must be nonnegative")
+    sums = arr.sum(axis=-1)
+    if np.any(sums == 0):
+        bad = np.argwhere(sums == 0)[0]
+        raise ValueError(f"row {tuple(int(i) for i in bad)} is all zero; cannot normalize")
+    out = arr / sums[..., None]
+    correction = float(np.abs(out - arr).sum(axis=-1).max())
+    return out, correction
+
+
+# ---------------------------------------------------------------------------
+# Model specification files (JSON).  Floats round-trip bit-exactly through
+# decimal strings with 17 significant digits.
+# ---------------------------------------------------------------------------
+
+def _f2s(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _s2f(x) -> float:
+    return float(x)
+
+
+def encode_array(a: np.ndarray):
+    """Nested lists of 17-significant-digit decimal strings."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0:
+        return _f2s(float(a))
+    return [encode_array(sub) for sub in a]
+
+
+def decode_array(obj) -> np.ndarray:
+    return np.asarray(obj, dtype=float)
+
+
+def model_to_dict(alphabet, kernel, lattice) -> dict:
+    """Assemble a model document.
+
+    ``alphabet``: FiniteAlphabet or GridMeasure spec dict {"halfwidth", "points"}.
+    ``kernel``: TransitionTensor, or a named-family dict.
+    ``lattice``: "N" | "Z" | {"cycle": n}.
+    """
+    doc: dict = {"lattice": lattice}
+    if isinstance(alphabet, FiniteAlphabet):
+        doc["alphabet"] = {"labels": list(alphabet.labels)}
+    else:
+        doc["alphabet"] = {"grid": dict(alphabet)}
+    if isinstance(kernel, TransitionTensor):
+        doc["kernel"] = {"tensor": encode_array(kernel.t)}
+    else:
+        doc["kernel"] = dict(kernel)
+    return doc
+
+
+def save_model(path, alphabet, kernel, lattice) -> None:
+    with open(path, "w") as fh:
+        json.dump(model_to_dict(alphabet, kernel, lattice), fh, indent=1)
+        fh.write("\n")
+
+
+class ModelFormatError(ValueError):
+    """Malformed model document (missing fields, bad shapes, bad values)."""
+
+
+def parse_model(doc: dict) -> dict:
+    """Validate a model document and materialize its pieces.
+
+    Returns a dict with keys: "lattice" ("N" | "Z" | ("cycle", n)),
+    and either "tensor" (TransitionTensor) or "family" (dict of the named
+    continuous family), plus "grid" (dict or None).
+    """
+    if not isinstance(doc, dict):
+        raise ModelFormatError("model document must be a JSON object")
+    for key in ("alphabet", "kernel", "lattice"):
+        if key not in doc:
+            raise ModelFormatError(f"model document missing field {key!r}")
+    lat = doc["lattice"]
+    if lat in ("N", "Z"):
+        lattice = lat
+    elif isinstance(lat, dict) and set(lat) == {"cycle"} and int(lat["cycle"]) >= 1:
+        lattice = ("cycle", int(lat["cycle"]))
+    else:
+        raise ModelFormatError(f"lattice must be 'N', 'Z' or {{'cycle': n}}, got {lat!r}")
+
+    out: dict = {"lattice": lattice, "grid": None, "tensor": None, "family": None}
+    alpha = doc["alphabet"]
+    kern = doc["kernel"]
+    if "labels" in alpha:
+        labels = [str(s) for s in alpha["labels"]]
+        if "tensor" not in kern:
+            raise ModelFormatError("finite alphabet requires an inline kernel tensor")
+        t = decode_array(kern["tensor"])
+        k = len(labels)
+        if t.shape != (k, k, k):
+            raise ModelFormatError(f"tensor shape {t.shape} does not match {k} labels")
+        try:
+            out["tensor"] = TransitionTensor(FiniteAlphabet(k, tuple(labels)), t)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from exc
+    elif "grid" in alpha:
+        g = alpha["grid"]
+        out["grid"] = {"halfwidth": _s2f(g["halfwidth"]) if "halfwidth" in g else None,
+                       "points": int(g.get("points", 257))}
+        if "family" not in kern:
+            raise ModelFormatError("grid alphabet requires a named kernel family")
+        fam = {}
+        for k2, v in kern.items():
+            if k2 != "family" and isinstance(v, (int, float)) and not isinstance(v, bool):
+                fam[k2] = float(v)
+            else:
+                fam[k2] = v
+        fam["family"] = str(kern["family"])
+        out["family"] = fam
+    else:
+        raise ModelFormatError("alphabet must carry 'labels' or 'grid'")
+    return out
+
+
+def load_model(path) -> dict:
+    with open(path) as fh:
+        doc = json.load(fh)
+    return parse_model(doc)
