@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import continuous_kernels as ck
 from . import finite_solver as fs
@@ -24,47 +25,103 @@ from .core_types import (EXACT_TOL, QUAD_TOL, CheckReport, ChzmcSpec, HzmcSpec,
                          ModelFormatError, decode_array, encode_array,
                          gauss_legendre_grid, load_model)
 
-SIM_FAMILIES = ("tasep", "fpp")
+
+def _number(key, value) -> float:
+    """A numeric kernel field: a JSON number, not a string, boolean or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"kernel field {key!r} must be a number, got {value!r}")
+    return float(value)
 
 
-def _fail_input(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
+def _fpp_rule(block) -> sim.FppRule:
+    weights = block.get("weight_params", [1.0])
+    if not isinstance(weights, list):
+        raise ValueError(f"kernel field 'weight_params' must be a list, got {weights!r}")
+    return sim.FppRule(sim.WeightLaw(block.get("weight_family", "exp"),
+                                     tuple(_number("weight_params", w) for w in weights)))
 
 
-def _load_model_checked(path):
+@dataclass(frozen=True)
+class Family:
+    """What the commands know of one named kernel family.
+
+    ``kernel`` is what simulate steps and ``battery`` the kernel the condition
+    battery runs on; where they differ, check also probes that the two agree
+    off a null set.  ``obstruction`` says why solve cannot build an invariant
+    chain; without one, ``chain`` is the closed-form invariant chain that
+    solve writes and verify tests.  ``init`` is the initial line of a family
+    without a chain.
+    """
+
+    fields: tuple                       # required numeric kernel fields
+    params: Callable                    # kernel block -> parameters
+    kernel: Callable                    # parameters -> kernel or particle rule
+    battery: Callable | None = None     # parameters -> KernelDensity
+    chain: Callable | None = None       # parameters -> HzmcSpec
+    grid: Callable | None = None        # (parameters, points) -> default grid
+    extras: Callable | None = None      # (parameters, chain) -> report fields
+    obstruction: Callable | None = None  # parameters -> why solve fails
+    init: Callable | None = None        # (kernel block, parameters, width) -> line
+
+
+_GAUSSIAN = dict(fields=("m", "sigma"),
+                 params=lambda b: ck.GaussianPcaParams(m=b["m"], sigma=b["sigma"]),
+                 battery=ck.gaussian_kernel_density, chain=ck.gaussian_invariant_hzmc,
+                 grid=ck.default_gaussian_grid,
+                 extras=lambda p, hz: {k: v for k, v in hz.meta.items() if k != "family"})
+
+FAMILIES = {
+    "gaussian": Family(kernel=ck.gaussian_kernel_density, **_GAUSSIAN),
+    "gaussian_diag": Family(kernel=ck.gaussian_diag_kernel_density, **_GAUSSIAN),
+    "beta": Family(
+        fields=("alpha", "beta", "m", "theta"),
+        params=lambda b: ck.BetaPcaParams(alpha=b["alpha"], beta=b["beta"], m_shift=b["m"],
+                                          theta_rate=b["theta"]),
+        kernel=ck.beta_kernel_density, battery=ck.beta_kernel_density,
+        chain=ck.beta_candidate_hzmc, grid=ck.default_beta_grid,
+        extras=lambda p, hz: {"drift_per_step": p.drift_per_step},
+        obstruction=lambda p: ("no stationary initial law: the stationarity condition cannot "
+                               f"be met (drift {p.drift_per_step:g} per down-up step)")),
+    "tasep": Family(
+        fields=("r", "v", "p"), params=lambda b: sim.TasepRule(r=b["r"], v=b["v"], p=b["p"]),
+        kernel=lambda rule: rule,
+        init=lambda b, rule, width: (_number("spacing", b.get("spacing", 2.0 * rule.r))
+                                     * np.arange(width))),
+    "fpp": Family(
+        fields=(), params=_fpp_rule, kernel=lambda rule: rule,
+        init=lambda b, rule, width: np.full(width,
+                                            _number("init_value", b.get("init_value", 0.0)))),
+}
+
+
+def _read_json(path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _read(path, what: str, reader=_read_json):
+    """``reader(path)``; a missing, unparsable or malformed file raises ValueError."""
     try:
-        return load_model(path), None
+        doc = reader(path)
     except FileNotFoundError:
-        return None, f"model file not found: {path}"
+        raise ValueError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        return None, f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        raise ValueError(f"parse error in {path} at line {exc.lineno} column {exc.colno}: "
+                         f"{exc.msg}") from None
     except ModelFormatError as exc:
-        return None, f"bad model document: {exc}"
+        raise ValueError(f"bad model document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} file {path} must hold a JSON object")
+    return doc
 
 
-def _grid_for(args, family: dict, model_grid: dict | None = None):
+def _grid(args, model, fam: Family, params):
     """Grid from the model document, with command-line overrides on top."""
-    model_grid = model_grid or {}
-    points = args.grid_points or model_grid.get("points") or 257
-    halfwidth = args.grid_halfwidth or model_grid.get("halfwidth")
+    points = args.grid_points or model["grid"]["points"]
+    halfwidth = args.grid_halfwidth or model["grid"]["halfwidth"]
     if halfwidth:
         return gauss_legendre_grid(halfwidth, points)
-    name = family["family"]
-    if name in ("gaussian", "gaussian_diag"):
-        return ck.default_gaussian_grid(_gauss_params(family), points)
-    if name == "beta":
-        return ck.default_beta_grid(_beta_params(family), points)
-    raise ValueError(f"no default grid for family {name!r}")
-
-
-def _gauss_params(family: dict) -> ck.GaussianPcaParams:
-    return ck.GaussianPcaParams(m=family["m"], sigma=family["sigma"])
-
-
-def _beta_params(family: dict) -> ck.BetaPcaParams:
-    return ck.BetaPcaParams(alpha=family["alpha"], beta=family["beta"],
-                            m_shift=family["m"], theta_rate=family["theta"])
+    return fam.grid(params, points)
 
 
 def _payload(args, command: str, reports, grid=None, tol=None, **extras) -> dict:
@@ -90,6 +147,19 @@ def _emit(doc: dict, out_path) -> None:
             fh.write(text + "\n")
 
 
+def _report(args, command: str, reports, **fields) -> int:
+    _emit(_payload(args, command, reports, **fields), args.out)
+    return 0 if all(r.passed for r in reports) else 1
+
+
+def _write_spec(doc: dict, out) -> int:
+    with open(out, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {out}")
+    return 0
+
+
 def _finite_battery(model, tol: float):
     """Reports plus solve payload for a finite-alphabet model, or an
     explanation when the positive route does not apply."""
@@ -104,7 +174,7 @@ def _finite_battery(model, tol: float):
             extras["eta"] = res.eta.vector.tolist()
             extras["nu"] = res.nu.vector.tolist()
         return list(res.reports), res, extras
-    res = fs.solve_invariant_hzmc(tensor, lattice="Z" if lattice == "Z" else "N", tol=tol)
+    res = fs.solve_invariant_hzmc(tensor, lattice=lattice, tol=tol)
     extras = {
         "triple": list(res.triple.as_tuple()),
         "nu": res.nu.vector.tolist(),
@@ -114,254 +184,135 @@ def _finite_battery(model, tol: float):
     return list(res.reports), res, extras
 
 
-def cmd_check(args) -> int:
-    model, err = _load_model_checked(args.model)
-    if err:
-        return _fail_input(err)
-    if model["tensor"] is not None:
+def _grid_battery(args, model, fam: Family, params):
+    """Quadrature condition battery of a named family: reports, grid, tolerance, chain."""
+    if fam.battery is None:
+        raise ValueError(f"family {model['family']['family']!r} has no condition battery; "
+                         "use simulate")
+    tol = args.tol or QUAD_TOL
+    grid = _grid(args, model, fam, params)
+    hz = fam.chain(params)
+    reports = list(ck.quadrature_check_conditions(fam.battery(params), hz, grid, tol=tol))
+    return reports, grid, tol, hz
+
+
+def cmd_check(args, model, fam: Family | None, params) -> int:
+    if fam is None:
         tol = args.tol or EXACT_TOL
-        tensor = model["tensor"]
-        if not tensor.mu_positive:
+        if not model["tensor"].mu_positive:
             rep = CheckReport("quartic-identity", float("inf"), tol,
                               notes="kernel is not everywhere positive; the positive "
                                     "construction route does not apply")
-            _emit(_payload(args, "check", [rep], tol=tol), args.out)
-            return 1
+            return _report(args, "check", [rep], tol=tol)
+        reports, _, extras = _finite_battery(model, tol)
+        return _report(args, "check", reports, tol=tol, **extras)
+    reports, grid, tol, hz = _grid_battery(args, model, fam, params)
+    if fam.kernel is not fam.battery:
+        reports.append(ck.mu_equivalence_probe(fam.kernel(params), fam.battery(params), grid))
+    return _report(args, "check", reports, grid=grid, tol=tol, **fam.extras(params, hz))
+
+
+def cmd_solve(args, model, fam: Family | None, params) -> int:
+    if fam is None:
+        tol = args.tol or EXACT_TOL
+        if not model["tensor"].mu_positive:
+            raise ValueError("solve requires an everywhere-positive kernel")
+        lattice = model["lattice"]
         reports, res, extras = _finite_battery(model, tol)
-        _emit(_payload(args, "check", reports, tol=tol, **extras), args.out)
-        return 0 if all(r.passed for r in reports) else 1
-
-    family = model["family"]
-    name = family["family"]
-    if name in SIM_FAMILIES:
-        return _fail_input(f"family {name!r} has no condition battery; use simulate")
-    tol = args.tol or QUAD_TOL
-    try:
-        if name in ("gaussian", "gaussian_diag"):
-            params = _gauss_params(family)
-            grid = _grid_for(args, family, model["grid"])
-            kern = (ck.gaussian_kernel_density(params) if name == "gaussian"
-                    else ck.gaussian_diag_kernel_density(params))
-            hz = ck.gaussian_invariant_hzmc(params)
-            reports = list(ck.quadrature_check_conditions(
-                ck.gaussian_kernel_density(params), hz, grid, tol=tol))
-            extras = {k: v for k, v in hz.meta.items() if k != "family"}
-            if name == "gaussian_diag":
-                reports.append(ck.mu_equivalence_probe(
-                    kern, ck.gaussian_kernel_density(params), grid))
-        elif name == "beta":
-            params = _beta_params(family)
-            grid = _grid_for(args, family, model["grid"])
-            kern = ck.beta_kernel_density(params)
-            hz = ck.beta_candidate_hzmc(params)
-            reports = list(ck.quadrature_check_conditions(kern, hz, grid, tol=tol))
-            extras = {"drift_per_step": params.drift_per_step}
-        else:
-            return _fail_input(f"unknown kernel family {name!r}")
-    except ValueError as exc:
-        return _fail_input(str(exc))
-    _emit(_payload(args, "check", reports, grid=grid, tol=tol, **extras), args.out)
-    return 0 if all(r.passed for r in reports) else 1
-
-
-def cmd_solve(args) -> int:
-    model, err = _load_model_checked(args.model)
-    if err:
-        return _fail_input(err)
-    out = args.out
-    if not out:
-        return _fail_input("solve needs --out for the spec file")
-    if model["tensor"] is not None:
-        tol = args.tol or EXACT_TOL
-        tensor = model["tensor"]
-        if not tensor.mu_positive:
-            return _fail_input("solve requires an everywhere-positive kernel")
-        lattice = model["lattice"]
-        if isinstance(lattice, tuple):
-            res = lx.solve_chzmc(tensor, lattice[1], tol=tol)
-            if not res.ok:
-                _emit(_payload(args, "solve", res.reports, tol=tol), None)
-                return 1
-            doc = {"type": "chzmc", "n": lattice[1], "z": format(res.spec.z, ".17g"),
-                   "d": encode_array(res.spec.d), "u": encode_array(res.spec.u),
-                   "eta": encode_array(res.eta.vector), "nu": encode_array(res.nu.vector)}
-        else:
-            reports, res, extras = _finite_battery(model, tol)
-            if not all(r.passed for r in reports):
-                _emit(_payload(args, "solve", reports, tol=tol, **extras), None)
-                return 1
-            doc = {"type": "hzmc", "lattice": "Z" if lattice == "Z" else "N",
-                   "d": encode_array(res.spec.d), "u": encode_array(res.spec.u),
-                   "rho0": encode_array(res.spec.rho0),
-                   "triple": list(res.triple.as_tuple()),
-                   "eta": encode_array(res.eta.vector), "nu": encode_array(res.nu.vector)}
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {out}")
-        return 0
-
-    family = model["family"]
-    name = family["family"]
-    tol = args.tol or QUAD_TOL
-    try:
-        if name in ("gaussian", "gaussian_diag"):
-            params = _gauss_params(family)
-            hz = ck.gaussian_invariant_hzmc(params)
-            doc = {"type": "hzmc", "family": "gaussian_closed_form"}
-            doc.update({k: v for k, v in hz.meta.items() if k != "family"})
-            with open(out, "w") as fh:
-                json.dump(doc, fh, indent=1)
-                fh.write("\n")
-            print(f"wrote {out}")
-            return 0
-        if name == "beta":
-            params = _beta_params(family)
-            grid = _grid_for(args, family, model["grid"])
-            kern = ck.beta_kernel_density(params)
-            hz = ck.beta_candidate_hzmc(params)
-            reports = ck.quadrature_check_conditions(kern, hz, grid, tol=tol)
-            _emit(_payload(args, "solve", reports, grid=grid, tol=tol,
-                           failure="no stationary initial law: the stationarity "
-                                   "condition cannot be met (drift "
-                                   f"{params.drift_per_step:g} per down-up step)"),
-                  None)
+        if not all(r.passed for r in reports):
+            shown = {} if isinstance(lattice, tuple) else extras
+            _emit(_payload(args, "solve", reports, tol=tol, **shown), None)
             return 1
-    except ValueError as exc:
-        return _fail_input(str(exc))
-    return _fail_input(f"cannot solve family {name!r}")
+        if isinstance(lattice, tuple):
+            return _write_spec({"type": "chzmc", "n": lattice[1], "z": format(res.spec.z, ".17g"),
+                                "d": encode_array(res.spec.d), "u": encode_array(res.spec.u),
+                                "eta": encode_array(res.eta.vector),
+                                "nu": encode_array(res.nu.vector)}, args.out)
+        return _write_spec({"type": "hzmc", "lattice": lattice,
+                            "d": encode_array(res.spec.d), "u": encode_array(res.spec.u),
+                            "rho0": encode_array(res.spec.rho0),
+                            "triple": list(res.triple.as_tuple()),
+                            "eta": encode_array(res.eta.vector),
+                            "nu": encode_array(res.nu.vector)}, args.out)
+    if fam.chain is None:
+        raise ValueError(f"cannot solve family {model['family']['family']!r}")
+    if fam.obstruction is None:
+        return _write_spec({"type": "hzmc", **fam.chain(params).meta}, args.out)
+    reports, grid, tol, _ = _grid_battery(args, model, fam, params)
+    _emit(_payload(args, "solve", reports, grid=grid, tol=tol,
+                   failure=fam.obstruction(params)), None)
+    return 1
 
 
-def _load_spec_checked(path):
+def _spec_field(spec: dict, key: str, cast=decode_array):
     try:
-        with open(path) as fh:
-            return json.load(fh), None
-    except FileNotFoundError:
-        return None, f"spec file not found: {path}"
-    except json.JSONDecodeError as exc:
-        return None, f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        return cast(spec[key])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"spec field {key!r} is missing or malformed") from None
 
 
-def cmd_verify(args) -> int:
-    model, err = _load_model_checked(args.model)
-    if err:
-        return _fail_input(err)
-    spec_doc, err = _load_spec_checked(args.spec)
-    if err:
-        return _fail_input(err)
-
-    if model["tensor"] is not None:
+def cmd_verify(args, model, fam: Family | None, params) -> int:
+    spec = _read(args.spec, "spec")
+    if fam is None:
         tensor = model["tensor"]
         tol = args.tol or EXACT_TOL
         lattice = model["lattice"]
         if isinstance(lattice, tuple):
-            if spec_doc.get("type") != "chzmc":
-                return _fail_input("cyclic model needs a chzmc spec")
-            d = decode_array(spec_doc["d"])
-            u = decode_array(spec_doc["u"])
-            n = int(spec_doc["n"])
+            if spec.get("type") != "chzmc":
+                raise ValueError("cyclic model needs a chzmc spec")
+            d = _spec_field(spec, "d")
+            u = _spec_field(spec, "u")
+            n = _spec_field(spec, "n", int)
             if n != lattice[1]:
-                return _fail_input(f"spec cycle {n} != model cycle {lattice[1]}")
+                raise ValueError(f"spec cycle {n} != model cycle {lattice[1]}")
             if d.shape != (tensor.size, tensor.size):
-                return _fail_input("spec kernels incompatible with model alphabet")
+                raise ValueError("spec kernels incompatible with model alphabet")
             z = lx.partition_function(d, u, n)
             cspec = ChzmcSpec(d=d, u=u, n=n, z=z)
             reports = list(lx.check_chzmc_conditions(tensor, cspec, tol=tol))
             reports.append(lx.bruteforce_cycle_invariance(tensor, cspec, tol=tol))
-            _emit(_payload(args, "verify", reports, tol=tol, z=z), args.out)
-            return 0 if all(r.passed for r in reports) else 1
-        if spec_doc.get("type") != "hzmc" or "d" not in spec_doc:
-            return _fail_input("finite model needs an hzmc spec with inline kernels")
-        d = decode_array(spec_doc["d"])
+            return _report(args, "verify", reports, tol=tol, z=z)
+        if spec.get("type") != "hzmc" or "d" not in spec:
+            raise ValueError("finite model needs an hzmc spec with inline kernels")
+        d = _spec_field(spec, "d")
         if d.shape != (tensor.size, tensor.size):
-            return _fail_input("spec kernels incompatible with model alphabet")
-        hz = HzmcSpec(d=d, u=decode_array(spec_doc["u"]),
-                      rho0=decode_array(spec_doc["rho0"]),
-                      lattice=spec_doc.get("lattice", "N"))
+            raise ValueError("spec kernels incompatible with model alphabet")
+        hz = HzmcSpec(d=d, u=_spec_field(spec, "u"), rho0=_spec_field(spec, "rho0"),
+                      lattice=spec.get("lattice", "N"))
         rep = fs.bruteforce_invariance(tensor, hz, args.kmax, tol=tol)
-        _emit(_payload(args, "verify", [rep], tol=tol, kmax=args.kmax), args.out)
-        return 0 if rep.passed else 1
+        return _report(args, "verify", [rep], tol=tol, kmax=args.kmax)
 
-    family = model["family"]
-    name = family["family"]
-    if name not in ("gaussian", "gaussian_diag"):
-        return _fail_input(f"verify does not apply to family {name!r}")
-    if spec_doc.get("family") != "gaussian_closed_form":
-        return _fail_input("continuous verify needs a gaussian_closed_form spec")
-    try:
-        params = _gauss_params(family)
-    except ValueError as exc:
-        return _fail_input(str(exc))
-    if abs(spec_doc["m"] - params.m) > 0 or abs(spec_doc["sigma"] - params.sigma) > 0:
-        return _fail_input("spec parameters do not match the model")
-    tol = args.tol or QUAD_TOL
-    grid = _grid_for(args, family, model["grid"])
-    kern = ck.gaussian_kernel_density(params)
-    hz = ck.gaussian_invariant_hzmc(params)
-    reports = list(ck.quadrature_check_conditions(kern, hz, grid, tol=tol))
-
-    width = args.width or 20_001
-    zig = sim.sample_hzmc_line(hz, 2 * width + 1, seed=args.seed)
-    y = zig[1::2]
-    inst = sim.ModelInstance(kernel=kern, lattice="N", width=width, seed=args.seed)
-    z = sim.step_pca(y, inst, t=0)
-    s0 = params.stationary_std
-    ks = st.ks_distance(z[::7], lambda x: ndtr(x / s0))
+    if fam.chain is None or fam.obstruction is not None:
+        raise ValueError(f"verify does not apply to family {model['family']['family']!r}")
+    name = fam.chain(params).meta["family"]
+    if spec.get("family") != name:
+        raise ValueError(f"continuous verify needs a {name} spec")
+    if any(_spec_field(spec, key, float) != model["family"][key] for key in fam.fields):
+        raise ValueError("spec parameters do not match the model")
+    reports, grid, tol, hz = _grid_battery(args, model, fam, params)
+    zig = sim.sample_hzmc_line(hz, 2 * args.width + 1, seed=args.seed)
+    inst = sim.ModelInstance(kernel=fam.battery(params), lattice="N", width=args.width,
+                             seed=args.seed)
+    z = sim.step_pca(zig[1::2], inst, t=0)
+    ks = st.ks_distance(z[::7], hz.rho0.cdf)
     reports.append(CheckReport("monte-carlo-stationarity", ks.distance, ks.threshold,
                                witnesses={"n": ks.n},
                                notes="KS of the stepped line against the stationary law"))
-    _emit(_payload(args, "verify", reports, grid=grid, tol=tol), args.out)
-    return 0 if all(r.passed for r in reports) else 1
+    return _report(args, "verify", reports, grid=grid, tol=tol)
 
 
-def _simulate_init(model, family, args):
-    """Initial line plus the model instance for the simulate command."""
+def cmd_simulate(args, model, fam: Family | None, params) -> int:
     width = args.width
-    if model["tensor"] is not None:
-        tensor = model["tensor"]
-        res = fs.solve_invariant_hzmc(tensor)
-        zig = sim.sample_hzmc_lines(res.spec, 2 * width - 1, 1, args.seed)[0]
-        init = zig[0::2]
-        inst = sim.ModelInstance(kernel=tensor, lattice="N", width=width, seed=args.seed)
-        return inst, init
-    name = family["family"]
-    if name in ("gaussian", "gaussian_diag"):
-        params = _gauss_params(family)
-        hz = ck.gaussian_invariant_hzmc(params)
-        kern = (ck.gaussian_kernel_density(params) if name == "gaussian"
-                else ck.gaussian_diag_kernel_density(params))
-        init = sim.sample_hzmc_lines(hz, 2 * width - 1, 1, args.seed)[0][0::2]
-        return sim.ModelInstance(kernel=kern, lattice="N", width=width, seed=args.seed), init
-    if name == "beta":
-        params = _beta_params(family)
-        hz = ck.beta_candidate_hzmc(params)
-        kern = ck.beta_kernel_density(params)
-        init = sim.sample_hzmc_lines(hz, 2 * width - 1, 1, args.seed)[0][0::2]
-        return sim.ModelInstance(kernel=kern, lattice="N", width=width, seed=args.seed), init
-    if name == "tasep":
-        rule = sim.TasepRule(r=family["r"], v=family["v"], p=family["p"])
-        spacing = family.get("spacing", 2.0 * family["r"])
-        init = spacing * np.arange(width)
-        return sim.ModelInstance(kernel=rule, lattice="Z", width=width, seed=args.seed), init
-    if name == "fpp":
-        law = sim.WeightLaw(family.get("weight_family", "exp"),
-                            tuple(family.get("weight_params", (1.0,))))
-        init = np.full(width, float(family.get("init_value", 0.0)))
-        return sim.ModelInstance(kernel=sim.FppRule(law), lattice="N", width=width,
-                                 seed=args.seed), init
-    raise ValueError(f"cannot simulate family {name!r}")
-
-
-def cmd_simulate(args) -> int:
-    model, err = _load_model_checked(args.model)
-    if err:
-        return _fail_input(err)
-    family = model["family"] or {}
-    try:
-        inst, init = _simulate_init(model, family, args)
-        diagram = sim.simulate_diagram(inst, init, args.steps)
-    except ValueError as exc:
-        return _fail_input(str(exc))
+    if fam is None:
+        kernel, chain = model["tensor"], fs.solve_invariant_hzmc(model["tensor"]).spec
+    else:
+        kernel, chain = fam.kernel(params), fam.chain(params) if fam.chain else None
+    if chain is not None:
+        init = sim.sample_hzmc_lines(chain, 2 * width - 1, 1, args.seed)[0][0::2]
+    else:
+        init = fam.init(model["family"], params, width)
+    inst = sim.ModelInstance(kernel=kernel, lattice=model["lattice"], width=width, seed=args.seed)
+    diagram = sim.simulate_diagram(inst, init, args.steps)
 
     out = args.out or "diagram"
     sim.write_diagram_csv(diagram, out + ".csv")
@@ -387,14 +338,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    try:
-        with open(args.infile) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        return _fail_input(f"report file not found: {args.infile}")
-    except json.JSONDecodeError as exc:
-        return _fail_input(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")
+def cmd_report(doc: dict) -> int:
     for rep in doc.get("reports", []):
         flag = "pass" if rep.get("passed") else "FAIL"
         print(f"[{flag}] {rep.get('condition')}: residual {rep.get('residual'):.3e} "
@@ -410,46 +354,55 @@ def build_parser() -> argparse.ArgumentParser:
                                             "cellular dynamics")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True):
-        if model:
-            sp.add_argument("--model", required=True, help="model JSON file")
-        sp.add_argument("--out", default=None, help="output path")
+    def command(name, func, help_text, out_required=False, battery=True):
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=func)
+        sp.add_argument("--model", required=True, help="model JSON file")
+        sp.add_argument("--out", required=out_required, help="output path")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--grid-points", type=int, default=None, dest="grid_points")
-        sp.add_argument("--grid-halfwidth", type=float, default=None, dest="grid_halfwidth")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--kmax", type=int, default=2)
-        sp.add_argument("--steps", type=int, default=10)
-        sp.add_argument("--width", type=int, default=None)
+        if battery:
+            sp.add_argument("--tol", type=float, default=None)
+            sp.add_argument("--grid-points", type=int, default=None)
+            sp.add_argument("--grid-halfwidth", type=float, default=None)
+        return sp
 
-    sp = sub.add_parser("check", help="run the applicable condition battery")
-    common(sp)
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("solve", help="construct and write the invariant chain")
-    common(sp)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("verify", help="independent oracle against a solved spec")
-    common(sp)
+    command("check", cmd_check, "run the applicable condition battery")
+    command("solve", cmd_solve, "construct and write the invariant chain", out_required=True)
+    sp = command("verify", cmd_verify, "independent oracle against a solved spec")
     sp.add_argument("--spec", required=True, help="spec JSON from solve")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("simulate", help="run the model and dump the diagram")
-    common(sp)
-    sp.set_defaults(func=cmd_simulate)
+    sp.add_argument("--kmax", type=int, default=2)
+    sp.add_argument("--width", type=int, default=20_001)
+    sp = command("simulate", cmd_simulate, "run the model and dump the diagram", battery=False)
+    sp.add_argument("--steps", type=int, default=10)
+    sp.add_argument("--width", type=int, default=1000)
 
     sp = sub.add_parser("report", help="pretty-print a report JSON")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.set_defaults(func=cmd_report)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate" and args.width is None:
-        args.width = 1000
-    return args.func(args)
+    try:
+        if args.command == "report":
+            return cmd_report(_read(args.infile, "report"))
+        model = _read(args.model, "model", load_model)
+        block, fam, params = model["family"], None, None
+        if block is not None:
+            fam = FAMILIES.get(block["family"])
+            if fam is None:
+                raise ValueError(f"unknown kernel family {block['family']!r}")
+            for key in fam.fields:
+                _number(key, block.get(key))
+            params = fam.params(block)
+        if isinstance(model["lattice"], tuple) and (fam is not None or args.command == "simulate"):
+            what = "simulate" if fam is None else f"family {block['family']!r}"
+            raise ValueError(f"{what} runs on the lattice 'N' or 'Z', not on "
+                             f"{{'cycle': {model['lattice'][1]}}}")
+        return args.func(args, model, fam, params)
+    except (OSError, ValueError) as exc:     # bad input: exit 2, one line, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from scipy.special import betaincinv, betaln, gammaincinv, gammaln, ndtr, ndtri
 
 from .core_types import (QUAD_TOL, CheckReport, DensityLaw, GridMeasure, HzmcSpec,
                          KernelDensity, MarkovKernel, gauss_legendre_grid)
-from .finite_solver import EigenSolveResult, SolverConvergenceError
+from .finite_solver import power_iteration
 
 _GL_NODES = 64
 _gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
@@ -453,24 +453,6 @@ def quadrature_check_conditions(kernel: KernelDensity, hzmc: HzmcSpec, grid: Gri
     )
 
 
-def _grid_power_iteration(mat: np.ndarray, grid: GridMeasure, tol: float = 1e-12,
-                          max_iter: int = 100_000) -> EigenSolveResult:
-    """Power iteration normalizing to unit quadrature mass."""
-    n = mat.shape[0]
-    v = np.full(n, 1.0 / (2.0 * grid.halfwidth))
-    resid = np.inf
-    for it in range(1, max_iter + 1):
-        vnew = mat @ v
-        lam = grid.integrate(vnew)
-        if not np.isfinite(lam) or lam <= 0:
-            raise SolverConvergenceError("grid iteration collapsed", np.inf)
-        resid = float(np.abs(vnew - lam * v).max())
-        v = vnew / lam
-        if resid <= tol:
-            return EigenSolveResult(vector=v, eigenvalue=lam, iterations=it, residual=resid)
-    raise SolverConvergenceError("grid power iteration did not converge", resid)
-
-
 def grid_eta_solve(kernel: KernelDensity, grid: GridMeasure,
                    base: tuple = (0.0, 0.0, 0.0), tol: float = 1e-12):
     """Discretized eigenvector solves on the grid.
@@ -482,14 +464,14 @@ def grid_eta_solve(kernel: KernelDensity, grid: GridMeasure,
     p, w = grid.points, grid.weights
     c0 = float(base[2])     # only the third anchor coordinate enters the solves
     m1 = kernel.density(p[None, :], p[None, :], p[:, None]) * w[None, :]
-    nu = _grid_power_iteration(m1, grid, tol=tol)
+    nu = power_iteration(m1, tol=tol, start=np.ones(p.size), mass=grid.integrate)
 
     tdiag = kernel.density(p, p, np.full_like(p, c0))
     tax = kernel.density(p[:, None], p[None, :], np.full((1, 1), c0))
     if np.any(tax <= 0):
         raise ValueError("kernel is not positive on the grid; eta solve needs positivity")
     m2 = (nu.vector * tdiag)[:, None] / tax * w[None, :]
-    eta = _grid_power_iteration(m2, grid, tol=tol)
+    eta = power_iteration(m2, tol=tol, start=np.ones(p.size), mass=grid.integrate)
     return nu, eta
 
 

@@ -121,8 +121,8 @@ class TransitionTensor:
         arr = _locked(self.t)
         if arr.shape != (k, k, k):
             raise ValueError(f"tensor shape {arr.shape} does not match alphabet size {k}")
-        if np.any(arr < 0):
-            raise ValueError("tensor entries must be nonnegative")
+        if not np.all(arr >= 0):     # also refuses NaN, which every comparison fails
+            raise ValueError("tensor entries must be nonnegative numbers")
         rowsums = arr.sum(axis=2)
         worst = float(np.abs(rowsums - 1.0).max())
         if worst > ROW_TOL:
@@ -357,10 +357,6 @@ def _f2s(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _s2f(x) -> float:
-    return float(x)
-
-
 def encode_array(a: np.ndarray):
     """Nested lists of 17-significant-digit decimal strings."""
     a = np.asarray(a, dtype=float)
@@ -378,8 +374,10 @@ def model_to_dict(alphabet, kernel, lattice) -> dict:
 
     ``alphabet``: FiniteAlphabet or GridMeasure spec dict {"halfwidth", "points"}.
     ``kernel``: TransitionTensor, or a named-family dict.
-    ``lattice``: "N" | "Z" | {"cycle": n}.
+    ``lattice``: "N" | "Z" | {"cycle": n} | ("cycle", n) as parse_model returns it.
     """
+    if isinstance(lattice, tuple):
+        lattice = {"cycle": lattice[1]}
     doc: dict = {"lattice": lattice}
     if isinstance(alphabet, FiniteAlphabet):
         doc["alphabet"] = {"labels": list(alphabet.labels)}
@@ -402,6 +400,14 @@ class ModelFormatError(ValueError):
     """Malformed model document (missing fields, bad shapes, bad values)."""
 
 
+def _scalar(value, cast, what):
+    """``cast(value)`` for a scalar of a model document, or a format error."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelFormatError(f"{what} must be a number, got {value!r}") from None
+
+
 def parse_model(doc: dict) -> dict:
     """Validate a model document and materialize its pieces.
 
@@ -415,21 +421,29 @@ def parse_model(doc: dict) -> dict:
         if key not in doc:
             raise ModelFormatError(f"model document missing field {key!r}")
     lat = doc["lattice"]
+    cycle = lat["cycle"] if isinstance(lat, dict) and set(lat) == {"cycle"} else None
     if lat in ("N", "Z"):
         lattice = lat
-    elif isinstance(lat, dict) and set(lat) == {"cycle"} and int(lat["cycle"]) >= 1:
-        lattice = ("cycle", int(lat["cycle"]))
+    elif cycle is not None and _scalar(cycle, int, "cycle length") >= 1:
+        lattice = ("cycle", int(cycle))
     else:
         raise ModelFormatError(f"lattice must be 'N', 'Z' or {{'cycle': n}}, got {lat!r}")
 
     out: dict = {"lattice": lattice, "grid": None, "tensor": None, "family": None}
     alpha = doc["alphabet"]
     kern = doc["kernel"]
+    if not isinstance(alpha, dict) or not isinstance(kern, dict):
+        raise ModelFormatError("alphabet and kernel must be JSON objects")
     if "labels" in alpha:
+        if not isinstance(alpha["labels"], list):
+            raise ModelFormatError("labels must be a list")
         labels = [str(s) for s in alpha["labels"]]
         if "tensor" not in kern:
             raise ModelFormatError("finite alphabet requires an inline kernel tensor")
-        t = decode_array(kern["tensor"])
+        try:
+            t = decode_array(kern["tensor"])
+        except (TypeError, ValueError):
+            raise ModelFormatError("tensor entries must be numbers in nested lists") from None
         k = len(labels)
         if t.shape != (k, k, k):
             raise ModelFormatError(f"tensor shape {t.shape} does not match {k} labels")
@@ -439,8 +453,11 @@ def parse_model(doc: dict) -> dict:
             raise ModelFormatError(str(exc)) from exc
     elif "grid" in alpha:
         g = alpha["grid"]
-        out["grid"] = {"halfwidth": _s2f(g["halfwidth"]) if "halfwidth" in g else None,
-                       "points": int(g.get("points", 257))}
+        if not isinstance(g, dict):
+            raise ModelFormatError("grid must be a JSON object")
+        out["grid"] = {"halfwidth": _scalar(g["halfwidth"], float, "grid halfwidth")
+                       if "halfwidth" in g else None,
+                       "points": _scalar(g.get("points", 257), int, "grid points")}
         if "family" not in kern:
             raise ModelFormatError("grid alphabet requires a named kernel family")
         fam = {}

@@ -86,22 +86,22 @@ def _require_positive(tensor: TransitionTensor, op: str):
 
 
 def power_iteration(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000,
-                    start: np.ndarray | None = None) -> EigenSolveResult:
+                    start: np.ndarray | None = None, mass=np.sum) -> EigenSolveResult:
     """Principal eigenvector of an entrywise-nonnegative matrix.
 
-    Iterates v <- M v with L1 renormalization.  For strictly positive M the
-    convergence is geometric and the limit is the unique positive
-    eigendirection.
+    Iterates v <- M v, renormalized to unit ``mass``: the plain sum on a
+    finite alphabet, the quadrature integral on a grid.  For strictly
+    positive M the convergence is geometric and the limit is the unique
+    positive eigendirection.
     """
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
-    v = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float) / np.sum(start)
-    lam = 1.0
+    v = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float) / mass(start)
     resid = np.inf
     for it in range(1, max_iter + 1):
         w = m @ v
-        lam = float(w.sum())
-        if lam <= 0:
+        lam = float(mass(w))
+        if not np.isfinite(lam) or lam <= 0:
             raise SolverConvergenceError("iteration collapsed to the zero vector", np.inf)
         resid = float(np.abs(w - lam * v).max())
         v = w / lam
@@ -334,6 +334,14 @@ def _push_forward_axes(k: int) -> list[int]:
     return perm
 
 
+def _window_guard(kappa: int, k: int):
+    if k < 0:
+        raise ValueError(f"window k must be >= 0, got {k}")
+    if kappa ** (2 * k + 3) > SIZE_GUARD:
+        raise ValueError(f"joint law would need kappa^(2k+3) = {kappa ** (2 * k + 3)} "
+                         f"entries, over the {SIZE_GUARD} guard")
+
+
 def push_forward_zigzag(tensor: TransitionTensor, hzmc: HzmcSpec, k: int) -> np.ndarray:
     """One synchronous step applied to the candidate chain: exact joint law of
     the next zigzag window (2k+3 cells), by exhaustive summation.
@@ -341,12 +349,7 @@ def push_forward_zigzag(tensor: TransitionTensor, hzmc: HzmcSpec, k: int) -> np.
     Axes follow the zigzag reading order: new first-line cell 0, new
     second-line cell 0, new first-line cell 1, ...  The result sums to 1.
     """
-    kappa = tensor.size
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if kappa ** (2 * k + 3) > SIZE_GUARD:
-        raise ValueError(f"joint law would need kappa^(2k+3) = {kappa ** (2 * k + 3)} "
-                         f"entries, over the {SIZE_GUARD} guard")
+    _window_guard(tensor.size, k)
     d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
     m0 = rho0 @ d
     ud = u @ d
@@ -368,9 +371,7 @@ def hzmc_cylinder_weights(hzmc: HzmcSpec, k: int) -> np.ndarray:
     """Exact cylinder weights of the candidate chain on a 2k+3 cell zigzag
     window, in the same axis order as push_forward_zigzag."""
     d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
-    kappa = d.shape[0]
-    if kappa ** (2 * k + 3) > SIZE_GUARD:
-        raise ValueError("window exceeds the size guard")
+    _window_guard(d.shape[0], k)
     nb = k + 2
     b = _LETTERS[:nb]
     c = _LETTERS[nb:nb + k + 1]
@@ -391,6 +392,7 @@ def bruteforce_invariance(tensor: TransitionTensor, hzmc: HzmcSpec, k_max: int,
                           tol: float = EXACT_TOL) -> CheckReport:
     """Independent oracle: compares the pushed-forward law with the chain's
     own cylinder weights on every window size up to k_max."""
+    _window_guard(tensor.size, k_max)    # refuse before any window is computed
     worst = 0.0
     per_k = []
     where = None

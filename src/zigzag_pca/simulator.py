@@ -102,21 +102,6 @@ class FppRule:
 
 
 @dataclass(frozen=True)
-class FppConfig:
-    """First-row travel times (nonnegative reals) plus the edge-weight law."""
-
-    first_row: np.ndarray
-    weights: WeightLaw
-
-    def __post_init__(self):
-        row = np.array(self.first_row, dtype=float)
-        row.setflags(write=False)
-        if np.any(row < 0):
-            raise ValueError("first-row values must be nonnegative")
-        object.__setattr__(self, "first_row", row)
-
-
-@dataclass(frozen=True)
 class ModelInstance:
     """A runnable model: kernel (or particle rule), lattice, width, policy, seed."""
 
@@ -292,6 +277,8 @@ def simulate_diagram(model: ModelInstance, init: np.ndarray, t_steps: int) -> Sp
     right; TASEP and cyclic runs keep their width.
     """
     line = np.asarray(init, dtype=float)
+    if t_steps < 0:
+        raise ValueError(f"need t_steps >= 0, got {t_steps}")
     if line.size != model.width:
         raise ValueError(f"init width {line.size} != model width {model.width}")
     if model.boundary == "shrink" and t_steps >= model.width:

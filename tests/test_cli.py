@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
+import zigzag_pca
 from zigzag_pca import finite_solver as fs
 from zigzag_pca.cli import main
 from zigzag_pca.core_types import save_model
@@ -240,8 +244,158 @@ class TestReport:
 
 
 def test_console_entry_point(files):
+    # the child imports the package from where this process found it, so the
+    # test needs neither an install nor PYTHONPATH
+    src = os.path.dirname(os.path.dirname(zigzag_pca.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "zigzag_pca.cli", "check",
                            "--model", str(files["two_letter"])],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"]
+
+
+def _write_model(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _single_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+GAUSS_DOC = {"alphabet": {"grid": {"points": 33}},
+             "kernel": {"family": "gaussian", "m": 3, "sigma": 1}, "lattice": "N"}
+TENSOR_DOC = {"alphabet": {"labels": ["0", "1"]},
+              "kernel": {"tensor": [[[0.5, 0.5], [0.8, 0.2]], [[0.2, 0.8], [0.5, 0.5]]]},
+              "lattice": "N"}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("doc", [
+        {**GAUSS_DOC, "alphabet": {"grid": {"points": "abc"}}},
+        {**GAUSS_DOC, "kernel": {"family": "gaussian", "m": 3}},
+        {**GAUSS_DOC, "kernel": {"family": "gaussian", "m": "3", "sigma": 1}},
+        {**TENSOR_DOC, "kernel": {"tensor": [[[0.5, "x"], [0.8, 0.2]], [[0.2, 0.8], [0.5, 0.5]]]}},
+        {**TENSOR_DOC, "kernel": {"tensor": [[[0.5, None], [0.8, 0.2]], [[0.2, 0.8], [0.5, 0.5]]]}},
+        {**TENSOR_DOC, "lattice": {"cycle": "z"}},
+    ], ids=["points-abc", "missing-sigma", "m-string", "tensor-entry", "tensor-null", "cycle-z"])
+    def test_malformed_model_is_one_error_line(self, tmp_path, capsys, doc):
+        path = _write_model(tmp_path / "bad.json", doc)
+        assert run_main("check", "--model", path) == 2
+        assert _single_error_line(capsys.readouterr().err)
+
+    def test_window_beyond_size_guard(self, files, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        run_main("solve", "--model", files["two_letter"], "--out", spec)
+        capsys.readouterr()
+        assert run_main("verify", "--model", files["two_letter"], "--spec", spec,
+                        "--kmax", 20) == 2
+        assert "guard" in capsys.readouterr().err
+
+    def test_cycle_beyond_size_guard(self, capsys, tmp_path):
+        two = three_letter_tensor().restrict([1, 2])
+        model, spec = tmp_path / "c30.json", tmp_path / "c30spec.json"
+        save_model(model, two.alphabet, two, {"cycle": 30})
+        assert run_main("solve", "--model", model, "--out", spec) == 0
+        capsys.readouterr()
+        assert run_main("verify", "--model", model, "--spec", spec) == 2
+        assert "guard" in capsys.readouterr().err
+
+    def test_negative_kmax_is_not_a_vacuous_pass(self, files, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        run_main("solve", "--model", files["two_letter"], "--out", spec)
+        capsys.readouterr()
+        assert run_main("verify", "--model", files["two_letter"], "--spec", spec,
+                        "--kmax", -1) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_negative_steps(self, files, capsys, tmp_path):
+        assert run_main("simulate", "--model", files["two_letter"], "--steps", -1,
+                        "--out", tmp_path / "sim") == 2
+        assert _single_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["check", "solve", "verify", "simulate"])
+    def test_family_on_a_cycle_is_refused(self, tmp_path, capsys, command):
+        path = _write_model(tmp_path / "gc.json", {**GAUSS_DOC, "lattice": {"cycle": 4}})
+        extra = {"solve": ("--out", tmp_path / "s.json"), "verify": ("--spec", path),
+                 "simulate": ("--out", tmp_path / "sim")}.get(command, ())
+        assert run_main(command, "--model", path, *extra) == 2
+        assert "'cycle': 4" in capsys.readouterr().err
+
+    def test_finite_simulate_on_a_cycle_is_refused(self, files, capsys, tmp_path):
+        assert run_main("simulate", "--model", files["two_letter_cycle"], "--steps", 3,
+                        "--width", 10, "--out", tmp_path / "sim") == 2
+        assert "'cycle': 3" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize("argv", [("check", "--kmax", "3"), ("check", "--steps", "3"),
+                                      ("solve", "--width", "9"), ("simulate", "--tol", "1e-3")])
+    def test_subcommands_refuse_flags_they_do_not_read(self, files, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_main(argv[0], "--model", files["two_letter"], "--out", "/dev/null", *argv[1:])
+        assert exc.value.code == 2
+
+
+_FUZZ_BASES = [
+    TENSOR_DOC,
+    {**TENSOR_DOC, "lattice": {"cycle": 3}},
+    GAUSS_DOC,
+    {"alphabet": {"grid": {"points": 17, "halfwidth": 6.0}},
+     "kernel": {"family": "beta", "alpha": 1, "beta": 1, "m": 1, "theta": 1}, "lattice": "N"},
+    {"alphabet": {"grid": {"points": 9}},
+     "kernel": {"family": "tasep", "r": 0.5, "v": 2.0, "p": 1.0, "spacing": 1.0}, "lattice": "Z"},
+    {"alphabet": {"grid": {"points": 9}},
+     "kernel": {"family": "fpp", "weight_family": "gamma", "weight_params": [2, 1.5],
+                "init_value": 1}, "lattice": "N"},
+]
+
+
+def _paths(doc, prefix=()):
+    """Every (path, value) inside a model document, objects and lists alike."""
+    yield prefix
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, path, replacement):
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if replacement == "drop":
+        del node[last]
+    else:
+        node[last] = replacement
+    return doc
+
+
+@hst.composite
+def _mutated_docs(draw):
+    base = draw(hst.sampled_from(_FUZZ_BASES))
+    path = draw(hst.sampled_from([p for p in _paths(base) if p]))
+    replacement = draw(hst.sampled_from(["drop", "abc", -1.0, -3, None, [1.0], []]))
+    if replacement == "drop" and isinstance(path[-1], int):
+        replacement = None
+    return _mutate(base, path, replacement)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_mutated_docs(), command=hst.sampled_from(["check", "solve", "simulate"]))
+def test_exit_code_contract_on_mutated_models(tmp_path, capsys, doc, command):
+    """Whatever the document, the exit code is 0, 1 or 2 and stderr holds at
+    most one error line: no traceback, no uncaught exception."""
+    path = _write_model(tmp_path / "fuzz.json", doc)
+    extra = {"solve": ("--out", tmp_path / "spec.json"),
+             "simulate": ("--steps", 3, "--width", 64, "--out", tmp_path / "sim")}
+    capsys.readouterr()
+    code = run_main(command, "--model", path, *extra.get(command, ()))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert err == "" or _single_error_line(err)

@@ -125,6 +125,17 @@ class TestModelFiles:
         save_model(path, two_letter.alphabet, two_letter, {"cycle": 3})
         assert load_model(path)["lattice"] == ("cycle", 3)
 
+    @pytest.mark.parametrize("lattice", ["N", "Z", {"cycle": 3}, ("cycle", 3)])
+    def test_lattice_survives_save_and_load(self, two_letter, tmp_path, lattice):
+        """save_model takes back every lattice that load_model hands out."""
+        path = tmp_path / "m.json"
+        save_model(path, two_letter.alphabet, two_letter, lattice)
+        first = load_model(path)
+        save_model(path, two_letter.alphabet, first["tensor"], first["lattice"])
+        assert load_model(path)["lattice"] == first["lattice"]
+        assert first["lattice"] == (("cycle", 3) if lattice in ({"cycle": 3}, ("cycle", 3))
+                                    else lattice)
+
     def test_family_model(self, tmp_path):
         path = tmp_path / "g.json"
         save_model(path, {"halfwidth": 9.0, "points": 257},
