@@ -26,10 +26,10 @@ from .core_types import (EXACT_TOL, QUAD_TOL, CheckReport, ChzmcSpec, HzmcSpec,
                          gauss_legendre_grid, load_model)
 
 
-def _number(key, value) -> float:
-    """A numeric kernel field: a JSON number, not a string, boolean or null."""
+def _number(key, value, what: str = "kernel field") -> float:
+    """A numeric field: a JSON number, not a string, boolean or null."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"kernel field {key!r} must be a number, got {value!r}")
+        raise ValueError(f"{what} {key!r} must be a number, got {value!r}")
     return float(value)
 
 
@@ -339,7 +339,13 @@ def cmd_simulate(args, model, fam: Family | None, params) -> int:
 
 
 def cmd_report(doc: dict) -> int:
-    for rep in doc.get("reports", []):
+    reports = doc.get("reports", [])
+    if not isinstance(reports, list) or not all(isinstance(rep, dict) for rep in reports):
+        raise ValueError("report field 'reports' must be a list of objects")
+    for i, rep in enumerate(reports):
+        for key in ("residual", "tolerance"):
+            _number(key, rep.get(key), f"report {i} field")
+    for rep in reports:
         flag = "pass" if rep.get("passed") else "FAIL"
         print(f"[{flag}] {rep.get('condition')}: residual {rep.get('residual'):.3e} "
               f"(tol {rep.get('tolerance'):.1e}) {rep.get('notes', '')}".rstrip())

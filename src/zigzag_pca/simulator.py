@@ -70,28 +70,41 @@ class TasepConfig:
         return TasepRule(self.r, self.v, self.p)
 
 
+# weight family -> (parameter count, domain, domain test, inverse CDF)
+_WEIGHT_LAWS = {
+    "dirac": (1, "w >= 0", lambda w: w >= 0, lambda u, w: np.full_like(u, float(w))),
+    "exp": (1, "rate > 0", lambda rate: rate > 0, lambda u, rate: -np.log1p(-u) / rate),
+    "uniform": (2, "0 <= lo <= hi", lambda lo, hi: 0 <= lo <= hi,
+                lambda u, lo, hi: lo + (hi - lo) * u),
+    "gamma": (2, "shape > 0 and rate > 0", lambda shape, rate: shape > 0 and rate > 0,
+              lambda u, shape, rate: gammaincinv(shape, u) / rate),
+}
+
+
 @dataclass(frozen=True)
 class WeightLaw:
-    """Named nonnegative edge-weight law with inverse-CDF sampling."""
+    """Named nonnegative edge-weight law with inverse-CDF sampling.
+
+    The family, the parameter count and the parameter domain are checked at
+    construction, so a law that exists can always sample.
+    """
 
     family: str
     params: tuple
 
+    def __post_init__(self):
+        if not isinstance(self.family, str) or self.family not in _WEIGHT_LAWS:
+            raise ValueError(f"unknown weight family {self.family!r}")
+        count, domain, admissible, _ = _WEIGHT_LAWS[self.family]
+        if len(self.params) != count:
+            raise ValueError(f"weight family {self.family!r} takes {count} parameter(s), "
+                             f"got {len(self.params)}")
+        if not (all(np.isfinite(self.params)) and admissible(*self.params)):
+            raise ValueError(f"weight family {self.family!r} needs finite parameters with "
+                             f"{domain}, got {tuple(self.params)}")
+
     def sample(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.family == "dirac":
-            (w,) = self.params
-            return np.full_like(u, float(w))
-        if self.family == "exp":
-            (rate,) = self.params
-            return -np.log1p(-u) / rate
-        if self.family == "uniform":
-            lo, hi = self.params
-            return lo + (hi - lo) * u
-        if self.family == "gamma":
-            shape, rate = self.params
-            return gammaincinv(shape, u) / rate
-        raise ValueError(f"unknown weight family {self.family!r}")
+        return _WEIGHT_LAWS[self.family][3](np.asarray(u, dtype=float), *self.params)
 
 
 @dataclass(frozen=True)

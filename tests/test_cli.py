@@ -287,6 +287,36 @@ class TestBadInput:
         assert run_main("check", "--model", path) == 2
         assert _single_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("doc", [
+        {"reports": [{"condition": "x"}], "passed": True},
+        {"reports": [{"condition": "x", "residual": 0.0, "tolerance": "1e-10"}]},
+        {"reports": ["x"]},
+        {"reports": {"condition": "x"}},
+    ], ids=["no-residual", "string-tolerance", "entry-not-object", "reports-not-list"])
+    def test_malformed_report_is_one_error_line(self, tmp_path, capsys, doc):
+        path = _write_model(tmp_path / "report.json", doc)
+        assert run_main("report", "--in", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _single_error_line(captured.err)
+
+    @pytest.mark.parametrize("weights", [
+        {"weight_family": "exp", "weight_params": [0]},
+        {"weight_family": "exp", "weight_params": [1, 2, 3]},
+        {"weight_family": "gamma", "weight_params": [2]},
+        {"weight_family": "uniform", "weight_params": [2, 1]},
+        {"weight_family": "lognormal", "weight_params": [1]},
+    ], ids=["exp-rate-0", "three-params", "gamma-one-param", "uniform-lo-above-hi",
+            "unknown-family"])
+    def test_invalid_weight_law_refused_before_any_step(self, tmp_path, capsys, weights):
+        path = _write_model(tmp_path / "fpp.json", {
+            "alphabet": {"grid": {"points": 9}},
+            "kernel": {"family": "fpp", "init_value": 0, **weights}, "lattice": "N"})
+        assert run_main("simulate", "--model", path, "--steps", 0, "--width", 10,
+                        "--out", tmp_path / "sim") == 2
+        assert _single_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "sim.csv").exists()
+
     def test_window_beyond_size_guard(self, files, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         run_main("solve", "--model", files["two_letter"], "--out", spec)

@@ -1,9 +1,12 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zigzag_pca import finite_solver as fs
+from zigzag_pca import lattice_ext as lx
 from zigzag_pca.core_types import FiniteAlphabet, HzmcSpec, TransitionTensor
 from conftest import corpus_seeds
 
@@ -70,6 +73,27 @@ class TestBelyaev:
         rep = fs.check_belyaev(tens, fs.select_base_triple(tens))
         assert not rep.passed
         assert rep.residual > 1e-3
+
+    def test_exhaustive_witness_matches_loop_over_all_six_tuples(self):
+        tens = fs.random_positive_tensor(3, 11)
+        rep = fs.check_belyaev(tens, fs.select_base_triple(tens))
+        t = tens.t
+        oracle = max(abs(t[a, b, c] * t[a, q, r] * t[p, b, r] * t[p, q, c]
+                         - t[p, q, r] * t[p, b, c] * t[a, q, c] * t[a, b, r])
+                     for a, b, c, p, q, r in itertools.product(range(3), repeat=6))
+        assert rep.witnesses["residual_general"] == pytest.approx(oracle, rel=1e-12)
+        assert rep.witnesses["witness"] == "exhaustive"
+        assert rep.witnesses["witness_tuples"] == 729
+
+    def test_sampled_witness_is_reproducible(self):
+        tens = fs.random_positive_tensor(16, 11)
+        triple = fs.select_base_triple(tens)
+        first = fs.check_belyaev(tens, triple).witnesses
+        second = fs.check_belyaev(tens, triple).witnesses
+        assert first["residual_general"] == second["residual_general"]
+        assert first["residual_general"] > 1e-6
+        assert first["witness"] == "sampled"
+        assert first["witness_tuples"] == fs.WITNESS_TUPLES
 
 
 class TestBelyaevDiag:
@@ -359,3 +383,31 @@ class TestCorpusProperties:
             assert res.ok
             rep = fs.bruteforce_invariance(tens, res.spec, 3)
             assert rep.residual < 1e-10
+
+
+class TestLargestAlphabet:
+    """MAX_KAPPA = 64 holds: the decision path at kappa = 64 is O(kappa^3)."""
+
+    def test_factorized_solve_within_budget(self):
+        tens, _, _ = fs.make_factorized_tensor(fs.MAX_KAPPA, 5)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            res = fs.solve_invariant_hzmc(tens)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ok and len(res.reports) == 6
+        assert elapsed < 1.0
+        assert peak < 64 * 2**20
+        assert res.reports[0].witnesses["witness"] == "sampled"
+
+    def test_generic_kernel_fails_quartic(self):
+        tens = fs.random_positive_tensor(fs.MAX_KAPPA, 5)
+        assert not fs.check_belyaev(tens, fs.select_base_triple(tens)).passed
+
+    def test_cyclic_solve_returns_spec(self):
+        tens, _, _ = fs.make_factorized_tensor(fs.MAX_KAPPA, 6)
+        res = lx.solve_chzmc(tens, 3)
+        assert res.ok and res.spec is not None

@@ -229,6 +229,25 @@ class TestFpp:
         with pytest.raises(ValueError):
             sim.fpp_step(np.array([-1.0, 0.0]), sim.WeightLaw("dirac", (1.0,)), seed=1)
 
+    @pytest.mark.parametrize("family, params", [
+        ("lognormal", (1.0,)), (["exp"], (1.0,)),
+        ("exp", ()), ("exp", (1.0, 2.0)), ("uniform", (1.0, 2.0, 3.0)), ("dirac", (1.0, 1.0)),
+        ("exp", (np.inf,)), ("exp", (np.nan,)), ("uniform", (0.0, np.inf)),
+        ("exp", (0.0,)), ("exp", (-1.0,)), ("gamma", (0.0, 1.0)), ("gamma", (2.0, 0.0)),
+        ("uniform", (-1.0, 1.0)), ("uniform", (2.0, 1.0)), ("dirac", (-0.5,)),
+    ])
+    def test_invalid_law_rejected_at_construction(self, family, params):
+        with pytest.raises(ValueError):
+            sim.WeightLaw(family, params)
+
+    @pytest.mark.parametrize("family, params", [
+        ("dirac", (0.0,)), ("exp", (0.5,)), ("uniform", (0.0, 0.0)), ("uniform", (1.0, 3.0)),
+        ("gamma", (2.0, 1.5)),
+    ])
+    def test_valid_law_samples_finite_nonnegative(self, family, params):
+        w = sim.WeightLaw(family, params).sample(sim.row_uniforms(4, 0, 500)[:, 0])
+        assert np.all(np.isfinite(w)) and np.all(w >= 0)
+
 
 class TestDiagramIO:
     def test_binary_roundtrip(self, tmp_path):
