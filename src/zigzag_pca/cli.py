@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -117,11 +118,20 @@ def _read(path, what: str, reader=_read_json):
 
 def _grid(args, model, fam: Family, params):
     """Grid from the model document, with command-line overrides on top."""
-    points = args.grid_points or model["grid"]["points"]
-    halfwidth = args.grid_halfwidth or model["grid"]["halfwidth"]
-    if halfwidth:
-        return gauss_legendre_grid(halfwidth, points)
-    return fam.grid(params, points)
+    points = model["grid"]["points"] if args.grid_points is None else args.grid_points
+    halfwidth = model["grid"]["halfwidth"] if args.grid_halfwidth is None else args.grid_halfwidth
+    if halfwidth is None:
+        return fam.grid(params, points)
+    return gauss_legendre_grid(halfwidth, points)
+
+
+def _tol(args, default: float) -> float:
+    """``--tol`` if given (a finite number >= 0; 0 means zero), else ``default``."""
+    if args.tol is None:
+        return default
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
+    return args.tol
 
 
 def _payload(args, command: str, reports, grid=None, tol=None, **extras) -> dict:
@@ -189,7 +199,7 @@ def _grid_battery(args, model, fam: Family, params):
     if fam.battery is None:
         raise ValueError(f"family {model['family']['family']!r} has no condition battery; "
                          "use simulate")
-    tol = args.tol or QUAD_TOL
+    tol = _tol(args, QUAD_TOL)
     grid = _grid(args, model, fam, params)
     hz = fam.chain(params)
     reports = list(ck.quadrature_check_conditions(fam.battery(params), hz, grid, tol=tol))
@@ -198,7 +208,7 @@ def _grid_battery(args, model, fam: Family, params):
 
 def cmd_check(args, model, fam: Family | None, params) -> int:
     if fam is None:
-        tol = args.tol or EXACT_TOL
+        tol = _tol(args, EXACT_TOL)
         if not model["tensor"].mu_positive:
             rep = CheckReport("quartic-identity", float("inf"), tol,
                               notes="kernel is not everywhere positive; the positive "
@@ -214,7 +224,7 @@ def cmd_check(args, model, fam: Family | None, params) -> int:
 
 def cmd_solve(args, model, fam: Family | None, params) -> int:
     if fam is None:
-        tol = args.tol or EXACT_TOL
+        tol = _tol(args, EXACT_TOL)
         if not model["tensor"].mu_positive:
             raise ValueError("solve requires an everywhere-positive kernel")
         lattice = model["lattice"]
@@ -255,7 +265,7 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
     spec = _read(args.spec, "spec")
     if fam is None:
         tensor = model["tensor"]
-        tol = args.tol or EXACT_TOL
+        tol = _tol(args, EXACT_TOL)
         lattice = model["lattice"]
         if isinstance(lattice, tuple):
             if spec.get("type") != "chzmc":

@@ -37,6 +37,14 @@ _gl_x01 = 0.5 * (_gl_x + 1.0)          # nodes on [0, 1]
 _gl_w01 = 0.5 * _gl_w
 
 
+def _flat_u(u):
+    """Uniforms with a trailing axis of length one dropped."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim and u.shape[-1] == 1:
+        return u[..., 0]
+    return u
+
+
 def _norm_pdf(x, mean, std):
     z = (np.asarray(x, dtype=float) - mean) / std
     return np.exp(-0.5 * z * z) / (std * np.sqrt(2.0 * np.pi))
@@ -128,10 +136,7 @@ def gaussian_kernel_density(params: GaussianPcaParams) -> KernelDensity:
         return _norm_pdf(c, (np.asarray(a, dtype=float) + b) / m, sigma)
 
     def sampler(a, b, u):
-        u = np.asarray(u, dtype=float)
-        if u.ndim and u.shape[-1] == 1:
-            u = u[..., 0]
-        return (np.asarray(a, dtype=float) + b) / m + sigma * ndtri(u)
+        return (np.asarray(a, dtype=float) + b) / m + sigma * ndtri(_flat_u(u))
 
     return KernelDensity(density=density, sampler=sampler, support="R",
                          uniforms_per_cell=1, tag=f"gaussian(m={m},sigma={sigma})")
@@ -185,10 +190,7 @@ def gaussian_invariant_hzmc(params: GaussianPcaParams) -> HzmcSpec:
             return _norm_pdf(y, phi * np.asarray(x, dtype=float), sp)
 
         def sampler(x, u):
-            u = np.asarray(u, dtype=float)
-            if u.ndim and u.shape[-1] == 1:
-                u = u[..., 0]
-            return phi * np.asarray(x, dtype=float) + sp * ndtri(u)
+            return phi * np.asarray(x, dtype=float) + sp * ndtri(_flat_u(u))
 
         return MarkovKernel(density=density, sampler=sampler, tag="ar1-step")
 
@@ -204,13 +206,6 @@ def gaussian_invariant_hzmc(params: GaussianPcaParams) -> HzmcSpec:
                           "sigma": params.sigma, "l": params.contraction,
                           "phi": phi, "sigma_prime_sq": ar.innovation_var,
                           "stationary_std": s0})
-
-
-def _flat_u(u):
-    u = np.asarray(u, dtype=float)
-    if u.ndim and u.shape[-1] == 1:
-        return u[..., 0]
-    return u
 
 
 def gaussian_eta_eigenvalue_reference(params: GaussianPcaParams) -> float:
@@ -430,7 +425,8 @@ def quadrature_check_conditions(kernel: KernelDensity, hzmc: HzmcSpec, grid: Gri
     The factorization sweep skips the exact neighbor diagonal a == b, a null
     set under the line measure where atom-carrying kernels are allowed to
     disagree.  With ``richardson=True`` the residuals are recomputed on a
-    doubled grid; a residual that moves by more than 10x is flagged as
+    doubled grid of 2n - 1 points (so n <= 513 under MAX_GRID_POINTS); a
+    residual that moves by more than 10x is flagged as
     discretization-dominated (grid too coarse).
     """
     (r1, w1), (r2, w2), (r3, w3) = _cond_residuals(kernel, hzmc, grid)

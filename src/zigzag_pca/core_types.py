@@ -27,6 +27,9 @@ import numpy as np
 EXACT_TOL = 1e-10
 QUAD_TOL = 1e-6
 ROW_TOL = 1e-12
+# Largest quadrature grid: the condition sweep is cubic in the points, and a
+# Beta check at this size takes about 75 s on a 2-vCPU Xeon VM.
+MAX_GRID_POINTS = 1025
 
 
 def _locked(a, dtype=float):
@@ -91,6 +94,8 @@ def gauss_legendre_grid(halfwidth: float, points: int = 257) -> GridMeasure:
     """Gauss-Legendre nodes and weights scaled to [-halfwidth, halfwidth]."""
     if halfwidth <= 0 or points < 2:
         raise ValueError("need halfwidth > 0 and points >= 2")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"{points} grid points exceed the supported bound {MAX_GRID_POINTS}")
     x, w = np.polynomial.legendre.leggauss(points)
     return GridMeasure(points=x * halfwidth, weights=w * halfwidth)
 

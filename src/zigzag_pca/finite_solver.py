@@ -34,7 +34,6 @@ from .core_types import (EXACT_TOL, CheckReport, FiniteAlphabet, HzmcSpec,
 MAX_KAPPA = 64
 SIZE_GUARD = 10**7
 WITNESS_TUPLES = 4096     # six-tuples behind the quartic witness in check_belyaev
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 class SolverConvergenceError(RuntimeError):
@@ -73,7 +72,7 @@ class StationaryResult:
     rho0: np.ndarray
     residual: float
     unique: bool
-    iterations: int
+    iterations: int          # always 1: one direct solve
 
 
 def _guard_kappa(tensor: TransitionTensor):
@@ -273,37 +272,33 @@ def build_hzmc_kernels(tensor: TransitionTensor, triple: BaseTriple,
 
 
 def _irreducible(pattern: np.ndarray) -> bool:
-    """Reachability test on the positivity pattern of a square matrix."""
+    """Reachability test on the positivity pattern of a square matrix.
+
+    Each squaring doubles the path length covered, so n.bit_length()
+    squarings reach every path of length n - 1."""
     n = pattern.shape[0]
     reach = (pattern > 0) | np.eye(n, dtype=bool)
-    for _ in range(n):
+    for _ in range(n.bit_length()):
         reach = reach | (reach @ reach)
     return bool(reach.all())
 
 
-def stationary_distribution(d: np.ndarray, tol: float = 1e-12,
-                            max_iter: int = 100_000) -> StationaryResult:
+def stationary_distribution(d: np.ndarray) -> StationaryResult:
     """Stationary probability vector of a row-stochastic matrix.
 
-    Power iteration on the transpose from the uniform start.  The iteration
-    runs on (d + I)/2, which has the same stationary vectors and converges
-    for periodic chains too.  Non-irreducible inputs return the iteration
-    limit flagged non-unique instead of failing.
+    One least-squares solve of [d^T - I; 1^T] rho = [0; 1].  A reducible
+    input has many solutions; the minimum-norm one mixes the laws of the
+    closed classes with positive weights (their supports are disjoint) and
+    comes back flagged non-unique.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
-    unique = _irreducible(d)
-    half = 0.5 * (d + np.eye(n))
-    rho = np.full(n, 1.0 / n)
-    resid = np.inf
-    for it in range(1, max_iter + 1):
-        new = rho @ half
-        new = new / new.sum()
-        resid = float(np.abs(rho @ d - rho).max())
-        if resid <= tol:
-            return StationaryResult(rho0=rho, residual=resid, unique=unique, iterations=it)
-        rho = new
-    raise SolverConvergenceError("stationary iteration did not converge", resid)
+    a = np.vstack([d.T - np.eye(n), np.ones(n)])
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    rho = np.linalg.lstsq(a, b, rcond=None)[0]
+    resid = float(np.abs(rho @ d - rho).max())
+    return StationaryResult(rho0=rho, residual=resid, unique=_irreducible(d), iterations=1)
 
 
 def check_toom_conditions(tensor: TransitionTensor, hzmc: HzmcSpec,
@@ -336,15 +331,6 @@ def check_toom_conditions(tensor: TransitionTensor, hzmc: HzmcSpec,
     )
 
 
-def _push_forward_axes(k: int) -> list[int]:
-    # zigzag order (b0, c0, b1, c1, ..., b_{k+1}) from (b..., c...) block order
-    perm = []
-    for i in range(k + 1):
-        perm.extend([i, k + 2 + i])
-    perm.append(k + 1)
-    return perm
-
-
 def _window_guard(kappa: int, k: int):
     if k < 0:
         raise ValueError(f"window k must be >= 0, got {k}")
@@ -362,20 +348,15 @@ def push_forward_zigzag(tensor: TransitionTensor, hzmc: HzmcSpec, k: int) -> np.
     """
     _window_guard(tensor.size, k)
     d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
-    m0 = rho0 @ d
     ud = u @ d
-
-    nb = k + 2
-    b = _LETTERS[:nb]
-    c = _LETTERS[nb:nb + k + 1]
-    terms = [b[0]] + [b[i] + b[i + 1] for i in range(k + 1)]
-    ops = [m0] + [ud] * (k + 1)
+    # integer axis labels in reading order: new first-line cell i is 2i,
+    # new second-line cell i is 2i+1
+    ops = [rho0 @ d, [0]]
     for i in range(k + 1):
-        terms.append(b[i] + b[i + 1] + c[i])
-        ops.append(tensor.t)
-    sub = ",".join(terms) + "->" + b + c
-    joint = np.einsum(sub, *ops, optimize=True)
-    return np.transpose(joint, axes=_push_forward_axes(k))
+        ops += [ud, [2 * i, 2 * i + 2]]
+    for i in range(k + 1):
+        ops += [tensor.t, [2 * i, 2 * i + 2, 2 * i + 1]]
+    return np.einsum(*ops, list(range(2 * k + 3)), optimize=True)
 
 
 def hzmc_cylinder_weights(hzmc: HzmcSpec, k: int) -> np.ndarray:
@@ -383,20 +364,10 @@ def hzmc_cylinder_weights(hzmc: HzmcSpec, k: int) -> np.ndarray:
     window, in the same axis order as push_forward_zigzag."""
     d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
     _window_guard(d.shape[0], k)
-    nb = k + 2
-    b = _LETTERS[:nb]
-    c = _LETTERS[nb:nb + k + 1]
-    terms = [b[0]]
-    ops = [np.asarray(rho0, dtype=float)]
-    out = []
+    ops = [np.asarray(rho0, dtype=float), [0]]
     for i in range(k + 1):
-        terms.append(b[i] + c[i])
-        ops.append(d)
-        terms.append(c[i] + b[i + 1])
-        ops.append(u)
-        out.append(b[i] + c[i])
-    sub = ",".join(terms) + "->" + "".join(out) + b[k + 1]
-    return np.einsum(sub, *ops, optimize=True)
+        ops += [d, [2 * i, 2 * i + 1], u, [2 * i + 1, 2 * i + 2]]
+    return np.einsum(*ops, list(range(2 * k + 3)), optimize=True)
 
 
 def bruteforce_invariance(tensor: TransitionTensor, hzmc: HzmcSpec, k_max: int,

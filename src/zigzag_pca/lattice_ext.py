@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_types import EXACT_TOL, CheckReport, ChzmcSpec, HzmcSpec, TransitionTensor
-from .finite_solver import (SIZE_GUARD, _LETTERS, BaseTriple, EigenSolveResult,
+from .finite_solver import (SIZE_GUARD, BaseTriple, EigenSolveResult,
                             build_hzmc_kernels, check_belyaev, check_toom_conditions,
                             select_base_triple, solve_eta, solve_nu)
 
@@ -78,22 +78,11 @@ def check_hzmc_z(tensor: TransitionTensor, rho0: np.ndarray, d: np.ndarray,
     return check_toom_conditions(tensor, spec, tol=tol)
 
 
-def partition_function(d: np.ndarray, u: np.ndarray, n: int,
-                       weights: np.ndarray | None = None) -> float:
-    """Z(d, u) = trace((DU)^n); must come out finite and positive.
-
-    With ``weights`` the composition and the trace carry the quadrature
-    weights of a grid measure instead of plain sums.
-    """
+def partition_function(d: np.ndarray, u: np.ndarray, n: int) -> float:
+    """Z(d, u) = trace((DU)^n); must come out finite and positive."""
     if n < 1:
         raise ValueError("cycle length must be >= 1")
-    d = np.asarray(d, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if weights is None:
-        step = d @ u
-    else:
-        w = np.asarray(weights, dtype=float)
-        step = ((d * w[None, :]) @ u) * w[None, :]
+    step = np.asarray(d, dtype=float) @ np.asarray(u, dtype=float)
     z = float(np.trace(np.linalg.matrix_power(step, n)))
     if not np.isfinite(z) or z <= 0:
         raise ValueError(f"partition constant {z!r} is not finite positive; spec rejected")
@@ -112,37 +101,29 @@ def chzmc_density(spec: ChzmcSpec) -> CyclicJointLaw:
     d, u, n = spec.d, spec.u, spec.n
     kappa = d.shape[0]
     _cycle_guard(kappa, n)
-    x = [_LETTERS[2 * i] for i in range(n)]
-    y = [_LETTERS[2 * i + 1] for i in range(n)]
-    terms, ops = [], []
+    # integer axis labels in reading order: x_i is 2i, y_i is 2i+1
+    ops = []
     for i in range(n):
-        terms.append(x[i] + y[i])
-        ops.append(d)
-    for i in range(n - 1):
-        terms.append(y[i] + x[i + 1])
-        ops.append(u)
-    terms.append(y[n - 1] + x[0])
-    ops.append(u)
-    sub = ",".join(terms) + "->" + "".join(v for pair in zip(x, y) for v in pair)
-    weights = np.einsum(sub, *ops, optimize=True) / spec.z
+        ops += [d, [2 * i, 2 * i + 1]]
+    for i in range(n):
+        ops += [u, [2 * i + 1, (2 * i + 2) % (2 * n)]]
+    weights = np.einsum(*ops, list(range(2 * n)), optimize=True) / spec.z
     return CyclicJointLaw(n=n, weights=weights)
 
 
 def _cyclic_product(mat: np.ndarray, n: int) -> np.ndarray:
-    """P(x0..x_{n-1}) = prod_i mat[x_i, x_{i+1 mod n}]."""
+    """P(x0..x_{n-1}) = prod_i mat[x_i, x_{i+1 mod n}]; the diagonal for n = 1."""
     kappa = mat.shape[0]
     if kappa ** n > SIZE_GUARD:
         raise ValueError("cycle sweep exceeds the size guard")
-    if n == 1:
-        return np.diag(mat).copy()
-    letters = _LETTERS[:n]
-    terms = [letters[i] + letters[(i + 1) % n] for i in range(n)]
-    return np.einsum(",".join(terms) + "->" + letters, *([mat] * n), optimize=True)
+    ops = []
+    for i in range(n):
+        ops += [mat, [i, (i + 1) % n]]
+    return np.einsum(*ops, list(range(n)), optimize=True)
 
 
 def check_cycle_commutation(d: np.ndarray, u: np.ndarray, n: int,
-                            tol: float = EXACT_TOL,
-                            condition: str = "cycle-commutation") -> CheckReport:
+                            tol: float = EXACT_TOL) -> CheckReport:
     """Equality of the du and ud products around the n-cycle.
 
     Screened first by the stronger matrix identity du = ud (sufficient); the
@@ -153,11 +134,12 @@ def check_cycle_commutation(d: np.ndarray, u: np.ndarray, n: int,
     ud = u @ d
     screen = float(np.abs(du - ud).max())
     if screen <= tol:
-        return CheckReport(condition, screen, tol, notes="decided by matrix commutation")
+        return CheckReport("cycle-commutation", screen, tol,
+                           notes="decided by matrix commutation")
     p_du = _cyclic_product(du, n)
     p_ud = _cyclic_product(ud, n)
     resid = float(np.abs(p_du - p_ud).max())
-    return CheckReport(condition, resid, tol,
+    return CheckReport("cycle-commutation", resid, tol,
                        witnesses={"matrix_commutation_residual": screen},
                        notes="decided by full cycle sweep")
 
@@ -231,15 +213,11 @@ def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,
     law = chzmc_density(spec)
     m = law.weights
     my = m.sum(axis=tuple(range(0, 2 * n, 2)))         # marginal of the second line
-    y = [_LETTERS[i] for i in range(n)]
-    z = [_LETTERS[n + i] for i in range(n)]
-    terms = ["".join(y)]
-    ops = [my]
+    # old second-line cell i is label 2i, new first-line cell i is 2i+1
+    ops = [my, list(range(0, 2 * n, 2))]
     for i in range(n):
-        terms.append(y[i] + y[(i + 1) % n] + z[i])
-        ops.append(tensor.t)
-    sub = ",".join(terms) + "->" + "".join(v for pair in zip(y, z) for v in pair)
-    pushed = np.einsum(sub, *ops, optimize=True)
+        ops += [tensor.t, [2 * i, (2 * i + 2) % (2 * n), 2 * i + 1]]
+    pushed = np.einsum(*ops, list(range(2 * n)), optimize=True)
     diff = np.abs(pushed - m)
     resid = float(diff.max())
     where = np.unravel_index(int(diff.argmax()), diff.shape)

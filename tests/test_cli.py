@@ -11,7 +11,7 @@ from hypothesis import strategies as hst
 import zigzag_pca
 from zigzag_pca import finite_solver as fs
 from zigzag_pca.cli import main
-from zigzag_pca.core_types import save_model
+from zigzag_pca.core_types import MAX_GRID_POINTS, save_model
 from conftest import three_letter_tensor
 
 
@@ -97,6 +97,13 @@ class TestCheck:
     def test_missing_file(self, files, capsys):
         code = run_main("check", "--model", files["root"] / "nope.json")
         assert code == 2
+
+    @pytest.mark.parametrize("model", ["beta", "two_letter"])
+    def test_tol_zero_means_zero(self, files, capsys, model):
+        run_main("check", "--model", files[model], "--tol", 0)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tolerance"] == 0.0
+        assert all(r["tolerance"] == 0.0 for r in doc["reports"])
 
     def test_beta_fails_stationarity_only(self, files, capsys):
         code = run_main("check", "--model", files["beta"])
@@ -286,6 +293,24 @@ class TestBadInput:
         path = _write_model(tmp_path / "bad.json", doc)
         assert run_main("check", "--model", path) == 2
         assert _single_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("model,flags", [
+        ("gauss", ("--tol", "nan")), ("gauss", ("--tol", "-1")), ("two_letter", ("--tol", "inf")),
+        ("two_letter", ("--tol=-1e-12",)), ("gauss", ("--grid-points", 0)),
+        ("gauss", ("--grid-points", MAX_GRID_POINTS + 1)), ("gauss", ("--grid-halfwidth", 0)),
+    ], ids=["tol-nan", "tol-negative", "finite-tol-inf", "finite-tol-negative", "points-0",
+            "points-over-bound", "halfwidth-0"])
+    def test_bad_flag_is_one_error_line(self, files, capsys, model, flags):
+        assert run_main("check", "--model", files[model], *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _single_error_line(captured.err)
+
+    def test_huge_model_grid_refused_before_allocation(self, tmp_path, capsys):
+        path = _write_model(tmp_path / "huge.json",
+                            {**GAUSS_DOC, "alphabet": {"grid": {"points": 1e9}}})
+        assert run_main("check", "--model", path) == 2
+        assert "bound" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
         {"reports": [{"condition": "x"}], "passed": True},

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from zigzag_pca.core_types import (CheckReport, FiniteAlphabet, GridMeasure,
+from zigzag_pca.core_types import (MAX_GRID_POINTS, CheckReport, FiniteAlphabet, GridMeasure,
                                    TransitionTensor, decode_array, encode_array,
                                    gauss_legendre_grid, load_model, normalize_rows,
                                    parse_model, save_model, trapezoid_grid,
@@ -64,6 +64,11 @@ class TestGrids:
             GridMeasure(points=np.array([0.0, 0.0]), weights=np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             GridMeasure(points=np.array([0.0, 1.0]), weights=np.array([1.0, 0.0]))
+
+    def test_points_bounded(self):
+        assert gauss_legendre_grid(1.0, MAX_GRID_POINTS).size == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="bound"):
+            gauss_legendre_grid(1.0, MAX_GRID_POINTS + 1)
 
     def test_arrays_locked(self):
         g = gauss_legendre_grid(1.0, 5)

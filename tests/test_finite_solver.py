@@ -243,6 +243,20 @@ class TestStationaryDistribution:
         res = fs.stationary_distribution(perm)
         assert np.abs(res.rho0 - 0.5).max() < 1e-12
 
+    def test_reducible_two_closed_classes_and_a_transient_state(self):
+        # closed classes {0, 1} and {2, 3}; state 4 leaks into both
+        d = np.array([[0.3, 0.7, 0.0, 0.0, 0.0],
+                      [0.6, 0.4, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.1, 0.9, 0.0],
+                      [0.0, 0.0, 0.5, 0.5, 0.0],
+                      [0.2, 0.0, 0.3, 0.0, 0.5]])
+        res = fs.stationary_distribution(d)
+        assert res.rho0.min() >= -1e-15
+        assert res.rho0.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(res.rho0 @ d - res.rho0).max() <= 1e-12
+        assert res.residual <= 1e-12
+        assert not res.unique
+
 
 class TestToomConditions:
     def test_two_letter_all_pass(self, two_letter):
@@ -314,6 +328,25 @@ class TestPushForward:
                 w *= d[b[i], c[i]] * u[c[i], b[i + 1]]
             oracle[cfg] = w
         assert np.abs(joint - oracle).max() < 1e-10
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    def test_cylinder_weights_match_literal_product(self, kappa):
+        # a chain that is not invariant for anything: d, u and rho0 drawn freely
+        rng = np.random.default_rng(kappa)
+        d = rng.uniform(0.1, 1.0, (kappa, kappa))
+        d /= d.sum(axis=1, keepdims=True)
+        u = rng.uniform(0.1, 1.0, (kappa, kappa))
+        u /= u.sum(axis=1, keepdims=True)
+        r0 = rng.uniform(0.1, 1.0, kappa)
+        r0 /= r0.sum()
+        assert np.abs(d @ u - u @ d).max() > 1e-3
+        weights = fs.hzmc_cylinder_weights(HzmcSpec(d=d, u=u, rho0=r0), 1)
+        oracle = np.zeros((kappa,) * 5)
+        for b0, c0, b1, c1, b2 in itertools.product(range(kappa), repeat=5):
+            oracle[b0, c0, b1, c1, b2] = (r0[b0] * d[b0, c0] * u[c0, b1]
+                                          * d[b1, c1] * u[c1, b2])
+        assert weights.shape == oracle.shape
+        assert np.abs(weights - oracle).max() < 1e-15
 
     def test_size_guard(self):
         tens = constant_tensor(5)

@@ -174,6 +174,23 @@ class TestChzmcConditions:
         assert "cycle sweep" in r10.notes
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_sweep_matches_literal_max(self, n):
+        d, u = noncommuting_pair(5)
+        du, ud = d @ u, u @ d
+        rep = lx.check_cycle_commutation(d, u, n)
+        assert rep.notes == "decided by full cycle sweep"
+        literal = 0.0
+        for x in itertools.product(range(2), repeat=n):
+            p_du = p_ud = 1.0
+            for i in range(n):
+                p_du *= du[x[i], x[(i + 1) % n]]
+                p_ud *= ud[x[i], x[(i + 1) % n]]
+            literal = max(literal, abs(p_du - p_ud))
+        assert literal > 1e-3
+        assert rep.residual == pytest.approx(literal, abs=1e-15)
+
+
 class TestSolveChzmc:
     def test_two_letter_cycle(self, two_letter):
         res = lx.solve_chzmc(two_letter, 3)
@@ -209,6 +226,24 @@ class TestCycleOracle:
         spec = ChzmcSpec(d=d, u=u, n=2, z=lx.partition_function(d, u, 2))
         rep = lx.bruteforce_cycle_invariance(tens, spec)
         assert rep.residual < 1e-15
+
+    def test_residual_matches_literal_push(self, two_letter):
+        d, u = noncommuting_pair(5)
+        t = two_letter.t
+        z = lx.partition_function(d, u, 2)
+        spec = ChzmcSpec(d=d, u=u, n=2, z=z)
+        # cyclic law m(x0, y0, x1, y1), then one step of the second line
+        m = np.zeros((2,) * 4)
+        for x0, y0, x1, y1 in itertools.product(range(2), repeat=4):
+            m[x0, y0, x1, y1] = d[x0, y0] * u[y0, x1] * d[x1, y1] * u[y1, x0] / z
+        pushed = np.zeros((2,) * 4)
+        for y0, z0, y1, z1 in itertools.product(range(2), repeat=4):
+            my = sum(m[x0, y0, x1, y1] for x0 in range(2) for x1 in range(2))
+            pushed[y0, z0, y1, z1] = my * t[y0, y1, z0] * t[y1, y0, z1]
+        literal = float(np.abs(pushed - m).max())
+        rep = lx.bruteforce_cycle_invariance(two_letter, spec)
+        assert literal > 1e-3
+        assert rep.residual == pytest.approx(literal, abs=1e-15)
 
     def test_perturbed_up_kernel_fails(self, two_letter):
         res = lx.solve_chzmc(two_letter, 3)
