@@ -411,6 +411,10 @@ def main(argv=None) -> int:
             for key in fam.fields:
                 _number(key, block.get(key))
             params = fam.params(block)
+        elif (getattr(args, "grid_points", None),
+              getattr(args, "grid_halfwidth", None)) != (None, None):
+            raise ValueError("--grid-points and --grid-halfwidth apply to named families, "
+                             "not to a finite-alphabet model")
         if isinstance(model["lattice"], tuple) and (fam is not None or args.command == "simulate"):
             what = "simulate" if fam is None else f"family {block['family']!r}"
             raise ValueError(f"{what} runs on the lattice 'N' or 'Z', not on "

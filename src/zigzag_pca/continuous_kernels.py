@@ -29,7 +29,7 @@ from scipy.special import betaincinv, betaln, gammaincinv, gammaln, ndtr, ndtri
 
 from .core_types import (QUAD_TOL, CheckReport, DensityLaw, GridMeasure, HzmcSpec,
                          KernelDensity, MarkovKernel, gauss_legendre_grid)
-from .finite_solver import power_iteration
+from .finite_solver import _perron
 
 _GL_NODES = 64
 _gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
@@ -208,11 +208,21 @@ def gaussian_invariant_hzmc(params: GaussianPcaParams) -> HzmcSpec:
                           "stationary_std": s0})
 
 
-def gaussian_eta_eigenvalue_reference(params: GaussianPcaParams) -> float:
-    """Published reference expression for the weight-solve eigenvalue,
-    sqrt(pi sigma^2) / l^2.  Recorded next to the observed eigenvalue for
-    comparison; nothing asserts their equality."""
-    return float(np.sqrt(np.pi * params.sigma ** 2) / params.contraction ** 2)
+def gaussian_eta_eigenvalue(params: GaussianPcaParams) -> float:
+    """Eigenvalue 2 (l - 1) / l of the weight solve, with nu of unit mass.
+
+    Take c0 = 0, sigma = 1 (it cancels), r = sqrt(1 - 4/m^2) = l - 1, so
+    4/m^2 = (1 - r) l.  The diagonal chain x -> N(2x/m, 1) has the stationary
+    density nu(a) = r exp(-r^2 a^2 / 2) / sqrt(2 pi), and for
+    eta(x) = exp(-l x^2 / 4) the Gaussian integral over x of
+    eta(x) t(a, a; 0) / t(a, x; 0) = eta(x) exp(((a + x)^2 - 4a^2) / (2 m^2))
+    is sqrt(8 pi) / l exp((r - 1)(2r + 1) a^2 / 4); times nu(a), the exponents
+    add up to -l a^2 / 4: (2 r / l) eta(a).  With nu of unit peak it would be
+    sqrt(8 pi sigma^2) / l; the paper's sqrt(pi sigma^2) / l^2 (0.58 against
+    0.854 at m = 3, sigma = 1) matches neither and stays unexplained.
+    """
+    l = params.contraction
+    return 2.0 * (l - 1.0) / l
 
 
 def gaussian_closed_profiles(params: GaussianPcaParams) -> dict:
@@ -449,25 +459,23 @@ def quadrature_check_conditions(kernel: KernelDensity, hzmc: HzmcSpec, grid: Gri
     )
 
 
-def grid_eta_solve(kernel: KernelDensity, grid: GridMeasure,
-                   base: tuple = (0.0, 0.0, 0.0), tol: float = 1e-12):
-    """Discretized eigenvector solves on the grid.
+def grid_eta_solve(kernel: KernelDensity, grid: GridMeasure):
+    """Discretized Perron solves on the grid, anchored at c0 = 0.
 
     First the diagonal-in profile nu from M1[a, x] = t(x, x; a) w_x, then the
-    weight profile eta from M2[a, x] = nu(a) t(a, a; c0) / t(a, x; c0) w_x.
+    weight profile eta from M2[a, x] = nu(a) t(a, a; 0) / t(a, x; 0) w_x.
     Both come back normalized to unit quadrature mass.
     """
     p, w = grid.points, grid.weights
-    c0 = float(base[2])     # only the third anchor coordinate enters the solves
     m1 = kernel.density(p[None, :], p[None, :], p[:, None]) * w[None, :]
-    nu = power_iteration(m1, tol=tol, start=np.ones(p.size), mass=grid.integrate)
+    nu = _perron(m1, mass=grid.integrate)
 
-    tdiag = kernel.density(p, p, np.full_like(p, c0))
-    tax = kernel.density(p[:, None], p[None, :], np.full((1, 1), c0))
+    tdiag = kernel.density(p, p, np.zeros_like(p))
+    tax = kernel.density(p[:, None], p[None, :], np.zeros((1, 1)))
     if np.any(tax <= 0):
         raise ValueError("kernel is not positive on the grid; eta solve needs positivity")
     m2 = (nu.vector * tdiag)[:, None] / tax * w[None, :]
-    eta = power_iteration(m2, tol=tol, start=np.ones(p.size), mass=grid.integrate)
+    eta = _perron(m2, mass=grid.integrate)
     return nu, eta
 
 

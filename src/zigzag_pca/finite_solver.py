@@ -24,7 +24,7 @@ reference to the conditions above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +34,6 @@ from .core_types import (EXACT_TOL, CheckReport, FiniteAlphabet, HzmcSpec,
 MAX_KAPPA = 64
 SIZE_GUARD = 10**7
 WITNESS_TUPLES = 4096     # six-tuples behind the quartic witness in check_belyaev
-
-
-class SolverConvergenceError(RuntimeError):
-    """Power iteration failed to reach tolerance; carries the last residual."""
-
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -63,7 +55,7 @@ class EigenSolveResult:
 
     vector: np.ndarray
     eigenvalue: float
-    iterations: int
+    iterations: int          # always 1: one direct solve
     residual: float
 
 
@@ -85,29 +77,19 @@ def _require_positive(tensor: TransitionTensor, op: str):
         raise ValueError(f"{op} requires an everywhere-positive kernel")
 
 
-def power_iteration(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000,
-                    start: np.ndarray | None = None, mass=np.sum) -> EigenSolveResult:
-    """Principal eigenvector of an entrywise-nonnegative matrix.
-
-    Iterates v <- M v, renormalized to unit ``mass``: the plain sum on a
-    finite alphabet, the quadrature integral on a grid.  For strictly
-    positive M the convergence is geometric and the limit is the unique
-    positive eigendirection.
-    """
+def _perron(matrix: np.ndarray, mass=np.sum) -> EigenSolveResult:
+    """Perron eigenvector of an entrywise-positive matrix, by one dense solve:
+    |Re| of the eigenvector of the eigenvalue with the largest real part, then
+    one product with the matrix (strictly positive entries) normalized to unit
+    ``mass``, the plain sum on a finite alphabet, the quadrature on a grid."""
     m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    v = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float) / mass(start)
-    resid = np.inf
-    for it in range(1, max_iter + 1):
-        w = m @ v
-        lam = float(mass(w))
-        if not np.isfinite(lam) or lam <= 0:
-            raise SolverConvergenceError("iteration collapsed to the zero vector", np.inf)
-        resid = float(np.abs(w - lam * v).max())
-        v = w / lam
-        if resid <= tol:
-            return EigenSolveResult(vector=v, eigenvalue=lam, iterations=it, residual=resid)
-    raise SolverConvergenceError("power iteration did not converge", resid)
+    vals, vecs = np.linalg.eig(m)
+    x = np.abs(vecs[:, np.argmax(vals.real)].real)
+    mx = m @ x
+    lam = float(mass(mx) / mass(x))
+    v = mx / mass(mx)
+    return EigenSolveResult(vector=v, eigenvalue=lam, iterations=1,
+                            residual=float(np.abs(m @ v - lam * v).max()))
 
 
 def select_base_triple(tensor: TransitionTensor) -> BaseTriple:
@@ -187,36 +169,35 @@ def check_belyaev_diag(tensor: TransitionTensor, triple: BaseTriple,
     )
 
 
-def solve_nu(tensor: TransitionTensor, tol: float = 1e-12,
-             start: np.ndarray | None = None) -> EigenSolveResult:
-    """Principal eigenvector nu of the diagonal-in, all-out matrix
-    M1[a, x] = t[x, x, a].
+def solve_nu(tensor: TransitionTensor) -> EigenSolveResult:
+    """Principal eigenvector nu of M1[a, x] = t[x, x, a], eigenvalue 1.
 
-    No alphabet-size guard here: the eigenvector machinery is quadratic and
-    also serves finely discretized kernels; the guard sits on the
-    combinatorial decision path.
+    The columns of M1 sum to one: nu is the stationary law of the diagonal
+    chain x -> a (probability t(x, x; a)).  ``_stationary`` keeps it accurate
+    when that chain is nearly reducible, where a dense eigensolve of M1 loses
+    the small off-diagonal entries to the diagonal ones.
     """
     _require_positive(tensor, "solve_nu")
     k = tensor.size
-    m1 = tensor.t[np.arange(k), np.arange(k), :].T    # M1[a, x] = t[x, x, a]
-    return power_iteration(m1, tol=tol, start=start)
+    p1 = tensor.t[np.arange(k), np.arange(k), :]      # M1 = p1^T
+    nu = _stationary(p1)
+    lam = float(np.sum(nu @ p1))
+    return EigenSolveResult(vector=nu, eigenvalue=lam, iterations=1,
+                            residual=float(np.abs(nu @ p1 - lam * nu).max()))
 
 
-def solve_eta(tensor: TransitionTensor, triple: BaseTriple, nu: np.ndarray,
-              tol: float = 1e-12, start: np.ndarray | None = None) -> EigenSolveResult:
+def solve_eta(tensor: TransitionTensor, triple: BaseTriple, nu: np.ndarray) -> EigenSolveResult:
     """Principal eigenvector eta of M2[a, x] = nu[a] t[a, a, c0] / t[a, x, c0].
 
     The output direction does not depend on the scaling of nu.
     """
     _require_positive(tensor, "solve_eta")
-    a0, b0, c0 = triple.as_tuple()
-    k = tensor.size
+    k, c0 = tensor.size, triple.c0
     nu = np.asarray(nu, dtype=float)
     if np.any(nu <= 0):
         raise ValueError("nu must be strictly positive")
     diag = tensor.t[np.arange(k), np.arange(k), c0]   # t(a,a;c0)
-    m2 = (nu * diag)[:, None] / tensor.t[:, :, c0]
-    return power_iteration(m2, tol=tol, start=start)
+    return _perron((nu * diag)[:, None] / tensor.t[:, :, c0])
 
 
 def check_eta_cubic(tensor: TransitionTensor, triple: BaseTriple, eta: np.ndarray,
@@ -283,20 +264,27 @@ def _irreducible(pattern: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def stationary_distribution(d: np.ndarray) -> StationaryResult:
-    """Stationary probability vector of a row-stochastic matrix.
+def _stationary(p: np.ndarray) -> np.ndarray:
+    """Probability vector rho with rho p = rho, for a row-stochastic p.
 
-    One least-squares solve of [d^T - I; 1^T] rho = [0; 1].  A reducible
-    input has many solutions; the minimum-norm one mixes the laws of the
-    closed classes with positive weights (their supports are disjoint) and
-    comes back flagged non-unique.
+    One least-squares solve of [Q^T; 1^T] rho = [0; 1].  The generator
+    Q = p - I is built from the off-diagonal entries alone (no 1 - p[x, x]
+    cancels on a nearly reducible chain) and scaled to unit largest entry.
     """
+    n = p.shape[0]
+    q = p - np.diag(np.diag(p))
+    q -= np.diag(q.sum(axis=1))
+    a = np.vstack([q.T / (np.abs(q).max() or 1.0), np.ones(n)])
+    return np.linalg.lstsq(a, np.append(np.zeros(n), 1.0), rcond=None)[0]
+
+
+def stationary_distribution(d: np.ndarray) -> StationaryResult:
+    """Stationary law of a row-stochastic matrix, by ``_stationary``.  A
+    reducible input has many; the minimum-norm one mixes the laws of the
+    closed classes with positive weights (disjoint supports) and comes back
+    flagged non-unique."""
     d = np.asarray(d, dtype=float)
-    n = d.shape[0]
-    a = np.vstack([d.T - np.eye(n), np.ones(n)])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    rho = np.linalg.lstsq(a, b, rcond=None)[0]
+    rho = _stationary(d)
     resid = float(np.abs(rho @ d - rho).max())
     return StationaryResult(rho0=rho, residual=resid, unique=_irreducible(d), iterations=1)
 
@@ -373,7 +361,8 @@ def hzmc_cylinder_weights(hzmc: HzmcSpec, k: int) -> np.ndarray:
 def bruteforce_invariance(tensor: TransitionTensor, hzmc: HzmcSpec, k_max: int,
                           tol: float = EXACT_TOL) -> CheckReport:
     """Independent oracle: compares the pushed-forward law with the chain's
-    own cylinder weights on every window size up to k_max."""
+    own cylinder weights on every window size up to k_max.  The witness
+    ``argmax`` (k, then the cells) is None on a pass: it would name noise."""
     _window_guard(tensor.size, k_max)    # refuse before any window is computed
     worst = 0.0
     per_k = []
@@ -391,7 +380,7 @@ def bruteforce_invariance(tensor: TransitionTensor, hzmc: HzmcSpec, k_max: int,
         condition="push-forward-oracle",
         residual=worst,
         tolerance=tol,
-        witnesses={"per_k": per_k, "argmax": where, "k_max": k_max},
+        witnesses={"per_k": per_k, "argmax": where if worst > tol else None, "k_max": k_max},
     )
 
 
@@ -404,7 +393,6 @@ class InvariantSolve:
     eta: EigenSolveResult
     spec: HzmcSpec
     reports: tuple[CheckReport, ...]
-    extras: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -429,8 +417,7 @@ def solve_invariant_hzmc(tensor: TransitionTensor, lattice: str = "N",
     eta = solve_eta(tensor, triple, nu.vector)
     rep_cubic = check_eta_cubic(tensor, triple, eta.vector, tol=tol)
     d, u = build_hzmc_kernels(tensor, triple, eta.vector)
-    stat = stationary_distribution(d)
-    spec = HzmcSpec(d=d, u=u, rho0=stat.rho0, lattice=lattice)
+    spec = HzmcSpec(d=d, u=u, rho0=stationary_distribution(d).rho0, lattice=lattice)
     rep_t1, rep_t2, rep_t3 = check_toom_conditions(tensor, spec, tol=tol)
     return InvariantSolve(
         triple=triple,
@@ -438,7 +425,6 @@ def solve_invariant_hzmc(tensor: TransitionTensor, lattice: str = "N",
         eta=eta,
         spec=spec,
         reports=(rep_b, rep_bd, rep_cubic, rep_t1, rep_t2, rep_t3),
-        extras={"stationary_unique": stat.unique, "stationary_residual": stat.residual},
     )
 
 

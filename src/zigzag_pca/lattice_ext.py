@@ -206,7 +206,8 @@ def solve_chzmc(tensor: TransitionTensor, n: int, tol: float = EXACT_TOL) -> Chz
 def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,
                                 tol: float = EXACT_TOL) -> CheckReport:
     """Independent cyclic oracle: pushes the exact joint law through one
-    synchronous step on the cycle and measures the sup distance to itself."""
+    synchronous step on the cycle and measures the sup distance to itself.
+    The witness ``argmax`` is None on a pass, as in bruteforce_invariance."""
     n = spec.n
     kappa = spec.d.shape[0]
     _cycle_guard(kappa, n)
@@ -220,6 +221,6 @@ def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,
     pushed = np.einsum(*ops, list(range(2 * n)), optimize=True)
     diff = np.abs(pushed - m)
     resid = float(diff.max())
-    where = np.unravel_index(int(diff.argmax()), diff.shape)
+    where = tuple(int(i) for i in np.unravel_index(int(diff.argmax()), diff.shape))
     return CheckReport("cycle-push-forward-oracle", resid, tol,
-                       witnesses={"argmax": tuple(int(i) for i in where), "n": n})
+                       witnesses={"argmax": where if resid > tol else None, "n": n})

@@ -11,8 +11,9 @@ from hypothesis import strategies as hst
 import zigzag_pca
 from zigzag_pca import finite_solver as fs
 from zigzag_pca.cli import main
-from zigzag_pca.core_types import MAX_GRID_POINTS, save_model
-from conftest import three_letter_tensor
+from zigzag_pca.core_types import (MAX_GRID_POINTS, FiniteAlphabet, TransitionTensor,
+                                   save_model)
+from conftest import near_identity_tensor, three_letter_tensor
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,41 @@ class TestCheck:
         assert not by_name["stationarity"]["passed"]
 
 
+class TestNearlyReducible:
+    """Kernels whose diagonal chain t(x, x; .) is nearly reducible."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6])
+    def test_factorized_kernel_passes_check(self, tmp_path, capsys, eps):
+        tens, _ = near_identity_tensor(3, eps)
+        path = tmp_path / "near.json"
+        save_model(path, tens.alphabet, tens, "N")
+        assert run_main("check", "--model", path) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert len(doc["reports"]) == 6 and all(r["passed"] for r in doc["reports"])
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6])
+    def test_factorized_kernel_solves_on_a_cycle(self, tmp_path, capsys, eps):
+        tens, _ = near_identity_tensor(3, eps)
+        path, spec = tmp_path / "near.json", tmp_path / "spec.json"
+        save_model(path, tens.alphabet, tens, {"cycle": 3})
+        assert run_main("solve", "--model", path, "--out", spec) == 0
+        assert run_main("verify", "--model", path, "--spec", spec) == 0
+
+    def test_non_factorizable_kernel_fails_without_traceback(self, tmp_path, capsys):
+        eps = 1e-8
+        t = np.full((2, 2, 2), 0.5)
+        t[0, 0] = [1 - eps, eps]
+        t[1, 1] = [2 * eps, 1 - 2 * eps]
+        path = tmp_path / "near.json"
+        save_model(path, FiniteAlphabet(2), TransitionTensor(FiniteAlphabet(2), t), "N")
+        assert run_main("check", "--model", path) == 1
+        captured = capsys.readouterr()
+        assert not json.loads(captured.out)["passed"]
+        assert captured.err == ""
+
+
 class TestSolveVerify:
     def test_two_letter_roundtrip(self, files, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -131,6 +167,7 @@ class TestSolveVerify:
         out = json.loads(capsys.readouterr().out)
         assert out["reports"][0]["condition"] == "push-forward-oracle"
         assert out["reports"][0]["residual"] < 1e-10
+        assert out["reports"][0]["witnesses"]["argmax"] is None
 
     def test_verify_reports_are_reproducible(self, files, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -148,8 +185,8 @@ class TestSolveVerify:
         capsys.readouterr()
         assert run_main("verify", "--model", files["two_letter_cycle"], "--spec", spec) == 0
         out = json.loads(capsys.readouterr().out)
-        names = [r["condition"] for r in out["reports"]]
-        assert "cycle-push-forward-oracle" in names
+        oracle = {r["condition"]: r for r in out["reports"]}["cycle-push-forward-oracle"]
+        assert oracle["passed"] and oracle["witnesses"]["argmax"] is None
 
     def test_tampered_spec_fails_with_location(self, files, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -298,8 +335,12 @@ class TestBadInput:
         ("gauss", ("--tol", "nan")), ("gauss", ("--tol", "-1")), ("two_letter", ("--tol", "inf")),
         ("two_letter", ("--tol=-1e-12",)), ("gauss", ("--grid-points", 0)),
         ("gauss", ("--grid-points", MAX_GRID_POINTS + 1)), ("gauss", ("--grid-halfwidth", 0)),
+        ("two_letter", ("--grid-points", 0, "--grid-halfwidth", -5)),
+        ("two_letter", ("--grid-points", 33)), ("two_letter", ("--grid-halfwidth", 5)),
+        ("two_letter_cycle", ("--grid-points", 33)),
     ], ids=["tol-nan", "tol-negative", "finite-tol-inf", "finite-tol-negative", "points-0",
-            "points-over-bound", "halfwidth-0"])
+            "points-over-bound", "halfwidth-0", "finite-bad-grid", "finite-grid-points",
+            "finite-grid-halfwidth", "cycle-grid-points"])
     def test_bad_flag_is_one_error_line(self, files, capsys, model, flags):
         assert run_main("check", "--model", files[model], *flags) == 2
         captured = capsys.readouterr()

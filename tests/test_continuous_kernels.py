@@ -206,13 +206,13 @@ class TestGridEtaSolve:
         assert np.abs(eta.vector - eta_c).max() < 1e-6
         assert np.all(nu.vector > 0) and np.all(eta.vector > 0)
 
-    def test_eigenvalue_recorded_next_to_reference(self, gauss31, gauss_grid):
-        # the reference expression is recorded for comparison only; the
-        # observed eigenvalue is what the construction actually uses
-        _, eta = ck.grid_eta_solve(ck.gaussian_kernel_density(gauss31), gauss_grid)
-        ref = ck.gaussian_eta_eigenvalue_reference(gauss31)
-        assert np.isfinite(eta.eigenvalue) and eta.eigenvalue > 0
-        assert np.isfinite(ref) and ref > 0
+    @pytest.mark.parametrize("m,sigma", [(3.0, 1.0), (4.0, 0.5), (2.5, 2.0)],
+                             ids=["m3-sigma1", "m4-sigma0.5", "m2.5-sigma2"])
+    def test_eta_eigenvalue_closed_form(self, m, sigma):
+        par = ck.GaussianPcaParams(m, sigma)
+        _, eta = ck.grid_eta_solve(ck.gaussian_kernel_density(par),
+                                   ck.default_gaussian_grid(par, 257))
+        assert abs(eta.eigenvalue - ck.gaussian_eta_eigenvalue(par)) <= 1e-8
 
     def test_refinement_shrinks_error_fourfold(self, gauss31):
         kern = ck.gaussian_kernel_density(gauss31)

@@ -4,11 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from zigzag_pca import finite_solver as fs
 from zigzag_pca import lattice_ext as lx
-from zigzag_pca.core_types import FiniteAlphabet, HzmcSpec, TransitionTensor
-from conftest import corpus_seeds
+from zigzag_pca.core_types import EXACT_TOL, FiniteAlphabet, HzmcSpec, TransitionTensor
+from conftest import corpus_seeds, iterated_nu_eta, near_identity_tensor
 
 
 def constant_tensor(kappa: int) -> TransitionTensor:
@@ -137,6 +139,16 @@ class TestSolveNu:
         assert np.abs(res.vector - oracle).max() < 1e-10
         assert res.eigenvalue == pytest.approx(vals[lead].real, abs=1e-10)
 
+    @pytest.mark.parametrize("eps", [1e-1, 1e-6, 1e-9])
+    def test_recovers_diagonal_of_du_entrywise(self, eps):
+        # for t built from (d, d), nu is proportional to the diagonal of dd;
+        # the small eps makes the diagonal chain nearly reducible
+        tens, d = near_identity_tensor(4, eps)
+        res = fs.solve_nu(tens)
+        target = np.diag(d @ d) / np.diag(d @ d).sum()
+        assert np.abs(res.vector / target - 1).max() < 1e-12
+        assert res.residual < 1e-15
+
 
 class TestSolveEta:
     def test_two_letter_golden(self, two_letter):
@@ -256,6 +268,12 @@ class TestStationaryDistribution:
         assert np.abs(res.rho0 @ d - res.rho0).max() <= 1e-12
         assert res.residual <= 1e-12
         assert not res.unique
+
+
+    def test_nearly_reducible_chain_to_full_relative_accuracy(self):
+        a, b = 1e-13, 3e-13
+        res = fs.stationary_distribution(np.array([[1 - a, a], [b, 1 - b]]))
+        assert np.abs(res.rho0 / [0.75, 0.25] - 1).max() < 1e-12
 
 
 class TestToomConditions:
@@ -391,9 +409,7 @@ class TestCorpusProperties:
             base_nu = fs.solve_nu(tens).vector
             base_eta = fs.solve_eta(tens, triple, base_nu).vector
             for _ in range(10):
-                start = rng.uniform(0.1, 1.0, kappa)
-                nu = fs.solve_nu(tens, start=start).vector
-                eta = fs.solve_eta(tens, triple, nu, start=start).vector
+                nu, eta = iterated_nu_eta(tens, triple, rng.uniform(0.1, 1.0, kappa))
                 assert np.abs(nu - base_nu).max() < 1e-8
                 assert np.abs(eta - base_eta).max() < 1e-8
 
@@ -416,6 +432,20 @@ class TestCorpusProperties:
             assert res.ok
             rep = fs.bruteforce_invariance(tens, res.spec, 3)
             assert rep.residual < 1e-10
+
+
+class TestNearlyReducible:
+    """Factorizable kernels whose diagonal chain is nearly reducible."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kappa=hst.integers(2, 6), log_eps=hst.floats(-9.0, -1.0),
+           seed=hst.integers(0, 2**16))
+    def test_factorized_kernel_solves(self, kappa, log_eps, seed):
+        tens, _ = near_identity_tensor(kappa, 10.0 ** log_eps, seed)
+        res = fs.solve_invariant_hzmc(tens)
+        cubic = res.reports[2]
+        assert cubic.condition == "cubic-equation" and cubic.residual <= EXACT_TOL
+        assert res.ok
 
 
 class TestLargestAlphabet:
