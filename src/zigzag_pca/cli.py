@@ -194,15 +194,19 @@ def _finite_battery(model, tol: float):
     return list(res.reports), res, extras
 
 
-def _grid_battery(args, model, fam: Family, params):
-    """Quadrature condition battery of a named family: reports, grid, tolerance, chain."""
+def _grid_battery(args, model, fam: Family, params, probe: bool = False):
+    """Quadrature condition battery of a named family: reports, grid, tolerance,
+    chain.  With ``probe``, a family whose kernel is not the battery's also
+    gets the mu-equivalence report of the two."""
     if fam.battery is None:
         raise ValueError(f"family {model['family']['family']!r} has no condition battery; "
                          "use simulate")
     tol = _tol(args, QUAD_TOL)
     grid = _grid(args, model, fam, params)
     hz = fam.chain(params)
-    reports = list(ck.quadrature_check_conditions(fam.battery(params), hz, grid, tol=tol))
+    kernel = fam.kernel(params) if probe and fam.kernel is not fam.battery else None
+    reports = list(ck.quadrature_check_conditions(fam.battery(params), hz, grid, tol=tol,
+                                                  family_kernel=kernel))
     return reports, grid, tol, hz
 
 
@@ -216,9 +220,7 @@ def cmd_check(args, model, fam: Family | None, params) -> int:
             return _report(args, "check", [rep], tol=tol)
         reports, _, extras = _finite_battery(model, tol)
         return _report(args, "check", reports, tol=tol, **extras)
-    reports, grid, tol, hz = _grid_battery(args, model, fam, params)
-    if fam.kernel is not fam.battery:
-        reports.append(ck.mu_equivalence_probe(fam.kernel(params), fam.battery(params), grid))
+    reports, grid, tol, hz = _grid_battery(args, model, fam, params, probe=True)
     return _report(args, "check", reports, grid=grid, tol=tol, **fam.extras(params, hz))
 
 

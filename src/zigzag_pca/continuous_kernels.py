@@ -35,6 +35,11 @@ _GL_NODES = 64
 _gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
 _gl_x01 = 0.5 * (_gl_x + 1.0)          # nodes on [0, 1]
 _gl_w01 = 0.5 * _gl_w
+# Doubles in one block of the n^3 and n^2 * _GL_NODES grid passes: 512 KB,
+# so that a block's temporaries stay in cache.  At 257 points one block is
+# one row a of the n^3 triples; a block never holds less than one row.
+_BLOCK = 1 << 16
+_MU_THRESH = 1e-9
 
 
 def _flat_u(u):
@@ -341,6 +346,26 @@ def _eval_markov(kernel, xs, ys) -> np.ndarray:
                           np.asarray(ys, dtype=float)[None, :])
 
 
+def _row_blocks(n: int, row: int) -> list[slice]:
+    """The leading axis of a pass over n rows of ``row`` doubles each, cut
+    into blocks of about _BLOCK doubles (at least one row)."""
+    step = max(1, _BLOCK // row)
+    return [slice(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
+
+
+def _triples(p: np.ndarray, blk: slice) -> tuple:
+    """Kernel density arguments (a, b, c) of the grid triples with a in ``blk``."""
+    return p[blk, None, None], p[None, :, None], p[None, None, :]
+
+
+def _worst(diff: np.ndarray) -> tuple[float, int]:
+    """Largest entry of ``diff`` and its flat index (the first on ties).  A NaN
+    counts as +inf, so an undefined residual fails instead of passing."""
+    i = int(diff.argmax())          # the first NaN, if there is one
+    m = float(diff.flat[i])
+    return (np.inf if m != m else m), i
+
+
 def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np.ndarray:
     """(k1 k2)(a; b) = integral of k1(a; c) k2(c; b) over c, on the grid pairs.
 
@@ -362,13 +387,18 @@ def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np
         hi = np.minimum(hi1[:, None], hi2[None, :])
         if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
             width = np.clip(hi - lo, 0.0, None)
-            out = np.zeros((n, n))
-            chunk = max(1, int(2_000_000 // (n * _GL_NODES)))
-            for i0 in range(0, n, chunk):
-                i1 = min(i0 + chunk, n)
-                nodes = lo[i0:i1, :, None] + width[i0:i1, :, None] * _gl_x01[None, None, :]
-                vals = k1.density(p[i0:i1, None, None], nodes) * k2.density(nodes, p[None, :, None])
-                out[i0:i1] = (vals * _gl_w01[None, None, :]).sum(axis=2) * width[i0:i1]
+            out = np.empty((n, n))
+            blocks = _row_blocks(n, n * _GL_NODES)
+            nodes = np.empty((blocks[0].stop, n, _GL_NODES))
+            vals = np.empty_like(nodes)
+            for blk in blocks:
+                rows = blk.stop - blk.start
+                x = np.multiply(width[blk, :, None], _gl_x01, out=nodes[:rows])
+                x += lo[blk, :, None]
+                v = np.multiply(k1.density(p[blk, None, None], x), k2.density(x, p[None, :, None]),
+                                out=vals[:rows])
+                v *= _gl_w01
+                np.multiply(v.sum(axis=2), width[blk], out=out[blk])
             return out
     m1 = _eval_markov(k1, p, p)
     m2 = _eval_markov(k2, p, p)
@@ -393,70 +423,82 @@ def apply_law(rho: DensityLaw, kernel: MarkovKernel, grid: GridMeasure) -> np.nd
     return (rvec * grid.weights) @ kmat
 
 
-def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure):
+def _mark_differing(ta: np.ndarray, tb: np.ndarray, buf: np.ndarray, out: np.ndarray,
+                    thresh: float) -> None:
+    """Sets out[a, b] for the block's pairs where |ta - tb| exceeds ``thresh``,
+    or is NaN, at some c; ``buf`` is scratch of the block's shape."""
+    np.subtract(ta, tb, out=buf)
+    np.abs(buf, out=buf)
+    out[...] = ~np.all(buf <= thresh, axis=2)
+
+
+def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
+                    family_kernel: KernelDensity | None = None):
+    """Factorization, commutation and stationarity residuals with their argmax
+    witnesses, and the (a, b) pairs where ``family_kernel`` differs from
+    ``kernel`` (None without one).
+
+    The factorization sweep t(a,b;c) du(a;b) = d(a;c) u(c;b) walks the n^3
+    triples in blocks (_row_blocks) and evaluates each kernel once per
+    triple.  It skips the neighbor diagonal a == b whatever its values.
+    """
     p = grid.points
     n = p.size
     d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
     du = compose_kernels(d, u, grid)
     ud = compose_kernels(u, d, grid)
     d_mat = _eval_markov(d, p, p)
-    u_mat = _eval_markov(u, p, p)
+    u_t = np.ascontiguousarray(_eval_markov(u, p, p).T)     # u_t[b, c] = u(c; b)
 
-    off_diag = ~np.eye(n, dtype=bool)
-    r1 = 0.0
-    w1 = (0, 0, 0)
-    chunk = max(1, int(4_000_000 // (n * n)))
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        t_chunk = kernel.density(p[i0:i1, None, None], p[None, :, None], p[None, None, :])
-        lhs = t_chunk * du[i0:i1, :, None]
-        rhs = d_mat[i0:i1, None, :] * u_mat.T[None, :, :]
-        diff = np.abs(lhs - rhs) * off_diag[i0:i1, :, None]
-        m = float(diff.max())
-        if m > r1:
-            r1 = m
-            loc = np.unravel_index(int(diff.argmax()), diff.shape)
-            w1 = (int(loc[0]) + i0, int(loc[1]), int(loc[2]))
+    blocks = _row_blocks(n, n * n)
+    lhs_buf = np.empty((blocks[0].stop, n, n))
+    rhs_buf = np.empty_like(lhs_buf)
+    differs = None if family_kernel is None else np.zeros((n, n), dtype=bool)
+    r1, w1 = 0.0, (0, 0, 0)
+    with np.errstate(invalid="ignore"):
+        for blk in blocks:
+            rows = blk.stop - blk.start
+            abc = _triples(p, blk)
+            t = kernel.density(*abc)
+            if differs is not None:
+                _mark_differing(family_kernel.density(*abc), t, rhs_buf[:rows], differs[blk],
+                                _MU_THRESH)
+            diff = np.multiply(t, du[blk, :, None], out=lhs_buf[:rows])
+            diff -= np.multiply(d_mat[blk, None, :], u_t, out=rhs_buf[:rows])
+            np.abs(diff, out=diff)
+            diff[np.arange(rows), np.arange(blk.start, blk.stop)] = 0.0     # a == b
+            m, i = _worst(diff)
+            if m > r1:
+                r1 = m
+                a, b, c = np.unravel_index(i, diff.shape)
+                w1 = (int(a) + blk.start, int(b), int(c))
 
-    r2 = float(np.abs(du - ud).max())
-    w2 = np.unravel_index(int(np.abs(du - ud).argmax()), du.shape)
-
-    rho_vec = rho0.density(p)
-    stepped = apply_law(rho0, d, grid)
-    r3 = float(np.abs(stepped - rho_vec).max())
-    w3 = int(np.abs(stepped - rho_vec).argmax())
-    return (r1, w1), (r2, tuple(int(i) for i in w2)), (r3, (w3,))
+    r2, i2 = _worst(np.abs(du - ud))
+    w2 = tuple(int(i) for i in np.unravel_index(i2, du.shape))
+    r3, w3 = _worst(np.abs(apply_law(rho0, d, grid) - rho0.density(p)))
+    return (r1, w1), (r2, w2), (r3, (w3,)), differs
 
 
 def quadrature_check_conditions(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
-                                tol: float = QUAD_TOL, richardson: bool = False):
+                                tol: float = QUAD_TOL, family_kernel: KernelDensity | None = None):
     """Factorization, commutation and stationarity residuals on the grid.
 
     The factorization sweep skips the exact neighbor diagonal a == b, a null
     set under the line measure where atom-carrying kernels are allowed to
-    disagree.  With ``richardson=True`` the residuals are recomputed on a
-    doubled grid of 2n - 1 points (so n <= 513 under MAX_GRID_POINTS); a
-    residual that moves by more than 10x is flagged as
-    discretization-dominated (grid too coarse).
+    disagree; a NaN anywhere else makes its residual inf.  Given the
+    ``family_kernel`` that a family steps where it differs from the battery's
+    ``kernel``, a fourth report, mu-equivalence (see mu_equivalence_probe),
+    compares the two on the sweep's own blocks.
     """
-    (r1, w1), (r2, w2), (r3, w3) = _cond_residuals(kernel, hzmc, grid)
-    notes = ["", "", ""]
-    if richardson:
-        fine = gauss_legendre_grid(grid.halfwidth, 2 * grid.size - 1)
-        (f1, _), (f2, _), (f3, _) = _cond_residuals(kernel, hzmc, fine)
-        for i, (coarse, refined) in enumerate(((r1, f1), (r2, f2), (r3, f3))):
-            lo = min(coarse, refined)
-            hi = max(coarse, refined)
-            # only flag residuals that are both discretization-dominated and
-            # close enough to the tolerance for the verdict to be in doubt
-            if lo > 0 and hi / lo > 10.0 and hi > tol / 100.0:
-                notes[i] = (f"warning: residual moved {hi / lo:.1f}x under grid refinement; "
-                            "grid too coarse for this check")
-    return (
-        CheckReport("factorization", r1, tol, witnesses={"argmax": w1}, notes=notes[0]),
-        CheckReport("commutation", r2, tol, witnesses={"argmax": w2}, notes=notes[1]),
-        CheckReport("stationarity", r3, tol, witnesses={"argmax": w3}, notes=notes[2]),
+    (r1, w1), (r2, w2), (r3, w3), differs = _cond_residuals(kernel, hzmc, grid, family_kernel)
+    reports = (
+        CheckReport("factorization", r1, tol, witnesses={"argmax": w1}),
+        CheckReport("commutation", r2, tol, witnesses={"argmax": w2}),
+        CheckReport("stationarity", r3, tol, witnesses={"argmax": w3}),
     )
+    if differs is not None:
+        reports += (_mu_report(differs, grid),)
+    return reports
 
 
 def grid_eta_solve(kernel: KernelDensity, grid: GridMeasure):
@@ -480,24 +522,29 @@ def grid_eta_solve(kernel: KernelDensity, grid: GridMeasure):
 
 
 def mu_equivalence_probe(kernel_a: KernelDensity, kernel_b: KernelDensity,
-                         grid: GridMeasure, thresh: float = 1e-9) -> CheckReport:
+                         grid: GridMeasure, thresh: float = _MU_THRESH) -> CheckReport:
     """Grid mass of the neighbor pairs where two kernels disagree.
 
     Passes when every disagreeing pair sits within one grid cell of the
     diagonal (a one-dimensional, hence null, set on the line).
     """
-    p, w = grid.points, grid.weights
+    p = grid.points
     n = p.size
     differs = np.zeros((n, n), dtype=bool)
-    chunk = max(1, int(4_000_000 // (n * n)))
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        ta = kernel_a.density(p[i0:i1, None, None], p[None, :, None], p[None, None, :])
-        tb = kernel_b.density(p[i0:i1, None, None], p[None, :, None], p[None, None, :])
-        with np.errstate(invalid="ignore"):
-            close = np.abs(ta - tb) <= thresh
-        differs[i0:i1] = ~np.all(close, axis=2)
-    idx = np.arange(n)
+    blocks = _row_blocks(n, n * n)
+    buf = np.empty((blocks[0].stop, n, n))
+    with np.errstate(invalid="ignore"):
+        for blk in blocks:
+            abc = _triples(p, blk)
+            _mark_differing(kernel_a.density(*abc), kernel_b.density(*abc),
+                            buf[:blk.stop - blk.start], differs[blk], thresh)
+    return _mu_report(differs, grid)
+
+
+def _mu_report(differs: np.ndarray, grid: GridMeasure) -> CheckReport:
+    """The mu-equivalence report of the pairs (a, b) marked in ``differs``."""
+    w = grid.weights
+    idx = np.arange(w.size)
     band = np.abs(idx[:, None] - idx[None, :]) <= 1
     pair_mass = w[:, None] * w[None, :]
     mass_total = float(pair_mass[differs].sum())

@@ -92,6 +92,14 @@ def _perron(matrix: np.ndarray, mass=np.sum) -> EigenSolveResult:
                             residual=float(np.abs(m @ v - lam * v).max()))
 
 
+def _witness(diff: np.ndarray, residual: float, tol: float) -> tuple | None:
+    """Index of the largest entry of ``diff`` (whose maximum is ``residual``)
+    on a failure; None on a pass, where it would only name rounding noise."""
+    if not residual > tol:
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(diff.argmax()), diff.shape))
+
+
 def select_base_triple(tensor: TransitionTensor) -> BaseTriple:
     """Deterministic anchor choice: the lexicographically smallest triple
     whose row (a0, b0) maximizes min_c t[a0, b0, c].
@@ -222,13 +230,12 @@ def check_eta_cubic(tensor: TransitionTensor, triple: BaseTriple, eta: np.ndarra
 
     diff = np.abs(lhs - rhs)
     residual = float(diff.max())
-    where = np.unravel_index(int(diff.argmax()), diff.shape)
     return CheckReport(
         condition="cubic-equation",
         residual=residual,
         tolerance=tol,
         witnesses={"triple": triple.as_tuple(), "eta": eta,
-                   "argmax": tuple(int(i) for i in where)},
+                   "argmax": _witness(diff, residual, tol)},
     )
 
 
@@ -302,19 +309,13 @@ def check_toom_conditions(tensor: TransitionTensor, hzmc: HzmcSpec,
     direct = d[:, None, :] * u.T[None, :, :]          # d(a;c) u(c;b) as [a, b, c]
     diff1 = np.abs(prod - direct)
     r1 = float(diff1.max())
-    w1 = np.unravel_index(int(diff1.argmax()), diff1.shape)
-
     diff2 = np.abs(du - ud)
     r2 = float(diff2.max())
-    w2 = np.unravel_index(int(diff2.argmax()), diff2.shape)
-
     r3 = float(np.abs(rho0 @ d - rho0).max())
 
     return (
-        CheckReport("factorization", r1, tol,
-                    witnesses={"argmax": tuple(int(i) for i in w1)}),
-        CheckReport("commutation", r2, tol,
-                    witnesses={"argmax": tuple(int(i) for i in w2)}),
+        CheckReport("factorization", r1, tol, witnesses={"argmax": _witness(diff1, r1, tol)}),
+        CheckReport("commutation", r2, tol, witnesses={"argmax": _witness(diff2, r2, tol)}),
         CheckReport("stationarity", r3, tol, witnesses={"rho0": rho0}),
     )
 

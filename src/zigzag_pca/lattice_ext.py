@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_types import EXACT_TOL, CheckReport, ChzmcSpec, HzmcSpec, TransitionTensor
-from .finite_solver import (SIZE_GUARD, BaseTriple, EigenSolveResult,
+from .finite_solver import (SIZE_GUARD, BaseTriple, EigenSolveResult, _witness,
                             build_hzmc_kernels, check_belyaev, check_toom_conditions,
                             select_base_triple, solve_eta, solve_nu)
 
@@ -160,9 +160,8 @@ def check_chzmc_conditions(tensor: TransitionTensor, spec: ChzmcSpec,
     diff = np.abs(t * du[:, :, None] - d[:, None, :] * u.T[None, :, :])
     diff = diff * live[:, :, None]
     r9 = float(diff.max())
-    w9 = np.unravel_index(int(diff.argmax()), diff.shape)
     rep9 = CheckReport("cycle-factorization", r9, tol,
-                       witnesses={"argmax": tuple(int(i) for i in w9),
+                       witnesses={"argmax": _witness(diff, r9, tol),
                                   "skipped_pairs": int((~live).sum())})
     rep10 = check_cycle_commutation(d, u, n, tol=tol)
     return rep9, rep10
@@ -221,6 +220,5 @@ def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,
     pushed = np.einsum(*ops, list(range(2 * n)), optimize=True)
     diff = np.abs(pushed - m)
     resid = float(diff.max())
-    where = tuple(int(i) for i in np.unravel_index(int(diff.argmax()), diff.shape))
     return CheckReport("cycle-push-forward-oracle", resid, tol,
-                       witnesses={"argmax": where if resid > tol else None, "n": n})
+                       witnesses={"argmax": _witness(diff, resid, tol), "n": n})

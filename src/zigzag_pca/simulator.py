@@ -134,12 +134,6 @@ class ModelInstance:
             raise ValueError("resample policy needs an edge law")
 
 
-def _finite_draw(matrix: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of next states from per-state rows of a stochastic matrix."""
-    cum = np.cumsum(matrix, axis=1)
-    return (cum[states] < u[:, None]).sum(axis=1)
-
-
 def _tensor_draw(t: np.ndarray, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(t[a, b], axis=1)
     return (cum < u[:, None]).sum(axis=1)
@@ -150,23 +144,25 @@ def sample_hzmc_lines(hzmc: HzmcSpec, length: int, n_chains: int, seed: int) -> 
 
     Finite chains return state indices; continuous chains return reals.
     """
-    rng = _line_rng(seed)
+    # row i drives position i: the same stream, in the same order, as one
+    # draw of n_chains uniforms per position
+    draws = _line_rng(seed).random((length, n_chains))
     out = np.empty((n_chains, length))
     if hzmc.is_finite:
-        d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
-        cum0 = np.cumsum(rho0)
-        cur = (cum0 < rng.random(n_chains)[:, None]).sum(axis=1)
+        # inverse-CDF draws from the cumulative rows
+        cum_d, cum_u = np.cumsum(hzmc.d, axis=1), np.cumsum(hzmc.u, axis=1)
+        cur = (np.cumsum(hzmc.rho0) < draws[0][:, None]).sum(axis=1)
         out[:, 0] = cur
         for i in range(1, length):
-            mat = d if i % 2 == 1 else u
-            cur = _finite_draw(mat, cur, rng.random(n_chains))
+            cum = cum_d if i % 2 == 1 else cum_u
+            cur = (cum[cur] < draws[i][:, None]).sum(axis=1)
             out[:, i] = cur
         return out
-    cur = hzmc.rho0.sampler(rng.random(n_chains))
+    cur = hzmc.rho0.sampler(draws[0])
     out[:, 0] = cur
     for i in range(1, length):
         kern = hzmc.d if i % 2 == 1 else hzmc.u
-        cur = kern.sampler(cur, rng.random(n_chains))
+        cur = kern.sampler(cur, draws[i])
         out[:, i] = cur
     return out
 
@@ -255,8 +251,8 @@ def write_diagram_csv(diagram: SpaceTimeDiagram, path) -> None:
     """One row per step, sites comma separated; shrunk rows are shorter."""
     with open(path, "w") as fh:
         for t in range(diagram.steps + 1):
-            fh.write(",".join(format(v, ".17g") for v in diagram.row(t)))
-            fh.write("\n")
+            row = diagram.row(t)
+            fh.write(("%.17g," * row.size)[:-1] % tuple(row.tolist()) + "\n")
 
 
 def write_diagram_binary(diagram: SpaceTimeDiagram, path) -> None:

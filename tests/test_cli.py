@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
 import zigzag_pca
+from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
 from zigzag_pca.cli import main
 from zigzag_pca.core_types import (MAX_GRID_POINTS, FiniteAlphabet, TransitionTensor,
@@ -35,6 +36,10 @@ def files(tmp_path_factory):
     paths["gauss"] = root / "gauss.json"
     save_model(paths["gauss"], {"points": 129},
                {"family": "gaussian", "m": 3, "sigma": 1}, "N")
+
+    paths["gauss_diag"] = root / "gauss_diag.json"
+    save_model(paths["gauss_diag"], {"points": 129},
+               {"family": "gaussian_diag", "m": 3, "sigma": 1}, "N")
 
     paths["gauss_bad"] = root / "gauss_bad.json"
     save_model(paths["gauss_bad"], {"points": 129},
@@ -82,6 +87,28 @@ class TestCheck:
         assert code == 0
         assert doc["grid"]["points"] == 129
         assert doc["phi"] == pytest.approx(0.3819660112501051, abs=1e-12)
+
+    def test_gaussian_diag_reports_battery_then_probe(self, files, capsys):
+        # the battery runs on the Gaussian kernel; the probe compares the
+        # family's kernel with it on the battery's own blocks
+        code = run_main("check", "--model", files["gauss_diag"])
+        doc = json.loads(capsys.readouterr().out)
+        par = ck.GaussianPcaParams(3.0, 1.0)
+        grid = ck.default_gaussian_grid(par, 129)
+        gauss = ck.gaussian_kernel_density(par)
+        expected = (ck.quadrature_check_conditions(gauss, ck.gaussian_invariant_hzmc(par), grid)
+                    + (ck.mu_equivalence_probe(ck.gaussian_diag_kernel_density(par), gauss, grid),))
+        assert code == 0
+        assert doc["reports"] == json.loads(json.dumps([r.to_dict() for r in expected]))
+        assert [r["condition"] for r in doc["reports"]] == [
+            "factorization", "commutation", "stationarity", "mu-equivalence"]
+        assert doc["reports"][3]["witnesses"]["differing_pairs"] == 129
+
+    def test_passing_condition_reports_name_no_witness(self, files, capsys):
+        assert run_main("check", "--model", files["two_letter"]) == 0
+        reports = {r["condition"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+        for cond in ("factorization", "commutation", "cubic-equation"):
+            assert reports[cond]["passed"] and reports[cond]["witnesses"]["argmax"] is None
 
     def test_domain_guard_is_input_error(self, files, capsys):
         code = run_main("check", "--model", files["gauss_bad"])
@@ -185,8 +212,9 @@ class TestSolveVerify:
         capsys.readouterr()
         assert run_main("verify", "--model", files["two_letter_cycle"], "--spec", spec) == 0
         out = json.loads(capsys.readouterr().out)
-        oracle = {r["condition"]: r for r in out["reports"]}["cycle-push-forward-oracle"]
-        assert oracle["passed"] and oracle["witnesses"]["argmax"] is None
+        by_name = {r["condition"]: r for r in out["reports"]}
+        for cond in ("cycle-factorization", "cycle-push-forward-oracle"):
+            assert by_name[cond]["passed"] and by_name[cond]["witnesses"]["argmax"] is None
 
     def test_tampered_spec_fails_with_location(self, files, capsys, tmp_path):
         spec = tmp_path / "spec.json"

@@ -1,9 +1,13 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import betainc, ndtri
 
 from zigzag_pca import continuous_kernels as ck
-from zigzag_pca.core_types import HzmcSpec, MarkovKernel, gauss_legendre_grid, trapezoid_grid
+from zigzag_pca.core_types import (HzmcSpec, KernelDensity, MarkovKernel, gauss_legendre_grid,
+                                   trapezoid_grid)
 
 
 @pytest.fixture(scope="module")
@@ -117,19 +121,6 @@ class TestQuadratureConditions:
             ck.gaussian_kernel_density(gauss31), spec, grid)
         assert not rep1.passed
         assert not rep2.passed
-
-    def test_richardson_flags_coarse_grid(self, gauss31):
-        grid = gauss_legendre_grid(8 * gauss31.stationary_std, 17)
-        reports = ck.quadrature_check_conditions(
-            ck.gaussian_kernel_density(gauss31), ck.gaussian_invariant_hzmc(gauss31),
-            grid, richardson=True)
-        assert any("grid too coarse" in r.notes for r in reports)
-
-    def test_richardson_quiet_on_fine_grid(self, gauss31, gauss_grid):
-        reports = ck.quadrature_check_conditions(
-            ck.gaussian_kernel_density(gauss31), ck.gaussian_invariant_hzmc(gauss31),
-            gauss_grid, richardson=True)
-        assert all(r.notes == "" for r in reports)
 
 
 class TestBetaFamily:
@@ -295,3 +286,157 @@ class TestMuEquivalence:
             ck.gaussian_kernel_density(ck.GaussianPcaParams(4.0, 1.0)), grid)
         assert not rep.passed
         assert rep.residual > 1.0
+
+
+def _full_triples(grid):
+    p = grid.points
+    return p[:, None, None], p[None, :, None], p[None, None, :]
+
+
+def full_factorization(kernel, hz, grid):
+    """The factorization residual and argmax as one full-tensor expression."""
+    p = grid.points
+    du = ck.compose_kernels(hz.d, hz.u, grid)
+    d_mat = hz.d.density(p[:, None], p[None, :])
+    u_mat = hz.u.density(p[:, None], p[None, :])
+    diff = np.abs(kernel.density(*_full_triples(grid)) * du[:, :, None]
+                  - d_mat[:, None, :] * u_mat.T[None, :, :])
+    i = np.arange(p.size)
+    diff[i, i, :] = 0.0
+    where = np.unravel_index(int(diff.argmax()), diff.shape)
+    return float(diff.max()), tuple(int(k) for k in where)
+
+
+def full_compose(k1, k2, grid):
+    """Gauss-Legendre composition on the exact support, over all pairs at once."""
+    p = grid.points
+    lo1, hi1 = (np.broadcast_to(s, p.shape) for s in k1.out_support(p))
+    lo2, hi2 = (np.broadcast_to(s, p.shape) for s in k2.in_support(p))
+    lo = np.maximum(lo1[:, None], lo2[None, :])
+    hi = np.minimum(hi1[:, None], hi2[None, :])
+    width = np.clip(hi - lo, 0.0, None)
+    x = np.polynomial.legendre.leggauss(64)
+    x01, w01 = 0.5 * (x[0] + 1.0), 0.5 * x[1]
+    nodes = lo[:, :, None] + width[:, :, None] * x01[None, None, :]
+    vals = k1.density(p[:, None, None], nodes) * k2.density(nodes, p[None, :, None])
+    return (vals * w01[None, None, :]).sum(axis=2) * width
+
+
+def full_mu(kernel_a, kernel_b, grid):
+    """(residual, witnesses) of the mu-equivalence probe over all triples at once."""
+    w = grid.weights
+    with np.errstate(invalid="ignore"):
+        differs = ~np.all(np.abs(kernel_a.density(*_full_triples(grid))
+                                 - kernel_b.density(*_full_triples(grid))) <= 1e-9, axis=2)
+    i = np.arange(w.size)
+    off = differs & (np.abs(i[:, None] - i[None, :]) > 1)
+    mass = w[:, None] * w[None, :]
+    return float(mass[off].sum()), {"differing_pairs": int(differs.sum()),
+                                    "off_band_pairs": int(off.sum()),
+                                    "differing_mass": float(mass[differs].sum())}
+
+
+def tilted(kernel, eps):
+    """``kernel`` times 1 + eps tanh(a) tanh(b): no longer factorizable off a == b."""
+    def density(a, b, c):
+        return kernel.density(a, b, c) * (1.0 + eps * np.tanh(a) * np.tanh(b))
+    return KernelDensity(density=density, sampler=kernel.sampler, support=kernel.support,
+                         tag=f"tilted({kernel.tag})")
+
+
+class TestBlockedSweep:
+    """The blocked passes against literal full-tensor numpy, bitwise.  At 100
+    points the blocks (6 rows of the triple sweep) do not divide the grid;
+    at 129 the Gauss-Legendre composition's (7 rows) do not."""
+
+    @pytest.mark.parametrize("points", [17, 100, 129, 257])
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_gaussian_sweep_matches_full_tensor(self, gauss31, points, eps):
+        grid = ck.default_gaussian_grid(gauss31, points)
+        kern = tilted(ck.gaussian_kernel_density(gauss31), eps)
+        hz = ck.gaussian_invariant_hzmc(gauss31)
+        assert ck._cond_residuals(kern, hz, grid)[0] == full_factorization(kern, hz, grid)
+
+    @pytest.mark.parametrize("points", [17, 100, 129])
+    def test_beta_sweep_and_composition_match_full_tensor(self, points):
+        par = ck.BetaPcaParams(2.5, 0.7, 0.3, 2.0)
+        grid = ck.default_beta_grid(par, points)
+        kern, hz = ck.beta_kernel_density(par), ck.beta_candidate_hzmc(par)
+        assert np.array_equal(ck.compose_kernels(hz.d, hz.u, grid), full_compose(hz.d, hz.u, grid))
+        assert ck._cond_residuals(kern, hz, grid)[0] == full_factorization(kern, hz, grid)
+
+    @pytest.mark.parametrize("points", [17, 100, 129, 257])
+    def test_mu_probe_matches_full_tensor(self, gauss31, points):
+        grid = ck.default_gaussian_grid(gauss31, points)
+        base = ck.gaussian_kernel_density(gauss31)
+        for other in (ck.gaussian_diag_kernel_density(gauss31), tilted(base, 1e-8)):
+            rep = ck.mu_equivalence_probe(other, base, grid)
+            assert (rep.residual, rep.witnesses) == full_mu(other, base, grid)
+
+    def test_fused_probe_equals_separate_probe(self, gauss31):
+        grid = ck.default_gaussian_grid(gauss31, 100)
+        base, diag = ck.gaussian_kernel_density(gauss31), ck.gaussian_diag_kernel_density(gauss31)
+        hz = ck.gaussian_invariant_hzmc(gauss31)
+        fused = ck.quadrature_check_conditions(base, hz, grid, family_kernel=diag)
+        separate = (ck.quadrature_check_conditions(base, hz, grid)
+                    + (ck.mu_equivalence_probe(diag, base, grid),))
+        assert [r.to_dict() for r in fused] == [r.to_dict() for r in separate]
+        assert fused[3].witnesses["differing_pairs"] == 100
+
+    def test_battery_memory_stays_in_blocks(self, gauss31, gauss_grid):
+        kern, hz = ck.gaussian_kernel_density(gauss31), ck.gaussian_invariant_hzmc(gauss31)
+        tracemalloc.start()
+        try:
+            ck.quadrature_check_conditions(kern, hz, gauss_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gauss_grid.size == 257
+        assert peak <= 16 * 2 ** 20
+
+
+class TestSweepNeverPassesVacuously:
+    """Values on the neighbor diagonal a == b are skipped whatever they are;
+    a NaN anywhere else fails the sweep with residual inf."""
+
+    @pytest.fixture
+    def setting(self, gauss31):
+        return ck.default_gaussian_grid(gauss31, 129), ck.gaussian_invariant_hzmc(gauss31)
+
+    def _factorization(self, kernel, setting):
+        grid, hz = setting
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return ck.quadrature_check_conditions(kernel, hz, grid)[0]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_atom_on_the_diagonal_is_skipped(self, gauss31, setting, eps):
+        with_atom = self._factorization(tilted(ck.gaussian_diag_kernel_density(gauss31), eps),
+                                        setting)
+        plain = self._factorization(tilted(ck.gaussian_kernel_density(gauss31), eps), setting)
+        assert with_atom.to_dict() == plain.to_dict()
+        assert with_atom.passed == (eps == 0.0)
+        if eps:
+            assert with_atom.residual > 1e-2
+
+    def test_nan_off_the_diagonal_fails(self, gauss31, setting):
+        grid, _ = setting
+        base = ck.gaussian_kernel_density(gauss31)
+        p = grid.points
+
+        def density(a, b, c):
+            hole = (a == p[3]) & (b == p[5]) & (c == p[7])
+            return np.where(hole, np.nan, base.density(a, b, c))
+
+        rep = self._factorization(KernelDensity(density=density, sampler=base.sampler), setting)
+        assert rep.residual == np.inf and not rep.passed
+        assert rep.witnesses["argmax"] == (3, 5, 7)
+
+    def test_nan_on_the_diagonal_is_skipped(self, gauss31, setting):
+        base = ck.gaussian_kernel_density(gauss31)
+
+        def density(a, b, c):
+            return np.where(a == b, np.nan, base.density(a, b, c))
+
+        rep = self._factorization(KernelDensity(density=density, sampler=base.sampler), setting)
+        assert rep.to_dict() == self._factorization(base, setting).to_dict()

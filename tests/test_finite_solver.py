@@ -186,6 +186,7 @@ class TestEtaCubic:
         rep = fs.check_eta_cubic(two_letter, triple, np.array([1 / 3, 2 / 3]))
         assert rep.passed
         assert rep.residual < 1e-12
+        assert rep.witnesses["argmax"] is None
 
     def test_constant_tensor_uniform_passes(self):
         tens = constant_tensor(3)
@@ -197,6 +198,7 @@ class TestEtaCubic:
         rep = fs.check_eta_cubic(two_letter, triple, np.array([0.5, 0.5]))
         assert not rep.passed
         assert rep.residual > 1e-3
+        assert len(rep.witnesses["argmax"]) == 2
 
 
 class TestBuildKernels:
@@ -281,6 +283,7 @@ class TestToomConditions:
         res = fs.solve_invariant_hzmc(two_letter)
         for rep in fs.check_toom_conditions(two_letter, res.spec):
             assert rep.passed
+            assert rep.witnesses.get("argmax") is None
 
     def test_everything_uniform_passes(self):
         tens = constant_tensor(2)
@@ -296,6 +299,10 @@ class TestToomConditions:
         rep1, _, _ = fs.check_toom_conditions(two_letter, swapped)
         assert not rep1.passed
         assert rep1.residual > 1e-3
+        a, b, c = rep1.witnesses["argmax"]
+        t = two_letter.t
+        lhs = t[a, b, c] * (swapped.d @ swapped.u)[a, b]
+        assert abs(lhs - swapped.d[a, c] * swapped.u[c, b]) == rep1.residual
 
 
 class TestPushForward:

@@ -170,9 +170,22 @@ class TestChzmcConditions:
         spec = ChzmcSpec(d=d, u=u, n=2, z=lx.partition_function(d, u, 2))
         r9, r10 = lx.check_chzmc_conditions(tens, spec)
         assert r9.passed            # factorization holds by construction
+        assert r9.witnesses["argmax"] is None
         assert not r10.passed
         assert "cycle sweep" in r10.notes
 
+
+    def test_broken_factorization_names_its_witness(self):
+        d, u = noncommuting_pair(5)
+        t = d[:, None, :] * u.T[None, :, :] / (d @ u)[:, :, None]
+        t, _ = normalize_rows(t)
+        tens = TransitionTensor(FiniteAlphabet(2), t)
+        u_bad = u[::-1].copy()
+        spec = ChzmcSpec(d=d, u=u_bad, n=2, z=lx.partition_function(d, u_bad, 2))
+        r9, _ = lx.check_chzmc_conditions(tens, spec)
+        assert not r9.passed
+        a, b, c = r9.witnesses["argmax"]
+        assert abs(t[a, b, c] * (d @ u_bad)[a, b] - d[a, c] * u_bad[c, b]) == r9.residual
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_full_sweep_matches_literal_max(self, n):

@@ -5,7 +5,7 @@ from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
 from zigzag_pca import simulator as sim
 from zigzag_pca import stats as st
-from zigzag_pca.core_types import FiniteAlphabet, HzmcSpec, TransitionTensor
+from zigzag_pca.core_types import FiniteAlphabet, HzmcSpec, SpaceTimeDiagram, TransitionTensor
 
 
 def copy_left_tensor(kappa=3):
@@ -58,6 +58,40 @@ class TestSampleHzmcLine:
         res = fs.solve_invariant_hzmc(two_letter)
         lines = sim.sample_hzmc_lines(res.spec, 9, 4, seed=1)
         assert lines.shape == (4, 9)
+
+
+def per_step_lines(hzmc, length, n_chains, seed):
+    """sample_hzmc_lines written out with one draw of n_chains uniforms per
+    position and the cumulative rows rebuilt at every step."""
+    rng = sim._line_rng(seed)
+    out = np.empty((n_chains, length))
+    if hzmc.is_finite:
+        cur = (np.cumsum(hzmc.rho0) < rng.random(n_chains)[:, None]).sum(axis=1)
+        out[:, 0] = cur
+        for i in range(1, length):
+            mat = hzmc.d if i % 2 == 1 else hzmc.u
+            cur = (np.cumsum(mat, axis=1)[cur] < rng.random(n_chains)[:, None]).sum(axis=1)
+            out[:, i] = cur
+        return out
+    cur = hzmc.rho0.sampler(rng.random(n_chains))
+    out[:, 0] = cur
+    for i in range(1, length):
+        cur = (hzmc.d if i % 2 == 1 else hzmc.u).sampler(cur, rng.random(n_chains))
+        out[:, i] = cur
+    return out
+
+
+class TestLineSamplerStream:
+    @pytest.mark.parametrize("n_chains", [1, 7])
+    @pytest.mark.parametrize("kind", ["finite", "gaussian"])
+    def test_bitwise_equal_to_per_step_draws(self, kind, n_chains):
+        if kind == "finite":
+            hz = fs.solve_invariant_hzmc(fs.make_factorized_tensor(4, 11)[0]).spec
+        else:
+            hz = ck.gaussian_invariant_hzmc(ck.GaussianPcaParams(3.0, 1.0))
+        got = sim.sample_hzmc_lines(hz, 101, n_chains, seed=23)
+        assert got.shape == (n_chains, 101)
+        assert got.tobytes() == per_step_lines(hz, 101, n_chains, seed=23).tobytes()
 
 
 class TestStepPca:
@@ -271,3 +305,18 @@ class TestDiagramIO:
         assert len(lines) == 3
         assert len(lines[0].split(",")) == 5
         assert len(lines[2].split(",")) == 3
+
+    def test_csv_text_is_per_scalar_17g(self, tmp_path):
+        rng = np.random.default_rng(3)
+        states = np.full((4, 9), np.nan)
+        states[0] = [-1.5, 5e-324, 1e300, -2.5e-310, 0.1, -0.0, 1.0, -1e-300, 2.0 ** 60]
+        states[1, :8] = rng.normal(size=8) * 10.0 ** rng.integers(-300, 300, size=8)
+        states[2, :7] = -rng.random(7)
+        states[3, :6] = np.arange(6)
+        diag = SpaceTimeDiagram(lattice="N", width=9, steps=3, states=states, seed=0)
+        path = tmp_path / "d.csv"
+        sim.write_diagram_csv(diag, path)
+        expected = "".join(",".join(format(v, ".17g") for v in diag.row(t)) + "\n"
+                           for t in range(4))
+        assert path.read_bytes() == expected.encode()
+        assert expected.startswith("-1.5,4.9406564584124654e-324,1.0000000000000001e+300,")
