@@ -228,6 +228,9 @@ class HzmcSpec:
             d = _locked(self.d)
             u = _locked(self.u)
             r = _locked(self.rho0)
+            for name, arr in (("d", d), ("u", u), ("rho0", r)):
+                if not np.all(np.isfinite(arr)):     # a NaN passes the sum checks below
+                    raise ValueError(f"{name} entries must be finite numbers")
             for name, mat in (("d", d), ("u", u)):
                 if np.abs(mat.sum(axis=1) - 1.0).max() > 1e-9:
                     raise ValueError(f"{name} rows must sum to 1 within 1e-9")

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_types import EXACT_TOL, CheckReport, ChzmcSpec, HzmcSpec, TransitionTensor
-from .finite_solver import (SIZE_GUARD, BaseTriple, EigenSolveResult, _witness,
-                            build_hzmc_kernels, check_belyaev, check_toom_conditions,
-                            select_base_triple, solve_eta, solve_nu)
+from .core_types import EXACT_TOL, CheckReport, ChzmcSpec, TransitionTensor
+from .finite_solver import (SIZE_GUARD, BaseTriple, EigenSolveResult, _grow, _push_link,
+                            _witness, build_hzmc_kernels, check_belyaev, select_base_triple,
+                            solve_eta, solve_nu)
 
 ZERO_SKIP = 1e-14
 
@@ -69,15 +69,6 @@ def compatibility_check(rho, d: np.ndarray, u: np.ndarray,
     return CheckReport("compatibility", resid, tol, notes=note)
 
 
-def check_hzmc_z(tensor: TransitionTensor, rho0: np.ndarray, d: np.ndarray,
-                 u: np.ndarray, tol: float = EXACT_TOL):
-    """Invariance conditions on the two-sided lattice: factorization,
-    commutation, and stationarity of the single site law rho0 under d."""
-    spec = HzmcSpec(d=np.asarray(d, dtype=float), u=np.asarray(u, dtype=float),
-                    rho0=np.asarray(rho0, dtype=float), lattice="Z")
-    return check_toom_conditions(tensor, spec, tol=tol)
-
-
 def partition_function(d: np.ndarray, u: np.ndarray, n: int) -> float:
     """Z(d, u) = trace((DU)^n); must come out finite and positive."""
     if n < 1:
@@ -95,20 +86,27 @@ def _cycle_guard(kappa: int, n: int):
                          f"over the {SIZE_GUARD} guard")
 
 
+def _cyclic_chain(link: np.ndarray, n: int, scale: float = 1.0) -> np.ndarray:
+    """w(x0, m0, x1, m1, ..., x_{n-1}, m_{n-1}) = scale prod_i link[x_i, m_i, x_{i+1 mod n}],
+    flat in that order; the diagonal for n = 1.  The closing link
+    link[x_{n-1}, m_{n-1}, x0] comes first, with x0 pinned on axis 0; the
+    open chain grows leftward to x1 (``finite_solver._grow``), and the link
+    from x0, times ``scale``, is multiplied onto axis 0 last."""
+    kappa = link.shape[0]
+    if n == 1:
+        return link[np.arange(kappa), :, np.arange(kappa)].ravel() * scale
+    w = _grow(link.transpose(2, 0, 1).reshape(kappa, kappa, -1), link, n - 2)
+    return ((link * scale)[:, :, :, None] * w[:, None]).ravel()
+
+
 def chzmc_density(spec: ChzmcSpec) -> CyclicJointLaw:
     """Exact cyclic joint law of the chain, normalized by the partition
     constant stored on the spec."""
     d, u, n = spec.d, spec.u, spec.n
     kappa = d.shape[0]
     _cycle_guard(kappa, n)
-    # integer axis labels in reading order: x_i is 2i, y_i is 2i+1
-    ops = []
-    for i in range(n):
-        ops += [d, [2 * i, 2 * i + 1]]
-    for i in range(n):
-        ops += [u, [2 * i + 1, (2 * i + 2) % (2 * n)]]
-    weights = np.einsum(*ops, list(range(2 * n)), optimize=True) / spec.z
-    return CyclicJointLaw(n=n, weights=weights)
+    weights = _cyclic_chain(d[:, :, None] * u[None], n, 1.0 / spec.z)
+    return CyclicJointLaw(n=n, weights=weights.reshape((kappa,) * (2 * n)))
 
 
 def _cyclic_product(mat: np.ndarray, n: int) -> np.ndarray:
@@ -116,10 +114,7 @@ def _cyclic_product(mat: np.ndarray, n: int) -> np.ndarray:
     kappa = mat.shape[0]
     if kappa ** n > SIZE_GUARD:
         raise ValueError("cycle sweep exceeds the size guard")
-    ops = []
-    for i in range(n):
-        ops += [mat, [i, (i + 1) % n]]
-    return np.einsum(*ops, list(range(n)), optimize=True)
+    return _cyclic_chain(mat[:, None, :], n).reshape((kappa,) * n)
 
 
 def check_cycle_commutation(d: np.ndarray, u: np.ndarray, n: int,
@@ -206,19 +201,20 @@ def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,
                                 tol: float = EXACT_TOL) -> CheckReport:
     """Independent cyclic oracle: pushes the exact joint law through one
     synchronous step on the cycle and measures the sup distance to itself.
-    The witness ``argmax`` is None on a pass, as in bruteforce_invariance."""
+    The witness ``argmax`` is None on a pass, as in bruteforce_invariance.
+
+    Summing the x cells out of the joint law one at a time leaves the
+    second line's law in closed form, prod_i ud(y_i; y_{i+1}) / z, for any
+    d and u (``_cyclic_product(u @ d, n) / z``).  The pushed law, on
+    (y0, new cell 0, y1, ...), is that law times prod_i t(y_i, y_{i+1}; .):
+    the cyclic chain of the half line's push link, over z."""
     n = spec.n
     kappa = spec.d.shape[0]
     _cycle_guard(kappa, n)
     law = chzmc_density(spec)
-    m = law.weights
-    my = m.sum(axis=tuple(range(0, 2 * n, 2)))         # marginal of the second line
-    # old second-line cell i is label 2i, new first-line cell i is 2i+1
-    ops = [my, list(range(0, 2 * n, 2))]
-    for i in range(n):
-        ops += [tensor.t, [2 * i, (2 * i + 2) % (2 * n), 2 * i + 1]]
-    pushed = np.einsum(*ops, list(range(2 * n)), optimize=True)
-    diff = np.abs(pushed - m)
+    pushed = _cyclic_chain(_push_link(tensor.t, spec.u @ spec.d), n, 1.0 / spec.z)
+    pushed = pushed.reshape(law.weights.shape)
+    diff = np.abs(np.subtract(pushed, law.weights, out=pushed), out=pushed)
     resid = float(diff.max())
     return CheckReport("cycle-push-forward-oracle", resid, tol,
                        witnesses={"argmax": _witness(diff, resid, tol), "n": n})

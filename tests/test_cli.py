@@ -195,6 +195,7 @@ class TestSolveVerify:
         assert out["reports"][0]["condition"] == "push-forward-oracle"
         assert out["reports"][0]["residual"] < 1e-10
         assert out["reports"][0]["witnesses"]["argmax"] is None
+        assert out["reports"][0]["witnesses"]["complete"] is True     # rho0 = (1/2, 1/2)
 
     def test_verify_reports_are_reproducible(self, files, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -435,6 +436,19 @@ class TestBadInput:
         assert run_main("verify", "--model", files["two_letter"], "--spec", spec,
                         "--kmax", -1) == 2
         assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["d", "u", "rho0"])
+    def test_nan_spec_is_not_a_vacuous_pass(self, files, capsys, tmp_path, field):
+        # a NaN entry passes the row-sum checks and made every window NaN
+        spec = tmp_path / "spec.json"
+        run_main("solve", "--model", files["two_letter"], "--out", spec)
+        capsys.readouterr()
+        doc = json.loads(spec.read_text())
+        entry = doc[field] if field == "rho0" else doc[field][0]
+        entry[0] = "nan"
+        spec.write_text(json.dumps(doc))
+        assert run_main("verify", "--model", files["two_letter"], "--spec", spec) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_negative_steps(self, files, capsys, tmp_path):
         assert run_main("simulate", "--model", files["two_letter"], "--steps", -1,

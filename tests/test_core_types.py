@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zigzag_pca.core_types import (MAX_GRID_POINTS, CheckReport, FiniteAlphabet, GridMeasure,
-                                   TransitionTensor, decode_array, encode_array,
+                                   HzmcSpec, TransitionTensor, decode_array, encode_array,
                                    gauss_legendre_grid, load_model, normalize_rows,
                                    parse_model, save_model, trapezoid_grid,
                                    ModelFormatError)
@@ -94,6 +94,17 @@ class TestTransitionTensor:
     def test_tensor_locked(self, two_letter):
         with pytest.raises(ValueError):
             two_letter.t[0, 0, 0] = 0.9
+
+
+class TestHzmcSpec:
+    @pytest.mark.parametrize("field", ["d", "u", "rho0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, field, value):
+        # NaN fails every comparison, so the row-sum checks alone let it through
+        parts = {"d": np.full((2, 2), 0.5), "u": np.full((2, 2), 0.5), "rho0": np.full(2, 0.5)}
+        parts[field].flat[0] = value
+        with pytest.raises(ValueError, match="finite"):
+            HzmcSpec(**parts)
 
 
 class TestCheckReport:

@@ -305,6 +305,20 @@ class TestToomConditions:
         assert abs(lhs - swapped.d[a, c] * swapped.u[c, b]) == rep1.residual
 
 
+def free_chain(kappa: int, seed: int):
+    """Stochastic d and u that do not commute, and a positive rho0: a chain
+    invariant for nothing, so no identity can hide a wrong product."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.1, 1.0, (kappa, kappa))
+    d /= d.sum(axis=1, keepdims=True)
+    u = rng.uniform(0.1, 1.0, (kappa, kappa))
+    u /= u.sum(axis=1, keepdims=True)
+    r0 = rng.uniform(0.1, 1.0, kappa)
+    r0 /= r0.sum()
+    assert np.abs(d @ u - u @ d).max() > 1e-3
+    return d, u, r0
+
+
 class TestPushForward:
     def test_smallest_window_marginal_is_rho0(self, two_letter):
         res = fs.solve_invariant_hzmc(two_letter)
@@ -356,22 +370,46 @@ class TestPushForward:
 
     @pytest.mark.parametrize("kappa", [2, 3])
     def test_cylinder_weights_match_literal_product(self, kappa):
-        # a chain that is not invariant for anything: d, u and rho0 drawn freely
-        rng = np.random.default_rng(kappa)
-        d = rng.uniform(0.1, 1.0, (kappa, kappa))
-        d /= d.sum(axis=1, keepdims=True)
-        u = rng.uniform(0.1, 1.0, (kappa, kappa))
-        u /= u.sum(axis=1, keepdims=True)
-        r0 = rng.uniform(0.1, 1.0, kappa)
-        r0 /= r0.sum()
-        assert np.abs(d @ u - u @ d).max() > 1e-3
-        weights = fs.hzmc_cylinder_weights(HzmcSpec(d=d, u=u, rho0=r0), 1)
-        oracle = np.zeros((kappa,) * 5)
-        for b0, c0, b1, c1, b2 in itertools.product(range(kappa), repeat=5):
-            oracle[b0, c0, b1, c1, b2] = (r0[b0] * d[b0, c0] * u[c0, b1]
-                                          * d[b1, c1] * u[c1, b2])
-        assert weights.shape == oracle.shape
-        assert np.abs(weights - oracle).max() < 1e-15
+        d, u, r0 = free_chain(kappa, kappa)
+        for k in range(3):
+            weights = fs.hzmc_cylinder_weights(HzmcSpec(d=d, u=u, rho0=r0), k)
+            oracle = np.zeros((kappa,) * (2 * k + 3))
+            for cfg in itertools.product(range(kappa), repeat=2 * k + 3):
+                b, c = cfg[0::2], cfg[1::2]
+                w = r0[b[0]]
+                for i in range(k + 1):
+                    w *= d[b[i], c[i]] * u[c[i], b[i + 1]]
+                oracle[cfg] = w
+            assert weights.shape == oracle.shape
+            assert np.abs(weights - oracle).max() < 1e-15
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_free_chain_matches_literal_step(self, kappa, k):
+        # sum the old window (a0, b0, a1, ..., b_{k+1}, a_{k+2}) over the old
+        # first line a, then draw each new cell c_i from t(b_i, b_{i+1}; .)
+        d, u, r0 = free_chain(kappa, 20 * kappa + k)
+        tens = fs.random_positive_tensor(kappa, k)
+        t = tens.t
+        joint = fs.push_forward_zigzag(tens, HzmcSpec(d=d, u=u, rho0=r0), k)
+        second = {}
+        for b in itertools.product(range(kappa), repeat=k + 2):
+            tot = 0.0
+            for a in itertools.product(range(kappa), repeat=k + 3):
+                w = r0[a[0]]
+                for i in range(k + 2):
+                    w *= d[a[i], b[i]] * u[b[i], a[i + 1]]
+                tot += w
+            second[b] = tot
+        oracle = np.zeros((kappa,) * (2 * k + 3))
+        for cfg in itertools.product(range(kappa), repeat=2 * k + 3):
+            b, c = cfg[0::2], cfg[1::2]
+            w = second[b]
+            for i in range(k + 1):
+                w *= t[b[i], b[i + 1], c[i]]
+            oracle[cfg] = w
+        np.testing.assert_allclose(joint, oracle, rtol=1e-14, atol=0)
+        assert joint.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_size_guard(self):
         tens = constant_tensor(5)
@@ -393,6 +431,49 @@ class TestBruteforceInvariance:
         res = fs.solve_invariant_hzmc(zero)
         rep = fs.bruteforce_invariance(zero, res.spec, 3)
         assert rep.residual == 0.0
+
+    def test_complete_iff_rho0_positive(self, two_letter):
+        res = fs.solve_invariant_hzmc(two_letter)
+        assert fs.bruteforce_invariance(two_letter, res.spec, 1).witnesses["complete"] is True
+        # d keeps state 0, so rho0 = (1, 0) is stationary and window 0 sees
+        # nothing of row 1: the report does not claim completeness
+        d = np.array([[1.0, 0.0], [0.5, 0.5]])
+        spec = HzmcSpec(d=d, u=d.copy(), rho0=np.array([1.0, 0.0]))
+        rep = fs.bruteforce_invariance(constant_tensor(2), spec, 1)
+        assert rep.witnesses["complete"] is False
+
+    @settings(max_examples=40, deadline=None)
+    @given(kappa=hst.integers(2, 3), kind=hst.sampled_from(["factorized", "generic", "tampered"]),
+           seed=hst.integers(0, 2**16), resolve=hst.booleans())
+    def test_window_zero_decides_when_rho0_positive(self, kappa, kind, seed, resolve):
+        if kind == "generic":
+            tens = fs.random_positive_tensor(kappa, seed)
+        else:
+            tens = fs.make_factorized_tensor(kappa, seed)[0]
+        spec = fs.solve_invariant_hzmc(tens).spec
+        if kind == "tampered":
+            d = np.array(spec.d)
+            d[0, 0] += 1e-6
+            d /= d.sum(axis=1, keepdims=True)
+            rho0 = fs.stationary_distribution(d).rho0 if resolve else spec.rho0
+            spec = HzmcSpec(d=d, u=spec.u, rho0=rho0)
+        assert np.min(spec.rho0) > 0
+        window0 = fs.bruteforce_invariance(tens, spec, 0)
+        windows = fs.bruteforce_invariance(tens, spec, 4)
+        assert window0.witnesses["complete"] and windows.witnesses["complete"]
+        assert window0.passed == windows.passed == (kind == "factorized")
+
+    def test_tamper_seen_at_largest_benchmark_window(self):
+        tens, _, _ = fs.make_factorized_tensor(2, 7)
+        spec = fs.solve_invariant_hzmc(tens).spec
+        assert fs.bruteforce_invariance(tens, spec, 9).passed
+        d = np.array(spec.d)
+        d[0, 0] += 1e-4
+        d /= d.sum(axis=1, keepdims=True)
+        rep = fs.bruteforce_invariance(tens, HzmcSpec(d=d, u=spec.u, rho0=spec.rho0), 9)
+        assert not rep.passed
+        assert len(rep.witnesses["per_k"]) == 10 and rep.witnesses["argmax"] is not None
+        assert rep.witnesses["per_k"][9] > rep.tolerance     # the window itself, not only k = 0
 
     def test_arbitrary_weights_fail_with_quartic(self):
         tens = fs.random_positive_tensor(3, 13)

@@ -5,7 +5,8 @@ import pytest
 
 from zigzag_pca import finite_solver as fs
 from zigzag_pca import lattice_ext as lx
-from zigzag_pca.core_types import ChzmcSpec, FiniteAlphabet, TransitionTensor, normalize_rows
+from zigzag_pca.core_types import (ChzmcSpec, FiniteAlphabet, HzmcSpec, TransitionTensor,
+                                   normalize_rows)
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +60,19 @@ class TestCompatibility:
 
 
 class TestHzmcZ:
+    """The two-sided lattice's conditions are the half line's, on a spec
+    marked lattice "Z"."""
+
     def test_two_letter_lifted(self, two_letter, solved):
-        reports = lx.check_hzmc_z(two_letter, solved.spec.rho0, solved.spec.d, solved.spec.u)
+        spec = HzmcSpec(d=solved.spec.d, u=solved.spec.u, rho0=solved.spec.rho0, lattice="Z")
+        reports = fs.check_toom_conditions(two_letter, spec)
         assert all(r.passed for r in reports)
 
     def test_uniform_spec(self):
         tens = TransitionTensor(FiniteAlphabet(2), np.full((2, 2, 2), 0.5))
         d, u = uniform_pair()
-        reports = lx.check_hzmc_z(tens, np.full(2, 0.5), d, u)
+        reports = fs.check_toom_conditions(tens, HzmcSpec(d=d, u=u, rho0=np.full(2, 0.5),
+                                                          lattice="Z"))
         assert all(r.passed for r in reports)
 
 
@@ -137,6 +143,33 @@ class TestChzmcDensity:
         z = lx.partition_function(d, u, 2)
         law = lx.chzmc_density(ChzmcSpec(d=d, u=u, n=2, z=z))
         assert np.abs(law.first_line_marginal() - law.second_line_marginal()).max() < 1e-13
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_literal_product(self, kappa, n):
+        d, u = noncommuting_pair(n, kappa=kappa)
+        z = lx.partition_function(d, u, n)
+        law = lx.chzmc_density(ChzmcSpec(d=d, u=u, n=n, z=z))
+        oracle = np.zeros((kappa,) * (2 * n))
+        for cfg in itertools.product(range(kappa), repeat=2 * n):
+            x, y = cfg[0::2], cfg[1::2]
+            w = 1.0 / z
+            for i in range(n):
+                w *= d[x[i], y[i]] * u[y[i], x[(i + 1) % n]]
+            oracle[cfg] = w
+        np.testing.assert_allclose(law.weights, oracle, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_second_line_marginal(self, kappa, n):
+        # summing out each x_i joins u(y_{i-1}; x_i) d(x_i; y_i) into ud(y_{i-1}; y_i),
+        # for d and u that do not commute
+        d, u = noncommuting_pair(n + 10, kappa=kappa)
+        z = lx.partition_function(d, u, n)
+        law = lx.chzmc_density(ChzmcSpec(d=d, u=u, n=n, z=z))
+        closed = lx._cyclic_product(u @ d, n) / z
+        assert closed.shape == (kappa,) * n
+        np.testing.assert_allclose(closed, law.second_line_marginal(), rtol=1e-14, atol=0)
 
     def test_size_guard(self):
         d, u = uniform_pair(10)
@@ -257,6 +290,43 @@ class TestCycleOracle:
         rep = lx.bruteforce_cycle_invariance(two_letter, spec)
         assert literal > 1e-3
         assert rep.residual == pytest.approx(literal, abs=1e-15)
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_push_matches_literal_step(self, kappa, n):
+        # push the exhaustive second-line marginal through t cell by cell
+        d, u = noncommuting_pair(n + 20, kappa=kappa)
+        tens = fs.random_positive_tensor(kappa, n)
+        t = tens.t
+        spec = ChzmcSpec(d=d, u=u, n=n, z=lx.partition_function(d, u, n))
+        law = lx.chzmc_density(spec)
+        my = law.second_line_marginal()
+        pushed = np.zeros((kappa,) * (2 * n))
+        for cfg in itertools.product(range(kappa), repeat=2 * n):
+            y, z = cfg[0::2], cfg[1::2]
+            w = my[y]
+            for i in range(n):
+                w *= t[y[i], y[(i + 1) % n], z[i]]
+            pushed[cfg] = w
+        diff = np.abs(pushed - law.weights)
+        rep = lx.bruteforce_cycle_invariance(tens, spec)
+        assert not rep.passed
+        assert rep.residual == pytest.approx(float(diff.max()), abs=1e-15)
+        assert diff[rep.witnesses["argmax"]] == pytest.approx(rep.residual, abs=1e-15)
+
+    @pytest.mark.parametrize("kappa, n", [(2, 11), (3, 7)])
+    def test_tamper_seen_at_largest_benchmark_cycle(self, kappa, n):
+        # the largest cycles the size guard admits; a 1e-4 tamper of d must
+        # show above the tolerance there
+        tens, _, _ = fs.make_factorized_tensor(kappa, 7)
+        spec = lx.solve_chzmc(tens, n).spec
+        assert lx.bruteforce_cycle_invariance(tens, spec).passed
+        d = np.array(spec.d)
+        d[0, 0] += 1e-4
+        d /= d.sum(axis=1, keepdims=True)
+        bad = ChzmcSpec(d=d, u=spec.u, n=n, z=lx.partition_function(d, spec.u, n))
+        rep = lx.bruteforce_cycle_invariance(tens, bad)
+        assert not rep.passed and rep.witnesses["argmax"] is not None
 
     def test_perturbed_up_kernel_fails(self, two_letter):
         res = lx.solve_chzmc(two_letter, 3)
