@@ -27,10 +27,13 @@ from .core_types import (EXACT_TOL, QUAD_TOL, CheckReport, ChzmcSpec, HzmcSpec,
                          gauss_legendre_grid, load_model)
 
 
-def _number(key, value, what: str = "kernel field") -> float:
-    """A numeric field: a JSON number, not a string, boolean or null."""
+def _number(key, value, what: str = "kernel field", finite: bool = True) -> float:
+    """A numeric field: a JSON number, not a string, boolean or null, and
+    finite unless ``finite`` is false (NaN and Infinity parse as numbers)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} {key!r} must be a number, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{what} {key!r} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -356,7 +359,8 @@ def cmd_report(doc: dict) -> int:
         raise ValueError("report field 'reports' must be a list of objects")
     for i, rep in enumerate(reports):
         for key in ("residual", "tolerance"):
-            _number(key, rep.get(key), f"report {i} field")
+            # a failed condition may report residual inf
+            _number(key, rep.get(key), f"report {i} field", finite=False)
     for rep in reports:
         flag = "pass" if rep.get("passed") else "FAIL"
         print(f"[{flag}] {rep.get('condition')}: residual {rep.get('residual'):.3e} "

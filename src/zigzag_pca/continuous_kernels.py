@@ -55,17 +55,60 @@ def _norm_pdf(x, mean, std):
     return np.exp(-0.5 * z * z) / (std * np.sqrt(2.0 * np.pi))
 
 
+def _gamma_density(shape, rate):
+    """The Gamma(shape, rate) density (mean shape/rate) as a function that
+    overwrites a float array of arguments with the density there.
+
+    shape log(rate) and gammaln(shape) are taken once, here.  A call works in
+    place, with one more array for the log term (shape - 1) log x when
+    shape != 1; when shape == 1 that term is +-0 and is skipped.  x <= 0 and
+    NaN give 0, except x == 0 gives rate when shape == 1.
+    """
+    head = shape * np.log(rate)
+    tail = gammaln(shape)
+
+    def fill(x):
+        nonpos = ~(x > 0.0)
+        if not nonpos.any():
+            nonpos = None
+        zero = x == 0.0 if nonpos is not None and shape == 1.0 else None
+        out = np.maximum(x, 0.0, out=x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if shape == 1.0:
+                out *= -rate
+            else:
+                log = np.log(out)
+                log *= shape - 1.0
+                log += head
+                out *= rate
+                np.subtract(log, out, out=out)
+            # adding a zero constant changes no exp
+            if shape == 1.0 and head != 0.0:
+                out += head
+            if tail != 0.0:
+                out -= tail
+            np.exp(out, out=out)
+        if nonpos is not None:
+            out[nonpos] = 0.0
+        if zero is not None:
+            out[zero] = rate
+        return out
+
+    return fill
+
+
+def _difference(x, y, shift) -> np.ndarray:
+    """x - y + shift in a new float array."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.subtract(x, y, out=np.empty(np.broadcast(x, y).shape))
+    out += shift
+    return out
+
+
 def _gamma_pdf(x, shape, rate):
     """Shape-rate convention: mean shape/rate."""
-    x = np.asarray(x, dtype=float)
-    pos = x > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logpdf = shape * np.log(rate) + (shape - 1.0) * np.log(np.where(pos, x, 1.0)) \
-            - rate * np.where(pos, x, 0.0) - gammaln(shape)
-        out = np.where(pos, np.exp(logpdf), 0.0)
-    if shape == 1.0:
-        out = np.where(x == 0.0, float(rate), out)
-    return out
+    return _gamma_density(shape, rate)(np.array(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -264,14 +307,35 @@ def beta_kernel_density(params: BetaPcaParams) -> KernelDensity:
         c = np.asarray(c, dtype=float)
         span = b - a
         safe = np.where(span == 0.0, 1.0, span)
-        frac = (c + m - a) / safe
-        ok = (span != 0.0) & (frac >= 0.0) & (frac <= 1.0)
-        frac_c = np.clip(frac, 0.0, 1.0)
+        frac = np.divide(c + m - a, safe, out=np.empty(np.broadcast(a, b, c).shape))
+        ok = frac >= 0.0
+        ok &= frac <= 1.0
+        ok &= span != 0.0
+        if al == 1.0 and be == 1.0:
+            # both log terms are +-0: the density is 1/|b - a| on the support
+            return np.where(ok, np.exp(-lbeta) / np.abs(safe), 0.0)
+        # Only the supported entries (ok) count.  Each log is taken where its
+        # argument is positive; at frac == 0 or 1 it is left at 0, the log of
+        # the 1 that the formula puts there.  A term whose exponent is 1 adds
+        # only +-0 and is skipped.  Clipping keeps the other entries finite.
+        np.clip(frac, 0.0, 1.0, out=frac)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logpdf = (al - 1.0) * np.log(np.where(frac_c > 0, frac_c, 1.0)) \
-                + (be - 1.0) * np.log(np.where(frac_c < 1, 1.0 - frac_c, 1.0)) - lbeta
-            val = np.exp(logpdf) / np.abs(safe)
-        return np.where(ok, val, 0.0)
+            if be != 1.0:
+                out = np.subtract(1.0, frac, out=frac if al == 1.0 else np.empty_like(frac))
+                np.log(out, out=out, where=ok & (out > 0.0))     # log(1 - frac), 0 at frac == 1
+                out *= be - 1.0
+            if al != 1.0:
+                np.log(frac, out=frac, where=ok & (frac > 0.0))  # log(frac), 0 at frac == 0
+                frac *= al - 1.0
+                if be != 1.0:
+                    out += frac
+                else:
+                    out = frac
+            out -= lbeta
+            np.exp(out, out=out, where=ok)
+        out /= np.abs(safe)
+        np.copyto(out, 0.0, where=~ok)
+        return out
 
     def sampler(a, b, u):
         u = _flat_u(u)
@@ -289,16 +353,17 @@ def beta_candidate_kernels(params: BetaPcaParams) -> tuple[MarkovKernel, MarkovK
     """Shifted-Gamma candidate steps: down adds Gamma(alpha, theta) - m,
     up adds Gamma(beta, theta) + m."""
     al, be, m, th = params.alpha, params.beta, params.m_shift, params.theta_rate
+    down, up = _gamma_density(al, th), _gamma_density(be, th)
 
     d1 = MarkovKernel(
-        density=lambda a, c: _gamma_pdf(np.asarray(c, dtype=float) - np.asarray(a, dtype=float) + m, al, th),
+        density=lambda a, c: down(_difference(c, a, m)),
         sampler=lambda a, u: np.asarray(a, dtype=float) - m + gammaincinv(al, _flat_u(u)) / th,
         out_support=lambda a: (np.asarray(a, dtype=float) - m, np.inf),
         in_support=lambda c: (-np.inf, np.asarray(c, dtype=float) + m),
         tag="gamma-shift-down",
     )
     u1 = MarkovKernel(
-        density=lambda c, b: _gamma_pdf(np.asarray(b, dtype=float) - np.asarray(c, dtype=float) - m, be, th),
+        density=lambda c, b: up(_difference(b, c, -m)),
         sampler=lambda c, u: np.asarray(c, dtype=float) + m + gammaincinv(be, _flat_u(u)) / th,
         out_support=lambda c: (np.asarray(c, dtype=float) + m, np.inf),
         in_support=lambda b: (-np.inf, np.asarray(b, dtype=float) - m),
@@ -317,8 +382,9 @@ def beta_candidate_hzmc(params: BetaPcaParams) -> HzmcSpec:
     """
     d1, u1 = beta_candidate_kernels(params)
     al, th = params.alpha, params.theta_rate
+    pdf = _gamma_density(al, th)
     rho0 = DensityLaw(
-        density=lambda x: _gamma_pdf(x, al, th),
+        density=lambda x: pdf(np.array(x, dtype=float)),
         sampler=lambda u: gammaincinv(al, _flat_u(u)) / th,
         support=(0.0, np.inf),
         tag="gamma-candidate",

@@ -17,6 +17,7 @@ construction, so every object in this module is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -90,10 +91,16 @@ class GridMeasure:
         return float(np.dot(np.asarray(values, dtype=float), self.weights))
 
 
+def _check_halfwidth(halfwidth) -> None:
+    if not (np.isfinite(halfwidth) and halfwidth > 0):
+        raise ValueError(f"grid halfwidth must be a finite number > 0, got {halfwidth}")
+
+
 def gauss_legendre_grid(halfwidth: float, points: int = 257) -> GridMeasure:
     """Gauss-Legendre nodes and weights scaled to [-halfwidth, halfwidth]."""
-    if halfwidth <= 0 or points < 2:
-        raise ValueError("need halfwidth > 0 and points >= 2")
+    _check_halfwidth(halfwidth)
+    if points < 2:
+        raise ValueError(f"need grid points >= 2, got {points}")
     if points > MAX_GRID_POINTS:
         raise ValueError(f"{points} grid points exceed the supported bound {MAX_GRID_POINTS}")
     x, w = np.polynomial.legendre.leggauss(points)
@@ -102,8 +109,9 @@ def gauss_legendre_grid(halfwidth: float, points: int = 257) -> GridMeasure:
 
 def trapezoid_grid(halfwidth: float, points: int = 257) -> GridMeasure:
     """Uniform composite trapezoid rule; second order, handy for refinement checks."""
-    if halfwidth <= 0 or points < 2:
-        raise ValueError("need halfwidth > 0 and points >= 2")
+    _check_halfwidth(halfwidth)
+    if points < 2:
+        raise ValueError(f"need grid points >= 2, got {points}")
     x = np.linspace(-halfwidth, halfwidth, points)
     h = x[1] - x[0]
     w = np.full(points, h)
@@ -140,6 +148,12 @@ class TransitionTensor:
     @property
     def size(self) -> int:
         return self.alphabet.size
+
+    @functools.cached_property
+    def cumulative(self) -> np.ndarray:
+        """Cumulative rows t.cumsum(axis=2), taken once: the inverse-CDF
+        table that the simulator draws from."""
+        return _locked(np.cumsum(self.t, axis=2))
 
     @property
     def mu_positive(self) -> bool:

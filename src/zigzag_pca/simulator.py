@@ -1,11 +1,9 @@
 """Synchronous space-time simulation for the model zoo.
 
 One step draws every new cell independently from the kernel of its two
-neighbors.  On open windows the default boundary policy is the shrinking
-window: a T-step run needs an initial width of at least final width + T, and
-nothing is invented at the right edge.  An optional resampling policy keeps
-the width constant by drawing the edge cell from a supplied marginal law;
-it is approximate and labelled as such.  Cycles wrap around.
+neighbors.  Open windows shrink: a T-step run needs an initial width of at
+least final width + T, and nothing is invented at the right edge.  Cycles
+wrap around.
 
 Randomness is counter based.  Step t of a run seeded with s consumes the
 block ``row_uniforms(s, t, width, per_cell)``: a Philox stream keyed by
@@ -116,27 +114,29 @@ class FppRule:
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """A runnable model: kernel (or particle rule), lattice, width, policy, seed."""
+    """A runnable model: kernel (or particle rule), lattice, width, boundary, seed."""
 
     kernel: object       # TransitionTensor | KernelDensity | TasepRule | FppRule
     lattice: str         # "N" | "Z" | "cycle"
     width: int
-    boundary: str = "shrink"   # shrink | resample | cycle
+    boundary: str = "shrink"   # shrink | cycle
     seed: int = 0
-    edge_law: object = None    # marginal for the resample policy
 
     def __post_init__(self):
         if self.width < 2:
             raise ValueError("width must be >= 2")
         if self.lattice == "cycle" and self.boundary != "cycle":
             object.__setattr__(self, "boundary", "cycle")
-        if self.boundary == "resample" and self.edge_law is None:
-            raise ValueError("resample policy needs an edge law")
+        if self.boundary not in ("shrink", "cycle"):
+            raise ValueError(f"unknown boundary {self.boundary!r}: open windows shrink, "
+                             "cycles wrap around")
 
 
-def _tensor_draw(t: np.ndarray, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(t[a, b], axis=1)
-    return (cum < u[:, None]).sum(axis=1)
+def _tensor_draw(tensor: TransitionTensor, a: np.ndarray, b: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from the rows tensor.t[a, b] of the kernel's
+    cumulative table."""
+    return (tensor.cumulative[a, b] < u[:, None]).sum(axis=1)
 
 
 def sample_hzmc_lines(hzmc: HzmcSpec, length: int, n_chains: int, seed: int) -> np.ndarray:
@@ -201,25 +201,15 @@ def step_pca(line: np.ndarray, model: ModelInstance, t: int = 0) -> np.ndarray:
         b = np.roll(line, -1)
         u = row_uniforms(model.seed, t, line.size, per)
         if isinstance(kernel, TransitionTensor):
-            return _tensor_draw(kernel.t, a.astype(int), b.astype(int), u[:, 0])
+            return _tensor_draw(kernel, a.astype(int), b.astype(int), u[:, 0])
         return kernel.sampler(a, b, u)
 
     a = line[:-1]
     b = line[1:]
-    u = row_uniforms(model.seed, t, line.size, per)
+    u = row_uniforms(model.seed, t, a.size, per)
     if isinstance(kernel, TransitionTensor):
-        new = _tensor_draw(kernel.t, a.astype(int), b.astype(int), u[: line.size - 1, 0])
-    else:
-        new = kernel.sampler(a, b, u[: line.size - 1])
-    if model.boundary == "resample":
-        edge_u = u[line.size - 1]
-        if isinstance(model.edge_law, np.ndarray):
-            cum = np.cumsum(model.edge_law)
-            edge = float((cum < edge_u[0]).sum())
-        else:
-            edge = model.edge_law.sampler(edge_u[:1])[0]
-        new = np.append(new, edge)
-    return new
+        return _tensor_draw(kernel, a.astype(int), b.astype(int), u[:, 0])
+    return kernel.sampler(a, b, u)
 
 
 def tasep_step(config: TasepConfig, seed: int, t: int = 0) -> TasepConfig:

@@ -376,6 +376,54 @@ class TestBadInput:
         assert captured.out == ""
         assert _single_error_line(captured.err)
 
+    FAMILY_FIELDS = {"gaussian": {"m": 3, "sigma": 1}, "gaussian_diag": {"m": 3, "sigma": 1},
+                     "beta": {"alpha": 2, "beta": 3, "m": 1, "theta": 1},
+                     "tasep": {"r": 1, "v": 2, "p": 0.5}}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("family,field", [(f, k) for f, block in FAMILY_FIELDS.items()
+                                              for k in block])
+    def test_non_finite_family_field_is_one_error_line(self, tmp_path, capsys, family, field,
+                                                       value):
+        # json writes NaN and Infinity, and json.load reads them back as floats
+        kernel = {"family": family, **self.FAMILY_FIELDS[family], field: value}
+        path = _write_model(tmp_path / "bad.json", {"alphabet": {"grid": {"points": 9}},
+                                                    "kernel": kernel, "lattice": "N"})
+        assert run_main("check", "--model", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _single_error_line(captured.err)
+        assert f"{field!r} must be a finite number" in captured.err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_model_halfwidth_is_one_error_line(self, tmp_path, capsys, value):
+        doc = {**GAUSS_DOC, "alphabet": {"grid": {"points": 33, "halfwidth": value}}}
+        path = _write_model(tmp_path / "bad.json", doc)
+        assert run_main("check", "--model", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _single_error_line(captured.err)
+        assert "halfwidth must be a finite number" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_halfwidth_flag_is_one_error_line(self, files, capsys, value):
+        assert run_main("check", "--model", files["gauss"], f"--grid-halfwidth={value}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _single_error_line(captured.err)
+        assert "halfwidth must be a finite number" in captured.err
+
+    def test_report_with_infinite_residual_still_prints(self, tmp_path, capsys):
+        # a NaN-producing sweep fails with residual inf, which json writes as
+        # Infinity: a report of it must stay readable
+        doc = {"reports": [{"condition": "factorization", "residual": float("inf"),
+                            "tolerance": 1e-6, "passed": False}], "passed": False}
+        path = _write_model(tmp_path / "report.json", doc)
+        assert run_main("report", "--in", path) == 0
+        assert "[FAIL] factorization: residual inf" in capsys.readouterr().out
+
     def test_huge_model_grid_refused_before_allocation(self, tmp_path, capsys):
         path = _write_model(tmp_path / "huge.json",
                             {**GAUSS_DOC, "alphabet": {"grid": {"points": 1e9}}})

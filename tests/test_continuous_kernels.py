@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import betainc, ndtri
+from scipy.special import betainc, betaln, gammaln, ndtri
 
 from zigzag_pca import continuous_kernels as ck
 from zigzag_pca.core_types import (HzmcSpec, KernelDensity, MarkovKernel, gauss_legendre_grid,
@@ -182,6 +182,110 @@ class TestBetaFamily:
         assert rep1.passed and rep1.residual < 1e-5
         assert rep2.passed and rep2.residual < 1e-5
         assert not rep3.passed and rep3.residual > 0.1
+
+
+def _reference_beta_density(al, be, m):
+    """The Beta kernel density as one expression per step, allocating each
+    temporary: the formula that the in-place evaluation must reproduce bit
+    for bit."""
+    lbeta = betaln(al, be)
+
+    def density(a, b, c):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        c = np.asarray(c, dtype=float)
+        span = b - a
+        safe = np.where(span == 0.0, 1.0, span)
+        frac = (c + m - a) / safe
+        ok = (span != 0.0) & (frac >= 0.0) & (frac <= 1.0)
+        frac_c = np.clip(frac, 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logpdf = (al - 1.0) * np.log(np.where(frac_c > 0, frac_c, 1.0)) \
+                + (be - 1.0) * np.log(np.where(frac_c < 1, 1.0 - frac_c, 1.0)) - lbeta
+            val = np.exp(logpdf) / np.abs(safe)
+        return np.where(ok, val, 0.0)
+
+    return density
+
+
+def _reference_gamma_pdf(x, shape, rate):
+    """The Gamma(shape, rate) density as one expression: the reference for
+    the in-place evaluation."""
+    x = np.asarray(x, dtype=float)
+    pos = x > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logpdf = shape * np.log(rate) + (shape - 1.0) * np.log(np.where(pos, x, 1.0)) \
+            - rate * np.where(pos, x, 0.0) - gammaln(shape)
+        out = np.where(pos, np.exp(logpdf), 0.0)
+    if shape == 1.0:
+        out = np.where(x == 0.0, float(rate), out)
+    return out
+
+
+def _same(got, want):
+    return got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestDensitiesBitForBit:
+    """The Beta kernel and the Gamma candidates are evaluated in place; they
+    must give the bits of the plain formulas."""
+
+    M = 0.5
+    # dyadic values: c = a - m gives frac exactly 0, c = b - m exactly 1,
+    # a == b the zero span, and the ends lie outside every support
+    VALUES = np.array([-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.5, 9.0])
+
+    @pytest.mark.parametrize("al,be", [(1.0, 1.0), (1.0, 2.5), (0.5, 1.0), (2.0, 3.0),
+                                       (0.7, 0.6), (1, 1)])
+    def test_beta_density(self, al, be):
+        v, m = self.VALUES, self.M
+        a, b, c = v[:, None, None], v[None, :, None], v[None, None, :]
+        span = b - a
+        frac = np.where(span != 0.0, (c + m - a) / np.where(span == 0.0, 1.0, span), 0.5)
+        assert (frac == 0.0).any() and (frac == 1.0).any() and (span == 0.0).any()
+        assert ((frac < 0.0) | (frac > 1.0)).any()
+        par = ck.BetaPcaParams(al, be, m, 1.0)
+        got, want = ck.beta_kernel_density(par).density, _reference_beta_density(al, be, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _same(got(a, b, c), want(a, b, c))
+            rng = np.random.default_rng(7)
+            p = np.sort(rng.uniform(-3.0, 3.0, 40))
+            abc = (p[:, None, None], p[None, :, None], p[None, None, :])
+            assert _same(got(*abc), want(*abc))
+            for args in [(0.0, 1.0, -m), (0.0, 1.0, 1.0 - m), (0.0, 1.0, 0.3), (1.0, 1.0, 0.5),
+                         (0.0, 1.0, 4.0), (2.0, -1.0, 0.0)]:
+                assert _same(got(*args), want(*args))
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.5, 1])
+    @pytest.mark.parametrize("rate", [1.0, 2.5])
+    def test_gamma_pdf(self, shape, rate):
+        x = np.array([-3.0, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.3, 1.0, 7.0, 800.0, np.nan])
+        rng = np.random.default_rng(3)
+        xs = [x, x.reshape(-1, 1) + x, rng.uniform(-1.0, 9.0, (4, 5, 6))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arr in xs:
+                kept = arr.copy()
+                got = ck._gamma_pdf(arr, shape, rate)
+                want = _reference_gamma_pdf(arr, shape, rate)
+                assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(arr, kept, equal_nan=True)     # input left alone
+            for scalar in (-1.0, 0.0, 0.5):
+                assert _same(ck._gamma_pdf(scalar, shape, rate),
+                             _reference_gamma_pdf(scalar, shape, rate))
+
+    @pytest.mark.parametrize("al,be", [(1.0, 1.0), (0.5, 2.5), (2.0, 1.0)])
+    def test_candidate_kernels_and_initial_law(self, al, be):
+        m, th = 0.75, 1.5
+        par = ck.BetaPcaParams(al, be, m, th)
+        d1, u1 = ck.beta_candidate_kernels(par)
+        rho0 = ck.beta_candidate_hzmc(par).rho0
+        p = np.sort(np.random.default_rng(5).uniform(-4.0, 4.0, 30))
+        x, y = p[:, None], p[None, :]
+        assert _same(d1.density(x, y), _reference_gamma_pdf(y - x + m, al, th))
+        assert _same(u1.density(x, y), _reference_gamma_pdf(y - x - m, be, th))
+        assert _same(rho0.density(p), _reference_gamma_pdf(p, al, th))
 
 
 class TestGridEtaSolve:
@@ -384,15 +488,21 @@ class TestBlockedSweep:
         assert fused[3].witnesses["differing_pairs"] == 100
 
     def test_battery_memory_stays_in_blocks(self, gauss31, gauss_grid):
-        kern, hz = ck.gaussian_kernel_density(gauss31), ck.gaussian_invariant_hzmc(gauss31)
-        tracemalloc.start()
-        try:
-            ck.quadrature_check_conditions(kern, hz, gauss_grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert gauss_grid.size == 257
-        assert peak <= 16 * 2 ** 20
+        beta = ck.BetaPcaParams(1.0, 1.0, 1.0, 1.0)
+        beta_grid = ck.default_beta_grid(beta, 257)
+        for kern, hz, grid in [
+                (ck.gaussian_kernel_density(gauss31), ck.gaussian_invariant_hzmc(gauss31),
+                 gauss_grid),
+                # the Beta battery also runs both Gauss-Legendre compositions
+                (ck.beta_kernel_density(beta), ck.beta_candidate_hzmc(beta), beta_grid)]:
+            tracemalloc.start()
+            try:
+                ck.quadrature_check_conditions(kern, hz, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert grid.size == 257
+            assert peak <= 16 * 2 ** 20
 
 
 class TestSweepNeverPassesVacuously:

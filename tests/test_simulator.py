@@ -138,12 +138,21 @@ class TestStepPca:
         assert out.size == 5
         assert np.array_equal(out, line)
 
-    def test_resample_policy_keeps_width(self, two_letter):
-        res = fs.solve_invariant_hzmc(two_letter)
-        model = sim.ModelInstance(kernel=two_letter, lattice="N", width=50, seed=2,
-                                  boundary="resample", edge_law=res.spec.rho0)
-        out = sim.step_pca(np.zeros(50, dtype=int), model, t=0)
-        assert out.size == 50
+    def test_unknown_boundary_refused(self, two_letter):
+        with pytest.raises(ValueError, match="boundary"):
+            sim.ModelInstance(kernel=two_letter, lattice="N", width=50, boundary="resample")
+
+    @pytest.mark.parametrize("kappa", [2, 4, 16])
+    def test_cumulative_table_matches_per_cell_sums(self, kappa):
+        # the draw reads rows of the kernel's cumulative table; they must be
+        # the very sums a per-cell cumsum of t[a, b] gives
+        tens = fs.random_positive_tensor(kappa, seed=kappa)
+        rng = np.random.default_rng(kappa)
+        a, b = rng.integers(0, kappa, 500), rng.integers(0, kappa, 500)
+        assert np.array_equal(tens.cumulative[a, b], np.cumsum(tens.t[a, b], axis=1))
+        u = rng.random(500)
+        expect = (np.cumsum(tens.t[a, b], axis=1) < u[:, None]).sum(axis=1)
+        assert np.array_equal(sim._tensor_draw(tens, a, b, u), expect)
 
 
 class TestSimulateDiagram:
