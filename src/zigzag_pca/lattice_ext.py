@@ -21,11 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_types import EXACT_TOL, CheckReport, ChzmcSpec, TransitionTensor
-from .finite_solver import (SIZE_GUARD, BaseTriple, EigenSolveResult, _grow, _push_link,
-                            _witness, build_hzmc_kernels, check_belyaev, select_base_triple,
-                            solve_eta, solve_nu)
+from .finite_solver import (SIZE_GUARD, BaseTriple, EigenSolveResult, _chain_blocks, _fill,
+                            _grow, _push_link, _sup_distance, _witness, build_hzmc_kernels,
+                            check_belyaev, select_base_triple, solve_eta, solve_nu)
 
 ZERO_SKIP = 1e-14
+
+
+def _check_total(total: float):
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"cyclic joint law sums to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -37,9 +42,7 @@ class CyclicJointLaw:
     weights: np.ndarray
 
     def __post_init__(self):
-        total = float(self.weights.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"cyclic joint law sums to {total!r}, not 1")
+        _check_total(float(self.weights.sum()))
 
     def first_line_marginal(self) -> np.ndarray:
         """Marginal of (x0, ..., x_{n-1}): sum out the odd axes."""
@@ -86,17 +89,25 @@ def _cycle_guard(kappa: int, n: int):
                          f"over the {SIZE_GUARD} guard")
 
 
-def _cyclic_chain(link: np.ndarray, n: int, scale: float = 1.0) -> np.ndarray:
-    """w(x0, m0, x1, m1, ..., x_{n-1}, m_{n-1}) = scale prod_i link[x_i, m_i, x_{i+1 mod n}],
-    flat in that order; the diagonal for n = 1.  The closing link
-    link[x_{n-1}, m_{n-1}, x0] comes first, with x0 pinned on axis 0; the
-    open chain grows leftward to x1 (``finite_solver._grow``), and the link
-    from x0, times ``scale``, is multiplied onto axis 0 last."""
+def _cyclic_blocks(link: np.ndarray, n: int, scale: float = 1.0):
+    """Block walk (``finite_solver._chain_blocks``) of
+    w(x0, m0, x1, m1, ..., x_{n-1}, m_{n-1}) = scale prod_i link[x_i, m_i, x_{i+1 mod n}],
+    one leading pair (x0, m0) a block; the diagonal for n = 1.  For each x0
+    the closing link link[x_{n-1}, m_{n-1}, x0] comes first, and the open
+    chain grows leftward to x1 (``finite_solver._grow``); a block is that
+    chain times the link from (x0, m0), times ``scale``."""
     kappa = link.shape[0]
     if n == 1:
-        return link[np.arange(kappa), :, np.arange(kappa)].ravel() * scale
-    w = _grow(link.transpose(2, 0, 1).reshape(kappa, kappa, -1), link, n - 2)
-    return ((link * scale)[:, :, :, None] * w[:, None]).ravel()
+        diag = link[np.arange(kappa), :, np.arange(kappa)] * scale
+        return _chain_blocks(diag[:, :, None], lambda x0: np.ones((1, 1)))
+    closing = link.transpose(2, 0, 1)
+    return _chain_blocks(link * scale, lambda x0: _grow(closing[x0:x0 + 1].reshape(1, kappa, -1),
+                                                        link, n - 2)[0])
+
+
+def _cyclic_chain(link: np.ndarray, n: int, scale: float = 1.0) -> np.ndarray:
+    """w(x0, m0, ..., x_{n-1}, m_{n-1}) of ``_cyclic_blocks``, flat in that order."""
+    return _fill(_cyclic_blocks(link, n, scale), (link.shape[0] * link.shape[1]) ** n)
 
 
 def chzmc_density(spec: ChzmcSpec) -> CyclicJointLaw:
@@ -207,14 +218,25 @@ def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,
     second line's law in closed form, prod_i ud(y_i; y_{i+1}) / z, for any
     d and u (``_cyclic_product(u @ d, n) / z``).  The pushed law, on
     (y0, new cell 0, y1, ...), is that law times prod_i t(y_i, y_{i+1}; .):
-    the cyclic chain of the half line's push link, over z."""
-    n = spec.n
-    kappa = spec.d.shape[0]
+    the cyclic chain of the half line's push link, over z.
+
+    Both laws are walked one leading pair (x0, m0) at a time, in lockstep,
+    the chain for one x0 alive at a time, so about four blocks of
+    kappa^(2n-2) entries are held, never the whole law; every entry is the
+    product ``chzmc_density`` computes.  The law's block sums are added up
+    and checked as ``CyclicJointLaw`` checks its total."""
+    d, u, n = spec.d, spec.u, spec.n
+    kappa = d.shape[0]
     _cycle_guard(kappa, n)
-    law = chzmc_density(spec)
-    pushed = _cyclic_chain(_push_link(tensor.t, spec.u @ spec.d), n, 1.0 / spec.z)
-    pushed = pushed.reshape(law.weights.shape)
-    diff = np.abs(np.subtract(pushed, law.weights, out=pushed), out=pushed)
-    resid = float(diff.max())
+    sums = []
+
+    def law():
+        for blk in _cyclic_blocks(d[:, :, None] * u[None], n, 1.0 / spec.z):
+            sums.append(blk.sum())
+            yield blk
+
+    resid, where = _sup_distance(_cyclic_blocks(_push_link(tensor.t, u @ d), n, 1.0 / spec.z),
+                                 law(), (kappa,) * (2 * n), tol)
+    _check_total(float(sum(sums)))
     return CheckReport("cycle-push-forward-oracle", resid, tol,
-                       witnesses={"argmax": _witness(diff, resid, tol), "n": n})
+                       witnesses={"argmax": where, "n": n})

@@ -9,7 +9,8 @@ from hypothesis import strategies as hst
 
 from zigzag_pca import finite_solver as fs
 from zigzag_pca import lattice_ext as lx
-from zigzag_pca.core_types import EXACT_TOL, FiniteAlphabet, HzmcSpec, TransitionTensor
+from zigzag_pca.core_types import (EXACT_TOL, CheckReport, FiniteAlphabet, HzmcSpec,
+                                   TransitionTensor)
 from conftest import corpus_seeds, iterated_nu_eta, near_identity_tensor
 
 
@@ -485,6 +486,100 @@ class TestBruteforceInvariance:
         spec = HzmcSpec(d=d, u=u, rho0=rho0)
         rep = fs.bruteforce_invariance(tens, spec, 2)
         assert not rep.passed
+
+
+def oracle_case(kind: str, kappa: int, seed: int):
+    """(tensor, spec): a factorized kernel with its solved chain, a generic
+    kernel with its (failing) candidate, or the factorized chain with d
+    tampered by 1e-6."""
+    if kind == "generic":
+        tens = fs.random_positive_tensor(kappa, seed)
+    else:
+        tens = fs.make_factorized_tensor(kappa, seed)[0]
+    spec = fs.solve_invariant_hzmc(tens).spec
+    if kind == "tampered":
+        d = np.array(spec.d)
+        d[0, 0] += 1e-6
+        d /= d.sum(axis=1, keepdims=True)
+        spec = HzmcSpec(d=d, u=spec.u, rho0=spec.rho0)
+    return tens, spec
+
+
+def whole_window_oracle(tens, spec, k_max, tol=EXACT_TOL):
+    """The half-line oracle on whole windows: the residual, per-window maxima
+    and first-maximum witness of the full pushed and cylinder laws."""
+    worst, per_k, where = 0.0, [], None
+    for k in range(k_max + 1):
+        diff = np.abs(fs.push_forward_zigzag(tens, spec, k) - fs.hzmc_cylinder_weights(spec, k))
+        rk = float(diff.max())
+        per_k.append(rk)
+        if rk >= worst:
+            worst = rk
+            where = ((k,) + tuple(int(i) for i in np.unravel_index(diff.argmax(), diff.shape))
+                     if rk > tol else None)
+    return worst, per_k, where
+
+
+class TestBlockWalk:
+    """The oracles walk one leading pair at a time and report, bit for bit,
+    what the whole-window comparison reports."""
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    @pytest.mark.parametrize("kind", ["factorized", "generic", "tampered"])
+    def test_half_line_matches_whole_windows(self, kappa, kind):
+        tens, spec = oracle_case(kind, kappa, 40 + kappa)
+        for k in range(4):
+            rep = fs.bruteforce_invariance(tens, spec, k)
+            worst, per_k, where = whole_window_oracle(tens, spec, k)
+            assert rep.residual == worst
+            assert rep.witnesses["per_k"] == per_k
+            assert rep.witnesses["argmax"] == where
+            assert (where is None) == (kind == "factorized")
+
+    def test_tie_reports_first_block(self):
+        # t, d, u and rho0 are unchanged by swapping the two letters, so every
+        # block's difference recurs bit for bit in its mirror block
+        rng = np.random.default_rng(3)
+        half = rng.uniform(0.1, 1.0, (2, 2))
+        t = np.empty((2, 2, 2))
+        t[0] = half / half.sum(axis=1, keepdims=True)
+        t[1] = t[0, ::-1, ::-1]
+        tens = TransitionTensor(FiniteAlphabet(2), t)
+        d, u = np.array([[0.7, 0.3], [0.3, 0.7]]), np.array([[0.4, 0.6], [0.6, 0.4]])
+        spec = HzmcSpec(d=d, u=u, rho0=np.full(2, 0.5))
+        diff = np.abs(fs.push_forward_zigzag(tens, spec, 0) - fs.hzmc_cylinder_weights(spec, 0))
+        hits = np.argwhere(diff == diff.max())
+        assert len({tuple(h[:2]) for h in hits}) > 1          # the maximum in two blocks
+        rep = fs.bruteforce_invariance(tens, spec, 0)
+        assert not rep.passed
+        assert rep.witnesses["argmax"] == (0,) + tuple(int(i) for i in hits[0])
+
+    def test_tie_across_blocks_keeps_first(self):
+        blocks = [np.zeros(3), np.array([0.0, 3.0, 0.0]), np.array([3.0, 0.0, 3.0])]
+        resid, where = fs._sup_distance(iter(blocks), iter([np.zeros(3)] * 3), (3, 3), EXACT_TOL)
+        assert (resid, where) == (3.0, (1, 1))
+
+    @pytest.mark.parametrize("nan_block", [0, 1])
+    def test_nan_block_fails(self, nan_block):
+        blocks = [np.array([0.0, 0.5, 0.0]), np.array([0.0, 0.0, 7.0])]
+        blocks[nan_block][1] = np.nan
+        resid, where = fs._sup_distance(iter(blocks), iter([np.zeros(3)] * 2), (2, 3), EXACT_TOL)
+        assert resid == np.inf and where == (nan_block, 1)       # no later block overwrites it
+        assert not CheckReport("push-forward-oracle", resid, EXACT_TOL).passed
+
+    def test_largest_half_line_window_memory(self):
+        # kappa^(2k+3) = 2^23 entries, the largest window SIZE_GUARD admits: a
+        # whole window is 64 MiB, and the oracle holds about four 16 MiB blocks
+        tens, _, _ = fs.make_factorized_tensor(2, 7)
+        spec = fs.solve_invariant_hzmc(tens).spec
+        tracemalloc.start()
+        try:
+            rep = fs.bruteforce_invariance(tens, spec, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and len(rep.witnesses["per_k"]) == 11
+        assert peak < 80 * 2**20
 
 
 class TestCorpusProperties:

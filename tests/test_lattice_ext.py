@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +328,62 @@ class TestCycleOracle:
         bad = ChzmcSpec(d=d, u=spec.u, n=n, z=lx.partition_function(d, spec.u, n))
         rep = lx.bruteforce_cycle_invariance(tens, bad)
         assert not rep.passed and rep.witnesses["argmax"] is not None
+
+    def test_misnormalized_law_refused(self, two_letter):
+        res = lx.solve_chzmc(two_letter, 3)
+        d, u = res.spec.d, res.spec.u
+        spec = ChzmcSpec(d=d, u=u, n=3, z=1.5 * lx.partition_function(d, u, 3))
+        with pytest.raises(ValueError, match="sums to"):
+            lx.bruteforce_cycle_invariance(two_letter, spec)
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["factorized", "generic", "tampered"])
+    def test_matches_whole_law(self, kappa, n, kind):
+        # the block walk reports the maximum and first argmax of the whole
+        # pushed law against chzmc_density, bit for bit; the push is taken
+        # entry by entry, its factors associated as the chain builder does
+        if kind == "generic":
+            tens = fs.random_positive_tensor(kappa, n)
+            d, u = noncommuting_pair(n + 30, kappa=kappa)
+        else:
+            tens = fs.make_factorized_tensor(kappa, n)[0]
+            spec = lx.solve_chzmc(tens, n).spec
+            d, u = np.array(spec.d), spec.u
+            if kind == "tampered":
+                d[0, 0] += 1e-6
+                d /= d.sum(axis=1, keepdims=True)
+        z = lx.partition_function(d, u, n)
+        spec = ChzmcSpec(d=d, u=u, n=n, z=z)
+        link = (u @ d)[:, None, :] * tens.t.transpose(0, 2, 1)     # ud(a; b) t(a, b; c)
+        pushed = np.zeros((kappa,) * (2 * n))
+        for cfg in itertools.product(range(kappa), repeat=2 * n):
+            y, c = cfg[0::2], cfg[1::2]
+            w = link[y[-1], c[-1], y[0]]
+            for i in range(n - 2, 0, -1):
+                w = link[y[i], c[i], y[i + 1]] * w
+            pushed[cfg] = w * (1.0 / z) if n == 1 else link[y[0], c[0], y[1]] * (1.0 / z) * w
+        diff = np.abs(pushed - lx.chzmc_density(spec).weights)
+        rep = lx.bruteforce_cycle_invariance(tens, spec)
+        assert rep.residual == float(diff.max())
+        where = np.unravel_index(diff.argmax(), diff.shape) if not rep.passed else None
+        assert rep.witnesses["argmax"] == (None if where is None else tuple(int(i) for i in where))
+        assert rep.passed == (kind == "factorized")
+
+    @pytest.mark.parametrize("kappa, n, budget_mib", [(2, 11, 48), (3, 7, 24)])
+    def test_largest_cycle_memory(self, kappa, n, budget_mib):
+        # the largest cycles SIZE_GUARD admits: the whole law is 32 MiB at
+        # (2, 11) and 43 MiB at (3, 7); the oracle holds about four blocks
+        tens, _, _ = fs.make_factorized_tensor(kappa, 7)
+        spec = lx.solve_chzmc(tens, n).spec
+        tracemalloc.start()
+        try:
+            rep = lx.bruteforce_cycle_invariance(tens, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < budget_mib * 2**20
 
     def test_perturbed_up_kernel_fails(self, two_letter):
         res = lx.solve_chzmc(two_letter, 3)

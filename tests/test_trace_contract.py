@@ -57,12 +57,12 @@ def test_finite_commands_produce_spans_and_counters(tmp_path, tracer):
 
     spans = tracer.dump()
     names = {s["name"] for s in spans}
+    # the oracles walk their laws in blocks and call none of push_forward_zigzag,
+    # hzmc_cylinder_weights or chzmc_density; install() still looks those up
     for expected in ("cli.main", "core_types.load_model", "finite_solver.solve_invariant_hzmc",
                      "finite_solver.stationary_distribution", "finite_solver.bruteforce_invariance",
-                     "finite_solver.push_forward_zigzag", "finite_solver.hzmc_cylinder_weights",
                      "lattice_ext.solve_chzmc", "lattice_ext.check_cycle_commutation",
-                     "lattice_ext.partition_function", "lattice_ext.chzmc_density",
-                     "lattice_ext.bruteforce_cycle_invariance"):
+                     "lattice_ext.partition_function", "lattice_ext.bruteforce_cycle_invariance"):
         assert expected in names, expected
 
     def counters(name, key):
