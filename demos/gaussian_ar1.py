@@ -44,9 +44,9 @@ def main():
 
     print("\nsimulation: one synchronous step from a sampled chain line")
     width = 100_000
-    zig = sim.sample_hzmc_line(hz, 2 * width + 1, seed=42)
+    zig = sim.sample_hzmc_lines(hz, 2 * width + 1, 1, seed=42)[0]
     y = zig[1::2]
-    model = sim.ModelInstance(kernel=kern, lattice="N", width=width, seed=42)
+    model = sim.ModelInstance(kernel=kern, lattice="N", seed=42)
     z = sim.step_pca(y, model)
     new_zig = np.empty(2 * (width - 1) + 1)
     new_zig[0::2] = y[:width]
@@ -61,10 +61,9 @@ def main():
     print("\nthe kernel with the diagonal overridden to a point mass is")
     print("indistinguishable from a continuous start (same seed, 100 steps):")
     w2 = 164
-    init = sim.sample_hzmc_line(hz, 2 * w2 - 1, seed=7)[0::2]
-    mg = sim.ModelInstance(kernel=kern, lattice="N", width=w2, seed=7)
-    md = sim.ModelInstance(kernel=ck.gaussian_diag_kernel_density(par),
-                           lattice="N", width=w2, seed=7)
+    init = sim.sample_hzmc_lines(hz, 2 * w2 - 1, 1, seed=7)[0][0::2]
+    mg = sim.ModelInstance(kernel=kern, lattice="N", seed=7)
+    md = sim.ModelInstance(kernel=ck.gaussian_diag_kernel_density(par), lattice="N", seed=7)
     same = np.array_equal(sim.simulate_diagram(mg, init, 100).states,
                           sim.simulate_diagram(md, init, 100).states, equal_nan=True)
     print("  bitwise identical diagrams:", same)

@@ -24,7 +24,7 @@ from . import simulator as sim
 from . import stats as st
 from .core_types import (EXACT_TOL, QUAD_TOL, CheckReport, ChzmcSpec, HzmcSpec,
                          ModelFormatError, decode_array, encode_array,
-                         gauss_legendre_grid, load_model)
+                         gauss_legendre_grid, load_model, whole_number)
 
 
 def _number(key, value, what: str = "kernel field", finite: bool = True) -> float:
@@ -277,7 +277,7 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
                 raise ValueError("cyclic model needs a chzmc spec")
             d = _spec_field(spec, "d")
             u = _spec_field(spec, "u")
-            n = _spec_field(spec, "n", int)
+            n = _spec_field(spec, "n", lambda v: whole_number(v, "cycle length"))
             if n != lattice[1]:
                 raise ValueError(f"spec cycle {n} != model cycle {lattice[1]}")
             if d.shape != (tensor.size, tensor.size):
@@ -305,9 +305,8 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
     if any(_spec_field(spec, key, float) != model["family"][key] for key in fam.fields):
         raise ValueError("spec parameters do not match the model")
     reports, grid, tol, hz = _grid_battery(args, model, fam, params)
-    zig = sim.sample_hzmc_line(hz, 2 * args.width + 1, seed=args.seed)
-    inst = sim.ModelInstance(kernel=fam.battery(params), lattice="N", width=args.width,
-                             seed=args.seed)
+    zig = sim.sample_hzmc_lines(hz, 2 * args.width + 1, 1, args.seed)[0]
+    inst = sim.ModelInstance(kernel=fam.battery(params), lattice="N", seed=args.seed)
     z = sim.step_pca(zig[1::2], inst, t=0)
     ks = st.ks_distance(z[::7], hz.rho0.cdf)
     reports.append(CheckReport("monte-carlo-stationarity", ks.distance, ks.threshold,
@@ -326,7 +325,7 @@ def cmd_simulate(args, model, fam: Family | None, params) -> int:
         init = sim.sample_hzmc_lines(chain, 2 * width - 1, 1, args.seed)[0][0::2]
     else:
         init = fam.init(model["family"], params, width)
-    inst = sim.ModelInstance(kernel=kernel, lattice=model["lattice"], width=width, seed=args.seed)
+    inst = sim.ModelInstance(kernel=kernel, lattice=model["lattice"], seed=args.seed)
     diagram = sim.simulate_diagram(inst, init, args.steps)
 
     out = args.out or "diagram"

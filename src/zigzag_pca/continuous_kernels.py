@@ -187,7 +187,7 @@ def gaussian_kernel_density(params: GaussianPcaParams) -> KernelDensity:
         return (np.asarray(a, dtype=float) + b) / m + sigma * ndtri(_flat_u(u))
 
     return KernelDensity(density=density, sampler=sampler, support="R",
-                         uniforms_per_cell=1, tag=f"gaussian(m={m},sigma={sigma})")
+                         tag=f"gaussian(m={m},sigma={sigma})")
 
 
 def gaussian_diag_kernel_density(params: GaussianPcaParams) -> KernelDensity:
@@ -211,7 +211,6 @@ def gaussian_diag_kernel_density(params: GaussianPcaParams) -> KernelDensity:
         return np.where(a == b, a, base.sampler(a, b, u))
 
     return KernelDensity(density=density, sampler=sampler, support="R",
-                         uniforms_per_cell=1,
                          tag=f"gaussian_diag(m={params.m},sigma={params.sigma})")
 
 
@@ -345,7 +344,6 @@ def beta_kernel_density(params: BetaPcaParams) -> KernelDensity:
 
     return KernelDensity(density=density, sampler=sampler,
                          support="between the neighbors, shifted left by m",
-                         uniforms_per_cell=1,
                          tag=f"beta(alpha={al},beta={be},m={m})")
 
 

@@ -208,15 +208,23 @@ class DensityLaw:
 class KernelDensity:
     """Two-neighbor kernel on the line: density (a, b, c) plus exact sampler.
 
-    ``sampler(a, b, u)`` consumes ``uniforms_per_cell`` uniforms per output
-    cell (u has shape (..., uniforms_per_cell) or (...,) when one suffices).
+    ``sampler(a, b, u)`` maps one uniform per output cell through the inverse
+    CDF of density(a, b, .); u has shape (cells, 1) or (cells,).
     """
 
     density: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     sampler: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     support: str = "R"
-    uniforms_per_cell: int = 1
     tag: str = ""
+
+
+def check_chain_entries(**arrays: np.ndarray) -> None:
+    """Refuse a NaN, infinite or negative entry of a chain kernel or law."""
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} entries must be finite numbers")
+        if np.any(arr < 0):
+            raise ValueError(f"{name} entries must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -242,9 +250,7 @@ class HzmcSpec:
             d = _locked(self.d)
             u = _locked(self.u)
             r = _locked(self.rho0)
-            for name, arr in (("d", d), ("u", u), ("rho0", r)):
-                if not np.all(np.isfinite(arr)):     # a NaN passes the sum checks below
-                    raise ValueError(f"{name} entries must be finite numbers")
+            check_chain_entries(d=d, u=u, rho0=r)
             for name, mat in (("d", d), ("u", u)):
                 if np.abs(mat.sum(axis=1) - 1.0).max() > 1e-9:
                     raise ValueError(f"{name} rows must sum to 1 within 1e-9")
@@ -261,7 +267,8 @@ class HzmcSpec:
 
 @dataclass(frozen=True)
 class ChzmcSpec:
-    """Cyclic zigzag chain on 2n cells with its partition constant z."""
+    """Cyclic zigzag chain on 2n cells with its partition constant z; d and u
+    need not be stochastic, as dividing by z normalizes the law."""
 
     d: object
     u: object
@@ -274,32 +281,34 @@ class ChzmcSpec:
         if not np.isfinite(self.z) or self.z <= 0:
             raise ValueError(f"partition constant must be finite and positive, got {self.z!r}")
         if isinstance(self.d, np.ndarray):
-            object.__setattr__(self, "d", _locked(self.d))
-            object.__setattr__(self, "u", _locked(self.u))
+            d, u = _locked(self.d), _locked(self.u)
+            check_chain_entries(d=d, u=u)
+            object.__setattr__(self, "d", d)
+            object.__setattr__(self, "u", u)
 
 
 @dataclass(frozen=True)
 class SpaceTimeDiagram:
-    """Stacked states of a synchronous run.
-
-    ``states[t, j]`` is the value of site j at step t.  Runs with a shrinking
-    window pad missing right-edge cells with NaN; cyclic runs index sites
-    mod width.
+    """Stacked states of a synchronous run: ``states[t, j]`` is the value of
+    site j at step t, so the shape is (steps + 1, width).  Open-window runs
+    pad missing right-edge cells with NaN; cyclic runs index sites mod width.
     """
 
-    lattice: str
-    width: int
-    steps: int
     states: np.ndarray
-    seed: int
 
     def __post_init__(self):
         arr = _locked(self.states)
-        if arr.shape != (self.steps + 1, self.width):
-            raise ValueError(
-                f"states shape {arr.shape} inconsistent with steps={self.steps}, width={self.width}"
-            )
+        if arr.ndim != 2 or arr.shape[0] < 1:
+            raise ValueError(f"states must be a (steps + 1, width) array, got shape {arr.shape}")
         object.__setattr__(self, "states", arr)
+
+    @property
+    def steps(self) -> int:
+        return self.states.shape[0] - 1
+
+    @property
+    def width(self) -> int:
+        return self.states.shape[1]
 
     def row(self, t: int) -> np.ndarray:
         """Live cells of step t (NaN padding stripped)."""
@@ -430,6 +439,14 @@ def _scalar(value, cast, what):
         raise ModelFormatError(f"{what} must be a number, got {value!r}") from None
 
 
+def whole_number(value, what) -> int:
+    """``value`` as an int: 3 and 3.0 pass, 3.5 and booleans do not."""
+    n = _scalar(value, int, what)
+    if isinstance(value, bool) or (isinstance(value, float) and n != value):
+        raise ModelFormatError(f"{what} must be a whole number, got {value!r}")
+    return n
+
+
 def parse_model(doc: dict) -> dict:
     """Validate a model document and materialize its pieces.
 
@@ -446,7 +463,7 @@ def parse_model(doc: dict) -> dict:
     cycle = lat["cycle"] if isinstance(lat, dict) and set(lat) == {"cycle"} else None
     if lat in ("N", "Z"):
         lattice = lat
-    elif cycle is not None and _scalar(cycle, int, "cycle length") >= 1:
+    elif cycle is not None and whole_number(cycle, "cycle length") >= 1:
         lattice = ("cycle", int(cycle))
     else:
         raise ModelFormatError(f"lattice must be 'N', 'Z' or {{'cycle': n}}, got {lat!r}")

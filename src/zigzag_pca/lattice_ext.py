@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_types import EXACT_TOL, CheckReport, ChzmcSpec, TransitionTensor
+from .core_types import (EXACT_TOL, CheckReport, ChzmcSpec, TransitionTensor,
+                         check_chain_entries)
 from .finite_solver import (SIZE_GUARD, BaseTriple, EigenSolveResult, _chain_blocks, _fill,
                             _grow, _push_link, _sup_distance, _witness, build_hzmc_kernels,
                             check_belyaev, select_base_triple, solve_eta, solve_nu)
@@ -76,8 +77,9 @@ def partition_function(d: np.ndarray, u: np.ndarray, n: int) -> float:
     """Z(d, u) = trace((DU)^n); must come out finite and positive."""
     if n < 1:
         raise ValueError("cycle length must be >= 1")
-    step = np.asarray(d, dtype=float) @ np.asarray(u, dtype=float)
-    z = float(np.trace(np.linalg.matrix_power(step, n)))
+    d, u = np.asarray(d, dtype=float), np.asarray(u, dtype=float)
+    check_chain_entries(d=d, u=u)
+    z = float(np.trace(np.linalg.matrix_power(d @ u, n)))
     if not np.isfinite(z) or z <= 0:
         raise ValueError(f"partition constant {z!r} is not finite positive; spec rejected")
     return z

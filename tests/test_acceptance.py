@@ -152,10 +152,9 @@ def test_06_ar1_validation():
     hz = ck.gaussian_invariant_hzmc(par)
     ar = ck.ar1_parameters(par)
     width = 100_000
-    zig = sim.sample_hzmc_line(hz, 2 * width + 1, seed=606)
+    zig = sim.sample_hzmc_lines(hz, 2 * width + 1, 1, seed=606)[0]
     y = zig[1::2]
-    model = sim.ModelInstance(kernel=ck.gaussian_kernel_density(par),
-                              lattice="N", width=width, seed=606)
+    model = sim.ModelInstance(kernel=ck.gaussian_kernel_density(par), lattice="N", seed=606)
     z = sim.step_pca(y, model, t=0)
     new_zig = np.empty(2 * (width - 1) + 1)
     new_zig[0::2] = y[:width]
@@ -231,19 +230,16 @@ def test_08_equivalence_and_frozen_dynamics():
     par = ck.GaussianPcaParams(3.0, 1.0)
     hz = ck.gaussian_invariant_hzmc(par)
     width = 164
-    init = sim.sample_hzmc_line(hz, 2 * width - 1, seed=88)[0::2]
-    mg = sim.ModelInstance(kernel=ck.gaussian_kernel_density(par), lattice="N",
-                           width=width, seed=88)
-    md = sim.ModelInstance(kernel=ck.gaussian_diag_kernel_density(par), lattice="N",
-                           width=width, seed=88)
+    init = sim.sample_hzmc_lines(hz, 2 * width - 1, 1, seed=88)[0][0::2]
+    mg = sim.ModelInstance(kernel=ck.gaussian_kernel_density(par), lattice="N", seed=88)
+    md = sim.ModelInstance(kernel=ck.gaussian_diag_kernel_density(par), lattice="N", seed=88)
     dg = sim.simulate_diagram(mg, init, 100)
     dd = sim.simulate_diagram(md, init, 100)
     ok = np.array_equal(dg.states, dd.states, equal_nan=True)
 
     r = 0.5
     frozen = 2 * r * np.arange(40)
-    model = sim.ModelInstance(kernel=sim.TasepRule(r=r, v=4 * r, p=1.0),
-                              lattice="Z", width=40, seed=1)
+    model = sim.ModelInstance(kernel=sim.TasepRule(r=r, v=4 * r, p=1.0), lattice="Z", seed=1)
     diag = sim.simulate_diagram(model, frozen, 15)
     ok &= all(np.array_equal(diag.row(t), frozen[: 40 - t]) for t in range(16))
 

@@ -13,7 +13,7 @@ from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
 from zigzag_pca.cli import main
 from zigzag_pca.core_types import (MAX_GRID_POINTS, FiniteAlphabet, TransitionTensor,
-                                   save_model)
+                                   decode_array, encode_array, save_model)
 from conftest import near_identity_tensor, three_letter_tensor
 
 
@@ -217,6 +217,47 @@ class TestSolveVerify:
         for cond in ("cycle-factorization", "cycle-push-forward-oracle"):
             assert by_name[cond]["passed"] and by_name[cond]["witnesses"]["argmax"] is None
 
+    @pytest.mark.filterwarnings("error")    # a numpy RuntimeWarning is not one error line
+    @pytest.mark.parametrize("edit", ["sign-gauge", "infinite-entry", "scaled"])
+    def test_cyclic_spec_entries(self, files, capsys, tmp_path, edit):
+        # the sign gauge S d S, S u S with S = diag(1, -1) keeps every trace
+        # of (DU)^n, so only an entry check tells it from the solved chain
+        spec = tmp_path / "cspec.json"
+        assert run_main("solve", "--model", files["two_letter_cycle"], "--out", spec) == 0
+        doc = json.loads(spec.read_text())
+        d, u = decode_array(doc["d"]), decode_array(doc["u"])
+        if edit == "sign-gauge":
+            sign = np.diag([1.0, -1.0])
+            d, u = sign @ d @ sign, sign @ u @ sign
+        elif edit == "infinite-entry":
+            d[0, 1] = np.inf
+        else:
+            d = 5 * d          # not stochastic, but the same law after division by z
+        doc["d"], doc["u"] = encode_array(d), encode_array(u)
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_main("verify", "--model", files["two_letter_cycle"], "--spec", spec)
+        captured = capsys.readouterr()
+        if edit == "scaled":
+            assert code == 0
+            return
+        assert code == 2 and captured.out == ""
+        assert _single_error_line(captured.err)
+        assert ("d entries must be nonnegative" if edit == "sign-gauge"
+                else "d entries must be finite numbers") in captured.err
+
+    @pytest.mark.parametrize("n, code", [(3.0, 0), (3.5, 2), (True, 2), ("x", 2)])
+    def test_spec_cycle_length_must_be_whole(self, files, capsys, tmp_path, n, code):
+        spec = tmp_path / "cspec.json"
+        assert run_main("solve", "--model", files["two_letter_cycle"], "--out", spec) == 0
+        doc = json.loads(spec.read_text())
+        doc["n"] = n
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_main("verify", "--model", files["two_letter_cycle"], "--spec", spec) == code
+        if code == 2:
+            assert "spec field 'n' is missing or malformed" in capsys.readouterr().err
+
     def test_tampered_spec_fails_with_location(self, files, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         run_main("solve", "--model", files["two_letter"], "--out", spec)
@@ -359,6 +400,19 @@ class TestBadInput:
         path = _write_model(tmp_path / "bad.json", doc)
         assert run_main("check", "--model", path) == 2
         assert _single_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("cycle", [3.5, True])
+    def test_cycle_length_must_be_whole(self, tmp_path, capsys, cycle):
+        path = _write_model(tmp_path / "bad.json", {**TENSOR_DOC, "lattice": {"cycle": cycle}})
+        assert run_main("check", "--model", path) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        assert f"cycle length must be a whole number, got {cycle!r}" in err
+
+    def test_whole_float_cycle_length_accepted(self, tmp_path, capsys):
+        path = _write_model(tmp_path / "c.json", {**TENSOR_DOC, "lattice": {"cycle": 3.0}})
+        assert run_main("check", "--model", path) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["cycle"] == 3
 
     @pytest.mark.parametrize("model,flags", [
         ("gauss", ("--tol", "nan")), ("gauss", ("--tol", "-1")), ("two_letter", ("--tol", "inf")),

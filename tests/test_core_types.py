@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from zigzag_pca.core_types import (MAX_GRID_POINTS, CheckReport, FiniteAlphabet, GridMeasure,
-                                   HzmcSpec, TransitionTensor, decode_array, encode_array,
+from zigzag_pca.core_types import (MAX_GRID_POINTS, CheckReport, ChzmcSpec, FiniteAlphabet,
+                                   GridMeasure, HzmcSpec, TransitionTensor, decode_array, encode_array,
                                    gauss_legendre_grid, load_model, normalize_rows,
                                    parse_model, save_model, trapezoid_grid,
                                    ModelFormatError)
@@ -105,6 +105,29 @@ class TestHzmcSpec:
         parts[field].flat[0] = value
         with pytest.raises(ValueError, match="finite"):
             HzmcSpec(**parts)
+
+    @pytest.mark.parametrize("field", ["d", "u", "rho0"])
+    def test_negative_entries_rejected(self, field):
+        # rows that still sum to one, so only the sign check can refuse them
+        parts = {"d": np.full((2, 2), 0.5), "u": np.full((2, 2), 0.5), "rho0": np.full(2, 0.5)}
+        parts[field].flat[:2] = [1.5, -0.5]
+        with pytest.raises(ValueError, match="nonnegative"):
+            HzmcSpec(**parts)
+
+
+class TestChzmcSpec:
+    @pytest.mark.parametrize("field", ["d", "u"])
+    @pytest.mark.parametrize("value", [-0.25, np.nan, np.inf])
+    def test_signed_or_non_finite_entries_rejected(self, field, value):
+        parts = {"d": np.full((2, 2), 0.5), "u": np.full((2, 2), 0.5)}
+        parts[field][1, 0] = value
+        with pytest.raises(ValueError, match=f"{field} entries must be (finite|nonnegative)"):
+            ChzmcSpec(n=3, z=1.0, **parts)
+
+    def test_non_stochastic_kernels_accepted(self):
+        # z normalizes the law, so a rescaled d is the same chain
+        spec = ChzmcSpec(d=5 * np.full((2, 2), 0.5), u=np.full((2, 2), 0.5), n=3, z=125.0)
+        assert spec.d[0, 0] == 2.5
 
 
 class TestCheckReport:

@@ -33,12 +33,12 @@ class TestRowUniforms:
 class TestSampleHzmcLine:
     def test_identity_kernels_freeze_the_line(self):
         spec = HzmcSpec(d=np.eye(3), u=np.eye(3), rho0=np.array([0.2, 0.3, 0.5]))
-        line = sim.sample_hzmc_line(spec, 31, seed=5)
+        line = sim.sample_hzmc_lines(spec, 31, 1, seed=5)[0]
         assert np.all(line == line[0])
 
     def test_two_letter_marginal(self, two_letter):
         res = fs.solve_invariant_hzmc(two_letter)
-        zig = sim.sample_hzmc_line(res.spec, 2 * 100_000 + 1, seed=11)
+        zig = sim.sample_hzmc_lines(res.spec, 2 * 100_000 + 1, 1, seed=11)[0]
         x = zig[0::2]
         s = st.summarize_line(x)
         assert abs(s.mean - 0.5) < 3 * s.se_mean
@@ -47,7 +47,7 @@ class TestSampleHzmcLine:
         par = ck.GaussianPcaParams(3.0, 1.0)
         hz = ck.gaussian_invariant_hzmc(par)
         ar = ck.ar1_parameters(par)
-        zig = sim.sample_hzmc_line(hz, 200_001, seed=23)
+        zig = sim.sample_hzmc_lines(hz, 200_001, 1, seed=23)[0]
         s = st.summarize_line(zig)
         assert abs(s.autocorr[0] - ar.phi) < 3 * s.se_autocorr[0]
         x = zig[0::2]
@@ -97,14 +97,14 @@ class TestLineSamplerStream:
 class TestStepPca:
     def test_copy_left_kernel_shifts_window(self):
         tens = copy_left_tensor()
-        model = sim.ModelInstance(kernel=tens, lattice="N", width=10, seed=3)
+        model = sim.ModelInstance(kernel=tens, lattice="N", seed=3)
         line = np.arange(10) % 3
         out = sim.step_pca(line, model, t=0)
         assert np.array_equal(out, line[:-1])
 
     def test_uniform_kernel_ignores_input(self):
         tens = TransitionTensor(FiniteAlphabet(2), np.full((2, 2, 2), 0.5))
-        model = sim.ModelInstance(kernel=tens, lattice="N", width=40_001, seed=9)
+        model = sim.ModelInstance(kernel=tens, lattice="N", seed=9)
         out = sim.step_pca(np.zeros(40_001, dtype=int), model, t=0)
         s = st.summarize_line(out.astype(float))
         assert abs(s.mean - 0.5) < 3 * s.se_mean
@@ -112,9 +112,9 @@ class TestStepPca:
     def test_invariant_pair_law(self, two_letter):
         res = fs.solve_invariant_hzmc(two_letter)
         width = 100_001
-        zig = sim.sample_hzmc_line(res.spec, 2 * width + 1, seed=31)
+        zig = sim.sample_hzmc_lines(res.spec, 2 * width + 1, 1, seed=31)[0]
         y = zig[1::2].astype(int)
-        model = sim.ModelInstance(kernel=two_letter, lattice="N", width=width, seed=31)
+        model = sim.ModelInstance(kernel=two_letter, lattice="N", seed=31)
         z = sim.step_pca(y, model, t=0)
         du = res.spec.d @ res.spec.u
         target = res.spec.rho0[:, None] * du
@@ -131,16 +131,26 @@ class TestStepPca:
 
     def test_cycle_wraps(self):
         tens = copy_left_tensor(2)
-        model = sim.ModelInstance(kernel=tens, lattice="cycle", width=5,
-                                  boundary="cycle", seed=0)
+        model = sim.ModelInstance(kernel=tens, lattice="cycle", seed=0)
         line = np.array([0, 1, 0, 1, 1])
         out = sim.step_pca(line, model, t=0)
         assert out.size == 5
         assert np.array_equal(out, line)
 
-    def test_unknown_boundary_refused(self, two_letter):
-        with pytest.raises(ValueError, match="boundary"):
-            sim.ModelInstance(kernel=two_letter, lattice="N", width=50, boundary="resample")
+    def test_unknown_lattice_refused(self, two_letter):
+        for lattice in ("bogus", "shrink", ("cycle", 5)):
+            with pytest.raises(ValueError, match="unknown lattice"):
+                sim.ModelInstance(kernel=two_letter, lattice=lattice)
+
+    def test_tasep_on_a_cycle_refused(self):
+        with pytest.raises(ValueError, match="open shrinking window only"):
+            sim.ModelInstance(kernel=sim.TasepRule(r=0.5, v=1.0, p=0.5), lattice="cycle")
+
+    @pytest.mark.parametrize("lattice", ["N", "cycle"])
+    def test_line_below_two_cells_refused(self, lattice):
+        model = sim.ModelInstance(kernel=copy_left_tensor(), lattice=lattice)
+        with pytest.raises(ValueError, match="width must be >= 2"):
+            sim.step_pca(np.array([1]), model)
 
     @pytest.mark.parametrize("kappa", [2, 4, 16])
     def test_cumulative_table_matches_per_cell_sums(self, kappa):
@@ -158,16 +168,15 @@ class TestStepPca:
 class TestSimulateDiagram:
     def test_zero_steps_echo(self):
         tens = copy_left_tensor()
-        model = sim.ModelInstance(kernel=tens, lattice="N", width=6, seed=1)
+        model = sim.ModelInstance(kernel=tens, lattice="N", seed=1)
         init = np.array([0, 1, 2, 0, 1, 2])
         diag = sim.simulate_diagram(model, init, 0)
         assert np.array_equal(diag.states[0], init.astype(float))
-        assert diag.steps == 0
+        assert diag.steps == 0 and diag.width == 6
 
     def test_bitwise_deterministic(self):
         par = ck.GaussianPcaParams(3.0, 1.0)
-        model = sim.ModelInstance(kernel=ck.gaussian_kernel_density(par),
-                                  lattice="N", width=30, seed=77)
+        model = sim.ModelInstance(kernel=ck.gaussian_kernel_density(par), lattice="N", seed=77)
         init = np.linspace(-1, 1, 30)
         a = sim.simulate_diagram(model, init, 10)
         b = sim.simulate_diagram(model, init, 10)
@@ -175,8 +184,7 @@ class TestSimulateDiagram:
 
     def test_dependency_cone_grows_one_site_per_step(self):
         par = ck.GaussianPcaParams(3.0, 1.0)
-        model = sim.ModelInstance(kernel=ck.gaussian_kernel_density(par),
-                                  lattice="N", width=41, seed=13)
+        model = sim.ModelInstance(kernel=ck.gaussian_kernel_density(par), lattice="N", seed=13)
         init = np.linspace(-1, 1, 41)
         bumped = init.copy()
         s = 20
@@ -195,48 +203,58 @@ class TestSimulateDiagram:
 
     def test_shrink_needs_enough_width(self):
         tens = copy_left_tensor()
-        model = sim.ModelInstance(kernel=tens, lattice="N", width=5, seed=1)
+        model = sim.ModelInstance(kernel=tens, lattice="N", seed=1)
         with pytest.raises(ValueError, match="width"):
             sim.simulate_diagram(model, np.zeros(5, dtype=int), 5)
 
 
+def tasep_model(r, v, p, seed):
+    return sim.ModelInstance(kernel=sim.TasepRule(r=r, v=v, p=p), lattice="Z", seed=seed)
+
+
+def fpp(row, law, seed, lattice="N"):
+    """One first-passage step of ``row`` under i.i.d. ``law`` edge weights."""
+    return sim.step_pca(row, sim.ModelInstance(kernel=sim.FppRule(law), lattice=lattice,
+                                               seed=seed))
+
+
 class TestTasep:
     def test_free_flow_all_shift(self):
-        cfg = sim.TasepConfig(10.0 * np.arange(20), r=0.5, v=1.0, p=1.0)
-        out = sim.tasep_step(cfg, seed=1)
-        assert np.allclose(out.positions, cfg.positions + 1.0)
+        x = 10.0 * np.arange(20)
+        out = sim.step_pca(x, tasep_model(r=0.5, v=1.0, p=1.0, seed=1))
+        assert np.allclose(out, x[:-1] + 1.0)
 
     def test_full_blocking_pair(self):
-        cfg = sim.TasepConfig(np.array([0.0, 1.0]), r=0.5, v=1.0, p=1.0)
-        out = sim.tasep_step(cfg, seed=1)
-        assert out.positions[0] == 0.0      # blocked at next - 2r = 0
-        assert out.positions[1] == 2.0      # edge particle unobstructed
+        x = np.array([0.0, 1.0, 5.0])
+        out = sim.step_pca(x, tasep_model(r=0.5, v=1.0, p=1.0, seed=1))
+        assert out[0] == 0.0      # blocked at next - 2r = 0
+        assert out[1] == 2.0      # free: next - 2r = 4 lies beyond x + v
+        assert out.size == 2      # the rightmost particle has no known neighbor
 
     def test_move_fraction_matches_p(self):
-        cfg = sim.TasepConfig(10.0 * np.arange(10_000), r=1.0, v=1.0, p=0.5)
-        out = sim.tasep_step(cfg, seed=9)
-        frac = float(np.mean(out.positions != cfg.positions))
+        x = 10.0 * np.arange(10_001)
+        out = sim.step_pca(x, tasep_model(r=1.0, v=1.0, p=0.5, seed=9))
+        frac = float(np.mean(out != x[:-1]))
         se = np.sqrt(0.25 / 10_000)
         assert abs(frac - 0.5) < 3 * se
 
     def test_admissibility_preserved_exactly(self):
         rng = np.random.default_rng(4)
         gaps = 2 * 0.3 + rng.exponential(0.5, size=200)
-        cfg = sim.TasepConfig(np.cumsum(gaps), r=0.3, v=0.9, p=0.7)
+        x = np.cumsum(gaps)
+        model = tasep_model(r=0.3, v=0.9, p=0.7, seed=5)
         for t in range(25):
-            cfg = sim.tasep_step(cfg, seed=5, t=t)
-            x = cfg.positions
+            x = sim.step_pca(x, model, t=t)
             assert np.all(x[:-1] + 2 * 0.3 <= x[1:])
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError, match="inadmissible"):
-            sim.TasepConfig(np.array([0.0, 0.5]), r=0.5, v=1.0, p=1.0)
+            sim.step_pca(np.array([0.0, 0.5]), tasep_model(r=0.5, v=1.0, p=1.0, seed=1))
 
     def test_frozen_configuration_is_invariant(self):
         r = 0.5
         x0 = 2 * r * np.arange(40)
-        model = sim.ModelInstance(kernel=sim.TasepRule(r=r, v=4 * r, p=1.0),
-                                  lattice="Z", width=40, seed=6)
+        model = tasep_model(r=r, v=4 * r, p=1.0, seed=6)
         diag = sim.simulate_diagram(model, x0, 12)
         for t in range(13):
             assert np.array_equal(diag.row(t), x0[: 40 - t])
@@ -244,33 +262,46 @@ class TestTasep:
 
 class TestFpp:
     def test_dirac_weights(self):
-        out = sim.fpp_step(np.zeros(10), sim.WeightLaw("dirac", (2.5,)), seed=1)
-        assert np.allclose(out, 2.5)
+        out = fpp(np.zeros(10), sim.WeightLaw("dirac", (2.5,)), seed=1)
+        assert out.size == 9 and np.allclose(out, 2.5)
 
     def test_min_plus_shift_covariance(self):
         row = np.abs(np.sin(np.arange(50)))
         law = sim.WeightLaw("exp", (1.0,))
-        a = sim.fpp_step(row, law, seed=3)
-        b = sim.fpp_step(row + 4.0, law, seed=3)
+        a = fpp(row, law, seed=3)
+        b = fpp(row + 4.0, law, seed=3)
         assert np.allclose(b, a + 4.0)
 
     def test_monotone_in_inputs(self):
         row = np.linspace(0, 3, 60)
         law = sim.WeightLaw("uniform", (0.0, 1.0))
-        a = sim.fpp_step(row, law, seed=8)
+        a = fpp(row, law, seed=8)
         higher = row.copy()
         higher[30] += 1.0
-        b = sim.fpp_step(higher, law, seed=8)
+        b = fpp(higher, law, seed=8)
         assert np.all(b >= a - 1e-15)
 
     def test_exponential_min_mean(self):
-        out = sim.fpp_step(np.zeros(10_001), sim.WeightLaw("exp", (1.0,)), seed=2)
+        out = fpp(np.zeros(10_001), sim.WeightLaw("exp", (1.0,)), seed=2)
         s = st.summarize_line(out)
         assert abs(s.mean - 0.5) < 3 * s.se_mean
 
     def test_negative_input_rejected(self):
-        with pytest.raises(ValueError):
-            sim.fpp_step(np.array([-1.0, 0.0]), sim.WeightLaw("dirac", (1.0,)), seed=1)
+        for lattice in ("N", "cycle"):
+            with pytest.raises(ValueError, match="nonnegative"):
+                fpp(np.array([0.0, -1.0]), sim.WeightLaw("dirac", (1.0,)), seed=1,
+                    lattice=lattice)
+
+    def test_cycle_wraps_and_keeps_width(self):
+        row = np.array([0.0, 3.0, 1.0, 5.0, 2.0])
+        out = fpp(row, sim.WeightLaw("dirac", (1.0,)), seed=1, lattice="cycle")
+        assert np.array_equal(out, np.minimum(row, np.roll(row, -1)) + 1.0)
+        # more steps than cells: an open window would have died out
+        model = sim.ModelInstance(kernel=sim.FppRule(sim.WeightLaw("exp", (1.0,))),
+                                  lattice="cycle", seed=4)
+        diag = sim.simulate_diagram(model, row, 12)
+        assert diag.states.shape == (13, 5) and not np.any(np.isnan(diag.states))
+        assert np.all(np.diff(diag.states.min(axis=1)) > 0)     # passage times grow
 
     @pytest.mark.parametrize("family, params", [
         ("lognormal", (1.0,)), (["exp"], (1.0,)),
@@ -293,10 +324,16 @@ class TestFpp:
 
 
 class TestDiagramIO:
+    def test_steps_and_width_come_from_the_states(self):
+        diag = SpaceTimeDiagram(np.zeros((4, 9)))
+        assert (diag.steps, diag.width) == (3, 9)
+        for bad in (np.zeros(9), np.zeros((0, 9)), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError, match="steps"):
+                SpaceTimeDiagram(bad)
+
     def test_binary_roundtrip(self, tmp_path):
         par = ck.GaussianPcaParams(3.0, 1.0)
-        model = sim.ModelInstance(kernel=ck.gaussian_kernel_density(par),
-                                  lattice="N", width=12, seed=5)
+        model = sim.ModelInstance(kernel=ck.gaussian_kernel_density(par), lattice="N", seed=5)
         diag = sim.simulate_diagram(model, np.linspace(-1, 1, 12), 4)
         path = tmp_path / "d.bin"
         sim.write_diagram_binary(diag, path)
@@ -306,7 +343,7 @@ class TestDiagramIO:
 
     def test_csv_rows(self, tmp_path):
         tens = copy_left_tensor(2)
-        model = sim.ModelInstance(kernel=tens, lattice="N", width=5, seed=5)
+        model = sim.ModelInstance(kernel=tens, lattice="N", seed=5)
         diag = sim.simulate_diagram(model, np.zeros(5, dtype=int), 2)
         path = tmp_path / "d.csv"
         sim.write_diagram_csv(diag, path)
@@ -322,7 +359,7 @@ class TestDiagramIO:
         states[1, :8] = rng.normal(size=8) * 10.0 ** rng.integers(-300, 300, size=8)
         states[2, :7] = -rng.random(7)
         states[3, :6] = np.arange(6)
-        diag = SpaceTimeDiagram(lattice="N", width=9, steps=3, states=states, seed=0)
+        diag = SpaceTimeDiagram(states)
         path = tmp_path / "d.csv"
         sim.write_diagram_csv(diag, path)
         expected = "".join(",".join(format(v, ".17g") for v in diag.row(t)) + "\n"

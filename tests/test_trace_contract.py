@@ -1,9 +1,10 @@
 """The benchmark's tracer must still find every function it wraps.
 
 ``perfbench/tracing.py`` patches the functions named in its ``TRACED`` table
-and reads counters from their arguments (``tensor``, ``k_max``, ``spec``) and
-results.  A rename in the package would crash a traced benchmark run; this
-test runs the finite commands under the tracer so the rename fails here.
+and reads counters from their arguments (``tensor``, ``k_max``, ``spec``,
+``length``, ``n_chains``, ``path``) and results.  A rename in the package would
+crash a traced benchmark run; these tests run the finite commands under the
+tracer so the rename fails here.
 """
 
 import contextlib
@@ -76,3 +77,26 @@ def test_finite_commands_produce_spans_and_counters(tmp_path, tracer):
     assert set(counters("lattice_ext.check_cycle_commutation", "sweeps")) <= {0, 1}
     assert len(counters("lattice_ext.check_cycle_commutation", "sweeps")) >= 3
 
+
+
+def test_finite_simulate_produces_spans_and_counters(tmp_path, tracer):
+    two = three_letter_tensor().restrict([1, 2])
+    model, out = tmp_path / "half.json", tmp_path / "sim"
+    save_model(model, two.alphabet, two, "N")
+    width, steps = 40, 6
+    assert _run(tracer, "simulate", "simulate", "--model", model, "--width", width,
+                "--steps", steps, "--out", out) == 0
+
+    spans = tracer.dump()
+    names = [s["name"] for s in spans]
+
+    def counters(name, key):
+        return [s[key] for s in spans if s["name"] == name]
+
+    # the initial line is the even half of a zigzag of 2 width - 1 cells
+    assert counters("simulator.sample_hzmc_lines", "cells") == [2 * width - 1]
+    assert names.count("simulator.simulate_diagram") == 1
+    assert names.count("simulator.step_pca") == names.count("simulator.row_uniforms") == steps
+    for writer, suffix in (("write_diagram_csv", ".csv"), ("write_diagram_binary", ".bin")):
+        size = (tmp_path / f"sim{suffix}").stat().st_size
+        assert counters(f"simulator.{writer}", "bytes") == [size]
