@@ -24,25 +24,15 @@ from . import simulator as sim
 from . import stats as st
 from .core_types import (EXACT_TOL, QUAD_TOL, CheckReport, ChzmcSpec, HzmcSpec,
                          ModelFormatError, decode_array, encode_array,
-                         gauss_legendre_grid, load_model, whole_number)
-
-
-def _number(key, value, what: str = "kernel field", finite: bool = True) -> float:
-    """A numeric field: a JSON number, not a string, boolean or null, and
-    finite unless ``finite`` is false (NaN and Infinity parse as numbers)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} {key!r} must be a number, got {value!r}")
-    if finite and not math.isfinite(value):
-        raise ValueError(f"{what} {key!r} must be a finite number, got {value!r}")
-    return float(value)
+                         gauss_legendre_grid, load_model, number_field)
 
 
 def _fpp_rule(block) -> sim.FppRule:
     weights = block.get("weight_params", [1.0])
     if not isinstance(weights, list):
         raise ValueError(f"kernel field 'weight_params' must be a list, got {weights!r}")
-    return sim.FppRule(sim.WeightLaw(block.get("weight_family", "exp"),
-                                     tuple(_number("weight_params", w) for w in weights)))
+    law = tuple(number_field(w, "kernel field 'weight_params'") for w in weights)
+    return sim.FppRule(sim.WeightLaw(block.get("weight_family", "exp"), law))
 
 
 @dataclass(frozen=True)
@@ -89,12 +79,12 @@ FAMILIES = {
     "tasep": Family(
         fields=("r", "v", "p"), params=lambda b: sim.TasepRule(r=b["r"], v=b["v"], p=b["p"]),
         kernel=lambda rule: rule,
-        init=lambda b, rule, width: (_number("spacing", b.get("spacing", 2.0 * rule.r))
-                                     * np.arange(width))),
+        init=lambda b, rule, width: (number_field(b.get("spacing", 2.0 * rule.r),
+                                                  "kernel field 'spacing'") * np.arange(width))),
     "fpp": Family(
         fields=(), params=_fpp_rule, kernel=lambda rule: rule,
-        init=lambda b, rule, width: np.full(width,
-                                            _number("init_value", b.get("init_value", 0.0)))),
+        init=lambda b, rule, width: np.full(width, number_field(b.get("init_value", 0.0),
+                                                                "kernel field 'init_value'"))),
 }
 
 
@@ -272,15 +262,16 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
         tensor = model["tensor"]
         tol = _tol(args, EXACT_TOL)
         lattice = model["lattice"]
+        square = (tensor.size, tensor.size)
         if isinstance(lattice, tuple):
             if spec.get("type") != "chzmc":
                 raise ValueError("cyclic model needs a chzmc spec")
             d = _spec_field(spec, "d")
             u = _spec_field(spec, "u")
-            n = _spec_field(spec, "n", lambda v: whole_number(v, "cycle length"))
+            n = _spec_field(spec, "n", lambda v: number_field(v, "cycle length", whole=True))
             if n != lattice[1]:
                 raise ValueError(f"spec cycle {n} != model cycle {lattice[1]}")
-            if d.shape != (tensor.size, tensor.size):
+            if d.shape != square or u.shape != square:
                 raise ValueError("spec kernels incompatible with model alphabet")
             z = lx.partition_function(d, u, n)
             cspec = ChzmcSpec(d=d, u=u, n=n, z=z)
@@ -289,11 +280,10 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
             return _report(args, "verify", reports, tol=tol, z=z)
         if spec.get("type") != "hzmc" or "d" not in spec:
             raise ValueError("finite model needs an hzmc spec with inline kernels")
-        d = _spec_field(spec, "d")
-        if d.shape != (tensor.size, tensor.size):
+        d, u, rho0 = (_spec_field(spec, key) for key in ("d", "u", "rho0"))
+        if d.shape != square or u.shape != square or rho0.shape != square[:1]:
             raise ValueError("spec kernels incompatible with model alphabet")
-        hz = HzmcSpec(d=d, u=_spec_field(spec, "u"), rho0=_spec_field(spec, "rho0"),
-                      lattice=spec.get("lattice", "N"))
+        hz = HzmcSpec(d=d, u=u, rho0=rho0, lattice=spec.get("lattice", "N"))
         rep = fs.bruteforce_invariance(tensor, hz, args.kmax, tol=tol)
         return _report(args, "verify", [rep], tol=tol, kmax=args.kmax)
 
@@ -302,8 +292,11 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
     name = fam.chain(params).meta["family"]
     if spec.get("family") != name:
         raise ValueError(f"continuous verify needs a {name} spec")
-    if any(_spec_field(spec, key, float) != model["family"][key] for key in fam.fields):
+    if any(_spec_field(spec, key, lambda v: number_field(v, key)) != model["family"][key]
+           for key in fam.fields):
         raise ValueError("spec parameters do not match the model")
+    if args.width < 2:          # before the battery: the refusal costs no quadrature
+        raise ValueError("width must be >= 2")
     reports, grid, tol, hz = _grid_battery(args, model, fam, params)
     zig = sim.sample_hzmc_lines(hz, 2 * args.width + 1, 1, args.seed)[0]
     inst = sim.ModelInstance(kernel=fam.battery(params), lattice="N", seed=args.seed)
@@ -359,7 +352,7 @@ def cmd_report(doc: dict) -> int:
     for i, rep in enumerate(reports):
         for key in ("residual", "tolerance"):
             # a failed condition may report residual inf
-            _number(key, rep.get(key), f"report {i} field", finite=False)
+            number_field(rep.get(key), f"report {i} field {key!r}", finite=False)
     for rep in reports:
         flag = "pass" if rep.get("passed") else "FAIL"
         print(f"[{flag}] {rep.get('condition')}: residual {rep.get('residual'):.3e} "
@@ -414,7 +407,7 @@ def main(argv=None) -> int:
             if fam is None:
                 raise ValueError(f"unknown kernel family {block['family']!r}")
             for key in fam.fields:
-                _number(key, block.get(key))
+                number_field(block.get(key), f"kernel field {key!r}")
             params = fam.params(block)
         elif (getattr(args, "grid_points", None),
               getattr(args, "grid_halfwidth", None)) != (None, None):

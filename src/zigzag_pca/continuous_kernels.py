@@ -1,7 +1,8 @@
 """Kernels on the real line: the Gaussian family (closed-form invariant
 chain, AR(1) link), the Beta family (candidate kernels with a drift
 obstruction), quadrature residuals for the invariance conditions, and
-grid-discretized eigenvector solves.
+``GridKernel``, a kernel read on a quadrature grid as a finite one, which
+the finite solver's nu/eta stages take as they take a tensor.
 
 The Gaussian kernel draws the child cell from N((a+b)/m, sigma^2).  For
 |m| > 2 it has the closed-form invariant zigzag chain
@@ -22,23 +23,19 @@ probability density is stationary: each down-up step drifts by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaincinv, betaln, gammaincinv, gammaln, ndtr, ndtri
 
 from .core_types import (QUAD_TOL, CheckReport, DensityLaw, GridMeasure, HzmcSpec,
-                         KernelDensity, MarkovKernel, gauss_legendre_grid)
-from .finite_solver import _perron
+                         KernelDensity, MarkovKernel, _row_blocks, gauss_legendre_grid)
 
 _GL_NODES = 64
 _gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
 _gl_x01 = 0.5 * (_gl_x + 1.0)          # nodes on [0, 1]
 _gl_w01 = 0.5 * _gl_w
-# Doubles in one block of the n^3 and n^2 * _GL_NODES grid passes: 512 KB,
-# so that a block's temporaries stay in cache.  At 257 points one block is
-# one row a of the n^3 triples; a block never holds less than one row.
-_BLOCK = 1 << 16
 _MU_THRESH = 1e-9
 
 
@@ -410,16 +407,40 @@ def _eval_markov(kernel, xs, ys) -> np.ndarray:
                           np.asarray(ys, dtype=float)[None, :])
 
 
-def _row_blocks(n: int, row: int) -> list[slice]:
-    """The leading axis of a pass over n rows of ``row`` doubles each, cut
-    into blocks of about _BLOCK doubles (at least one row)."""
-    step = max(1, _BLOCK // row)
-    return [slice(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
-
-
 def _triples(p: np.ndarray, blk: slice) -> tuple:
     """Kernel density arguments (a, b, c) of the grid triples with a in ``blk``."""
     return p[blk, None, None], p[None, :, None], p[None, None, :]
+
+
+@dataclass(frozen=True)
+class GridKernel:
+    """A kernel on the line read on a grid as a finite one: the n x n x n array
+    t[a, b, c] = density(p_a, p_b, p_c) w_c, evaluated on demand when indexed.
+    The quadrature weight sits in the rows, so vectors the finite solver returns
+    on it are masses per node; divided by ``grid.weights``, densities."""
+
+    kernel: KernelDensity
+    grid: GridMeasure
+
+    @property
+    def size(self) -> int:
+        return self.grid.size
+
+    def __getitem__(self, key) -> np.ndarray:
+        n = self.size
+        full = [np.broadcast_to(np.arange(n).reshape(axis), (n, n, n))[key]
+                for axis in ((n, 1, 1), (1, n, 1), (1, 1, n))]
+        # an axis that an index does not vary along is cut to length one
+        a, b, c = (i[tuple(slice(None, 1) if s == 0 else slice(None) for s in i.strides)]
+                   for i in full)
+        t = self.kernel.density(*(self.grid.points[i] for i in (a, b, c))) * self.grid.weights[c]
+        return np.broadcast_to(t, full[0].shape)
+
+    @functools.cached_property
+    def mu_positive(self) -> bool:
+        """True when t is positive on every grid triple; one blocked pass."""
+        n = self.size
+        return all(bool(np.all(self[blk] > 0)) for blk in _row_blocks(n, n * n))
 
 
 def _worst(diff: np.ndarray) -> tuple[float, int]:
@@ -563,26 +584,6 @@ def quadrature_check_conditions(kernel: KernelDensity, hzmc: HzmcSpec, grid: Gri
     if differs is not None:
         reports += (_mu_report(differs, grid),)
     return reports
-
-
-def grid_eta_solve(kernel: KernelDensity, grid: GridMeasure):
-    """Discretized Perron solves on the grid, anchored at c0 = 0.
-
-    First the diagonal-in profile nu from M1[a, x] = t(x, x; a) w_x, then the
-    weight profile eta from M2[a, x] = nu(a) t(a, a; 0) / t(a, x; 0) w_x.
-    Both come back normalized to unit quadrature mass.
-    """
-    p, w = grid.points, grid.weights
-    m1 = kernel.density(p[None, :], p[None, :], p[:, None]) * w[None, :]
-    nu = _perron(m1, mass=grid.integrate)
-
-    tdiag = kernel.density(p, p, np.zeros_like(p))
-    tax = kernel.density(p[:, None], p[None, :], np.zeros((1, 1)))
-    if np.any(tax <= 0):
-        raise ValueError("kernel is not positive on the grid; eta solve needs positivity")
-    m2 = (nu.vector * tdiag)[:, None] / tax * w[None, :]
-    eta = _perron(m2, mass=grid.integrate)
-    return nu, eta
 
 
 def mu_equivalence_probe(kernel_a: KernelDensity, kernel_b: KernelDensity,

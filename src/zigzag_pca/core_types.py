@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,6 +32,17 @@ ROW_TOL = 1e-12
 # Largest quadrature grid: the condition sweep is cubic in the points, and a
 # Beta check at this size takes about 75 s on a 2-vCPU Xeon VM.
 MAX_GRID_POINTS = 1025
+# Doubles in one block of the n^3 and n^2 * _GL_NODES grid passes: 512 KB,
+# so that a block's temporaries stay in cache.  At 257 points one block is
+# one row a of the n^3 triples; a block never holds less than one row.
+_BLOCK = 1 << 16
+
+
+def _row_blocks(n: int, row: int) -> list[slice]:
+    """The leading axis of a pass over n rows of ``row`` doubles each, cut
+    into blocks of about _BLOCK doubles (at least one row)."""
+    step = max(1, _BLOCK // row)
+    return [slice(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
 
 
 def _locked(a, dtype=float):
@@ -148,6 +160,10 @@ class TransitionTensor:
     @property
     def size(self) -> int:
         return self.alphabet.size
+
+    def __getitem__(self, key) -> np.ndarray:
+        """t[key]: a view for basic keys, a gathered copy for index arrays."""
+        return self.t[key]
 
     @functools.cached_property
     def cumulative(self) -> np.ndarray:
@@ -431,20 +447,22 @@ class ModelFormatError(ValueError):
     """Malformed model document (missing fields, bad shapes, bad values)."""
 
 
-def _scalar(value, cast, what):
-    """``cast(value)`` for a scalar of a model document, or a format error."""
+def number_field(value, what: str, whole: bool = False, finite: bool = True):
+    """A JSON number, never a string, boolean or null; finite unless ``finite``
+    is false (NaN and Infinity parse as numbers); with ``whole``, an int (3.0
+    passes, 3.5 does not)."""
+    kind = "whole number" if whole else "number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{what} must be a {kind}, got {value!r}")
     try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ModelFormatError(f"{what} must be a number, got {value!r}") from None
-
-
-def whole_number(value, what) -> int:
-    """``value`` as an int: 3 and 3.0 pass, 3.5 and booleans do not."""
-    n = _scalar(value, int, what)
-    if isinstance(value, bool) or (isinstance(value, float) and n != value):
+        x = float(value)
+    except OverflowError:        # an int beyond the float range
+        x = math.inf
+    if (finite or whole) and not math.isfinite(x):
+        raise ModelFormatError(f"{what} must be a finite {kind}, got {value!r}")
+    if whole and not x.is_integer():
         raise ModelFormatError(f"{what} must be a whole number, got {value!r}")
-    return n
+    return int(value) if whole else x
 
 
 def parse_model(doc: dict) -> dict:
@@ -463,7 +481,7 @@ def parse_model(doc: dict) -> dict:
     cycle = lat["cycle"] if isinstance(lat, dict) and set(lat) == {"cycle"} else None
     if lat in ("N", "Z"):
         lattice = lat
-    elif cycle is not None and whole_number(cycle, "cycle length") >= 1:
+    elif cycle is not None and number_field(cycle, "cycle length", whole=True) >= 1:
         lattice = ("cycle", int(cycle))
     else:
         raise ModelFormatError(f"lattice must be 'N', 'Z' or {{'cycle': n}}, got {lat!r}")
@@ -494,17 +512,14 @@ def parse_model(doc: dict) -> dict:
         g = alpha["grid"]
         if not isinstance(g, dict):
             raise ModelFormatError("grid must be a JSON object")
-        out["grid"] = {"halfwidth": _scalar(g["halfwidth"], float, "grid halfwidth")
+        out["grid"] = {"halfwidth": number_field(g["halfwidth"], "grid halfwidth")
                        if "halfwidth" in g else None,
-                       "points": _scalar(g.get("points", 257), int, "grid points")}
+                       "points": number_field(g.get("points", 257), "grid points", whole=True)}
         if "family" not in kern:
             raise ModelFormatError("grid alphabet requires a named kernel family")
-        fam = {}
-        for k2, v in kern.items():
-            if k2 != "family" and isinstance(v, (int, float)) and not isinstance(v, bool):
-                fam[k2] = float(v)
-            else:
-                fam[k2] = v
+        fam = {k2: number_field(v, f"kernel field {k2!r}", finite=False)
+               if isinstance(v, (int, float)) and not isinstance(v, bool) else v
+               for k2, v in kern.items()}
         fam["family"] = str(kern["family"])
         out["family"] = fam
     else:

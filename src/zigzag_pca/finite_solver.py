@@ -17,6 +17,9 @@ eta the chain kernels are
   d[a,c] = sum_x (eta[x]/t[a,x,c0]) t[a,x,c] / sum_x (eta[x]/t[a,x,c0]),
   u[c,b] = (eta[b]/t[a0,b,c0]) t[a0,b,c] / sum_x (eta[x]/t[a0,x,c0]) t[a0,x,c].
 
+The nu/eta stages, solve_nu to build_hzmc_kernels, read t only as kernel[...]:
+they run on a TransitionTensor and on a continuous_kernels.GridKernel alike.
+
 Everything is validated against a brute-force push-forward oracle that
 evaluates the defining cylinder identity by exhaustive summation, with no
 reference to the conditions above.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_types import (EXACT_TOL, CheckReport, FiniteAlphabet, HzmcSpec,
-                         TransitionTensor, normalize_rows)
+                         TransitionTensor, _row_blocks, normalize_rows)
 
 MAX_KAPPA = 64
 SIZE_GUARD = 10**7
@@ -72,22 +75,22 @@ def _guard_kappa(tensor: TransitionTensor):
         raise ValueError(f"alphabet size {tensor.size} exceeds the supported bound {MAX_KAPPA}")
 
 
-def _require_positive(tensor: TransitionTensor, op: str):
-    if not tensor.mu_positive:
+def _require_positive(kernel, op: str):
+    if not kernel.mu_positive:
         raise ValueError(f"{op} requires an everywhere-positive kernel")
 
 
-def _perron(matrix: np.ndarray, mass=np.sum) -> EigenSolveResult:
+def _perron(matrix: np.ndarray) -> EigenSolveResult:
     """Perron eigenvector of an entrywise-positive matrix, by one dense solve:
     |Re| of the eigenvector of the eigenvalue with the largest real part, then
-    one product with the matrix (strictly positive entries) normalized to unit
-    ``mass``, the plain sum on a finite alphabet, the quadrature on a grid."""
+    one product with the matrix (strictly positive entries) normalized to
+    unit sum."""
     m = np.asarray(matrix, dtype=float)
     vals, vecs = np.linalg.eig(m)
     x = np.abs(vecs[:, np.argmax(vals.real)].real)
     mx = m @ x
-    lam = float(mass(mx) / mass(x))
-    v = mx / mass(mx)
+    lam = float(np.sum(mx) / np.sum(x))
+    v = mx / np.sum(mx)
     return EigenSolveResult(vector=v, eigenvalue=lam, iterations=1,
                             residual=float(np.abs(m @ v - lam * v).max()))
 
@@ -177,7 +180,7 @@ def check_belyaev_diag(tensor: TransitionTensor, triple: BaseTriple,
     )
 
 
-def solve_nu(tensor: TransitionTensor) -> EigenSolveResult:
+def solve_nu(kernel) -> EigenSolveResult:
     """Principal eigenvector nu of M1[a, x] = t[x, x, a], eigenvalue 1.
 
     The columns of M1 sum to one: nu is the stationary law of the diagonal
@@ -185,47 +188,56 @@ def solve_nu(tensor: TransitionTensor) -> EigenSolveResult:
     when that chain is nearly reducible, where a dense eigensolve of M1 loses
     the small off-diagonal entries to the diagonal ones.
     """
-    _require_positive(tensor, "solve_nu")
-    k = tensor.size
-    p1 = tensor.t[np.arange(k), np.arange(k), :]      # M1 = p1^T
+    _require_positive(kernel, "solve_nu")
+    k = kernel.size
+    p1 = kernel[np.arange(k), np.arange(k), :]        # M1 = p1^T
     nu = _stationary(p1)
     lam = float(np.sum(nu @ p1))
     return EigenSolveResult(vector=nu, eigenvalue=lam, iterations=1,
                             residual=float(np.abs(nu @ p1 - lam * nu).max()))
 
 
-def solve_eta(tensor: TransitionTensor, triple: BaseTriple, nu: np.ndarray) -> EigenSolveResult:
+def solve_eta(kernel, triple: BaseTriple, nu: np.ndarray) -> EigenSolveResult:
     """Principal eigenvector eta of M2[a, x] = nu[a] t[a, a, c0] / t[a, x, c0].
 
     The output direction does not depend on the scaling of nu.
     """
-    _require_positive(tensor, "solve_eta")
-    k, c0 = tensor.size, triple.c0
+    _require_positive(kernel, "solve_eta")
+    k, c0 = kernel.size, triple.c0
     nu = np.asarray(nu, dtype=float)
     if np.any(nu <= 0):
         raise ValueError("nu must be strictly positive")
-    diag = tensor.t[np.arange(k), np.arange(k), c0]   # t(a,a;c0)
-    return _perron((nu * diag)[:, None] / tensor.t[:, :, c0])
+    diag = kernel[np.arange(k), np.arange(k), c0]     # t(a,a;c0)
+    return _perron((nu * diag)[:, None] / kernel[:, :, c0])
 
 
-def check_eta_cubic(tensor: TransitionTensor, triple: BaseTriple, eta: np.ndarray,
+def _eta_weights(kernel, triple: BaseTriple, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w[a, x] = eta[x] / t[a, x, c0] and B[a, c] = sum_x w[a, x] t[a, x, c], the
+    kappa^3 contraction of check_eta_cubic and build_hzmc_kernels, taken over
+    row blocks of t (``_row_blocks``): a grid never holds n^3 values at once."""
+    n = kernel.size
+    w = np.asarray(eta, dtype=float)[None, :] / kernel[:, :, triple.c0]
+    big_b = np.empty((n, n))
+    for blk in _row_blocks(n, n * n):
+        np.einsum("ax,axc->ac", w[blk], kernel[blk], out=big_b[blk])
+    return w, big_b
+
+
+def check_eta_cubic(kernel, triple: BaseTriple, eta: np.ndarray,
                     tol: float = EXACT_TOL) -> CheckReport:
     """Residual of the cubic fixed-point equation for eta, over all (a, b).
 
     Both sides are evaluated as exact finite sums; the left side is the
     eta-form of du(a;b), the right side the eta-form of ud(a;b).
     """
-    _require_positive(tensor, "check_eta_cubic")
-    t = tensor.t
-    a0, _, c0 = triple.as_tuple()
+    _require_positive(kernel, "check_eta_cubic")
     eta = np.asarray(eta, dtype=float)
-    w = eta[None, :] / t[:, :, c0]                    # w[a, x] = eta[x] / t[a,x,c0]
+    w, big_b = _eta_weights(kernel, triple, eta)      # B[c, b] = sum_x w[c,x] t[c,x,b]
     s0 = w.sum(axis=1)                                # s0[a]
     lhs = w / s0[:, None]                             # lhs[a, b]
 
-    big_b = np.einsum("cx,cxb->cb", w, t)             # B[c, b] = sum_x w[c,x] t[c,x,b]
-    cvec = big_b[a0, :]                               # C[a]   = B[a0, a]
-    fac1 = (w[a0, :][:, None] * t[a0, :, :]) / s0[:, None]   # fac1[c, a]
+    cvec = big_b[triple.a0, :]                        # C[a]   = B[a0, a]
+    fac1 = (w[triple.a0, :][:, None] * kernel[triple.a0]) / s0[:, None]   # fac1[c, a]
     rhs = (fac1.T @ big_b) / cvec[:, None]            # rhs[a, b]
 
     diff = np.abs(lhs - rhs)
@@ -239,20 +251,17 @@ def check_eta_cubic(tensor: TransitionTensor, triple: BaseTriple, eta: np.ndarra
     )
 
 
-def build_hzmc_kernels(tensor: TransitionTensor, triple: BaseTriple,
+def build_hzmc_kernels(kernel, triple: BaseTriple,
                        eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Down and up kernels generated by the weight vector eta.
 
-    Rows come out stochastic by construction; a final renormalization
-    removes float round-off.
+    Rows come out stochastic by construction (on a grid, up to quadrature);
+    a final renormalization removes the remainder.
     """
-    _require_positive(tensor, "build_hzmc_kernels")
-    t = tensor.t
-    a0, _, c0 = triple.as_tuple()
-    eta = np.asarray(eta, dtype=float)
-    w = eta[None, :] / t[:, :, c0]                    # w[a, x]
-    d = np.einsum("ax,axc->ac", w, t) / w.sum(axis=1)[:, None]
-    num = (w[a0, :][:, None] * t[a0, :, :]).T         # num[c, b] = w[a0,b] t[a0,b,c]
+    _require_positive(kernel, "build_hzmc_kernels")
+    w, big_b = _eta_weights(kernel, triple, eta)
+    d = big_b / w.sum(axis=1)[:, None]
+    num = (w[triple.a0, :][:, None] * kernel[triple.a0]).T    # num[c, b] = w[a0,b] t[a0,b,c]
     u = num / num.sum(axis=1)[:, None]
     d, _ = normalize_rows(d)
     u, _ = normalize_rows(u)

@@ -1,8 +1,9 @@
-"""Two-sided and cyclic lattices: compatibility, cyclic densities, oracles.
+"""Cyclic lattices: partition function, cyclic densities, conditions, oracles.
 
 On the two-sided lattice the site marginals form a family (rho_i) tied by
 rho_{i+1} = rho_i (du); for an invariant chain the family is constant, so a
-single rho0 represents it.  On a cycle of 2n cells the chain becomes a
+single rho0 represents it and the half line's conditions apply to a spec
+marked lattice "Z".  On a cycle of 2n cells the chain becomes a
 normalized product measure
 
   m(x0, y0, ..., x_{n-1}, y_{n-1})
@@ -51,26 +52,6 @@ class CyclicJointLaw:
 
     def second_line_marginal(self) -> np.ndarray:
         return self.weights.sum(axis=tuple(range(0, 2 * self.n, 2)))
-
-
-def compatibility_check(rho, d: np.ndarray, u: np.ndarray,
-                        tol: float = EXACT_TOL) -> CheckReport:
-    """Residual of rho_{i+1} = rho_i (du) along the site family.
-
-    ``rho`` is either a single probability vector (the constant family, for
-    which the requirement reduces to rho (du) = rho) or a (sites, kappa)
-    array of consecutive site laws.
-    """
-    rho = np.atleast_2d(np.asarray(rho, dtype=float))
-    du = np.asarray(d) @ np.asarray(u)
-    if rho.shape[0] == 1:
-        resid = float(np.abs(rho[0] @ du - rho[0]).max())
-        note = "constant family"
-    else:
-        step = rho[:-1] @ du
-        resid = float(np.abs(step - rho[1:]).max())
-        note = f"family of {rho.shape[0]} site laws"
-    return CheckReport("compatibility", resid, tol, notes=note)
 
 
 def partition_function(d: np.ndarray, u: np.ndarray, n: int) -> float:

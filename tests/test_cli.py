@@ -395,7 +395,19 @@ class TestBadInput:
         {**TENSOR_DOC, "kernel": {"tensor": [[[0.5, "x"], [0.8, 0.2]], [[0.2, 0.8], [0.5, 0.5]]]}},
         {**TENSOR_DOC, "kernel": {"tensor": [[[0.5, None], [0.8, 0.2]], [[0.2, 0.8], [0.5, 0.5]]]}},
         {**TENSOR_DOC, "lattice": {"cycle": "z"}},
-    ], ids=["points-abc", "missing-sigma", "m-string", "tensor-entry", "tensor-null", "cycle-z"])
+        {**TENSOR_DOC, "lattice": {"cycle": "3"}},
+        {**GAUSS_DOC, "alphabet": {"grid": {"points": "33"}}},
+        {**GAUSS_DOC, "alphabet": {"grid": {"points": 33.5}}},
+        {**GAUSS_DOC, "alphabet": {"grid": {"points": True}}},
+        {**GAUSS_DOC, "alphabet": {"grid": {"points": 33, "halfwidth": "8"}}},
+        {**GAUSS_DOC, "alphabet": {"grid": {"points": 33, "halfwidth": None}}},
+        {**GAUSS_DOC, "kernel": {"family": "gaussian", "m": 3, "sigma": True}},
+        {**GAUSS_DOC, "kernel": {"family": "gaussian", "m": 10 ** 400, "sigma": 1}},
+        {**TENSOR_DOC, "lattice": {"cycle": 10 ** 400}},
+    ], ids=["points-abc", "missing-sigma", "m-string", "tensor-entry", "tensor-null", "cycle-z",
+            "cycle-string", "points-string", "points-fractional", "points-boolean",
+            "halfwidth-string", "halfwidth-null", "sigma-boolean", "m-beyond-float",
+            "cycle-beyond-float"])
     def test_malformed_model_is_one_error_line(self, tmp_path, capsys, doc):
         path = _write_model(tmp_path / "bad.json", doc)
         assert run_main("check", "--model", path) == 2
@@ -408,6 +420,70 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert _single_error_line(err)
         assert f"cycle length must be a whole number, got {cycle!r}" in err
+
+    @pytest.mark.parametrize("field,value", [("m", "3"), ("sigma", True), ("m", None),
+                                             ("m", float("nan"))],
+                             ids=["m-string", "sigma-boolean", "m-null", "m-nan"])
+    def test_gaussian_spec_field_must_be_a_number(self, files, capsys, tmp_path, field, value):
+        spec = tmp_path / "gspec.json"
+        assert run_main("solve", "--model", files["gauss"], "--out", spec) == 0
+        doc = json.loads(spec.read_text())
+        doc[field] = value
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_main("verify", "--model", files["gauss"], "--spec", spec, "--width", 101) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        assert f"spec field {field!r} is missing or malformed" in err
+
+    @pytest.mark.parametrize("width", [1, 0, -5])
+    def test_verify_width_refused_before_the_battery(self, files, capsys, tmp_path,
+                                                     monkeypatch, width):
+        spec = tmp_path / "gspec.json"
+        assert run_main("solve", "--model", files["gauss"], "--out", spec) == 0
+        capsys.readouterr()
+        entered = []
+        monkeypatch.setattr(ck, "quadrature_check_conditions",
+                            lambda *a, **k: entered.append(a) or ())
+        assert run_main("verify", "--model", files["gauss"], "--spec", spec,
+                        "--width", width) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        assert "width must be >= 2" in err
+        assert entered == []
+
+    @pytest.mark.parametrize("edit", ["u-first-row", "u-3x4", "rho0-short", "rho0-matrix"])
+    def test_half_line_spec_shapes(self, files, capsys, tmp_path, edit):
+        spec = tmp_path / "spec.json"
+        assert run_main("solve", "--model", files["two_letter"], "--out", spec) == 0
+        doc = json.loads(spec.read_text())
+        if edit == "u-first-row":
+            doc["u"] = doc["u"][:1]          # broadcast against d by the oracle
+        elif edit == "u-3x4":
+            doc["u"] = [["0.25"] * 4] * 3
+        elif edit == "rho0-short":
+            doc["rho0"] = ["1"]
+        else:
+            doc["rho0"] = [doc["rho0"]] * 2
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_main("verify", "--model", files["two_letter"], "--spec", spec) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        assert "spec kernels incompatible with model alphabet" in err
+
+    @pytest.mark.parametrize("edit", ["u-first-row", "u-3x4"])
+    def test_cyclic_spec_shapes(self, files, capsys, tmp_path, edit):
+        spec = tmp_path / "cspec.json"
+        assert run_main("solve", "--model", files["two_letter_cycle"], "--out", spec) == 0
+        doc = json.loads(spec.read_text())
+        doc["u"] = doc["u"][:1] if edit == "u-first-row" else [["0.25"] * 4] * 3
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_main("verify", "--model", files["two_letter_cycle"], "--spec", spec) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        assert "spec kernels incompatible with model alphabet" in err
 
     def test_whole_float_cycle_length_accepted(self, tmp_path, capsys):
         path = _write_model(tmp_path / "c.json", {**TENSOR_DOC, "lattice": {"cycle": 3.0}})

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import betainc, betaln, gammaln, ndtri
 
 from zigzag_pca import continuous_kernels as ck
+from zigzag_pca import finite_solver as fs
 from zigzag_pca.core_types import (HzmcSpec, KernelDensity, MarkovKernel, gauss_legendre_grid,
                                    trapezoid_grid)
 
@@ -288,25 +289,33 @@ class TestDensitiesBitForBit:
         assert _same(rho0.density(p), _reference_gamma_pdf(p, al, th))
 
 
+def grid_nu_eta(kern, grid):
+    """nu and eta of the shared finite solver on the grid kernel, anchored at
+    the node at 0; both vectors are masses per node."""
+    gk = ck.GridKernel(kern, grid)
+    i0 = int(np.argmin(np.abs(grid.points)))
+    nu = fs.solve_nu(gk)
+    return nu, fs.solve_eta(gk, fs.BaseTriple(i0, i0, i0), nu.vector)
+
+
 class TestGridEtaSolve:
     def test_matches_closed_profiles(self, gauss31, gauss_grid):
         kern = ck.gaussian_kernel_density(gauss31)
-        nu, eta = ck.grid_eta_solve(kern, gauss_grid)
+        nu, eta = grid_nu_eta(kern, gauss_grid)
         prof = ck.gaussian_closed_profiles(gauss31)
         nu_c = prof["nu"](gauss_grid.points)
         nu_c /= gauss_grid.integrate(nu_c)
         eta_c = prof["eta"](gauss_grid.points)
         eta_c /= gauss_grid.integrate(eta_c)
-        assert np.abs(nu.vector - nu_c).max() < 1e-6
-        assert np.abs(eta.vector - eta_c).max() < 1e-6
+        assert np.abs(nu.vector / gauss_grid.weights - nu_c).max() < 1e-6
+        assert np.abs(eta.vector / gauss_grid.weights - eta_c).max() < 1e-6
         assert np.all(nu.vector > 0) and np.all(eta.vector > 0)
 
     @pytest.mark.parametrize("m,sigma", [(3.0, 1.0), (4.0, 0.5), (2.5, 2.0)],
                              ids=["m3-sigma1", "m4-sigma0.5", "m2.5-sigma2"])
     def test_eta_eigenvalue_closed_form(self, m, sigma):
         par = ck.GaussianPcaParams(m, sigma)
-        _, eta = ck.grid_eta_solve(ck.gaussian_kernel_density(par),
-                                   ck.default_gaussian_grid(par, 257))
+        _, eta = grid_nu_eta(ck.gaussian_kernel_density(par), ck.default_gaussian_grid(par, 257))
         assert abs(eta.eigenvalue - ck.gaussian_eta_eigenvalue(par)) <= 1e-8
 
     def test_refinement_shrinks_error_fourfold(self, gauss31):
@@ -315,12 +324,40 @@ class TestGridEtaSolve:
         errs = []
         for n in (9, 17, 33):
             g = trapezoid_grid(8 * gauss31.stationary_std, n)
-            _, eta = ck.grid_eta_solve(kern, g)
+            _, eta = grid_nu_eta(kern, g)
             target = prof["eta"](g.points)
             target /= g.integrate(target)
-            errs.append(np.abs(eta.vector - target).max())
+            errs.append(np.abs(eta.vector / g.weights - target).max())
         assert errs[0] / errs[1] >= 4.0
         assert errs[1] / errs[2] >= 4.0
+
+    def test_diagonal_atom_refused(self, gauss31):
+        # the nu step reads the rows t(x, x; .), where gaussian_diag carries its atom
+        gk = ck.GridKernel(ck.gaussian_diag_kernel_density(gauss31),
+                           ck.default_gaussian_grid(gauss31, 33))
+        assert not gk.mu_positive
+        with pytest.raises(ValueError, match="solve_nu requires an everywhere-positive kernel"):
+            fs.solve_nu(gk)
+
+
+class TestGridKernel:
+    def test_entries_are_density_times_weight(self, gauss31):
+        grid = ck.default_gaussian_grid(gauss31, 9)
+        kern = ck.gaussian_kernel_density(gauss31)
+        gk = ck.GridKernel(kern, grid)
+        p, w = grid.points, grid.weights
+        whole = kern.density(p[:, None, None], p[None, :, None], p[None, None, :]) * w
+        i = np.arange(9)
+        for key in ((), (slice(2, 5),), (3,), (slice(None), slice(None), 4), (i, i, slice(None)),
+                    (i, i, 4), (1, 2, 3)):
+            assert np.array_equal(gk[key], whole[key]), key
+
+    def test_constant_density_broadcasts_to_the_index_shape(self):
+        grid = trapezoid_grid(1.0, 5)
+        flat = KernelDensity(density=lambda a, b, c: np.full(np.shape(c), 0.5), sampler=None)
+        gk = ck.GridKernel(flat, grid)
+        assert gk[1:3].shape == (2, 5, 5)
+        assert np.array_equal(gk[:, :, 2], np.full((5, 5), 0.5 * grid.weights[2]))
 
 
 class TestDiscretizedFiniteRoute:
@@ -338,25 +375,19 @@ class TestDiscretizedFiniteRoute:
         assert np.abs(mass - 1.0).max() < 1e-10
 
     def test_matches_closed_form_kernels(self, gauss31):
-        # discretize the kernel to a (large) finite alphabet and run the
-        # finite construction; rows must reproduce the closed-form step
-        # densities at the nodes
-        from zigzag_pca import finite_solver as fs
-        from zigzag_pca.core_types import FiniteAlphabet, TransitionTensor, normalize_rows
-
+        # run the finite construction on the grid kernel, evaluated in blocks;
+        # rows must reproduce the closed-form step densities at the nodes
         grid = gauss_legendre_grid(10.0, 257)
         p, w = grid.points, grid.weights
-        kern = ck.gaussian_kernel_density(gauss31)
-        raw = kern.density(p[:, None, None], p[None, :, None], p[None, None, :]) * w
-        t, _ = normalize_rows(raw)
-        tens = TransitionTensor(FiniteAlphabet(257), t)
-        assert tens.mu_positive
+        gk = ck.GridKernel(ck.gaussian_kernel_density(gauss31), grid)
+        assert gk.mu_positive
 
         i0 = int(np.argmin(np.abs(p)))
         triple = fs.BaseTriple(i0, i0, i0)
-        nu = fs.solve_nu(tens).vector
-        eta = fs.solve_eta(tens, triple, nu).vector
-        d_mat, u_mat = fs.build_hzmc_kernels(tens, triple, eta)
+        nu = fs.solve_nu(gk).vector
+        eta = fs.solve_eta(gk, triple, nu).vector
+        assert fs.check_eta_cubic(gk, triple, eta, tol=1e-6).passed
+        d_mat, u_mat = fs.build_hzmc_kernels(gk, triple, eta)
 
         hz = ck.gaussian_invariant_hzmc(gauss31)
         closed_d = hz.d.density(p[:, None], p[None, :]) * w

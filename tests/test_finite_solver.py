@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 from zigzag_pca import finite_solver as fs
 from zigzag_pca import lattice_ext as lx
 from zigzag_pca.core_types import (EXACT_TOL, CheckReport, FiniteAlphabet, HzmcSpec,
-                                   TransitionTensor)
+                                   TransitionTensor, _row_blocks, normalize_rows)
 from conftest import corpus_seeds, iterated_nu_eta, near_identity_tensor
 
 
@@ -228,6 +228,40 @@ class TestBuildKernels:
             assert np.abs(d.sum(axis=1) - 1).max() < 1e-12
             assert np.abs(u.sum(axis=1) - 1).max() < 1e-12
             assert d.min() > 0 and u.min() > 0
+
+
+def whole_tensor_cubic_and_kernels(tens, triple, eta):
+    """check_eta_cubic's residual and build_hzmc_kernels' (d, u), with the
+    contraction B[a, c] = sum_x w[a, x] t[a, x, c] as one einsum over the
+    whole tensor."""
+    t = tens.t
+    a0, _, c0 = triple.as_tuple()
+    w = eta[None, :] / t[:, :, c0]
+    s0 = w.sum(axis=1)
+    big_b = np.einsum("ax,axc->ac", w, t)
+    fac1 = (w[a0, :][:, None] * t[a0, :, :]) / s0[:, None]
+    rhs = (fac1.T @ big_b) / big_b[a0, :][:, None]
+    residual = float(np.abs(w / s0[:, None] - rhs).max())
+    num = (w[a0, :][:, None] * t[a0, :, :]).T
+    d, _ = normalize_rows(big_b / s0[:, None])
+    u, _ = normalize_rows(num / num.sum(axis=1)[:, None])
+    return residual, d, u
+
+
+@pytest.mark.parametrize("kappa", [16, 33, 64])
+@pytest.mark.parametrize("make", [lambda k: fs.make_factorized_tensor(k, 7)[0],
+                                  lambda k: fs.random_positive_tensor(k, 7)],
+                         ids=["factorized", "random"])
+def test_blocked_contraction_matches_whole_einsum_bitwise(kappa, make):
+    tens = make(kappa)
+    triple = fs.select_base_triple(tens)
+    eta = fs.solve_eta(tens, triple, fs.solve_nu(tens).vector).vector
+    residual, d_ref, u_ref = whole_tensor_cubic_and_kernels(tens, triple, eta)
+    assert fs.check_eta_cubic(tens, triple, eta).residual == residual
+    d, u = fs.build_hzmc_kernels(tens, triple, eta)
+    assert np.array_equal(d, d_ref) and np.array_equal(u, u_ref)
+    if kappa == 64:
+        assert len(_row_blocks(kappa, kappa * kappa)) > 1      # several blocks walked
 
 
 class TestStationaryDistribution:

@@ -30,36 +30,6 @@ def noncommuting_pair(seed=5, kappa=2):
     return d, u
 
 
-class TestCompatibility:
-    def test_solved_chain_is_compatible(self, solved):
-        rep = lx.compatibility_check(solved.spec.rho0, solved.spec.d, solved.spec.u)
-        assert rep.passed
-
-    def test_exclusion_shift_family(self):
-        # frozen exclusion picture on a window: stay kernel down, shift kernel up,
-        # site i carrying the point mass at position i
-        w = 6
-        d = np.eye(w)
-        u = np.zeros((w, w))
-        for i in range(w - 1):
-            u[i, i + 1] = 1.0
-        u[w - 1, w - 1] = 1.0   # edge self-loop keeps the matrix stochastic
-        family = np.eye(w)
-        rep = lx.compatibility_check(family, d, u)
-        assert rep.passed
-        assert "family" in rep.notes
-
-    def test_uniform_against_skewed_steps_fails(self):
-        rng = np.random.default_rng(1)
-        d = rng.uniform(0.1, 1.0, (3, 3))
-        d /= d.sum(axis=1, keepdims=True)
-        u = rng.uniform(0.1, 1.0, (3, 3))
-        u /= u.sum(axis=1, keepdims=True)
-        assert np.abs((d @ u).sum(axis=0) - 1.0).max() > 1e-3  # not doubly stochastic
-        rep = lx.compatibility_check(np.full(3, 1 / 3), d, u)
-        assert not rep.passed
-
-
 class TestHzmcZ:
     """The two-sided lattice's conditions are the half line's, on a spec
     marked lattice "Z"."""

@@ -2,9 +2,9 @@
 
 ``perfbench/tracing.py`` patches the functions named in its ``TRACED`` table
 and reads counters from their arguments (``tensor``, ``k_max``, ``spec``,
-``length``, ``n_chains``, ``path``) and results.  A rename in the package would
-crash a traced benchmark run; these tests run the finite commands under the
-tracer so the rename fails here.
+``grid``, ``length``, ``n_chains``, ``path``) and results.  A rename in the
+package would crash a traced benchmark run; these tests run the finite and
+the Gaussian commands under the tracer so the rename fails here.
 """
 
 import contextlib
@@ -100,3 +100,24 @@ def test_finite_simulate_produces_spans_and_counters(tmp_path, tracer):
     for writer, suffix in (("write_diagram_csv", ".csv"), ("write_diagram_binary", ".bin")):
         size = (tmp_path / f"sim{suffix}").stat().st_size
         assert counters(f"simulator.{writer}", "bytes") == [size]
+
+
+def test_gaussian_commands_produce_spans_and_counters(tmp_path, tracer):
+    model, spec = tmp_path / "gauss.json", tmp_path / "gauss_spec.json"
+    points = 33
+    save_model(model, {"points": points}, {"family": "gaussian", "m": 3, "sigma": 1}, "N")
+    assert _run(tracer, "check", "check", "--model", model) == 0
+    assert _run(tracer, "solve", "solve", "--model", model, "--out", spec) == 0
+    assert _run(tracer, "verify", "verify", "--model", model, "--spec", spec,
+                "--width", 101) == 0
+
+    spans = tracer.dump()
+    for cmd in ("check", "verify"):
+        names = {s["name"] for s in spans if s["cmd"] == cmd}
+        for expected in ("continuous_kernels.quadrature_check_conditions",
+                         "continuous_kernels._cond_residuals",
+                         "continuous_kernels.compose_kernels", "continuous_kernels.apply_law"):
+            assert expected in names, (cmd, expected)
+    evals = [s["density_evals_computed"] for s in spans
+             if s["name"] == "continuous_kernels._cond_residuals"]
+    assert evals == [points ** 3] * 2
