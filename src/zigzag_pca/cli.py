@@ -295,10 +295,11 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
     if any(_spec_field(spec, key, lambda v: number_field(v, key)) != model["family"][key]
            for key in fam.fields):
         raise ValueError("spec parameters do not match the model")
-    if args.width < 2:          # before the battery: the refusal costs no quadrature
+    width = 20_001 if args.width is None else args.width     # the Monte-Carlo line
+    if width < 2:               # before the battery: the refusal costs no quadrature
         raise ValueError("width must be >= 2")
     reports, grid, tol, hz = _grid_battery(args, model, fam, params)
-    zig = sim.sample_hzmc_lines(hz, 2 * args.width + 1, 1, args.seed)[0]
+    zig = sim.sample_hzmc_lines(hz, 2 * width + 1, 1, args.seed)[0]
     inst = sim.ModelInstance(kernel=fam.battery(params), lattice="N", seed=args.seed)
     z = sim.step_pca(zig[1::2], inst, t=0)
     ks = st.ks_distance(z[::7], hz.rho0.cdf)
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("verify", cmd_verify, "independent oracle against a solved spec")
     sp.add_argument("--spec", required=True, help="spec JSON from solve")
     sp.add_argument("--kmax", type=int, default=2)
-    sp.add_argument("--width", type=int, default=20_001)
+    sp.add_argument("--width", type=int, default=None)
     sp = command("simulate", cmd_simulate, "run the model and dump the diagram", battery=False)
     sp.add_argument("--steps", type=int, default=10)
     sp.add_argument("--width", type=int, default=1000)
@@ -412,6 +413,9 @@ def main(argv=None) -> int:
         elif (getattr(args, "grid_points", None),
               getattr(args, "grid_halfwidth", None)) != (None, None):
             raise ValueError("--grid-points and --grid-halfwidth apply to named families, "
+                             "not to a finite-alphabet model")
+        elif args.command == "verify" and args.width is not None:
+            raise ValueError("--width of verify applies to named families, "
                              "not to a finite-alphabet model")
         if isinstance(model["lattice"], tuple) and (fam is not None or args.command == "simulate"):
             what = "simulate" if fam is None else f"family {block['family']!r}"

@@ -172,12 +172,171 @@ def step_pca(line: np.ndarray, model: ModelInstance, t: int = 0) -> np.ndarray:
 DIAGRAM_MAGIC = b"ZPD1"
 
 
+# The CSV writer prints every live cell exactly as format(v, ".17g"), in
+# blocks of cells across rows.  A cell of 1e-4 <= |v| < 1e16 prints in fixed
+# notation from its exponent X and 17-digit significand
+# D = round-half-even(|v| * 10**(16 - X)).  The digits of D, as the 20 chars
+# "000" + D in 4-char words, go twice into a per-cell template of 13 words:
+#   [3 unused, sign] [digits] ['.', 3 unused] [digits] [separator, 3 unused]
+# A row of _MASK, chosen by (X, significant digits, sign), keeps the integer
+# digits from the first copy and the fraction digits from the second; the
+# "000" pad supplies the zeros of "0.000ddd".  A block of whole numbers in
+# [0, 1e4) uses a 2-word template [4 digits] [separator].  Every other cell
+# (zero, exponent notation, subnormals, infinities) keeps only its separator,
+# and Python's text for it is spliced in before it.
+_CSV_BLOCK = 4096          # cells per block: each float temporary stays at 32 KB
+_POW10 = 10.0 ** np.arange(23)                  # exact doubles
+# words ",", "\n" (the separators, by newline flag), "   -" and "."
+_SEP, _SIGN, _DOT = np.split(np.array([[44, 0, 0, 0], [10, 0, 0, 0], [0, 0, 0, 45], [46, 0, 0, 0]],
+                                      dtype=np.uint8).view(np.uint32).ravel(), [2, 3])
+
+
+def _split(x):
+    """Dekker's split: x = hi + lo exactly, each with at most 26 significant bits."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _csv_tables():
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)     # of 0 .. 9999
+    words = np.ascontiguousarray(digits.T + 48).view(np.uint32).ravel()   # "0042"
+    zero = digits == 0
+
+    def run(flags):     # length of the run of zero digits at the start of flags
+        return flags[0].view(np.uint8) + (flags[0] & flags[1]) + (flags[0] & flags[1] & flags[2])
+
+    width = 4 - run(zero)                               # digits of n as an integer
+    # chars of "000" + D up to the last nonzero digit, read from word k = n
+    ends = np.where(zero.all(axis=0), 0, 4 * np.arange(5, dtype=np.uint8)[:, None] + 4
+                    - run(zero[::-1]))
+    # _MASK[x + 4, nd, neg]: the bytes printed by a cell of exponent x, nd
+    # significant digits (0 for a cell left to Python) and sign neg
+    pos = np.arange(52)
+    x, nd, neg = (v[..., None] for v in np.ogrid[-4:16, :18, :2])
+    int_from, int_to = 3 - (x < 0), np.maximum(4 + x, 3)        # chars of the first copy
+    frac_from, frac_to = 4 + x, np.maximum(3 + nd, 4 + x)       # chars of the second copy
+    mask = ((pos == 3) & (neg == 1)
+            | (pos >= 4 + int_from) & (pos < 4 + int_to)
+            | (pos == 24) & (frac_to > frac_from)
+            | (pos >= 28 + frac_from) & (pos < 28 + frac_to)) & (nd > 0) | (pos == 48)
+    mask = mask.reshape(-1, 52)
+    # _INT_MASK[width] for the 2-word template of a whole number below 1e4
+    int_mask = (pos[:8] >= 4 - np.arange(5)[:, None]) & (pos[:8] < 4) | (pos[:8] == 4)
+    return words, width, ends.ravel(), mask, mask.sum(axis=1), int_mask, int_mask.sum(axis=1)
+
+
+_WORD4, _WIDTH4, _ENDS, _MASK, _MASK_LEN, _INT_MASK, _INT_MASK_LEN = _csv_tables()
+_SPLIT10 = _split(_POW10)
+_GROUP = 10_000 * np.arange(5)
+
+
+def _significand(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """round-half-even(a * 10**(16 - x)) exactly, for a product in [2**53, 2**63):
+    hi is then an even integer and hi + lo the exact product (two-product)."""
+    p = 16 - x
+    scale, ph, pl = _POW10.take(p), _SPLIT10[0].take(p), _SPLIT10[1].take(p)
+    hi = a * scale
+    ah, al = _split(a)
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _format_fixed(v: np.ndarray, words: np.ndarray):
+    """Fill the 13-word templates of cells v; returns the key of each cell
+    into _MASK and the indices of the cells left to Python."""
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fixed, a, 1.0)
+    x = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int64)
+    d = _significand(a, x)
+    step = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
+    off = np.flatnonzero(step)
+    if off.size:            # log10 fell on the wrong side of a power of ten
+        x[off] = np.clip(x[off] + step[off], -4, 15)
+        d[off] = _significand(a[off], x[off])
+    fixed &= (d >= 10 ** 16) & (d < 10 ** 17)
+    # the groups of "000" + D: lead digit, then four groups of 4 digits
+    groups = np.empty((5, v.size), dtype=np.intp)
+    hi = d // 10 ** 8
+    groups[4] = d - hi * 10 ** 8
+    groups[0] = hi // 10 ** 8
+    groups[2] = hi - groups[0] * 10 ** 8
+    groups[1] = groups[2] // 10 ** 4
+    groups[2] -= groups[1] * 10 ** 4
+    groups[3] = groups[4] // 10 ** 4
+    groups[4] -= groups[3] * 10 ** 4
+    words[:, 1:6] = words[:, 7:12] = _WORD4.take(groups).T
+    nd = _ENDS.take(groups + _GROUP[:, None]).max(axis=0) - 3
+    key = np.where(fixed, ((x + 4) * 18 + nd) * 2 + np.signbit(v), 0)
+    return key, np.flatnonzero(~fixed)
+
+
+def _row_ends(states: np.ndarray) -> np.ndarray:
+    """Flat index of the last live cell of each row, -1 for a row with none."""
+    rows, width = states.shape
+    ends = np.full(rows, -1, dtype=np.int64)
+    step = max(1, _CSV_BLOCK // max(width, 1))
+    for t in range(0, rows if width else 0, step):
+        live = ~np.isnan(states[t:t + step, ::-1])
+        has = live.any(axis=1)
+        last = (np.arange(t, t + len(live)) + 1) * width - 1 - live.argmax(axis=1)
+        ends[t:t + step][has] = last[has]
+    return ends
+
+
+def _in_block(positions: np.ndarray, s: int) -> np.ndarray:
+    """The sorted flat positions that fall in the block starting at s, from s."""
+    lo, hi = np.searchsorted(positions, [s, s + _CSV_BLOCK])
+    return positions[lo:hi] - s
+
+
 def write_diagram_csv(diagram: SpaceTimeDiagram, path) -> None:
-    """One row per step, sites comma separated; shrunk rows are shorter."""
-    with open(path, "w") as fh:
-        for t in range(diagram.steps + 1):
-            row = diagram.row(t)
-            fh.write(("%.17g," * row.size)[:-1] % tuple(row.tolist()) + "\n")
+    """One row per step, its live (non-NaN) cells comma separated, each
+    written as ``format(v, ".17g")``; shrunk rows are shorter, and a row with
+    no live cell is an empty line."""
+    flat = diagram.states.reshape(-1)
+    ends = _row_ends(diagram.states)
+    row_ends = ends[ends >= 0]
+    empty_rows = np.flatnonzero(ends < 0) * diagram.width
+    words = np.empty((_CSV_BLOCK, 13), dtype=np.uint32)
+    words[:, 0], words[:, 6] = _SIGN, _DOT
+    with open(path, "wb") as fh:
+        for s in range(0, max(flat.size, 1), _CSV_BLOCK):
+            block = flat[s:s + _CSV_BLOCK]
+            at = np.flatnonzero(~np.isnan(block))
+            v = block[at]
+            newline = np.zeros(block.size, dtype=bool)
+            newline[_in_block(row_ends, s)] = True
+            sep = _SEP[newline[at].view(np.uint8)]
+            rest = ()
+            if np.all((v < 10_000) & (v == np.floor(v)) & ~np.signbit(v)):
+                n = v.astype(np.intp)
+                cells = np.stack([_WORD4.take(n), sep], axis=1)
+                width = _WIDTH4.take(n)
+                out = cells.view(np.uint8)[_INT_MASK.take(width, axis=0)]
+                lengths = _INT_MASK_LEN.take(width)
+            else:
+                cells = words[:v.size]
+                key, rest = _format_fixed(v, cells)
+                cells[:, 12] = sep
+                out = cells.view(np.uint8)[_MASK.take(key, axis=0)]
+                lengths = _MASK_LEN.take(key)
+            # text spliced in at block positions: the line of a row with no
+            # live cell, and Python's text of a cell before its separator
+            splice = [(p, b"\n") for p in _in_block(empty_rows, s)]
+            splice += [(at[i], format(v[i], ".17g").encode()) for i in rest]
+            if not splice:
+                fh.write(out)
+                continue
+            starts = np.append(np.cumsum(lengths) - lengths, out.size)
+            done = 0
+            for p, text in sorted(splice, key=lambda e: e[0]):
+                cut = starts[np.searchsorted(at, p)]
+                fh.write(out[done:cut])
+                fh.write(text)
+                done = cut
+            fh.write(out[done:])
 
 
 def write_diagram_binary(diagram: SpaceTimeDiagram, path) -> None:

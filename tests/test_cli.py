@@ -26,6 +26,10 @@ def files(tmp_path_factory):
     paths["two_letter"] = root / "two_letter.json"
     save_model(paths["two_letter"], two.alphabet, two, "N")
 
+    fac3 = fs.make_factorized_tensor(3, 11)[0]
+    paths["factorized3"] = root / "factorized3.json"
+    save_model(paths["factorized3"], fac3.alphabet, fac3, "N")
+
     paths["two_letter_cycle"] = root / "two_letter_cycle.json"
     save_model(paths["two_letter_cycle"], two.alphabet, two, {"cycle": 3})
 
@@ -451,6 +455,23 @@ class TestBadInput:
         assert _single_error_line(err)
         assert "width must be >= 2" in err
         assert entered == []
+
+    @pytest.mark.parametrize("width", [-5, 2, 20_001])
+    @pytest.mark.parametrize("model", ["two_letter", "two_letter_cycle", "factorized3"])
+    def test_verify_width_refused_on_a_finite_model(self, files, capsys, tmp_path, model,
+                                                    width):
+        path = files[model]
+        spec = tmp_path / "spec.json"
+        assert run_main("solve", "--model", path, "--out", spec) == 0
+        capsys.readouterr()
+        assert run_main("verify", "--model", path, "--spec", spec, "--kmax", 0) == 0
+        capsys.readouterr()
+        assert run_main("verify", "--model", path, "--spec", spec, "--kmax", 0,
+                        "--width", width) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _single_error_line(captured.err)
+        assert "--width" in captured.err
 
     @pytest.mark.parametrize("edit", ["u-first-row", "u-3x4", "rho0-short", "rho0-matrix"])
     def test_half_line_spec_shapes(self, files, capsys, tmp_path, edit):

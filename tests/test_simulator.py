@@ -1,5 +1,10 @@
+import decimal
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
@@ -366,3 +371,100 @@ class TestDiagramIO:
                            for t in range(4))
         assert path.read_bytes() == expected.encode()
         assert expected.startswith("-1.5,4.9406564584124654e-324,1.0000000000000001e+300,")
+
+
+def _csv_reference(diag):
+    """The per-cell reference: format(v, ".17g") of each live cell."""
+    return "".join(",".join(format(v, ".17g") for v in diag.row(t)) + "\n"
+                   for t in range(diag.steps + 1)).encode()
+
+
+def _assert_csv_exact(path, states):
+    diag = SpaceTimeDiagram(states)
+    sim.write_diagram_csv(diag, path)
+    assert path.read_bytes() == _csv_reference(diag)
+
+
+def _ties():
+    """Doubles n / 2**m (n odd) whose exact decimal expansion n * 5**m / 10**m
+    has 18 significant digits: each ends in 5, a tie at 17 digits."""
+    out = []
+    for m in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** m), min(10 ** 18 // 5 ** m, 2 ** 53)
+        for n in np.linspace(lo, hi - 1, 40).astype(np.int64) | 1:
+            x = int(n) / 2.0 ** m
+            digits = decimal.Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+            out += [x, -x]
+    return out
+
+
+class TestCsvIsExact17g:
+    """The numpy writer matches ``format(v, ".17g")`` byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.one_of(hst.lists(hst.floats(allow_nan=False), min_size=1, max_size=40),
+                      hst.lists(hst.floats(1e-4, 1e16), min_size=1, max_size=40),
+                      hst.lists(hst.integers(0, 12_000).map(float), min_size=1,
+                                max_size=40)))
+    def test_property(self, tmp_path_factory, cells):
+        _assert_csv_exact(tmp_path_factory.mktemp("csv") / "d.csv", np.array([cells]))
+
+    @pytest.mark.parametrize("name", ["powers-of-ten", "ties", "whole", "whole-fast",
+                                      "signed-zero", "tiny-and-infinite"])
+    def test_adversarial_values(self, tmp_path, name):
+        tens = 10.0 ** np.arange(-6, 19)
+        cells = {
+            # log10 and the 17-digit rounding both turn at powers of ten
+            "powers-of-ten": np.concatenate([tens, np.nextafter(tens, 0),
+                                             np.nextafter(tens, np.inf),
+                                             [1e-4, np.nextafter(1e-4, 0), 1e16,
+                                              np.nextafter(1e16, 0), 1e17]]),
+            "ties": _ties(),
+            "whole": [9999.0, 1e4, 2.0 ** 53, 2.0 ** 53 - 1, 2.0 ** 53 + 2, 12345678.0, 7.0],
+            "whole-fast": [0.0, 1.0, 9.0, 10.0, 99.0, 100.0, 999.0, 1000.0, 9999.0],
+            "signed-zero": [0.0, -0.0, 3.0, -0.0],
+            "tiny-and-infinite": [5e-324, -5e-324, 2.2250738585072014e-308,
+                                  np.nextafter(2.2250738585072014e-308, 0), np.inf,
+                                  -np.inf, 1.7976931348623157e308, -1e-300],
+        }[name]
+        cells = np.asarray(cells, dtype=float)
+        _assert_csv_exact(tmp_path / "d.csv", np.stack([cells, -cells, cells[::-1]]))
+
+    def test_fixed_range_stays_in_numpy(self):
+        # log10 falls on the wrong side of many of these powers of ten; the
+        # exponent is corrected in numpy, not left to format()
+        tens = 10.0 ** np.arange(-4, 16)
+        cells = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                                _ties(), [2.0 ** 53, 9999.0]])
+        cells = cells[(abs(cells) >= 1e-4) & (abs(cells) < 1e16)]
+        _, rest = sim._format_fixed(cells, np.empty((cells.size, 13), dtype=np.uint32))
+        assert rest.size == 0
+
+    def test_row_cases(self, tmp_path):
+        rng = np.random.default_rng(11)
+        wide = 2 * sim._CSV_BLOCK + 905        # rows span blocks, the last block is short
+        states = rng.normal(size=(6, wide))
+        states[0, [0, sim._CSV_BLOCK - 1, sim._CSV_BLOCK, wide - 1]] = 0.0   # left to Python
+        states[1] = np.nan                                      # no live cell
+        states[2, 17] = np.nan                                  # interior NaN
+        states[3] = rng.integers(0, 4, size=wide)               # whole numbers
+        states[3, sim._CSV_BLOCK + 3:] = np.nan                 # shrunk row
+        states[4, :] = np.nan
+        states[4, [5, wide - 1]] = [-0.0, 2.5]
+        _assert_csv_exact(tmp_path / "d.csv", states)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (1, 1), (4, 0)])
+    def test_diagram_without_live_cells(self, tmp_path, shape):
+        _assert_csv_exact(tmp_path / "d.csv", np.full(shape, np.nan))
+
+    def test_memory_stays_in_blocks(self, tmp_path):
+        # about 3.2 MB of states and 8 MB of text: the writer holds one block
+        diag = SpaceTimeDiagram(np.random.default_rng(5).normal(size=(101, 4001)))
+        tracemalloc.start()
+        try:
+            sim.write_diagram_csv(diag, tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
