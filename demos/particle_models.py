@@ -62,6 +62,10 @@ def growth():
           f"{np.abs(shifted - (out + 3.0)).max():.1e}")
 
 
-if __name__ == "__main__":
+def main():
     exclusion()
     growth()
+
+
+if __name__ == "__main__":
+    main()

@@ -187,20 +187,16 @@ def _finite_battery(model, tol: float):
     return list(res.reports), res, extras
 
 
-def _grid_battery(args, model, fam: Family, params, probe: bool = False):
-    """Quadrature condition battery of a named family: reports, grid, tolerance,
-    chain.  With ``probe``, a family whose kernel is not the battery's also
-    gets the mu-equivalence report of the two."""
-    if fam.battery is None:
-        raise ValueError(f"family {model['family']['family']!r} has no condition battery; "
-                         "use simulate")
+def _grid_battery(args, model, fam: Family, params, hz: HzmcSpec, probe: bool = False):
+    """Quadrature condition battery of a named family on the chain ``hz``:
+    reports, grid, tolerance.  With ``probe``, a family whose kernel is not
+    the battery's also gets the mu-equivalence report of the two."""
     tol = _tol(args, QUAD_TOL)
     grid = _grid(args, model, fam, params)
-    hz = fam.chain(params)
     kernel = fam.kernel(params) if probe and fam.kernel is not fam.battery else None
     reports = list(ck.quadrature_check_conditions(fam.battery(params), hz, grid, tol=tol,
                                                   family_kernel=kernel))
-    return reports, grid, tol, hz
+    return reports, grid, tol
 
 
 def cmd_check(args, model, fam: Family | None, params) -> int:
@@ -213,7 +209,11 @@ def cmd_check(args, model, fam: Family | None, params) -> int:
             return _report(args, "check", [rep], tol=tol)
         reports, _, extras = _finite_battery(model, tol)
         return _report(args, "check", reports, tol=tol, **extras)
-    reports, grid, tol, hz = _grid_battery(args, model, fam, params, probe=True)
+    if fam.battery is None:
+        raise ValueError(f"family {model['family']['family']!r} has no condition battery; "
+                         "use simulate")
+    hz = fam.chain(params)
+    reports, grid, tol = _grid_battery(args, model, fam, params, hz, probe=True)
     return _report(args, "check", reports, grid=grid, tol=tol, **fam.extras(params, hz))
 
 
@@ -243,7 +243,7 @@ def cmd_solve(args, model, fam: Family | None, params) -> int:
         raise ValueError(f"cannot solve family {model['family']['family']!r}")
     if fam.obstruction is None:
         return _write_spec({"type": "hzmc", **fam.chain(params).meta}, args.out)
-    reports, grid, tol, _ = _grid_battery(args, model, fam, params)
+    reports, grid, tol = _grid_battery(args, model, fam, params, fam.chain(params))
     _emit(_payload(args, "solve", reports, grid=grid, tol=tol,
                    failure=fam.obstruction(params)), None)
     return 1
@@ -292,13 +292,16 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
     name = fam.chain(params).meta["family"]
     if spec.get("family") != name:
         raise ValueError(f"continuous verify needs a {name} spec")
-    if any(_spec_field(spec, key, lambda v: number_field(v, key)) != model["family"][key]
-           for key in fam.fields):
+    number = lambda key: _spec_field(spec, key, lambda v: number_field(v, key))
+    if any(number(key) != model["family"][key] for key in fam.fields):
         raise ValueError("spec parameters do not match the model")
+    # the AR(1) chain the spec states (verify reaches only the Gaussian families)
+    hz = ck.ar1_hzmc(ck.Ar1Params(phi=number("phi"), innovation_var=number("sigma_prime_sq")),
+                     number("stationary_std"))
     width = 20_001 if args.width is None else args.width     # the Monte-Carlo line
     if width < 2:               # before the battery: the refusal costs no quadrature
         raise ValueError("width must be >= 2")
-    reports, grid, tol, hz = _grid_battery(args, model, fam, params)
+    reports, grid, tol = _grid_battery(args, model, fam, params, hz)
     zig = sim.sample_hzmc_lines(hz, 2 * width + 1, 1, args.seed)[0]
     inst = sim.ModelInstance(kernel=fam.battery(params), lattice="N", seed=args.seed)
     z = sim.step_pca(zig[1::2], inst, t=0)

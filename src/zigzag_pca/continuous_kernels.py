@@ -24,7 +24,7 @@ probability density is stationary: each down-up step drifts by
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import betaincinv, betaln, gammaincinv, gammaln, ndtr, ndtri
@@ -37,14 +37,6 @@ _gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
 _gl_x01 = 0.5 * (_gl_x + 1.0)          # nodes on [0, 1]
 _gl_w01 = 0.5 * _gl_w
 _MU_THRESH = 1e-9
-
-
-def _flat_u(u):
-    """Uniforms with a trailing axis of length one dropped."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim and u.shape[-1] == 1:
-        return u[..., 0]
-    return u
 
 
 def _norm_pdf(x, mean, std):
@@ -103,11 +95,6 @@ def _difference(x, y, shift) -> np.ndarray:
     return out
 
 
-def _gamma_pdf(x, shape, rate):
-    """Shape-rate convention: mean shape/rate."""
-    return _gamma_density(shape, rate)(np.array(x, dtype=float))
-
-
 @dataclass(frozen=True)
 class GaussianPcaParams:
     """Two-neighbor Gaussian kernel parameters; needs |m| > 2."""
@@ -135,10 +122,9 @@ class GaussianPcaParams:
 
 @dataclass(frozen=True)
 class Ar1Params:
-    """X_i = theta + phi X_{i-1} + N(0, innovation_var)."""
+    """X_i = phi X_{i-1} + N(0, innovation_var)."""
 
     phi: float
-    theta: float
     innovation_var: float
 
     def __post_init__(self):
@@ -181,10 +167,9 @@ def gaussian_kernel_density(params: GaussianPcaParams) -> KernelDensity:
         return _norm_pdf(c, (np.asarray(a, dtype=float) + b) / m, sigma)
 
     def sampler(a, b, u):
-        return (np.asarray(a, dtype=float) + b) / m + sigma * ndtri(_flat_u(u))
+        return (np.asarray(a, dtype=float) + b) / m + sigma * ndtri(u)
 
-    return KernelDensity(density=density, sampler=sampler, support="R",
-                         tag=f"gaussian(m={m},sigma={sigma})")
+    return KernelDensity(density=density, sampler=sampler)
 
 
 def gaussian_diag_kernel_density(params: GaussianPcaParams) -> KernelDensity:
@@ -207,8 +192,7 @@ def gaussian_diag_kernel_density(params: GaussianPcaParams) -> KernelDensity:
         a = np.asarray(a, dtype=float)
         return np.where(a == b, a, base.sampler(a, b, u))
 
-    return KernelDensity(density=density, sampler=sampler, support="R",
-                         tag=f"gaussian_diag(m={params.m},sigma={params.sigma})")
+    return KernelDensity(density=density, sampler=sampler)
 
 
 def default_gaussian_grid(params: GaussianPcaParams, points: int = 257) -> GridMeasure:
@@ -218,38 +202,37 @@ def default_gaussian_grid(params: GaussianPcaParams, points: int = 257) -> GridM
 
 def ar1_parameters(params: GaussianPcaParams) -> Ar1Params:
     l = params.contraction
-    return Ar1Params(phi=2.0 / (params.m * l), theta=0.0,
-                     innovation_var=2.0 * params.sigma ** 2 / l)
+    return Ar1Params(phi=2.0 / (params.m * l), innovation_var=2.0 * params.sigma ** 2 / l)
+
+
+def ar1_hzmc(ar: Ar1Params, s0: float) -> HzmcSpec:
+    """The AR(1) zigzag chain: d = u = N(phi x, innovation_var), one kernel
+    for both legs, and rho0 = N(0, s0^2)."""
+    if not s0 > 0:
+        raise ValueError(f"stationary std must be positive, got {s0}")
+    phi = ar.phi
+    sp = float(np.sqrt(ar.innovation_var))
+    step = MarkovKernel(
+        density=lambda x, y: _norm_pdf(y, phi * np.asarray(x, dtype=float), sp),
+        sampler=lambda x, u: phi * np.asarray(x, dtype=float) + sp * ndtri(u),
+    )
+    rho0 = DensityLaw(
+        density=lambda x: _norm_pdf(x, 0.0, s0),
+        sampler=lambda u: s0 * ndtri(u),
+        cdf=lambda x: ndtr(np.asarray(x, dtype=float) / s0),
+    )
+    return HzmcSpec(d=step, u=step, rho0=rho0, lattice="N")
 
 
 def gaussian_invariant_hzmc(params: GaussianPcaParams) -> HzmcSpec:
     """Closed-form invariant chain of the Gaussian kernel."""
     ar = ar1_parameters(params)
-    phi = ar.phi
-    sp = float(np.sqrt(ar.innovation_var))
     s0 = params.stationary_std
-
-    def make_step():
-        def density(x, y):
-            return _norm_pdf(y, phi * np.asarray(x, dtype=float), sp)
-
-        def sampler(x, u):
-            return phi * np.asarray(x, dtype=float) + sp * ndtri(_flat_u(u))
-
-        return MarkovKernel(density=density, sampler=sampler, tag="ar1-step")
-
-    rho0 = DensityLaw(
-        density=lambda x: _norm_pdf(x, 0.0, s0),
-        sampler=lambda u: s0 * ndtri(_flat_u(u)),
-        cdf=lambda x: ndtr(np.asarray(x, dtype=float) / s0),
-        support=(-np.inf, np.inf),
-        tag="centered-normal",
-    )
-    return HzmcSpec(d=make_step(), u=make_step(), rho0=rho0, lattice="N",
-                    meta={"family": "gaussian_closed_form", "m": params.m,
-                          "sigma": params.sigma, "l": params.contraction,
-                          "phi": phi, "sigma_prime_sq": ar.innovation_var,
-                          "stationary_std": s0})
+    return replace(ar1_hzmc(ar, s0),
+                   meta={"family": "gaussian_closed_form", "m": params.m,
+                         "sigma": params.sigma, "l": params.contraction,
+                         "phi": ar.phi, "sigma_prime_sq": ar.innovation_var,
+                         "stationary_std": s0})
 
 
 def gaussian_eta_eigenvalue(params: GaussianPcaParams) -> float:
@@ -334,14 +317,11 @@ def beta_kernel_density(params: BetaPcaParams) -> KernelDensity:
         return out
 
     def sampler(a, b, u):
-        u = _flat_u(u)
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         return a + (b - a) * betaincinv(al, be, u) - m
 
-    return KernelDensity(density=density, sampler=sampler,
-                         support="between the neighbors, shifted left by m",
-                         tag=f"beta(alpha={al},beta={be},m={m})")
+    return KernelDensity(density=density, sampler=sampler)
 
 
 def beta_candidate_kernels(params: BetaPcaParams) -> tuple[MarkovKernel, MarkovKernel]:
@@ -352,17 +332,15 @@ def beta_candidate_kernels(params: BetaPcaParams) -> tuple[MarkovKernel, MarkovK
 
     d1 = MarkovKernel(
         density=lambda a, c: down(_difference(c, a, m)),
-        sampler=lambda a, u: np.asarray(a, dtype=float) - m + gammaincinv(al, _flat_u(u)) / th,
+        sampler=lambda a, u: np.asarray(a, dtype=float) - m + gammaincinv(al, u) / th,
         out_support=lambda a: (np.asarray(a, dtype=float) - m, np.inf),
         in_support=lambda c: (-np.inf, np.asarray(c, dtype=float) + m),
-        tag="gamma-shift-down",
     )
     u1 = MarkovKernel(
         density=lambda c, b: up(_difference(b, c, -m)),
-        sampler=lambda c, u: np.asarray(c, dtype=float) + m + gammaincinv(be, _flat_u(u)) / th,
+        sampler=lambda c, u: np.asarray(c, dtype=float) + m + gammaincinv(be, u) / th,
         out_support=lambda c: (np.asarray(c, dtype=float) + m, np.inf),
         in_support=lambda b: (-np.inf, np.asarray(b, dtype=float) - m),
-        tag="gamma-shift-up",
     )
     return d1, u1
 
@@ -380,9 +358,8 @@ def beta_candidate_hzmc(params: BetaPcaParams) -> HzmcSpec:
     pdf = _gamma_density(al, th)
     rho0 = DensityLaw(
         density=lambda x: pdf(np.array(x, dtype=float)),
-        sampler=lambda u: gammaincinv(al, _flat_u(u)) / th,
+        sampler=lambda u: gammaincinv(al, u) / th,
         support=(0.0, np.inf),
-        tag="gamma-candidate",
     )
     return HzmcSpec(d=d1, u=u1, rho0=rho0, lattice="N",
                     meta={"family": "beta_candidate", "alpha": params.alpha,
@@ -587,7 +564,7 @@ def quadrature_check_conditions(kernel: KernelDensity, hzmc: HzmcSpec, grid: Gri
 
 
 def mu_equivalence_probe(kernel_a: KernelDensity, kernel_b: KernelDensity,
-                         grid: GridMeasure, thresh: float = _MU_THRESH) -> CheckReport:
+                         grid: GridMeasure) -> CheckReport:
     """Grid mass of the neighbor pairs where two kernels disagree.
 
     Passes when every disagreeing pair sits within one grid cell of the
@@ -602,7 +579,7 @@ def mu_equivalence_probe(kernel_a: KernelDensity, kernel_b: KernelDensity,
         for blk in blocks:
             abc = _triples(p, blk)
             _mark_differing(kernel_a.density(*abc), kernel_b.density(*abc),
-                            buf[:blk.stop - blk.start], differs[blk], thresh)
+                            buf[:blk.stop - blk.start], differs[blk], _MU_THRESH)
     return _mu_report(differs, grid)
 
 

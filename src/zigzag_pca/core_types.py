@@ -193,8 +193,9 @@ class MarkovKernel:
     """One-step kernel on the line: density(x, y) and sampler(x, u).
 
     ``density`` must accept broadcastable arrays.  ``sampler`` maps uniforms
-    in (0, 1) through the inverse CDF of density(x, .), one uniform per draw,
-    so that simulations are reproducible from counter-based streams.
+    in (0, 1) through the inverse CDF of density(x, .); u broadcasts with x,
+    one uniform per draw, so that simulations are reproducible from
+    counter-based streams.
 
     ``out_support(x)`` / ``in_support(y)`` return (lo, hi) bounds for the
     support of density(x, .) / of {x : density(x, y) > 0}.  Finite bounds let
@@ -206,32 +207,30 @@ class MarkovKernel:
     sampler: Callable[[np.ndarray, np.ndarray], np.ndarray]
     out_support: Callable[[np.ndarray], tuple] | None = None
     in_support: Callable[[np.ndarray], tuple] | None = None
-    tag: str = ""
 
 
 @dataclass(frozen=True)
 class DensityLaw:
-    """Probability law on the line: density(x), sampler(u), optional cdf."""
+    """Probability law on the line: density(x), sampler(u) (one draw per
+    uniform, in the shape of u), optional cdf."""
 
     density: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray] | None = None
     support: tuple = (-np.inf, np.inf)
-    tag: str = ""
 
 
 @dataclass(frozen=True)
 class KernelDensity:
     """Two-neighbor kernel on the line: density (a, b, c) plus exact sampler.
 
-    ``sampler(a, b, u)`` maps one uniform per output cell through the inverse
-    CDF of density(a, b, .); u has shape (cells, 1) or (cells,).
+    ``sampler(a, b, u)`` maps each uniform through the inverse CDF of
+    density(a, b, .); u broadcasts with a and b, one uniform per draw, and
+    the draws take the broadcast shape.
     """
 
     density: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     sampler: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    support: str = "R"
-    tag: str = ""
 
 
 def check_chain_entries(**arrays: np.ndarray) -> None:
@@ -286,8 +285,8 @@ class ChzmcSpec:
     """Cyclic zigzag chain on 2n cells with its partition constant z; d and u
     need not be stochastic, as dividing by z normalizes the law."""
 
-    d: object
-    u: object
+    d: np.ndarray
+    u: np.ndarray
     n: int
     z: float
 
@@ -296,11 +295,10 @@ class ChzmcSpec:
             raise ValueError("cycle length must be >= 1")
         if not np.isfinite(self.z) or self.z <= 0:
             raise ValueError(f"partition constant must be finite and positive, got {self.z!r}")
-        if isinstance(self.d, np.ndarray):
-            d, u = _locked(self.d), _locked(self.u)
-            check_chain_entries(d=d, u=u)
-            object.__setattr__(self, "d", d)
-            object.__setattr__(self, "u", u)
+        d, u = _locked(self.d), _locked(self.u)
+        check_chain_entries(d=d, u=u)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "u", u)
 
 
 @dataclass(frozen=True)

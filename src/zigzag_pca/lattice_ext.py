@@ -60,7 +60,8 @@ def partition_function(d: np.ndarray, u: np.ndarray, n: int) -> float:
         raise ValueError("cycle length must be >= 1")
     d, u = np.asarray(d, dtype=float), np.asarray(u, dtype=float)
     check_chain_entries(d=d, u=u)
-    z = float(np.trace(np.linalg.matrix_power(d @ u, n)))
+    with np.errstate(over="ignore", invalid="ignore"):     # an inf or NaN is refused below
+        z = float(np.trace(np.linalg.matrix_power(d @ u, n)))
     if not np.isfinite(z) or z <= 0:
         raise ValueError(f"partition constant {z!r} is not finite positive; spec rejected")
     return z

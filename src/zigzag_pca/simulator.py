@@ -50,7 +50,7 @@ class TasepRule:
     def sampler(self, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
         if not np.all(a + 2 * self.r <= b):
             raise ValueError("inadmissible configuration: spacing below 2r")
-        return np.where(u[:, 0] < self.p, np.minimum(a + self.v, b - 2 * self.r), a)
+        return np.where(u < self.p, np.minimum(a + self.v, b - 2 * self.r), a)
 
 
 # weight family -> (parameter count, domain, domain test, inverse CDF)
@@ -119,11 +119,10 @@ class ModelInstance:
             raise ValueError("exclusion dynamics run on an open shrinking window only")
 
 
-def _tensor_draw(tensor: TransitionTensor, a: np.ndarray, b: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws from the rows tensor.t[a, b] of the kernel's
-    cumulative table."""
-    return (tensor.cumulative[a, b] < u[:, None]).sum(axis=1)
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: the index each uniform of u selects in the
+    cumulative rows ``cum`` (the last axis)."""
+    return (cum < u[:, None]).sum(axis=1)
 
 
 def sample_hzmc_lines(hzmc: HzmcSpec, length: int, n_chains: int, seed: int) -> np.ndarray:
@@ -135,11 +134,10 @@ def sample_hzmc_lines(hzmc: HzmcSpec, length: int, n_chains: int, seed: int) -> 
     # draw of n_chains uniforms per position
     draws = _line_rng(seed).random((length, n_chains))
     if hzmc.is_finite:
-        # inverse-CDF draws from the cumulative rows
         cum_rho, cum_d, cum_u = (np.cumsum(m, axis=-1) for m in (hzmc.rho0, hzmc.d, hzmc.u))
-        first = lambda u: (cum_rho < u[:, None]).sum(axis=1)
-        down = lambda x, u: (cum_d[x] < u[:, None]).sum(axis=1)
-        up = lambda x, u: (cum_u[x] < u[:, None]).sum(axis=1)
+        first = lambda u: _inverse_cdf(cum_rho, u)
+        down = lambda x, u: _inverse_cdf(cum_d[x], u)
+        up = lambda x, u: _inverse_cdf(cum_u[x], u)
     else:
         first, down, up = hzmc.rho0.sampler, hzmc.d.sampler, hzmc.u.sampler
     out = np.empty((n_chains, length))
@@ -154,7 +152,8 @@ def sample_hzmc_lines(hzmc: HzmcSpec, length: int, n_chains: int, seed: int) -> 
 def step_pca(line: np.ndarray, model: ModelInstance, t: int = 0) -> np.ndarray:
     """One synchronous update; cell j of the output is drawn from the kernel
     of input cells (j, j+1), the last cell of a cycle pairing with the first,
-    using uniform row j of the (seed, t) block."""
+    using uniform row j of the (seed, t) block: its one uniform, or both for
+    first-passage growth."""
     line = np.asarray(line)
     if line.size < 2:
         raise ValueError("width must be >= 2")
@@ -163,9 +162,11 @@ def step_pca(line: np.ndarray, model: ModelInstance, t: int = 0) -> np.ndarray:
     else:
         a, b = line[:-1], line[1:]
     kernel = model.kernel
-    u = row_uniforms(model.seed, t, a.size, 2 if isinstance(kernel, FppRule) else 1)
+    if isinstance(kernel, FppRule):
+        return kernel.sampler(a, b, row_uniforms(model.seed, t, a.size, 2))
+    u = row_uniforms(model.seed, t, a.size)[:, 0]
     if isinstance(kernel, TransitionTensor):
-        return _tensor_draw(kernel, a.astype(int), b.astype(int), u[:, 0])
+        return _inverse_cdf(kernel.cumulative[a.astype(int), b.astype(int)], u)
     return kernel.sampler(a, b, u)
 
 
@@ -347,7 +348,7 @@ def write_diagram_binary(diagram: SpaceTimeDiagram, path) -> None:
                                       dtype="<u4").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(diagram.states.astype("<f8").tobytes(order="C"))
+        fh.write(np.ascontiguousarray(diagram.states, dtype="<f8"))
 
 
 def read_diagram_binary(path) -> SpaceTimeDiagram:

@@ -38,20 +38,20 @@ class LineSummary:
         }
 
 
-def _autocorr(x: np.ndarray, max_lag: int) -> np.ndarray:
+def _autocorr(x: np.ndarray) -> np.ndarray:
     n = x.size
     centered = x - x.mean()
     c0 = float(np.dot(centered, centered)) / n
     if c0 == 0.0:
-        return np.full(max_lag, np.nan)
-    out = np.empty(max_lag)
-    for k in range(1, max_lag + 1):
+        return np.full(MAX_LAG, np.nan)
+    out = np.empty(MAX_LAG)
+    for k in range(1, MAX_LAG + 1):
         out[k - 1] = float(np.dot(centered[:-k], centered[k:])) / n / c0
     return out
 
 
-def summarize_line(values, max_lag: int = MAX_LAG) -> LineSummary:
-    """Mean, unbiased variance, lag-1..max_lag autocorrelations, and
+def summarize_line(values) -> LineSummary:
+    """Mean, unbiased variance, lag-1..MAX_LAG autocorrelations, and
     batch-means standard errors.  Needs at least 10 values; a constant line
     reports its autocorrelations as undefined."""
     x = np.asarray(values, dtype=float).ravel()
@@ -71,14 +71,14 @@ def summarize_line(values, max_lag: int = MAX_LAG) -> LineSummary:
 
     defined = variance > 0.0
     if defined:
-        ac = _autocorr(x, max_lag)
-        bacs = np.array([_autocorr(row, max_lag) if row.var() > 0 else np.full(max_lag, np.nan)
+        ac = _autocorr(x)
+        bacs = np.array([_autocorr(row) if row.var() > 0 else np.full(MAX_LAG, np.nan)
                          for row in batches])
         with np.errstate(invalid="ignore"):
             se_ac = np.nanstd(bacs, axis=0, ddof=1) / np.sqrt(nb)
     else:
-        ac = np.full(max_lag, np.nan)
-        se_ac = np.full(max_lag, np.nan)
+        ac = np.full(MAX_LAG, np.nan)
+        se_ac = np.full(MAX_LAG, np.nan)
 
     return LineSummary(n=n, mean=mean, variance=variance,
                        autocorr=tuple(float(a) for a in ac),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as hst
 import zigzag_pca
 from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
+from zigzag_pca import simulator as sim
+from zigzag_pca import stats as st
 from zigzag_pca.cli import main
 from zigzag_pca.core_types import (MAX_GRID_POINTS, FiniteAlphabet, TransitionTensor,
                                    decode_array, encode_array, save_model)
@@ -292,6 +295,39 @@ class TestSolveVerify:
         names = [r["condition"] for r in out["reports"]]
         assert "monte-carlo-stationarity" in names
 
+    def test_gaussian_verify_tests_the_chain_its_spec_states(self, files, capsys, tmp_path):
+        spec = tmp_path / "gspec.json"
+        run_main("solve", "--model", files["gauss"], "--out", spec)
+        doc = json.loads(spec.read_text())
+        doc.update(phi=0.1, stationary_std=5.0, sigma_prime_sq=9.0)
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_main("verify", "--model", files["gauss"], "--spec", spec, "--width", 2001)
+        failed = {r["condition"] for r in json.loads(capsys.readouterr().out)["reports"]
+                  if not r["passed"]}
+        assert code == 1
+        assert {"factorization", "stationarity"} <= failed
+
+    def test_gaussian_verify_of_a_solved_spec_tests_the_closed_form(self, files, capsys,
+                                                                   tmp_path):
+        # solve's fields round-trip exactly, so verify runs the family's own chain
+        spec = tmp_path / "gspec.json"
+        run_main("solve", "--model", files["gauss"], "--out", spec)
+        capsys.readouterr()
+        assert run_main("verify", "--model", files["gauss"], "--spec", spec,
+                        "--width", 2001, "--seed", 4) == 0
+        got = json.loads(capsys.readouterr().out)["reports"]
+        par = ck.GaussianPcaParams(3, 1)
+        hz = ck.gaussian_invariant_hzmc(par)
+        grid = ck.default_gaussian_grid(par, 129)
+        want = ck.quadrature_check_conditions(ck.gaussian_kernel_density(par), hz, grid)
+        assert [r["residual"] for r in got[:3]] == [r.residual for r in want]
+        zig = sim.sample_hzmc_lines(hz, 2 * 2001 + 1, 1, 4)[0]
+        model = sim.ModelInstance(ck.gaussian_kernel_density(par), "N", seed=4)
+        ks = st.ks_distance(sim.step_pca(zig[1::2], model)[::7], hz.rho0.cdf)
+        assert got[3]["condition"] == "monte-carlo-stationarity"
+        assert got[3]["residual"] == ks.distance
+
     def test_beta_solve_cites_stationarity(self, files, capsys):
         code = run_main("solve", "--model", files["beta"], "--out", "/tmp/never.json")
         doc = json.loads(capsys.readouterr().out)
@@ -439,6 +475,48 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert _single_error_line(err)
         assert f"spec field {field!r} is missing or malformed" in err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("phi", None, "spec field 'phi' is missing or malformed"),
+        ("phi", float("nan"), "spec field 'phi' is missing or malformed"),
+        ("sigma_prime_sq", float("inf"), "spec field 'sigma_prime_sq' is missing or malformed"),
+        ("stationary_std", "1.3", "spec field 'stationary_std' is missing or malformed"),
+        ("phi", 1.0, "need |phi| < 1"),
+        ("phi", -1.5, "need |phi| < 1"),
+        ("sigma_prime_sq", 0.0, "innovation variance must be positive"),
+        ("sigma_prime_sq", -1.0, "innovation variance must be positive"),
+        ("stationary_std", 0.0, "stationary std must be positive"),
+        ("stationary_std", -2.0, "stationary std must be positive"),
+    ], ids=["phi-missing", "phi-nan", "variance-inf", "std-string", "phi-one", "phi-beyond",
+            "variance-zero", "variance-negative", "std-zero", "std-negative"])
+    def test_gaussian_chain_field_out_of_domain(self, files, capsys, tmp_path, field, value,
+                                                message):
+        spec = tmp_path / "gspec.json"
+        assert run_main("solve", "--model", files["gauss"], "--out", spec) == 0
+        doc = json.loads(spec.read_text())
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_main("verify", "--model", files["gauss"], "--spec", spec, "--width", 101) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        assert message in err
+
+    def test_overflowing_cyclic_spec_is_one_error_line(self, capsys, tmp_path):
+        three = three_letter_tensor()
+        model, spec = tmp_path / "c3.json", tmp_path / "c3spec.json"
+        save_model(model, three.alphabet, three, {"cycle": 3})
+        big = [["1e100"] * 3] * 3
+        spec.write_text(json.dumps({"type": "chzmc", "n": 3, "d": big, "u": big}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # numpy's overflow warnings included
+            assert run_main("verify", "--model", model, "--spec", spec) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        assert "partition constant inf" in err
 
     @pytest.mark.parametrize("width", [1, 0, -5])
     def test_verify_width_refused_before_the_battery(self, files, capsys, tmp_path,

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import betainc, betaln, gammaln, ndtri
+from scipy.special import betainc, betaincinv, betaln, gammaincinv, gammaln, ndtri
 
 from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
@@ -266,14 +266,15 @@ class TestDensitiesBitForBit:
         xs = [x, x.reshape(-1, 1) + x, rng.uniform(-1.0, 9.0, (4, 5, 6))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            pdf = ck._gamma_density(shape, rate)
             for arr in xs:
                 kept = arr.copy()
-                got = ck._gamma_pdf(arr, shape, rate)
+                got = pdf(np.array(arr, dtype=float))
                 want = _reference_gamma_pdf(arr, shape, rate)
                 assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
                 assert np.array_equal(arr, kept, equal_nan=True)     # input left alone
             for scalar in (-1.0, 0.0, 0.5):
-                assert _same(ck._gamma_pdf(scalar, shape, rate),
+                assert _same(pdf(np.array(scalar, dtype=float)),
                              _reference_gamma_pdf(scalar, shape, rate))
 
     @pytest.mark.parametrize("al,be", [(1.0, 1.0), (0.5, 2.5), (2.0, 1.0)])
@@ -287,6 +288,60 @@ class TestDensitiesBitForBit:
         assert _same(d1.density(x, y), _reference_gamma_pdf(y - x + m, al, th))
         assert _same(u1.density(x, y), _reference_gamma_pdf(y - x - m, be, th))
         assert _same(rho0.density(p), _reference_gamma_pdf(p, al, th))
+
+
+def _line_samplers():
+    """Every sampler on the line: name -> (sampler, number of arguments before
+    u, the one-draw formula it must give bit for bit)."""
+    gp, bp = ck.GaussianPcaParams(3.0, 1.5), ck.BetaPcaParams(2.0, 0.5, 0.75, 1.5)
+    m, s = gp.m, gp.sigma
+    ar, s0 = ck.ar1_parameters(gp), gp.stationary_std
+    sp = np.sqrt(ar.innovation_var)
+    al, be, sh, th = bp.alpha, bp.beta, bp.m_shift, bp.theta_rate
+    gauss, beta = ck.gaussian_invariant_hzmc(gp), ck.beta_candidate_hzmc(bp)
+    return {
+        "gaussian": (ck.gaussian_kernel_density(gp).sampler, 2,
+                     lambda a, b, u: (a + b) / m + s * ndtri(u)),
+        "gaussian_diag": (ck.gaussian_diag_kernel_density(gp).sampler, 2,
+                          lambda a, b, u: np.where(a == b, a, (a + b) / m + s * ndtri(u))),
+        "beta": (ck.beta_kernel_density(bp).sampler, 2,
+                 lambda a, b, u: a + (b - a) * betaincinv(al, be, u) - sh),
+        "ar1-step": (gauss.d.sampler, 1, lambda x, u: ar.phi * x + sp * ndtri(u)),
+        "ar1-rho0": (gauss.rho0.sampler, 0, lambda u: s0 * ndtri(u)),
+        "gamma-down": (beta.d.sampler, 1, lambda x, u: x - sh + gammaincinv(al, u) / th),
+        "gamma-up": (beta.u.sampler, 1, lambda x, u: x + sh + gammaincinv(be, u) / th),
+        "gamma-rho0": (beta.rho0.sampler, 0, lambda u: gammaincinv(al, u) / th),
+    }
+
+
+class TestSamplerContract:
+    """u broadcasts with the arguments, one uniform per draw; no axis of it is
+    ever dropped."""
+
+    @pytest.mark.parametrize("name", _line_samplers())
+    def test_column_batch_draws_once_per_uniform(self, name):
+        sampler, arity, _ = _line_samplers()[name]
+        rng = np.random.default_rng(9)
+        n = 5
+        args = [rng.normal(size=(n, 1)) for _ in range(arity)]
+        if arity == 2:
+            args[1][0] = args[0][0]         # coinciding neighbors
+        u = rng.random((n, 1))
+        got = sampler(*args, u)
+        assert got.shape == (n, 1)
+        rows = np.stack([sampler(*(x[i] for x in args), u[i]) for i in range(n)])
+        assert np.array_equal(got, rows)
+
+    @pytest.mark.parametrize("name", _line_samplers())
+    def test_flat_call_keeps_its_bits(self, name):
+        sampler, arity, formula = _line_samplers()[name]
+        rng = np.random.default_rng(10)
+        args = [rng.normal(size=300) for _ in range(arity)]
+        if arity == 2:
+            args[1][::7] = args[0][::7]
+        u = rng.random(300)
+        got = sampler(*args, u)
+        assert got.shape == (300,) and np.array_equal(got, formula(*args, u))
 
 
 def grid_nu_eta(kern, grid):
@@ -475,8 +530,7 @@ def tilted(kernel, eps):
     """``kernel`` times 1 + eps tanh(a) tanh(b): no longer factorizable off a == b."""
     def density(a, b, c):
         return kernel.density(a, b, c) * (1.0 + eps * np.tanh(a) * np.tanh(b))
-    return KernelDensity(density=density, sampler=kernel.sampler, support=kernel.support,
-                         tag=f"tilted({kernel.tag})")
+    return KernelDensity(density=density, sampler=kernel.sampler)
 
 
 class TestBlockedSweep:

@@ -167,7 +167,7 @@ class TestStepPca:
         assert np.array_equal(tens.cumulative[a, b], np.cumsum(tens.t[a, b], axis=1))
         u = rng.random(500)
         expect = (np.cumsum(tens.t[a, b], axis=1) < u[:, None]).sum(axis=1)
-        assert np.array_equal(sim._tensor_draw(tens, a, b, u), expect)
+        assert np.array_equal(sim._inverse_cdf(tens.cumulative[a, b], u), expect)
 
 
 class TestSimulateDiagram:
@@ -345,6 +345,19 @@ class TestDiagramIO:
         back = sim.read_diagram_binary(path)
         assert back.width == 12 and back.steps == 4
         assert np.array_equal(back.states, diag.states, equal_nan=True)
+
+    def test_binary_writer_copies_nothing(self, tmp_path):
+        # 3.2 MB of states go to the file from the diagram's own buffer
+        diag = SpaceTimeDiagram(np.random.default_rng(5).normal(size=(101, 4001)))
+        tracemalloc.start()
+        try:
+            sim.write_diagram_binary(diag, tmp_path / "d.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        raw = (tmp_path / "d.bin").read_bytes()
+        assert raw[16:] == diag.states.astype("<f8").tobytes()
 
     def test_csv_rows(self, tmp_path):
         tens = copy_left_tensor(2)
