@@ -220,8 +220,7 @@ def cmd_check(args, model, fam: Family | None, params) -> int:
 def cmd_solve(args, model, fam: Family | None, params) -> int:
     if fam is None:
         tol = _tol(args, EXACT_TOL)
-        if not model["tensor"].mu_positive:
-            raise ValueError("solve requires an everywhere-positive kernel")
+        fs._require_positive(model["tensor"], "solve")
         lattice = model["lattice"]
         reports, res, extras = _finite_battery(model, tol)
         if not all(r.passed for r in reports):
@@ -314,7 +313,11 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
 
 def cmd_simulate(args, model, fam: Family | None, params) -> int:
     width = args.width
+    if width < 2 or args.steps < 0:          # before any solve or draw
+        raise ValueError(f"simulate needs --width >= 2 and --steps >= 0, "
+                         f"got {width} and {args.steps}")
     if fam is None:
+        fs._require_positive(model["tensor"], "simulate")
         kernel, chain = model["tensor"], fs.solve_invariant_hzmc(model["tensor"]).spec
     else:
         kernel, chain = fam.kernel(params), fam.chain(params) if fam.chain else None

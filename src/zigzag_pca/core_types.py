@@ -30,7 +30,7 @@ EXACT_TOL = 1e-10
 QUAD_TOL = 1e-6
 ROW_TOL = 1e-12
 # Largest quadrature grid: the condition sweep is cubic in the points, and a
-# Beta check at this size takes about 75 s on a 2-vCPU Xeon VM.
+# Beta check at this size takes about 12 s on a 2-vCPU Xeon VM.
 MAX_GRID_POINTS = 1025
 # Doubles in one block of the n^3 and n^2 * _GL_NODES grid passes: 512 KB,
 # so that a block's temporaries stay in cache.  At 257 points one block is

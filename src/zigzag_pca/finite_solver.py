@@ -329,12 +329,23 @@ def check_toom_conditions(tensor: TransitionTensor, hzmc: HzmcSpec,
     )
 
 
+def _size_guard(kappa: int, cells: int, what: str):
+    """The size rule of every exhaustive law and sweep: at most SIZE_GUARD
+    entries, and at most 64 cells whatever kappa.  Past 64 cells two letters
+    already exceed SIZE_GUARD, so the cap binds only kappa = 1 (one entry,
+    but a loop per cell); and kappa^cells is taken only below it, so a huge
+    window is refused at once, its size named without a huge integer."""
+    if cells > 64:
+        raise ValueError(f"{what} spans {cells} cells, over the 64-cell guard")
+    if kappa ** cells > SIZE_GUARD:
+        raise ValueError(f"{what} would need {kappa}^{cells} entries, "
+                         f"over the {SIZE_GUARD} guard")
+
+
 def _window_guard(kappa: int, k: int):
     if k < 0:
         raise ValueError(f"window k must be >= 0, got {k}")
-    if kappa ** (2 * k + 3) > SIZE_GUARD:
-        raise ValueError(f"joint law would need kappa^(2k+3) = {kappa ** (2 * k + 3)} "
-                         f"entries, over the {SIZE_GUARD} guard")
+    _size_guard(kappa, 2 * k + 3, f"the joint law of window k = {k}")
 
 
 def _grow(w: np.ndarray, link: np.ndarray, links: int) -> np.ndarray:
@@ -415,6 +426,7 @@ def _zigzag_blocks(start: np.ndarray, link: np.ndarray, k: int):
 
 def _zigzag_chain(start: np.ndarray, link: np.ndarray, k: int) -> np.ndarray:
     """w(b0, c0, ..., b_{k+1}) = start(b0) prod_i link[b_i, c_i, b_{i+1}]."""
+    _window_guard(link.shape[0], k)
     return _fill(_zigzag_blocks(start, link, k), (link.shape[0],) * (2 * k + 3))
 
 
@@ -427,7 +439,6 @@ def push_forward_zigzag(tensor: TransitionTensor, hzmc: HzmcSpec, k: int) -> np.
     old second line, whose law is rho0 d followed by ud steps; the cells
     between are drawn by t.  The result sums to 1.
     """
-    _window_guard(tensor.size, k)
     d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
     return _zigzag_chain(rho0 @ d, _push_link(tensor.t, u @ d), k)
 
@@ -436,7 +447,6 @@ def hzmc_cylinder_weights(hzmc: HzmcSpec, k: int) -> np.ndarray:
     """Exact cylinder weights of the candidate chain on a 2k+3 cell zigzag
     window, in the same axis order as push_forward_zigzag."""
     d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
-    _window_guard(d.shape[0], k)
     return _zigzag_chain(rho0, d[:, :, None] * u[None], k)
 
 

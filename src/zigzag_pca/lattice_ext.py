@@ -23,9 +23,10 @@ import numpy as np
 
 from .core_types import (EXACT_TOL, CheckReport, ChzmcSpec, TransitionTensor,
                          check_chain_entries)
-from .finite_solver import (SIZE_GUARD, BaseTriple, EigenSolveResult, _chain_blocks, _fill,
-                            _grow, _push_link, _sup_distance, _witness, build_hzmc_kernels,
-                            check_belyaev, select_base_triple, solve_eta, solve_nu)
+from .finite_solver import (BaseTriple, EigenSolveResult, _chain_blocks, _fill, _grow,
+                            _push_link, _require_positive, _size_guard, _sup_distance, _witness,
+                            build_hzmc_kernels, check_belyaev, select_base_triple, solve_eta,
+                            solve_nu)
 
 ZERO_SKIP = 1e-14
 
@@ -67,12 +68,6 @@ def partition_function(d: np.ndarray, u: np.ndarray, n: int) -> float:
     return z
 
 
-def _cycle_guard(kappa: int, n: int):
-    if kappa ** (2 * n) > SIZE_GUARD:
-        raise ValueError(f"cyclic joint law needs kappa^(2n) = {kappa ** (2 * n)} entries, "
-                         f"over the {SIZE_GUARD} guard")
-
-
 def _cyclic_blocks(link: np.ndarray, n: int, scale: float = 1.0):
     """Block walk (``finite_solver._chain_blocks``) of
     w(x0, m0, x1, m1, ..., x_{n-1}, m_{n-1}) = scale prod_i link[x_i, m_i, x_{i+1 mod n}],
@@ -89,27 +84,14 @@ def _cyclic_blocks(link: np.ndarray, n: int, scale: float = 1.0):
                                                         link, n - 2)[0])
 
 
-def _cyclic_chain(link: np.ndarray, n: int, scale: float = 1.0) -> np.ndarray:
-    """w(x0, m0, ..., x_{n-1}, m_{n-1}) of ``_cyclic_blocks``, flat in that order."""
-    return _fill(_cyclic_blocks(link, n, scale), (link.shape[0] * link.shape[1]) ** n)
-
-
 def chzmc_density(spec: ChzmcSpec) -> CyclicJointLaw:
     """Exact cyclic joint law of the chain, normalized by the partition
     constant stored on the spec."""
     d, u, n = spec.d, spec.u, spec.n
     kappa = d.shape[0]
-    _cycle_guard(kappa, n)
-    weights = _cyclic_chain(d[:, :, None] * u[None], n, 1.0 / spec.z)
-    return CyclicJointLaw(n=n, weights=weights.reshape((kappa,) * (2 * n)))
-
-
-def _cyclic_product(mat: np.ndarray, n: int) -> np.ndarray:
-    """P(x0..x_{n-1}) = prod_i mat[x_i, x_{i+1 mod n}]; the diagonal for n = 1."""
-    kappa = mat.shape[0]
-    if kappa ** n > SIZE_GUARD:
-        raise ValueError("cycle sweep exceeds the size guard")
-    return _cyclic_chain(mat[:, None, :], n).reshape((kappa,) * n)
+    _size_guard(kappa, 2 * n, f"the cyclic joint law of the {n}-cycle")
+    weights = _fill(_cyclic_blocks(d[:, :, None] * u[None], n, 1.0 / spec.z), (kappa,) * (2 * n))
+    return CyclicJointLaw(n=n, weights=weights)
 
 
 def check_cycle_commutation(d: np.ndarray, u: np.ndarray, n: int,
@@ -117,8 +99,10 @@ def check_cycle_commutation(d: np.ndarray, u: np.ndarray, n: int,
     """Equality of the du and ud products around the n-cycle.
 
     Screened first by the stronger matrix identity du = ud (sufficient); the
-    full n-tuple sweep runs only when screening fails.  The report notes
-    which branch decided.
+    full n-tuple sweep runs only when screening fails.  It walks the two
+    products prod_i du(x_i; x_{i+1 mod n}) and prod_i ud(x_i; x_{i+1 mod n})
+    in lockstep blocks (``_cyclic_blocks``), never holding either whole.
+    The report notes which branch decided.
     """
     du = d @ u
     ud = u @ d
@@ -126,9 +110,10 @@ def check_cycle_commutation(d: np.ndarray, u: np.ndarray, n: int,
     if screen <= tol:
         return CheckReport("cycle-commutation", screen, tol,
                            notes="decided by matrix commutation")
-    p_du = _cyclic_product(du, n)
-    p_ud = _cyclic_product(ud, n)
-    resid = float(np.abs(p_du - p_ud).max())
+    kappa = du.shape[0]
+    _size_guard(kappa, n, f"the cycle sweep of the {n}-cycle")
+    resid, _ = _sup_distance(_cyclic_blocks(du[:, None, :], n), _cyclic_blocks(ud[:, None, :], n),
+                             (kappa,) * n, tol)
     return CheckReport("cycle-commutation", resid, tol,
                        witnesses={"matrix_commutation_residual": screen},
                        notes="decided by full cycle sweep")
@@ -173,8 +158,7 @@ class ChzmcSolveResult:
 def solve_chzmc(tensor: TransitionTensor, n: int, tol: float = EXACT_TOL) -> ChzmcSolveResult:
     """Construct the invariant cyclic chain for a positive kernel, verifying
     the quartic identity and the cyclic commutation of the built kernels."""
-    if not tensor.mu_positive:
-        raise ValueError("solve_chzmc requires an everywhere-positive kernel")
+    _require_positive(tensor, "solve_chzmc")
     triple = select_base_triple(tensor)
     rep4 = check_belyaev(tensor, triple, tol=tol)
     if not rep4.passed:
@@ -200,9 +184,10 @@ def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,
 
     Summing the x cells out of the joint law one at a time leaves the
     second line's law in closed form, prod_i ud(y_i; y_{i+1}) / z, for any
-    d and u (``_cyclic_product(u @ d, n) / z``).  The pushed law, on
-    (y0, new cell 0, y1, ...), is that law times prod_i t(y_i, y_{i+1}; .):
-    the cyclic chain of the half line's push link, over z.
+    d and u (the walk ``_cyclic_blocks((u @ d)[:, None, :], n, 1 / z)``).
+    The pushed law, on (y0, new cell 0, y1, ...), is that law times
+    prod_i t(y_i, y_{i+1}; .): the cyclic chain of the half line's push
+    link, over z.
 
     Both laws are walked one leading pair (x0, m0) at a time, in lockstep,
     the chain for one x0 alive at a time, so about four blocks of
@@ -211,7 +196,7 @@ def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,
     and checked as ``CyclicJointLaw`` checks its total."""
     d, u, n = spec.d, spec.u, spec.n
     kappa = d.shape[0]
-    _cycle_guard(kappa, n)
+    _size_guard(kappa, 2 * n, f"the cyclic joint law of the {n}-cycle")
     sums = []
 
     def law():

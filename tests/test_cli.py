@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -706,6 +708,26 @@ class TestBadInput:
         assert run_main("verify", "--model", model, "--spec", spec) == 2
         assert "guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kappa, lattice, kmax", [
+        (3, "N", 10_000_000),        # kappa^(2k+3) has millions of digits
+        (3, {"cycle": 10_000}, 2),   # kappa^(2n) has 9543 digits
+        (1, "N", 10_000),            # one entry a window, but a loop per cell
+    ], ids=["kappa3-kmax1e7", "kappa3-cycle1e4", "kappa1-kmax1e4"])
+    def test_oversized_window_refused_at_once(self, capsys, tmp_path, kappa, lattice, kmax):
+        tens = (fs.make_factorized_tensor(3, 11)[0] if kappa == 3
+                else TransitionTensor(FiniteAlphabet(1), np.ones((1, 1, 1))))
+        model, spec = tmp_path / "model.json", tmp_path / "spec.json"
+        save_model(model, tens.alphabet, tens, lattice)
+        assert run_main("solve", "--model", model, "--out", spec) == 0
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = run_main("verify", "--model", model, "--spec", spec, "--kmax", kmax)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and _single_error_line(err) and "guard" in err
+        assert re.search(r"\d{31}", err) is None
+        assert elapsed < 0.1
+
     def test_negative_kmax_is_not_a_vacuous_pass(self, files, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         run_main("solve", "--model", files["two_letter"], "--out", spec)
@@ -731,6 +753,32 @@ class TestBadInput:
         assert run_main("simulate", "--model", files["two_letter"], "--steps", -1,
                         "--out", tmp_path / "sim") == 2
         assert _single_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("width", [0, -3, 1])
+    @pytest.mark.parametrize("model", ["two_letter", "gauss", "tasep"])
+    def test_simulate_width_refused_before_any_draw(self, files, capsys, tmp_path,
+                                                    monkeypatch, model, width):
+        entered = []
+        monkeypatch.setattr(fs, "solve_invariant_hzmc", lambda *a, **k: entered.append(a))
+        monkeypatch.setattr(sim, "sample_hzmc_lines", lambda *a, **k: entered.append(a))
+        assert run_main("simulate", "--model", files[model], "--width", width, "--steps", 0,
+                        "--out", tmp_path / "sim") == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and "--width >= 2" in err
+        assert entered == [] and not (tmp_path / "sim.csv").exists()
+
+    def test_simulate_refuses_a_kernel_with_a_zero_entry(self, capsys, tmp_path):
+        t = np.full((2, 2, 2), 0.5)
+        t[0, 1] = [1.0, 0.0]
+        tens = TransitionTensor(FiniteAlphabet(2), t)
+        path = tmp_path / "zero.json"
+        save_model(path, tens.alphabet, tens, "N")
+        assert run_main("simulate", "--model", path, "--width", 10, "--steps", 2,
+                        "--out", tmp_path / "sim") == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        assert "simulate requires an everywhere-positive kernel" in err
+        assert not (tmp_path / "sim.csv").exists()
 
     @pytest.mark.parametrize("command", ["check", "solve", "verify", "simulate"])
     def test_family_on_a_cycle_is_refused(self, tmp_path, capsys, command):

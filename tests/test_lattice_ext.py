@@ -138,8 +138,13 @@ class TestChzmcDensity:
         d, u = noncommuting_pair(n + 10, kappa=kappa)
         z = lx.partition_function(d, u, n)
         law = lx.chzmc_density(ChzmcSpec(d=d, u=u, n=n, z=z))
-        closed = lx._cyclic_product(u @ d, n) / z
-        assert closed.shape == (kappa,) * n
+        ud = u @ d
+        closed = np.zeros((kappa,) * n)
+        for y in itertools.product(range(kappa), repeat=n):
+            w = 1.0
+            for i in range(n):
+                w *= ud[y[i], y[(i + 1) % n]]
+            closed[y] = w / z
         np.testing.assert_allclose(closed, law.second_line_marginal(), rtol=1e-14, atol=0)
 
     def test_size_guard(self):
@@ -191,14 +196,15 @@ class TestChzmcConditions:
         a, b, c = r9.witnesses["argmax"]
         assert abs(t[a, b, c] * (d @ u_bad)[a, b] - d[a, c] * u_bad[c, b]) == r9.residual
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_full_sweep_matches_literal_max(self, n):
-        d, u = noncommuting_pair(5)
+    @pytest.mark.parametrize("n, kappa", [(n, kappa) for kappa in (2, 3) for n in (1, 2, 3, 4)],
+                             ids=[f"{n}" for n in (1, 2, 3, 4)] + [f"{n}-k3" for n in (1, 2, 3, 4)])
+    def test_full_sweep_matches_literal_max(self, n, kappa):
+        d, u = noncommuting_pair(5, kappa=kappa)
         du, ud = d @ u, u @ d
         rep = lx.check_cycle_commutation(d, u, n)
         assert rep.notes == "decided by full cycle sweep"
         literal = 0.0
-        for x in itertools.product(range(2), repeat=n):
+        for x in itertools.product(range(kappa), repeat=n):
             p_du = p_ud = 1.0
             for i in range(n):
                 p_du *= du[x[i], x[(i + 1) % n]]
@@ -206,6 +212,19 @@ class TestChzmcConditions:
             literal = max(literal, abs(p_du - p_ud))
         assert literal > 1e-3
         assert rep.residual == pytest.approx(literal, abs=1e-15)
+
+    def test_full_sweep_memory(self):
+        # kappa^n = 10^7 products, the largest sweep the size guard admits:
+        # each whole product is 76 MiB, and the sweep holds a few 8 MiB blocks
+        d, u = noncommuting_pair(5, kappa=10)
+        tracemalloc.start()
+        try:
+            rep = lx.check_cycle_commutation(d, u, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.notes == "decided by full cycle sweep" and not rep.passed
+        assert peak < 64 * 2**20
 
 
 class TestSolveChzmc:
