@@ -156,16 +156,18 @@ def _report(args, command: str, reports, **fields) -> int:
 
 
 def _write_spec(doc: dict, out) -> int:
+    """Write a spec document; its arrays go out as decimal strings."""
     with open(out, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(doc, fh, indent=1, default=encode_array)
         fh.write("\n")
     print(f"wrote {out}")
     return 0
 
 
 def _finite_battery(model, tol: float):
-    """Reports plus solve payload for a finite-alphabet model, or an
-    explanation when the positive route does not apply."""
+    """Reports, report fields and spec document (arrays left for
+    ``_write_spec`` to encode) of a positive finite-alphabet model's solve;
+    the document is None unless every report passed."""
     tensor = model["tensor"]
     lattice = model["lattice"]
     if isinstance(lattice, tuple):
@@ -176,7 +178,10 @@ def _finite_battery(model, tol: float):
         if res.eta is not None:
             extras["eta"] = res.eta.vector.tolist()
             extras["nu"] = res.nu.vector.tolist()
-        return list(res.reports), res, extras
+        doc = {"type": "chzmc", "n": lattice[1], "z": format(res.spec.z, ".17g"),
+               "d": res.spec.d, "u": res.spec.u, "eta": res.eta.vector,
+               "nu": res.nu.vector} if res.ok else None
+        return list(res.reports), extras, doc
     res = fs.solve_invariant_hzmc(tensor, lattice=lattice, tol=tol)
     extras = {
         "triple": list(res.triple.as_tuple()),
@@ -184,7 +189,10 @@ def _finite_battery(model, tol: float):
         "eta": res.eta.vector.tolist(),
         "rho0": res.spec.rho0.tolist(),
     }
-    return list(res.reports), res, extras
+    doc = {"type": "hzmc", "lattice": lattice, "d": res.spec.d, "u": res.spec.u,
+           "rho0": res.spec.rho0, "triple": extras["triple"], "eta": res.eta.vector,
+           "nu": res.nu.vector} if res.ok else None
+    return list(res.reports), extras, doc
 
 
 def _grid_battery(args, model, fam: Family, params, hz: HzmcSpec, probe: bool = False):
@@ -207,7 +215,7 @@ def cmd_check(args, model, fam: Family | None, params) -> int:
                               notes="kernel is not everywhere positive; the positive "
                                     "construction route does not apply")
             return _report(args, "check", [rep], tol=tol)
-        reports, _, extras = _finite_battery(model, tol)
+        reports, extras, _ = _finite_battery(model, tol)
         return _report(args, "check", reports, tol=tol, **extras)
     if fam.battery is None:
         raise ValueError(f"family {model['family']['family']!r} has no condition battery; "
@@ -221,23 +229,12 @@ def cmd_solve(args, model, fam: Family | None, params) -> int:
     if fam is None:
         tol = _tol(args, EXACT_TOL)
         fs._require_positive(model["tensor"], "solve")
-        lattice = model["lattice"]
-        reports, res, extras = _finite_battery(model, tol)
-        if not all(r.passed for r in reports):
-            shown = {} if isinstance(lattice, tuple) else extras
+        reports, extras, doc = _finite_battery(model, tol)
+        if doc is None:
+            shown = {} if isinstance(model["lattice"], tuple) else extras
             _emit(_payload(args, "solve", reports, tol=tol, **shown), None)
             return 1
-        if isinstance(lattice, tuple):
-            return _write_spec({"type": "chzmc", "n": lattice[1], "z": format(res.spec.z, ".17g"),
-                                "d": encode_array(res.spec.d), "u": encode_array(res.spec.u),
-                                "eta": encode_array(res.eta.vector),
-                                "nu": encode_array(res.nu.vector)}, args.out)
-        return _write_spec({"type": "hzmc", "lattice": lattice,
-                            "d": encode_array(res.spec.d), "u": encode_array(res.spec.u),
-                            "rho0": encode_array(res.spec.rho0),
-                            "triple": list(res.triple.as_tuple()),
-                            "eta": encode_array(res.eta.vector),
-                            "nu": encode_array(res.nu.vector)}, args.out)
+        return _write_spec(doc, args.out)
     if fam.chain is None:
         raise ValueError(f"cannot solve family {model['family']['family']!r}")
     if fam.obstruction is None:
@@ -283,8 +280,9 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
         if d.shape != square or u.shape != square or rho0.shape != square[:1]:
             raise ValueError("spec kernels incompatible with model alphabet")
         hz = HzmcSpec(d=d, u=u, rho0=rho0, lattice=spec.get("lattice", "N"))
-        rep = fs.bruteforce_invariance(tensor, hz, args.kmax, tol=tol)
-        return _report(args, "verify", [rep], tol=tol, kmax=args.kmax)
+        kmax = 2 if args.kmax is None else args.kmax
+        rep = fs.bruteforce_invariance(tensor, hz, kmax, tol=tol)
+        return _report(args, "verify", [rep], tol=tol, kmax=kmax)
 
     if fam.chain is None or fam.obstruction is not None:
         raise ValueError(f"verify does not apply to family {model['family']['family']!r}")
@@ -313,9 +311,9 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
 
 def cmd_simulate(args, model, fam: Family | None, params) -> int:
     width = args.width
-    if width < 2 or args.steps < 0:          # before any solve or draw
-        raise ValueError(f"simulate needs --width >= 2 and --steps >= 0, "
-                         f"got {width} and {args.steps}")
+    if width < 2 or not 0 <= args.steps < width:     # before any solve or draw
+        raise ValueError(f"simulate needs --width >= 2 and 0 <= --steps < --width "
+                         f"(the window loses one cell a step), got {width} and {args.steps}")
     if fam is None:
         fs._require_positive(model["tensor"], "simulate")
         kernel, chain = model["tensor"], fs.solve_invariant_hzmc(model["tensor"]).spec
@@ -353,9 +351,11 @@ def cmd_simulate(args, model, fam: Family | None, params) -> int:
 
 
 def cmd_report(doc: dict) -> int:
-    reports = doc.get("reports", [])
+    reports = doc.get("reports")
     if not isinstance(reports, list) or not all(isinstance(rep, dict) for rep in reports):
-        raise ValueError("report field 'reports' must be a list of objects")
+        raise ValueError("not a report: field 'reports' must be a list of objects")
+    if not isinstance(doc.get("passed"), bool):
+        raise ValueError("not a report: field 'passed' must be true or false")
     for i, rep in enumerate(reports):
         for key in ("residual", "tolerance"):
             # a failed condition may report residual inf
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("solve", cmd_solve, "construct and write the invariant chain", out_required=True)
     sp = command("verify", cmd_verify, "independent oracle against a solved spec")
     sp.add_argument("--spec", required=True, help="spec JSON from solve")
-    sp.add_argument("--kmax", type=int, default=2)
+    sp.add_argument("--kmax", type=int, default=None)
     sp.add_argument("--width", type=int, default=None)
     sp = command("simulate", cmd_simulate, "run the model and dump the diagram", battery=False)
     sp.add_argument("--steps", type=int, default=10)
@@ -427,6 +427,10 @@ def main(argv=None) -> int:
             what = "simulate" if fam is None else f"family {block['family']!r}"
             raise ValueError(f"{what} runs on the lattice 'N' or 'Z', not on "
                              f"{{'cycle': {model['lattice'][1]}}}")
+        if getattr(args, "kmax", None) is not None and (fam is not None
+                                                        or isinstance(model["lattice"], tuple)):
+            raise ValueError("--kmax of verify applies to a finite-alphabet model on the "
+                             "lattice 'N' or 'Z', not to a named family or a cycle")
         return args.func(args, model, fam, params)
     except (OSError, ValueError) as exc:     # bad input: exit 2, one line, no traceback
         print(f"error: {exc}", file=sys.stderr)

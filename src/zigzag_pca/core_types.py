@@ -171,9 +171,9 @@ class TransitionTensor:
         table that the simulator draws from."""
         return _locked(np.cumsum(self.t, axis=2))
 
-    @property
+    @functools.cached_property
     def mu_positive(self) -> bool:
-        """True when every entry is strictly positive."""
+        """True when every entry is strictly positive; scanned once."""
         return bool(np.all(self.t > 0))
 
     def restrict(self, indices: Sequence[int]) -> "TransitionTensor":

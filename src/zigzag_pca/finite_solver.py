@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_types import (EXACT_TOL, CheckReport, FiniteAlphabet, HzmcSpec,
+from .core_types import (EXACT_TOL, CheckReport, ChzmcSpec, FiniteAlphabet, HzmcSpec,
                          TransitionTensor, _row_blocks, normalize_rows)
 
 MAX_KAPPA = 64
@@ -70,11 +70,6 @@ class StationaryResult:
     iterations: int          # always 1: one direct solve
 
 
-def _guard_kappa(tensor: TransitionTensor):
-    if tensor.size > MAX_KAPPA:
-        raise ValueError(f"alphabet size {tensor.size} exceeds the supported bound {MAX_KAPPA}")
-
-
 def _require_positive(kernel, op: str):
     if not kernel.mu_positive:
         raise ValueError(f"{op} requires an everywhere-positive kernel")
@@ -108,9 +103,11 @@ def select_base_triple(tensor: TransitionTensor) -> BaseTriple:
     whose row (a0, b0) maximizes min_c t[a0, b0, c].
 
     The anchor row must be strictly positive; if no row is, the kernel has
-    no admissible base triple.
+    no admissible base triple.  An alphabet beyond MAX_KAPPA is refused here,
+    where every finite solve starts.
     """
-    _guard_kappa(tensor)
+    if tensor.size > MAX_KAPPA:
+        raise ValueError(f"alphabet size {tensor.size} exceeds the supported bound {MAX_KAPPA}")
     mins = tensor.t.min(axis=2)
     best = float(mins.max())
     if best <= 0:
@@ -495,17 +492,29 @@ def bruteforce_invariance(tensor: TransitionTensor, hzmc: HzmcSpec, k_max: int,
 
 @dataclass(frozen=True)
 class InvariantSolve:
-    """Full pipeline outcome for one finite kernel."""
+    """Pipeline outcome for one finite kernel, on the half line
+    (``solve_invariant_hzmc``) or on a cycle (``lattice_ext.solve_chzmc``).
+    A cycle solve that stops at a failed report leaves spec None, and nu and
+    eta too when the failed report is the quartic identity."""
 
     triple: BaseTriple
-    nu: EigenSolveResult
-    eta: EigenSolveResult
-    spec: HzmcSpec
+    nu: EigenSolveResult | None
+    eta: EigenSolveResult | None
+    spec: HzmcSpec | ChzmcSpec | None
     reports: tuple[CheckReport, ...]
 
     @property
     def ok(self) -> bool:
-        return all(r.passed for r in self.reports)
+        return self.spec is not None and all(r.passed for r in self.reports)
+
+
+def _construct(tensor: TransitionTensor, triple: BaseTriple):
+    """The construction every lattice shares: nu, then eta, then the chain
+    kernels (d, u) that eta generates.  Returns (nu, eta, d, u)."""
+    nu = solve_nu(tensor)
+    eta = solve_eta(tensor, triple, nu.vector)
+    d, u = build_hzmc_kernels(tensor, triple, eta.vector)
+    return nu, eta, d, u
 
 
 def solve_invariant_hzmc(tensor: TransitionTensor, lattice: str = "N",
@@ -517,15 +526,12 @@ def solve_invariant_hzmc(tensor: TransitionTensor, lattice: str = "N",
     invariant.  Reports, in order: quartic identity, diagonal quartic,
     cubic equation, factorization, commutation, stationarity.
     """
-    _guard_kappa(tensor)
     _require_positive(tensor, "solve_invariant_hzmc")
     triple = select_base_triple(tensor)
     rep_b = check_belyaev(tensor, triple, tol=tol)
     rep_bd = check_belyaev_diag(tensor, triple, tol=tol)
-    nu = solve_nu(tensor)
-    eta = solve_eta(tensor, triple, nu.vector)
+    nu, eta, d, u = _construct(tensor, triple)
     rep_cubic = check_eta_cubic(tensor, triple, eta.vector, tol=tol)
-    d, u = build_hzmc_kernels(tensor, triple, eta.vector)
     spec = HzmcSpec(d=d, u=u, rho0=stationary_distribution(d).rho0, lattice=lattice)
     rep_t1, rep_t2, rep_t3 = check_toom_conditions(tensor, spec, tol=tol)
     return InvariantSolve(

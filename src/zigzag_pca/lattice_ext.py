@@ -23,10 +23,9 @@ import numpy as np
 
 from .core_types import (EXACT_TOL, CheckReport, ChzmcSpec, TransitionTensor,
                          check_chain_entries)
-from .finite_solver import (BaseTriple, EigenSolveResult, _chain_blocks, _fill, _grow,
-                            _push_link, _require_positive, _size_guard, _sup_distance, _witness,
-                            build_hzmc_kernels, check_belyaev, select_base_triple, solve_eta,
-                            solve_nu)
+from .finite_solver import (InvariantSolve, _chain_blocks, _construct, _fill, _grow, _push_link,
+                            _require_positive, _size_guard, _sup_distance, _witness,
+                            check_belyaev, select_base_triple)
 
 ZERO_SKIP = 1e-14
 
@@ -102,7 +101,8 @@ def check_cycle_commutation(d: np.ndarray, u: np.ndarray, n: int,
     full n-tuple sweep runs only when screening fails.  It walks the two
     products prod_i du(x_i; x_{i+1 mod n}) and prod_i ud(x_i; x_{i+1 mod n})
     in lockstep blocks (``_cyclic_blocks``), never holding either whole.
-    The report notes which branch decided.
+    The report notes which branch decided.  Beyond the size guard a failed
+    screen leaves the question undecided: the report fails with residual inf.
     """
     du = d @ u
     ud = u @ d
@@ -111,7 +111,13 @@ def check_cycle_commutation(d: np.ndarray, u: np.ndarray, n: int,
         return CheckReport("cycle-commutation", screen, tol,
                            notes="decided by matrix commutation")
     kappa = du.shape[0]
-    _size_guard(kappa, n, f"the cycle sweep of the {n}-cycle")
+    try:
+        _size_guard(kappa, n, f"the cycle sweep of the {n}-cycle")
+    except ValueError:
+        return CheckReport("cycle-commutation", float("inf"), tol,
+                           witnesses={"matrix_commutation_residual": screen},
+                           notes="undecided: the matrix screen failed and the full cycle "
+                                 "sweep exceeds the size guard")
     resid, _ = _sup_distance(_cyclic_blocks(du[:, None, :], n), _cyclic_blocks(ud[:, None, :], n),
                              (kappa,) * n, tol)
     return CheckReport("cycle-commutation", resid, tol,
@@ -142,38 +148,20 @@ def check_chzmc_conditions(tensor: TransitionTensor, spec: ChzmcSpec,
     return rep9, rep10
 
 
-@dataclass(frozen=True)
-class ChzmcSolveResult:
-    spec: ChzmcSpec | None
-    triple: BaseTriple | None
-    nu: EigenSolveResult | None
-    eta: EigenSolveResult | None
-    reports: tuple[CheckReport, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.spec is not None and all(r.passed for r in self.reports)
-
-
-def solve_chzmc(tensor: TransitionTensor, n: int, tol: float = EXACT_TOL) -> ChzmcSolveResult:
+def solve_chzmc(tensor: TransitionTensor, n: int, tol: float = EXACT_TOL) -> InvariantSolve:
     """Construct the invariant cyclic chain for a positive kernel, verifying
-    the quartic identity and the cyclic commutation of the built kernels."""
+    the quartic identity and the cyclic commutation of the built kernels.
+    Reports, in order: quartic identity, then, once it passes, cycle
+    commutation; the spec is built only when both pass."""
     _require_positive(tensor, "solve_chzmc")
     triple = select_base_triple(tensor)
     rep4 = check_belyaev(tensor, triple, tol=tol)
     if not rep4.passed:
-        return ChzmcSolveResult(spec=None, triple=triple, nu=None, eta=None, reports=(rep4,))
-    nu = solve_nu(tensor)
-    eta = solve_eta(tensor, triple, nu.vector)
-    d, u = build_hzmc_kernels(tensor, triple, eta.vector)
+        return InvariantSolve(triple=triple, nu=None, eta=None, spec=None, reports=(rep4,))
+    nu, eta, d, u = _construct(tensor, triple)
     rep11 = check_cycle_commutation(d, u, n, tol=tol)
-    if not rep11.passed:
-        return ChzmcSolveResult(spec=None, triple=triple, nu=nu, eta=eta,
-                                reports=(rep4, rep11))
-    z = partition_function(d, u, n)
-    spec = ChzmcSpec(d=d, u=u, n=n, z=z)
-    return ChzmcSolveResult(spec=spec, triple=triple, nu=nu, eta=eta,
-                            reports=(rep4, rep11))
+    spec = ChzmcSpec(d=d, u=u, n=n, z=partition_function(d, u, n)) if rep11.passed else None
+    return InvariantSolve(triple=triple, nu=nu, eta=eta, spec=spec, reports=(rep4, rep11))
 
 
 def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,

@@ -389,6 +389,14 @@ class TestSimulate:
 
 
 class TestReport:
+    def test_spec_file_is_not_a_report(self, files, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        assert run_main("solve", "--model", files["two_letter"], "--out", spec) == 0
+        capsys.readouterr()
+        assert run_main("report", "--in", spec) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not a report" in captured.err
+
     def test_pretty_print(self, files, capsys, tmp_path):
         rep = tmp_path / "rep.json"
         run_main("check", "--model", files["two_letter"], "--out", rep)
@@ -542,11 +550,12 @@ class TestBadInput:
                                                     width):
         path = files[model]
         spec = tmp_path / "spec.json"
+        kmax = () if model == "two_letter_cycle" else ("--kmax", 0)    # the cycle refuses it
         assert run_main("solve", "--model", path, "--out", spec) == 0
         capsys.readouterr()
-        assert run_main("verify", "--model", path, "--spec", spec, "--kmax", 0) == 0
+        assert run_main("verify", "--model", path, "--spec", spec, *kmax) == 0
         capsys.readouterr()
-        assert run_main("verify", "--model", path, "--spec", spec, "--kmax", 0,
+        assert run_main("verify", "--model", path, "--spec", spec, *kmax,
                         "--width", width) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -666,7 +675,10 @@ class TestBadInput:
         {"reports": [{"condition": "x", "residual": 0.0, "tolerance": "1e-10"}]},
         {"reports": ["x"]},
         {"reports": {"condition": "x"}},
-    ], ids=["no-residual", "string-tolerance", "entry-not-object", "reports-not-list"])
+        {},
+        {"reports": [], "passed": "yes"},
+    ], ids=["no-residual", "string-tolerance", "entry-not-object", "reports-not-list", "empty",
+            "passed-not-boolean"])
     def test_malformed_report_is_one_error_line(self, tmp_path, capsys, doc):
         path = _write_model(tmp_path / "report.json", doc)
         assert run_main("report", "--in", path) == 2
@@ -699,6 +711,52 @@ class TestBadInput:
                         "--kmax", 20) == 2
         assert "guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [12, 13])
+    def test_screen_miss_beyond_the_sweep_guard_exits_one(self, capsys, tmp_path, seed):
+        # a valid cycle whose built d and u commute only to rounding: at
+        # --tol 1e-16 the screen misses and the 2^30 sweep is beyond the guard
+        tens = fs.make_factorized_tensor(2, seed)[0]
+        model, spec = tmp_path / "c30.json", tmp_path / "spec.json"
+        save_model(model, tens.alphabet, tens, {"cycle": 30})
+        for argv in (("check",), ("solve", "--out", spec)):
+            assert run_main(*argv, "--model", model, "--tol", "1e-16") == 1
+            rep = json.loads(capsys.readouterr().out)["reports"][-1]
+            assert rep["condition"] == "cycle-commutation" and rep["residual"] == float("inf")
+            assert rep["notes"] == ("undecided: the matrix screen failed and the full cycle "
+                                    "sweep exceeds the size guard")
+            assert rep["witnesses"]["matrix_commutation_residual"] > 1e-16
+        assert not spec.exists()
+
+    @pytest.mark.parametrize("lattice", ["N", {"cycle": 3}], ids=["half-line", "cycle3"])
+    def test_alphabet_beyond_max_kappa_refused(self, capsys, tmp_path, lattice):
+        k = fs.MAX_KAPPA + 1
+        tens = TransitionTensor(FiniteAlphabet(k), np.full((k, k, k), 1.0 / k))
+        model, spec = tmp_path / "k65.json", tmp_path / "spec.json"
+        save_model(model, tens.alphabet, tens, lattice)
+        for argv in (("check",), ("solve", "--out", spec)):
+            assert run_main(*argv, "--model", model) == 2
+            err = capsys.readouterr().err
+            assert _single_error_line(err) and f"supported bound {fs.MAX_KAPPA}" in err
+        assert not spec.exists()
+
+    @pytest.mark.parametrize("model", ["gauss", "two_letter_cycle"])
+    def test_kmax_refused_where_nothing_reads_it(self, files, capsys, tmp_path, model):
+        spec = tmp_path / "spec.json"
+        assert run_main("solve", "--model", files[model], "--out", spec) == 0
+        capsys.readouterr()
+        assert run_main("verify", "--model", files[model], "--spec", spec, "--kmax", -5) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _single_error_line(captured.err) and "--kmax" in captured.err
+
+    def test_half_line_verify_defaults_to_kmax_two(self, files, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        assert run_main("solve", "--model", files["two_letter"], "--out", spec) == 0
+        capsys.readouterr()
+        assert run_main("verify", "--model", files["two_letter"], "--spec", spec) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kmax"] == 2 and doc["reports"][0]["witnesses"]["k_max"] == 2
+
     def test_cycle_beyond_size_guard(self, capsys, tmp_path):
         two = three_letter_tensor().restrict([1, 2])
         model, spec = tmp_path / "c30.json", tmp_path / "c30spec.json"
@@ -710,7 +768,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("kappa, lattice, kmax", [
         (3, "N", 10_000_000),        # kappa^(2k+3) has millions of digits
-        (3, {"cycle": 10_000}, 2),   # kappa^(2n) has 9543 digits
+        (3, {"cycle": 10_000}, None),    # kappa^(2n) has 9543 digits; a cycle takes no --kmax
         (1, "N", 10_000),            # one entry a window, but a loop per cell
     ], ids=["kappa3-kmax1e7", "kappa3-cycle1e4", "kappa1-kmax1e4"])
     def test_oversized_window_refused_at_once(self, capsys, tmp_path, kappa, lattice, kmax):
@@ -721,7 +779,8 @@ class TestBadInput:
         assert run_main("solve", "--model", model, "--out", spec) == 0
         capsys.readouterr()
         start = time.perf_counter()
-        code = run_main("verify", "--model", model, "--spec", spec, "--kmax", kmax)
+        code = run_main("verify", "--model", model, "--spec", spec,
+                        *(() if kmax is None else ("--kmax", kmax)))
         elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
         assert code == 2 and _single_error_line(err) and "guard" in err
@@ -754,14 +813,16 @@ class TestBadInput:
                         "--out", tmp_path / "sim") == 2
         assert _single_error_line(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("width", [0, -3, 1])
+    @pytest.mark.parametrize("width, steps", [(0, 0), (-3, 0), (1, 0), (5, 5), (5, 9)],
+                             ids=["0", "-3", "1", "5-steps5", "5-steps9"])
     @pytest.mark.parametrize("model", ["two_letter", "gauss", "tasep"])
     def test_simulate_width_refused_before_any_draw(self, files, capsys, tmp_path,
-                                                    monkeypatch, model, width):
+                                                    monkeypatch, model, width, steps):
+        # the window loses one cell a step, so --steps >= --width is refused too
         entered = []
         monkeypatch.setattr(fs, "solve_invariant_hzmc", lambda *a, **k: entered.append(a))
         monkeypatch.setattr(sim, "sample_hzmc_lines", lambda *a, **k: entered.append(a))
-        assert run_main("simulate", "--model", files[model], "--width", width, "--steps", 0,
+        assert run_main("simulate", "--model", files[model], "--width", width, "--steps", steps,
                         "--out", tmp_path / "sim") == 2
         err = capsys.readouterr().err
         assert _single_error_line(err) and "--width >= 2" in err

@@ -665,6 +665,13 @@ class TestNearlyReducible:
         assert res.ok
 
 
+def test_one_solve_leaves_positivity_cached():
+    tens = fs.make_factorized_tensor(3, 1)[0]
+    assert "mu_positive" not in vars(tens)
+    fs.solve_invariant_hzmc(tens)
+    assert vars(tens)["mu_positive"] is True
+
+
 class TestLargestAlphabet:
     """MAX_KAPPA = 64 holds: the decision path at kappa = 64 is O(kappa^3)."""
 

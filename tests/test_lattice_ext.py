@@ -226,6 +226,19 @@ class TestChzmcConditions:
         assert rep.notes == "decided by full cycle sweep" and not rep.passed
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("seed", [12, 13])
+    def test_screen_miss_beyond_the_guard_is_undecided(self, seed):
+        # the built d and u commute only to rounding, so a 1e-16 screen
+        # misses; 2^20 products are swept, 2^30 would exceed the size guard
+        spec = fs.solve_invariant_hzmc(fs.make_factorized_tensor(2, seed)[0]).spec
+        inside = lx.check_cycle_commutation(spec.d, spec.u, 20, tol=1e-16)
+        assert inside.notes == "decided by full cycle sweep" and inside.passed
+        beyond = lx.check_cycle_commutation(spec.d, spec.u, 30, tol=1e-16)
+        assert beyond.residual == np.inf and not beyond.passed
+        assert beyond.notes.startswith("undecided: the matrix screen failed")
+        assert beyond.witnesses == inside.witnesses
+        assert beyond.witnesses["matrix_commutation_residual"] > 1e-16
+
 
 class TestSolveChzmc:
     def test_two_letter_cycle(self, two_letter):
@@ -245,7 +258,8 @@ class TestSolveChzmc:
         tens = fs.random_positive_tensor(2, 17)
         res = lx.solve_chzmc(tens, 2)
         assert not res.ok
-        assert res.spec is None
+        assert isinstance(res, fs.InvariantSolve)
+        assert res.nu is None and res.eta is None and res.spec is None
         assert res.reports[0].condition == "quartic-identity"
         assert not res.reports[0].passed
 
