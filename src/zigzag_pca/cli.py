@@ -23,8 +23,8 @@ from . import lattice_ext as lx
 from . import simulator as sim
 from . import stats as st
 from .core_types import (EXACT_TOL, QUAD_TOL, CheckReport, ChzmcSpec, HzmcSpec,
-                         ModelFormatError, decode_array, encode_array,
-                         gauss_legendre_grid, load_model, number_field)
+                         ModelFormatError, decode_array, encode_array, gauss_legendre_grid,
+                         load_model, number_field, save_document)
 
 
 def _fpp_rule(block) -> sim.FppRule:
@@ -143,11 +143,9 @@ def _payload(args, command: str, reports, grid=None, tol=None, **extras) -> dict
 
 
 def _emit(doc: dict, out_path) -> None:
-    text = json.dumps(doc, indent=1)
-    print(text)
+    print(json.dumps(doc, indent=1))
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        save_document(out_path, doc)
 
 
 def _report(args, command: str, reports, **fields) -> int:
@@ -156,10 +154,7 @@ def _report(args, command: str, reports, **fields) -> int:
 
 
 def _write_spec(doc: dict, out) -> int:
-    """Write a spec document; its arrays go out as decimal strings."""
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=1, default=encode_array)
-        fh.write("\n")
+    save_document(out, doc)
     print(f"wrote {out}")
     return 0
 
@@ -178,7 +173,7 @@ def _finite_battery(model, tol: float):
         if res.eta is not None:
             extras["eta"] = res.eta.vector.tolist()
             extras["nu"] = res.nu.vector.tolist()
-        doc = {"type": "chzmc", "n": lattice[1], "z": format(res.spec.z, ".17g"),
+        doc = {"type": "chzmc", "n": lattice[1], "z": encode_array(res.spec.z),
                "d": res.spec.d, "u": res.spec.u, "eta": res.eta.vector,
                "nu": res.nu.vector} if res.ok else None
         return list(res.reports), extras, doc
@@ -351,20 +346,26 @@ def cmd_simulate(args, model, fam: Family | None, params) -> int:
 
 
 def cmd_report(doc: dict) -> int:
-    reports = doc.get("reports")
-    if not isinstance(reports, list) or not all(isinstance(rep, dict) for rep in reports):
+    entries = doc.get("reports")
+    if not isinstance(entries, list) or not all(isinstance(rep, dict) for rep in entries):
         raise ValueError("not a report: field 'reports' must be a list of objects")
     if not isinstance(doc.get("passed"), bool):
         raise ValueError("not a report: field 'passed' must be true or false")
-    for i, rep in enumerate(reports):
-        for key in ("residual", "tolerance"):
-            # a failed condition may report residual inf
-            number_field(rep.get(key), f"report {i} field {key!r}", finite=False)
+    reports = []
+    for i, rep in enumerate(entries):
+        # a failed condition may report residual inf
+        residual, tolerance = (number_field(rep.get(key), f"report {i} field {key!r}",
+                                            finite=False) for key in ("residual", "tolerance"))
+        reports.append(CheckReport(rep.get("condition"), residual, tolerance,
+                                   notes=rep.get("notes", "")))
+        if rep.get("passed") is not reports[-1].passed:
+            raise ValueError(f"report {i} field 'passed' disagrees with residual <= tolerance")
+    passed = all(r.passed for r in reports)
+    if doc["passed"] is not passed:
+        raise ValueError("report field 'passed' disagrees with its entries")
     for rep in reports:
-        flag = "pass" if rep.get("passed") else "FAIL"
-        print(f"[{flag}] {rep.get('condition')}: residual {rep.get('residual'):.3e} "
-              f"(tol {rep.get('tolerance'):.1e}) {rep.get('notes', '')}".rstrip())
-    print(f"overall: {'pass' if doc.get('passed') else 'FAIL'}")
+        print(f"{rep} {rep.notes}".rstrip())
+    print(f"overall: {'pass' if passed else 'FAIL'}")
     return 0
 
 

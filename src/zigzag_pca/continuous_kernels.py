@@ -29,8 +29,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import betaincinv, betaln, gammaincinv, gammaln, ndtr, ndtri
 
-from .core_types import (QUAD_TOL, CheckReport, DensityLaw, GridMeasure, HzmcSpec,
-                         KernelDensity, MarkovKernel, _row_blocks, gauss_legendre_grid)
+from .core_types import (DEFAULT_GRID_POINTS, QUAD_TOL, CheckReport, DensityLaw, GridMeasure,
+                         HzmcSpec, KernelDensity, MarkovKernel, _row_blocks, gauss_legendre_grid,
+                         sup_residual)
 
 _GL_NODES = 64
 _gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
@@ -195,7 +196,8 @@ def gaussian_diag_kernel_density(params: GaussianPcaParams) -> KernelDensity:
     return KernelDensity(density=density, sampler=sampler)
 
 
-def default_gaussian_grid(params: GaussianPcaParams, points: int = 257) -> GridMeasure:
+def default_gaussian_grid(params: GaussianPcaParams,
+                          points: int = DEFAULT_GRID_POINTS) -> GridMeasure:
     """Gauss-Legendre grid out to 8 stationary standard deviations."""
     return gauss_legendre_grid(8.0 * params.stationary_std, points)
 
@@ -368,7 +370,7 @@ def beta_candidate_hzmc(params: BetaPcaParams) -> HzmcSpec:
                           "drift_per_step": params.drift_per_step})
 
 
-def default_beta_grid(params: BetaPcaParams, points: int = 257) -> GridMeasure:
+def default_beta_grid(params: BetaPcaParams, points: int = DEFAULT_GRID_POINTS) -> GridMeasure:
     al, be, th, m = params.alpha, params.beta, params.theta_rate, params.m_shift
     reach = (al + np.sqrt(al)) / th + (be + np.sqrt(be)) / th + abs(m)
     return gauss_legendre_grid(8.0 * reach, points)
@@ -418,14 +420,6 @@ class GridKernel:
         """True when t is positive on every grid triple; one blocked pass."""
         n = self.size
         return all(bool(np.all(self[blk] > 0)) for blk in _row_blocks(n, n * n))
-
-
-def _worst(diff: np.ndarray) -> tuple[float, int]:
-    """Largest entry of ``diff`` and its flat index (the first on ties).  A NaN
-    counts as +inf, so an undefined residual fails instead of passing."""
-    i = int(diff.argmax())          # the first NaN, if there is one
-    m = float(diff.flat[i])
-    return (np.inf if m != m else m), i
 
 
 def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np.ndarray:
@@ -497,8 +491,8 @@ def _mark_differing(ta: np.ndarray, tb: np.ndarray, buf: np.ndarray, out: np.nda
 def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
                     family_kernel: KernelDensity | None = None):
     """Factorization, commutation and stationarity residuals with their argmax
-    witnesses, and the (a, b) pairs where ``family_kernel`` differs from
-    ``kernel`` (None without one).
+    witnesses (``sup_residual``), and the (a, b) pairs where ``family_kernel``
+    differs from ``kernel`` (None without one).
 
     The factorization sweep t(a,b;c) du(a;b) = d(a;c) u(c;b) walks the n^3
     triples in blocks (_row_blocks) and evaluates each kernel once per
@@ -516,8 +510,8 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
     lhs_buf = np.empty((blocks[0].stop, n, n))
     rhs_buf = np.empty_like(lhs_buf)
     differs = None if family_kernel is None else np.zeros((n, n), dtype=bool)
-    r1, w1 = 0.0, (0, 0, 0)
-    with np.errstate(invalid="ignore"):
+
+    def sweep():
         for blk in blocks:
             rows = blk.stop - blk.start
             abc = _triples(p, blk)
@@ -529,16 +523,13 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
             diff -= np.multiply(d_mat[blk, None, :], u_t, out=rhs_buf[:rows])
             np.abs(diff, out=diff)
             diff[np.arange(rows), np.arange(blk.start, blk.stop)] = 0.0     # a == b
-            m, i = _worst(diff)
-            if m > r1:
-                r1 = m
-                a, b, c = np.unravel_index(i, diff.shape)
-                w1 = (int(a) + blk.start, int(b), int(c))
+            yield diff
 
-    r2, i2 = _worst(np.abs(du - ud))
-    w2 = tuple(int(i) for i in np.unravel_index(i2, du.shape))
-    r3, w3 = _worst(np.abs(apply_law(rho0, d, grid) - rho0.density(p)))
-    return (r1, w1), (r2, w2), (r3, (w3,)), differs
+    with np.errstate(invalid="ignore"):
+        fact = sup_residual(sweep(), (n, n, n))
+    comm = sup_residual([np.abs(du - ud)], du.shape)
+    stat = sup_residual([np.abs(apply_law(rho0, d, grid) - rho0.density(p))], (n,))
+    return fact, comm, stat, differs
 
 
 def quadrature_check_conditions(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,

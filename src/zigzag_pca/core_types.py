@@ -32,6 +32,8 @@ ROW_TOL = 1e-12
 # Largest quadrature grid: the condition sweep is cubic in the points, and a
 # Beta check at this size takes about 12 s on a 2-vCPU Xeon VM.
 MAX_GRID_POINTS = 1025
+# Points of a grid whose size neither the model nor the caller gives.
+DEFAULT_GRID_POINTS = 257
 # Doubles in one block of the n^3 and n^2 * _GL_NODES grid passes: 512 KB,
 # so that a block's temporaries stay in cache.  At 257 points one block is
 # one row a of the n^3 triples; a block never holds less than one row.
@@ -108,7 +110,7 @@ def _check_halfwidth(halfwidth) -> None:
         raise ValueError(f"grid halfwidth must be a finite number > 0, got {halfwidth}")
 
 
-def gauss_legendre_grid(halfwidth: float, points: int = 257) -> GridMeasure:
+def gauss_legendre_grid(halfwidth: float, points: int = DEFAULT_GRID_POINTS) -> GridMeasure:
     """Gauss-Legendre nodes and weights scaled to [-halfwidth, halfwidth]."""
     _check_halfwidth(halfwidth)
     if points < 2:
@@ -119,7 +121,7 @@ def gauss_legendre_grid(halfwidth: float, points: int = 257) -> GridMeasure:
     return GridMeasure(points=x * halfwidth, weights=w * halfwidth)
 
 
-def trapezoid_grid(halfwidth: float, points: int = 257) -> GridMeasure:
+def trapezoid_grid(halfwidth: float, points: int = DEFAULT_GRID_POINTS) -> GridMeasure:
     """Uniform composite trapezoid rule; second order, handy for refinement checks."""
     _check_halfwidth(halfwidth)
     if points < 2:
@@ -149,12 +151,9 @@ class TransitionTensor:
         if not np.all(arr >= 0):     # also refuses NaN, which every comparison fails
             raise ValueError("tensor entries must be nonnegative numbers")
         rowsums = arr.sum(axis=2)
-        worst = float(np.abs(rowsums - 1.0).max())
+        worst, bad = sup_residual([np.abs(rowsums - 1.0)], rowsums.shape)
         if worst > ROW_TOL:
-            bad = np.unravel_index(int(np.abs(rowsums - 1.0).argmax()), rowsums.shape)
-            raise ValueError(
-                f"row {bad} sums to {rowsums[bad]!r}; off by {worst:g} > {ROW_TOL:g}"
-            )
+            raise ValueError(f"row {bad} sums to {rowsums[bad]!r}; off by {worst:g} > {ROW_TOL:g}")
         object.__setattr__(self, "t", arr)
 
     @property
@@ -373,6 +372,23 @@ class CheckReport:
         return f"[{flag}] {self.condition}: residual {self.residual:.3e} (tol {self.tolerance:.1e})"
 
 
+def sup_residual(blocks, shape: tuple) -> tuple[float, tuple]:
+    """The residual rule of every condition report: the largest entry of the
+    array of ``shape`` that the C-ordered ``blocks`` make up, one after the
+    other, and its index, the first one on ties.  A NaN counts as +inf, so an
+    undefined residual fails instead of passing."""
+    worst, where, start = -np.inf, 0, 0
+    for blk in blocks:
+        i = int(blk.argmax())
+        m = float(blk.flat[i])
+        if m != m:      # argmax stops at the first NaN; an earlier +inf ties with it
+            i, m = int(np.argmax(~(blk < np.inf))), np.inf
+        if m > worst:
+            worst, where = m, start + i
+        start += blk.size
+    return worst, tuple(int(j) for j in np.unravel_index(where, shape))
+
+
 def normalize_rows(array: np.ndarray) -> tuple[np.ndarray, float]:
     """Rescale the last axis of a kernel array to unit sums.
 
@@ -398,15 +414,11 @@ def normalize_rows(array: np.ndarray) -> tuple[np.ndarray, float]:
 # decimal strings with 17 significant digits.
 # ---------------------------------------------------------------------------
 
-def _f2s(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def encode_array(a: np.ndarray):
     """Nested lists of 17-significant-digit decimal strings."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
-        return _f2s(float(a))
+        return format(float(a), ".17g")
     return [encode_array(sub) for sub in a]
 
 
@@ -414,8 +426,16 @@ def decode_array(obj) -> np.ndarray:
     return np.asarray(obj, dtype=float)
 
 
-def model_to_dict(alphabet, kernel, lattice) -> dict:
-    """Assemble a model document.
+def save_document(path, doc: dict) -> None:
+    """Write a model or spec document as indented JSON; its arrays go out as
+    decimal strings (``encode_array``)."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, default=encode_array)
+        fh.write("\n")
+
+
+def save_model(path, alphabet, kernel, lattice) -> None:
+    """Write a model document.
 
     ``alphabet``: FiniteAlphabet or GridMeasure spec dict {"halfwidth", "points"}.
     ``kernel``: TransitionTensor, or a named-family dict.
@@ -429,16 +449,10 @@ def model_to_dict(alphabet, kernel, lattice) -> dict:
     else:
         doc["alphabet"] = {"grid": dict(alphabet)}
     if isinstance(kernel, TransitionTensor):
-        doc["kernel"] = {"tensor": encode_array(kernel.t)}
+        doc["kernel"] = {"tensor": kernel.t}
     else:
         doc["kernel"] = dict(kernel)
-    return doc
-
-
-def save_model(path, alphabet, kernel, lattice) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(alphabet, kernel, lattice), fh, indent=1)
-        fh.write("\n")
+    save_document(path, doc)
 
 
 class ModelFormatError(ValueError):
@@ -512,7 +526,8 @@ def parse_model(doc: dict) -> dict:
             raise ModelFormatError("grid must be a JSON object")
         out["grid"] = {"halfwidth": number_field(g["halfwidth"], "grid halfwidth")
                        if "halfwidth" in g else None,
-                       "points": number_field(g.get("points", 257), "grid points", whole=True)}
+                       "points": number_field(g.get("points", DEFAULT_GRID_POINTS),
+                                              "grid points", whole=True)}
         if "family" not in kern:
             raise ModelFormatError("grid alphabet requires a named kernel family")
         fam = {k2: number_field(v, f"kernel field {k2!r}", finite=False)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_types import (EXACT_TOL, CheckReport, ChzmcSpec, FiniteAlphabet, HzmcSpec,
-                         TransitionTensor, _row_blocks, normalize_rows)
+                         TransitionTensor, _row_blocks, normalize_rows, sup_residual)
 
 MAX_KAPPA = 64
 SIZE_GUARD = 10**7
@@ -90,14 +90,6 @@ def _perron(matrix: np.ndarray) -> EigenSolveResult:
                             residual=float(np.abs(m @ v - lam * v).max()))
 
 
-def _witness(diff: np.ndarray, residual: float, tol: float) -> tuple | None:
-    """Index of the largest entry of ``diff`` (whose maximum is ``residual``)
-    on a failure; None on a pass, where it would only name rounding noise."""
-    if not residual > tol:
-        return None
-    return tuple(int(i) for i in np.unravel_index(int(diff.argmax()), diff.shape))
-
-
 def select_base_triple(tensor: TransitionTensor) -> BaseTriple:
     """Deterministic anchor choice: the lexicographically smallest triple
     whose row (a0, b0) maximizes min_c t[a0, b0, c].
@@ -116,6 +108,16 @@ def select_base_triple(tensor: TransitionTensor) -> BaseTriple:
     return BaseTriple(int(a0), int(b0), 0)
 
 
+def _anchored_quartic(t: np.ndarray, triple: BaseTriple, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the quartic identity anchored at ``triple``,
+    t(a,b;c) t(a0,b0;c) t(a0,b;c0) t(a,b0;c0) = t(a0,b0;c0) t(a,b;c0) t(a,b0;c) t(a0,b;c),
+    at the neighbor pairs of the broadcasting index arrays (a, b), c last."""
+    a0, b0, c0 = triple.as_tuple()
+    lhs = t[a, b] * t[a0, b0] * t[a0, b, c0][..., None] * t[a, b0, c0][..., None]
+    rhs = t[a0, b0, c0] * t[a, b, c0][..., None] * t[a, b0] * t[a0, b]
+    return lhs, rhs
+
+
 def check_belyaev(tensor: TransitionTensor, triple: BaseTriple,
                   tol: float = EXACT_TOL) -> CheckReport:
     """Quartic product identity anchored at the base triple, over all (a,b,c).
@@ -127,15 +129,10 @@ def check_belyaev(tensor: TransitionTensor, triple: BaseTriple,
     ("exhaustive"), else over WITNESS_TUPLES six-tuples drawn from
     ``default_rng(0)`` ("sampled"), so repeated calls agree bitwise.
     """
-    t = tensor.t
-    a0, b0, c0 = triple.as_tuple()
-    lhs = t * t[a0, b0, :][None, None, :] * t[a0, :, c0][None, :, None] * t[:, b0, c0][:, None, None]
-    rhs = t[a0, b0, c0] * t[:, :, c0][:, :, None] * t[:, b0, :][:, None, :] * t[a0, :, :][None, :, :]
-    diff = np.abs(lhs - rhs)
-    residual = float(diff.max())
-    where = np.unravel_index(int(diff.argmax()), diff.shape)
+    t, k = tensor.t, tensor.size
+    lhs, rhs = _anchored_quartic(t, triple, np.arange(k)[:, None], np.arange(k))
+    residual, where = sup_residual([np.abs(lhs - rhs)], lhs.shape)
 
-    k = tensor.size
     if k ** 6 <= WITNESS_TUPLES:
         a, b, c, p, q, r = np.indices((k,) * 6).reshape(6, -1)
         witness = "exhaustive"
@@ -150,7 +147,7 @@ def check_belyaev(tensor: TransitionTensor, triple: BaseTriple,
         condition="quartic-identity",
         residual=residual,
         tolerance=tol,
-        witnesses={"triple": triple.as_tuple(), "argmax": tuple(int(i) for i in where),
+        witnesses={"triple": triple.as_tuple(), "argmax": where,
                    "residual_general": residual_general, "witness": witness,
                    "witness_tuples": int(a.size),
                    "lhs_at_argmax": float(lhs[where]), "rhs_at_argmax": float(rhs[where])},
@@ -159,21 +156,16 @@ def check_belyaev(tensor: TransitionTensor, triple: BaseTriple,
 
 def check_belyaev_diag(tensor: TransitionTensor, triple: BaseTriple,
                        tol: float = EXACT_TOL) -> CheckReport:
-    """Diagonal restriction of the quartic identity (b = a), over all (a, c)."""
-    t = tensor.t
-    a0, b0, c0 = triple.as_tuple()
-    k = tensor.size
-    diag = t[np.arange(k), np.arange(k), :]          # diag[a, c] = t(a,a;c)
-    lhs = diag * t[a0, b0, :][None, :] * t[a0, :, c0][:, None] * t[:, b0, c0][:, None]
-    rhs = t[a0, b0, c0] * diag[:, c0][:, None] * t[:, b0, :] * t[a0, :, :]
-    diff = np.abs(lhs - rhs)
-    residual = float(diff.max())
-    where = np.unravel_index(int(diff.argmax()), diff.shape)
+    """Diagonal restriction of the quartic identity (b = a), over all (a, c):
+    the b = a entries of ``check_belyaev``'s anchored products."""
+    diag = np.arange(tensor.size)
+    lhs, rhs = _anchored_quartic(tensor.t, triple, diag, diag)
+    residual, where = sup_residual([np.abs(lhs - rhs)], lhs.shape)
     return CheckReport(
         condition="quartic-identity-diag",
         residual=residual,
         tolerance=tol,
-        witnesses={"triple": triple.as_tuple(), "argmax": tuple(int(i) for i in where)},
+        witnesses={"triple": triple.as_tuple(), "argmax": where},
     )
 
 
@@ -237,14 +229,13 @@ def check_eta_cubic(kernel, triple: BaseTriple, eta: np.ndarray,
     fac1 = (w[triple.a0, :][:, None] * kernel[triple.a0]) / s0[:, None]   # fac1[c, a]
     rhs = (fac1.T @ big_b) / cvec[:, None]            # rhs[a, b]
 
-    diff = np.abs(lhs - rhs)
-    residual = float(diff.max())
+    residual, where = sup_residual([np.abs(lhs - rhs)], lhs.shape)
     return CheckReport(
         condition="cubic-equation",
         residual=residual,
         tolerance=tol,
         witnesses={"triple": triple.as_tuple(), "eta": eta,
-                   "argmax": _witness(diff, residual, tol)},
+                   "argmax": where if residual > tol else None},
     )
 
 
@@ -302,26 +293,24 @@ def stationary_distribution(d: np.ndarray) -> StationaryResult:
     return StationaryResult(rho0=rho, residual=resid, unique=_irreducible(d), iterations=1)
 
 
+def _factorization_gap(t: np.ndarray, d: np.ndarray, u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """|t(a,b;c) du(a;b) - d(a;c) u(c;b)| as [a, b, c], with du = d @ u."""
+    return np.abs(t * du[:, :, None] - d[:, None, :] * u.T[None, :, :])
+
+
 def check_toom_conditions(tensor: TransitionTensor, hzmc: HzmcSpec,
                           tol: float = EXACT_TOL) -> tuple[CheckReport, CheckReport, CheckReport]:
     """Factorization, commutation and stationarity residuals for a candidate
     zigzag chain against the kernel."""
-    t = tensor.t
     d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
     du = d @ u
-    ud = u @ d
-
-    prod = t * du[:, :, None]
-    direct = d[:, None, :] * u.T[None, :, :]          # d(a;c) u(c;b) as [a, b, c]
-    diff1 = np.abs(prod - direct)
-    r1 = float(diff1.max())
-    diff2 = np.abs(du - ud)
-    r2 = float(diff2.max())
-    r3 = float(np.abs(rho0 @ d - rho0).max())
+    r1, w1 = sup_residual([_factorization_gap(tensor.t, d, u, du)], tensor.t.shape)
+    r2, w2 = sup_residual([np.abs(du - u @ d)], du.shape)
+    r3, _ = sup_residual([np.abs(rho0 @ d - rho0)], rho0.shape)
 
     return (
-        CheckReport("factorization", r1, tol, witnesses={"argmax": _witness(diff1, r1, tol)}),
-        CheckReport("commutation", r2, tol, witnesses={"argmax": _witness(diff2, r2, tol)}),
+        CheckReport("factorization", r1, tol, witnesses={"argmax": w1 if r1 > tol else None}),
+        CheckReport("commutation", r2, tol, witnesses={"argmax": w2 if r2 > tol else None}),
         CheckReport("stationarity", r3, tol, witnesses={"rho0": rho0}),
     )
 
@@ -387,22 +376,13 @@ def _fill(blocks, shape: tuple) -> np.ndarray:
 
 
 def _sup_distance(blocks, ref_blocks, shape: tuple, tol: float) -> tuple[float, tuple | None]:
-    """Largest |a - b| between two block walks of the chain ``shape``, taken
-    in lockstep (each block of ``blocks`` is overwritten), and, when it
-    exceeds ``tol``, the index of its first occurrence in C order; None
-    otherwise, where it would only name rounding noise.  A NaN counts as
-    +inf, so an undefined entry fails instead of passing."""
-    worst, where = -np.inf, None
-    for i, (a, b) in enumerate(zip(blocks, ref_blocks)):
-        diff = np.abs(np.subtract(a, b, out=a), out=a)
-        m = float(diff.max())
-        if m != m:
-            m = np.inf
-        if m > worst:
-            worst = m
-            if m > tol:
-                where = i * diff.size + int(diff.argmax())
-    return worst, None if where is None else tuple(int(j) for j in np.unravel_index(where, shape))
+    """``sup_residual`` of |a - b| between two block walks of the chain
+    ``shape``, taken in lockstep (each block of ``blocks`` is overwritten);
+    its index only when it exceeds ``tol``, else None, as it would only name
+    rounding noise."""
+    resid, where = sup_residual((np.abs(np.subtract(a, b, out=a), out=a)
+                                 for a, b in zip(blocks, ref_blocks)), shape)
+    return resid, where if resid > tol else None
 
 
 def _push_link(t: np.ndarray, ud: np.ndarray) -> np.ndarray:

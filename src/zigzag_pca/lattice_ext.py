@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_types import (EXACT_TOL, CheckReport, ChzmcSpec, TransitionTensor,
-                         check_chain_entries)
-from .finite_solver import (InvariantSolve, _chain_blocks, _construct, _fill, _grow, _push_link,
-                            _require_positive, _size_guard, _sup_distance, _witness,
+                         check_chain_entries, sup_residual)
+from .finite_solver import (InvariantSolve, _chain_blocks, _construct, _factorization_gap, _fill,
+                            _grow, _push_link, _require_positive, _size_guard, _sup_distance,
                             check_belyaev, select_base_triple)
 
 ZERO_SKIP = 1e-14
@@ -106,7 +106,7 @@ def check_cycle_commutation(d: np.ndarray, u: np.ndarray, n: int,
     """
     du = d @ u
     ud = u @ d
-    screen = float(np.abs(du - ud).max())
+    screen, _ = sup_residual([np.abs(du - ud)], du.shape)
     if screen <= tol:
         return CheckReport("cycle-commutation", screen, tol,
                            notes="decided by matrix commutation")
@@ -134,15 +134,13 @@ def check_chzmc_conditions(tensor: TransitionTensor, spec: ChzmcSpec,
     everywhere-positive kernels never triggers.
     """
     d, u, n = spec.d, spec.u, spec.n
-    t = tensor.t
     du = d @ u
     dun1 = np.linalg.matrix_power(du, n - 1) if n > 1 else np.eye(d.shape[0])
     live = (dun1.T > ZERO_SKIP)                        # live[a, b] <=> (du)^(n-1)(b; a) > 0
-    diff = np.abs(t * du[:, :, None] - d[:, None, :] * u.T[None, :, :])
-    diff = diff * live[:, :, None]
-    r9 = float(diff.max())
+    diff = _factorization_gap(tensor.t, d, u, du) * live[:, :, None]
+    r9, w9 = sup_residual([diff], diff.shape)
     rep9 = CheckReport("cycle-factorization", r9, tol,
-                       witnesses={"argmax": _witness(diff, r9, tol),
+                       witnesses={"argmax": w9 if r9 > tol else None,
                                   "skipped_pairs": int((~live).sum())})
     rep10 = check_cycle_commutation(d, u, n, tol=tol)
     return rep9, rep10

@@ -677,8 +677,13 @@ class TestBadInput:
         {"reports": {"condition": "x"}},
         {},
         {"reports": [], "passed": "yes"},
+        # forged verdicts: a stored flag that residual <= tolerance contradicts
+        {"reports": [{"condition": "x", "residual": 1.0, "tolerance": 0.0, "passed": True}],
+         "passed": True},
+        {"reports": [{"condition": "x", "residual": 1.0, "tolerance": 0.0, "passed": False}],
+         "passed": True},
     ], ids=["no-residual", "string-tolerance", "entry-not-object", "reports-not-list", "empty",
-            "passed-not-boolean"])
+            "passed-not-boolean", "forged-entry-pass", "forged-overall-pass"])
     def test_malformed_report_is_one_error_line(self, tmp_path, capsys, doc):
         path = _write_model(tmp_path / "report.json", doc)
         assert run_main("report", "--in", path) == 2

@@ -118,6 +118,22 @@ class TestBelyaevDiag:
         assert not rep.passed
         assert rep.residual > 1e-3
 
+    @pytest.mark.parametrize("kappa", [2, 3, 5, 16, 64])
+    @pytest.mark.parametrize("kind", ["factorized", "random"])
+    def test_diag_is_the_b_equals_a_slice_of_the_quartic(self, kappa, kind):
+        # never above quartic-identity's residual: the diagonal report alone
+        # cannot fail a kernel the quartic identity passes
+        for seed in range(5):
+            tens = (fs.make_factorized_tensor(kappa, seed)[0] if kind == "factorized"
+                    else fs.random_positive_tensor(kappa, seed))
+            triple = fs.select_base_triple(tens)
+            full, diag = fs.check_belyaev(tens, triple), fs.check_belyaev_diag(tens, triple)
+            lhs, rhs = fs._anchored_quartic(tens.t, triple, np.arange(kappa)[:, None],
+                                            np.arange(kappa))
+            on_diag = np.abs(lhs - rhs)[np.arange(kappa), np.arange(kappa)]
+            assert diag.residual == on_diag.max() <= full.residual
+            assert diag.witnesses["argmax"] == np.unravel_index(on_diag.argmax(), on_diag.shape)
+
 
 class TestSolveNu:
     def test_two_letter_is_uniform(self, two_letter):
