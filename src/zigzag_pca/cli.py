@@ -408,6 +408,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(_read(args.infile, "report"))
+        if not 0 <= args.seed < 1 << 64:        # (seed << 64) + t keys a Philox stream
+            raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
         model = _read(args.model, "model", load_model)
         block, fam, params = model["family"], None, None
         if block is not None:

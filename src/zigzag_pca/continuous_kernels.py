@@ -212,11 +212,12 @@ def ar1_hzmc(ar: Ar1Params, s0: float) -> HzmcSpec:
     for both legs, and rho0 = N(0, s0^2)."""
     if not s0 > 0:
         raise ValueError(f"stationary std must be positive, got {s0}")
-    phi = ar.phi
+    phi = float(ar.phi)
     sp = float(np.sqrt(ar.innovation_var))
     step = MarkovKernel(
         density=lambda x, y: _norm_pdf(y, phi * np.asarray(x, dtype=float), sp),
-        sampler=lambda x, u: phi * np.asarray(x, dtype=float) + sp * ndtri(u),
+        noise=lambda u: sp * ndtri(u),
+        step=lambda x, e: phi * x + e,
     )
     rho0 = DensityLaw(
         density=lambda x: _norm_pdf(x, 0.0, s0),
@@ -334,13 +335,15 @@ def beta_candidate_kernels(params: BetaPcaParams) -> tuple[MarkovKernel, MarkovK
 
     d1 = MarkovKernel(
         density=lambda a, c: down(_difference(c, a, m)),
-        sampler=lambda a, u: np.asarray(a, dtype=float) - m + gammaincinv(al, u) / th,
+        noise=lambda u: gammaincinv(al, u) / th,
+        step=lambda a, e: a - m + e,
         out_support=lambda a: (np.asarray(a, dtype=float) - m, np.inf),
         in_support=lambda c: (-np.inf, np.asarray(c, dtype=float) + m),
     )
     u1 = MarkovKernel(
         density=lambda c, b: up(_difference(b, c, -m)),
-        sampler=lambda c, u: np.asarray(c, dtype=float) + m + gammaincinv(be, u) / th,
+        noise=lambda u: gammaincinv(be, u) / th,
+        step=lambda c, e: c + m + e,
         out_support=lambda c: (np.asarray(c, dtype=float) + m, np.inf),
         in_support=lambda b: (-np.inf, np.asarray(b, dtype=float) - m),
     )

@@ -9,7 +9,7 @@ interval [-L, L].  Kernels come in three shapes:
 * ``KernelDensity``        -- a two-neighbor kernel on the line, given by an
   evaluable density (a, b, c) -> t(a, b; c) plus an exact inverse-CDF sampler.
 * ``MarkovKernel``         -- a one-step kernel on the line (the "down" and
-  "up" legs of a zigzag chain), density (x, y) plus sampler.
+  "up" legs of a zigzag chain), density (x, y) plus noise and step.
 
 All containers are frozen and their arrays are write-locked after
 construction, so every object in this module is safe to share across threads.
@@ -189,12 +189,13 @@ class TransitionTensor:
 
 @dataclass(frozen=True)
 class MarkovKernel:
-    """One-step kernel on the line: density(x, y) and sampler(x, u).
+    """One-step kernel on the line: density(x, y), noise(u) and step(x, e).
 
-    ``density`` must accept broadcastable arrays.  ``sampler`` maps uniforms
-    in (0, 1) through the inverse CDF of density(x, .); u broadcasts with x,
-    one uniform per draw, so that simulations are reproducible from
-    counter-based streams.
+    ``density`` must accept broadcastable arrays.  A draw from density(x, .)
+    is ``step(x, noise(u))``: ``noise`` maps an array of uniforms in (0, 1)
+    to innovations free of x, and ``step`` is arithmetic on a float or an
+    array.  ``sampler(x, u)`` is that draw; u broadcasts with x, one uniform
+    per draw, so that simulations are reproducible from counter-based streams.
 
     ``out_support(x)`` / ``in_support(y)`` return (lo, hi) bounds for the
     support of density(x, .) / of {x : density(x, y) > 0}.  Finite bounds let
@@ -203,9 +204,13 @@ class MarkovKernel:
     """
 
     density: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sampler: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    noise: Callable[[np.ndarray], np.ndarray]
+    step: Callable
     out_support: Callable[[np.ndarray], tuple] | None = None
     in_support: Callable[[np.ndarray], tuple] | None = None
+
+    def sampler(self, x, u) -> np.ndarray:
+        return self.step(np.asarray(x, dtype=float), self.noise(u))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ matter how the work is scheduled.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -131,21 +133,28 @@ def sample_hzmc_lines(hzmc: HzmcSpec, length: int, n_chains: int, seed: int) -> 
     Finite chains return state indices; continuous chains return reals.
     """
     # row i drives position i: the same stream, in the same order, as one
-    # draw of n_chains uniforms per position
-    draws = _line_rng(seed).random((length, n_chains))
+    # draw of n_chains uniforms per position.  A finite step reads its uniform
+    # as it is; a continuous leg maps all its rows to noise in one call.
+    noise = _line_rng(seed).random((length, n_chains))
     if hzmc.is_finite:
-        cum_rho, cum_d, cum_u = (np.cumsum(m, axis=-1) for m in (hzmc.rho0, hzmc.d, hzmc.u))
-        first = lambda u: _inverse_cdf(cum_rho, u)
-        down = lambda x, u: _inverse_cdf(cum_d[x], u)
-        up = lambda x, u: _inverse_cdf(cum_u[x], u)
+        first = _inverse_cdf(np.cumsum(hzmc.rho0), noise[0])
+        # a cumulative row never decreases: bisect_left counts its entries below u
+        cum_d, cum_u = (np.cumsum(m, axis=1).tolist() for m in (hzmc.d, hzmc.u))
+        legs = (lambda x, u: bisect_left(cum_d[x], u), lambda x, u: bisect_left(cum_u[x], u))
     else:
-        first, down, up = hzmc.rho0.sampler, hzmc.d.sampler, hzmc.u.sampler
+        first = hzmc.rho0.sampler(noise[0])
+        legs = (hzmc.d.step, hzmc.u.step)
+        noise[1::2], noise[2::2] = hzmc.d.noise(noise[1::2]), hzmc.u.noise(noise[2::2])
+
+    def walk(x, innovations):
+        yield x
+        for step, e in zip(cycle(legs), innovations):
+            x = step(x, e)
+            yield x
+
     out = np.empty((n_chains, length))
-    cur = first(draws[0])
-    out[:, 0] = cur
-    for i in range(1, length):
-        cur = (down if i % 2 == 1 else up)(cur, draws[i])
-        out[:, i] = cur
+    for c, x in enumerate(first.tolist()):
+        out[c] = np.fromiter(walk(x, noise[1:, c].tolist()), float, length)
     return out
 
 

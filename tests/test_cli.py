@@ -833,6 +833,34 @@ class TestBadInput:
         assert _single_error_line(err) and "--width >= 2" in err
         assert entered == [] and not (tmp_path / "sim.csv").exists()
 
+    SEED_CASES = [("simulate", "two_letter"), ("simulate", "gauss"), ("verify", "gauss")]
+
+    @staticmethod
+    def _run_with_seed(files, tmp_path, command, model, seed):
+        spec = tmp_path / "spec.json"
+        extra = ("--spec", spec, "--width", 2001) if command == "verify" else ("--width", 10,
+                                                                              "--steps", 2)
+        return run_main(command, "--model", files[model], "--seed", seed, *extra,
+                        "--out", tmp_path / "out")
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize("command, model", SEED_CASES)
+    def test_seed_outside_the_key_range_refused_before_any_draw(
+            self, files, capsys, tmp_path, monkeypatch, command, model, seed):
+        # refused before the model or the spec (not written here) is read
+        entered = []
+        monkeypatch.setattr(ck, "quadrature_check_conditions", lambda *a, **k: entered.append(a))
+        monkeypatch.setattr(sim, "sample_hzmc_lines", lambda *a, **k: entered.append(a))
+        assert self._run_with_seed(files, tmp_path, command, model, seed) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err) and "--seed must be in [0, 2**64)" in err
+        assert entered == [] and not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command, model", SEED_CASES)
+    def test_largest_seed_accepted(self, files, capsys, tmp_path, command, model):
+        run_main("solve", "--model", files[model], "--out", tmp_path / "spec.json")
+        assert self._run_with_seed(files, tmp_path, command, model, (1 << 64) - 1) == 0
+
     def test_simulate_refuses_a_kernel_with_a_zero_entry(self, capsys, tmp_path):
         t = np.full((2, 2, 2), 0.5)
         t[0, 1] = [1.0, 0.0]

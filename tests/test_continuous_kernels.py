@@ -115,7 +115,7 @@ class TestQuadratureConditions:
         bad_u = MarkovKernel(
             density=lambda x, y: np.exp(-0.5 * ((np.asarray(y) - ar.phi * np.asarray(x)) / sp) ** 2)
             / (sp * np.sqrt(2 * np.pi)),
-            sampler=lambda x, u: ar.phi * np.asarray(x) + sp * ndtri(u))
+            noise=lambda u: sp * ndtri(u), step=lambda x, e: ar.phi * x + e)
         spec = HzmcSpec(d=hz.d, u=bad_u, rho0=hz.rho0)
         grid = ck.default_gaussian_grid(gauss31, 129)
         rep1, rep2, _ = ck.quadrature_check_conditions(

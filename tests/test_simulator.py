@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import tracemalloc
 
@@ -86,17 +87,39 @@ def per_step_lines(hzmc, length, n_chains, seed):
     return out
 
 
+_STREAM_SPECS = {
+    "finite": lambda: fs.solve_invariant_hzmc(fs.make_factorized_tensor(4, 11)[0]).spec,
+    "finite64": lambda: fs.solve_invariant_hzmc(fs.make_factorized_tensor(64, 11)[0]).spec,
+    "gaussian": lambda: ck.gaussian_invariant_hzmc(ck.GaussianPcaParams(3.0, 1.0)),
+    # the Beta candidate chain: Gamma legs
+    "beta": lambda: ck.beta_candidate_hzmc(ck.BetaPcaParams(2.0, 0.5, 0.75, 1.5)),
+}
+
+
 class TestLineSamplerStream:
     @pytest.mark.parametrize("n_chains", [1, 7])
-    @pytest.mark.parametrize("kind", ["finite", "gaussian"])
+    @pytest.mark.parametrize("kind", _STREAM_SPECS)
     def test_bitwise_equal_to_per_step_draws(self, kind, n_chains):
-        if kind == "finite":
-            hz = fs.solve_invariant_hzmc(fs.make_factorized_tensor(4, 11)[0]).spec
-        else:
-            hz = ck.gaussian_invariant_hzmc(ck.GaussianPcaParams(3.0, 1.0))
-        got = sim.sample_hzmc_lines(hz, 101, n_chains, seed=23)
-        assert got.shape == (n_chains, 101)
-        assert got.tobytes() == per_step_lines(hz, 101, n_chains, seed=23).tobytes()
+        hz = _STREAM_SPECS[kind]()
+        for length in (1, 2, 101, 102):
+            got = sim.sample_hzmc_lines(hz, length, n_chains, seed=23)
+            assert got.shape == (n_chains, length)
+            assert got.tobytes() == per_step_lines(hz, length, n_chains, seed=23).tobytes()
+
+    def test_one_noise_call_per_leg(self):
+        hz = _STREAM_SPECS["beta"]()
+        calls = {"d": 0, "u": 0}
+
+        def counted(name, kernel):
+            def noise(u):
+                calls[name] += 1
+                return kernel.noise(u)
+            return dataclasses.replace(kernel, noise=noise)
+
+        spec = HzmcSpec(d=counted("d", hz.d), u=counted("u", hz.u), rho0=hz.rho0)
+        got = sim.sample_hzmc_lines(spec, 10_001, 1, seed=3)
+        assert calls == {"d": 1, "u": 1}
+        assert got.tobytes() == sim.sample_hzmc_lines(hz, 10_001, 1, seed=3).tobytes()
 
 
 class TestStepPca:
