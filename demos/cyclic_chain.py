@@ -10,7 +10,7 @@ negative control.
 import numpy as np
 
 from zigzag_pca import lattice_ext as lx
-from zigzag_pca.core_types import FiniteAlphabet, TransitionTensor, normalize_rows
+from zigzag_pca.core_types import TransitionTensor, normalize_rows
 
 
 def build_three_letter():
@@ -21,7 +21,7 @@ def build_three_letter():
     t[1, 1, 1] = t[1, 1, 2] = t[2, 2, 1] = t[2, 2, 2] = 0.5
     t[1, 2, 1] = t[2, 1, 2] = 0.8
     t[1, 2, 2] = t[2, 1, 1] = 0.2
-    return TransitionTensor(FiniteAlphabet(3, ("0", "1", "2")), t)
+    return TransitionTensor(t)
 
 
 def main():
@@ -52,7 +52,7 @@ def main():
     u /= u.sum(axis=1, keepdims=True)
     du = d @ u
     t_bad, _ = normalize_rows(d[:, None, :] * u.T[None, :, :] / du[:, :, None])
-    tens_bad = TransitionTensor(FiniteAlphabet(2), t_bad)
+    tens_bad = TransitionTensor(t_bad)
     spec_bad = lx.ChzmcSpec(d=d, u=u, n=2, z=lx.partition_function(d, u, 2))
     _, r10_bad = lx.check_chzmc_conditions(tens_bad, spec_bad)
     print(" ", r10_bad)

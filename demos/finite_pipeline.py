@@ -9,7 +9,7 @@ confirms invariance with no reference to the construction.
 import numpy as np
 
 from zigzag_pca import finite_solver as fs
-from zigzag_pca.core_types import FiniteAlphabet, TransitionTensor
+from zigzag_pca.core_types import TransitionTensor
 
 
 def build_three_letter():
@@ -20,7 +20,7 @@ def build_three_letter():
     t[1, 1, 1] = t[1, 1, 2] = t[2, 2, 1] = t[2, 2, 2] = 0.5
     t[1, 2, 1] = t[2, 1, 2] = 0.8
     t[1, 2, 2] = t[2, 1, 1] = 0.2
-    return TransitionTensor(FiniteAlphabet(3, ("0", "1", "2")), t)
+    return TransitionTensor(t)
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
     print("restricted to {1, 2}: everywhere positive?", sub.mu_positive)
 
     res = fs.solve_invariant_hzmc(sub)
-    print("\nanchor triple:", res.triple.as_tuple())
+    print("\nanchor triple:", res.triple)
     print("diagonal profile nu :", res.nu.vector, " (expect 1/2, 1/2)")
     print("weight profile  eta :", res.eta.vector, " (expect 1/3, 2/3)")
     print("down kernel d:\n", res.spec.d, " (expect rows 2/3,1/3 | 1/3,2/3)")

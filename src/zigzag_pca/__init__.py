@@ -2,7 +2,7 @@
 
 Subpackages by concern:
 
-* ``core_types``          shared vocabulary (alphabets, grids, kernels, reports)
+* ``core_types``          shared vocabulary (grids, kernels, chain specs, reports)
 * ``finite_solver``       exact decision/construction on finite alphabets
 * ``lattice_ext``         two-sided and cyclic lattices, partition functions
 * ``continuous_kernels``  Gaussian and Beta families, quadrature checks

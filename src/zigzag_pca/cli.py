@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -143,9 +143,12 @@ def _payload(args, command: str, reports, grid=None, tol=None, **extras) -> dict
 
 
 def _emit(doc: dict, out_path) -> None:
-    print(json.dumps(doc, indent=1))
+    """Print ``doc`` as indented JSON and write the same text to ``out_path``."""
+    text = json.dumps(doc, indent=1) + "\n"
+    sys.stdout.write(text)
     if out_path:
-        save_document(out_path, doc)
+        with open(out_path, "w") as fh:
+            fh.write(text)
 
 
 def _report(args, command: str, reports, **fields) -> int:
@@ -177,9 +180,9 @@ def _finite_battery(model, tol: float):
                "d": res.spec.d, "u": res.spec.u, "eta": res.eta.vector,
                "nu": res.nu.vector} if res.ok else None
         return list(res.reports), extras, doc
-    res = fs.solve_invariant_hzmc(tensor, lattice=lattice, tol=tol)
+    res = fs.solve_invariant_hzmc(tensor, tol=tol)
     extras = {
-        "triple": list(res.triple.as_tuple()),
+        "triple": res.triple,
         "nu": res.nu.vector.tolist(),
         "eta": res.eta.vector.tolist(),
         "rho0": res.spec.rho0.tolist(),
@@ -274,7 +277,9 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
         d, u, rho0 = (_spec_field(spec, key) for key in ("d", "u", "rho0"))
         if d.shape != square or u.shape != square or rho0.shape != square[:1]:
             raise ValueError("spec kernels incompatible with model alphabet")
-        hz = HzmcSpec(d=d, u=u, rho0=rho0, lattice=spec.get("lattice", "N"))
+        if spec.get("lattice", "N") not in ("N", "Z"):
+            raise ValueError(f"lattice must be 'N' or 'Z', got {spec['lattice']!r}")
+        hz = HzmcSpec(d=d, u=u, rho0=rho0)
         kmax = 2 if args.kmax is None else args.kmax
         rep = fs.bruteforce_invariance(tensor, hz, kmax, tol=tol)
         return _report(args, "verify", [rep], tol=tol, kmax=kmax)
@@ -331,7 +336,7 @@ def cmd_simulate(args, model, fam: Family | None, params) -> int:
                "final_width": int(final.size),
                "files": [out + ".csv", out + ".bin"]}
     if final.size >= 10:
-        summary["final_line"] = st.summarize_line(final).to_dict()
+        summary["final_line"] = asdict(st.summarize_line(final))
     if diagram.steps >= 1:
         prev = diagram.row(diagram.steps - 1)
         n = final.size
@@ -340,7 +345,7 @@ def cmd_simulate(args, model, fam: Family | None, params) -> int:
             zig[0::2] = prev[:n]
             zig[1::2] = final[: n - 1]
             if zig.size >= 10:
-                summary["final_zigzag"] = st.summarize_line(zig).to_dict()
+                summary["final_zigzag"] = asdict(st.summarize_line(zig))
     _emit(summary, out + ".summary.json")
     return 0
 

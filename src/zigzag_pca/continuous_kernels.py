@@ -224,7 +224,7 @@ def ar1_hzmc(ar: Ar1Params, s0: float) -> HzmcSpec:
         sampler=lambda u: s0 * ndtri(u),
         cdf=lambda x: ndtr(np.asarray(x, dtype=float) / s0),
     )
-    return HzmcSpec(d=step, u=step, rho0=rho0, lattice="N")
+    return HzmcSpec(d=step, u=step, rho0=rho0)
 
 
 def gaussian_invariant_hzmc(params: GaussianPcaParams) -> HzmcSpec:
@@ -366,7 +366,7 @@ def beta_candidate_hzmc(params: BetaPcaParams) -> HzmcSpec:
         sampler=lambda u: gammaincinv(al, u) / th,
         support=(0.0, np.inf),
     )
-    return HzmcSpec(d=d1, u=u1, rho0=rho0, lattice="N",
+    return HzmcSpec(d=d1, u=u1, rho0=rho0,
                     meta={"family": "beta_candidate", "alpha": params.alpha,
                           "beta": params.beta, "m": params.m_shift,
                           "theta": params.theta_rate,

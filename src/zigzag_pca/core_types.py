@@ -1,4 +1,4 @@
-"""Shared domain vocabulary: alphabets, reference measures, kernels, reports.
+"""Shared domain vocabulary: reference measures, kernels, chain specs, reports.
 
 Two concrete reference measures are supported, and only two: the counting
 measure on a finite alphabet, and a weighted quadrature grid on a truncated
@@ -51,22 +51,6 @@ def _locked(a, dtype=float):
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class FiniteAlphabet:
-    """A finite state set; labels are for display only."""
-
-    size: int
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.size}")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(str(i) for i in range(self.size)))
-        if len(self.labels) != self.size:
-            raise ValueError("labels length must equal alphabet size")
 
 
 @dataclass(frozen=True)
@@ -137,17 +121,16 @@ def trapezoid_grid(halfwidth: float, points: int = DEFAULT_GRID_POINTS) -> GridM
 class TransitionTensor:
     """Finite-alphabet two-neighbor kernel t[a, b, c] = T(a, b; {c}).
 
-    Every row t[a, b, :] must be a probability vector within ROW_TOL.
+    The array is kappa x kappa x kappa, kappa >= 1, and every row t[a, b, :]
+    must be a probability vector within ROW_TOL.
     """
 
-    alphabet: FiniteAlphabet
     t: np.ndarray
 
     def __post_init__(self):
-        k = self.alphabet.size
         arr = _locked(self.t)
-        if arr.shape != (k, k, k):
-            raise ValueError(f"tensor shape {arr.shape} does not match alphabet size {k}")
+        if arr.ndim != 3 or arr.size == 0 or len(set(arr.shape)) != 1:
+            raise ValueError(f"tensor shape {arr.shape} is not kappa x kappa x kappa")
         if not np.all(arr >= 0):     # also refuses NaN, which every comparison fails
             raise ValueError("tensor entries must be nonnegative numbers")
         rowsums = arr.sum(axis=2)
@@ -158,7 +141,7 @@ class TransitionTensor:
 
     @property
     def size(self) -> int:
-        return self.alphabet.size
+        return self.t.shape[0]
 
     def __getitem__(self, key) -> np.ndarray:
         """t[key]: a view for basic keys, a gathered copy for index arrays."""
@@ -182,9 +165,7 @@ class TransitionTensor:
         kernel never leaves the subset from within it.
         """
         idx = np.asarray(indices, dtype=int)
-        sub = self.t[np.ix_(idx, idx, idx)]
-        labels = tuple(self.alphabet.labels[i] for i in idx)
-        return TransitionTensor(FiniteAlphabet(len(idx), labels), sub)
+        return TransitionTensor(self.t[np.ix_(idx, idx, idx)])
 
 
 @dataclass(frozen=True)
@@ -252,19 +233,14 @@ class HzmcSpec:
 
     Finite case: ``d``/``u`` are stochastic matrices and ``rho0`` a
     probability vector.  Continuous case: MarkovKernel / DensityLaw.
-    On the two-sided lattice the one law ``rho0`` stands for the whole
-    (constant) family of site marginals.
     """
 
     d: object
     u: object
     rho0: object
-    lattice: str = "N"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.lattice not in ("N", "Z"):
-            raise ValueError(f"lattice must be 'N' or 'Z', got {self.lattice!r}")
         if isinstance(self.d, np.ndarray):
             d = _locked(self.d)
             u = _locked(self.u)
@@ -353,16 +329,9 @@ class CheckReport:
         return bool(self.residual <= self.tolerance)
 
     def to_dict(self) -> dict:
-        wit = {}
-        for key, val in self.witnesses.items():
-            if isinstance(val, np.ndarray):
-                wit[key] = val.tolist()
-            elif isinstance(val, (np.floating, np.integer)):
-                wit[key] = val.item()
-            elif isinstance(val, tuple):
-                wit[key] = list(val)
-            else:
-                wit[key] = val
+        """JSON-ready fields; a numpy witness becomes its Python value."""
+        wit = {key: val.tolist() if isinstance(val, (np.ndarray, np.generic)) else val
+               for key, val in self.witnesses.items()}
         return {
             "condition": self.condition,
             "residual": float(self.residual),
@@ -439,25 +408,21 @@ def save_document(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def save_model(path, alphabet, kernel, lattice) -> None:
+def save_model(path, kernel, lattice, grid=None) -> None:
     """Write a model document.
 
-    ``alphabet``: FiniteAlphabet or GridMeasure spec dict {"halfwidth", "points"}.
-    ``kernel``: TransitionTensor, or a named-family dict.
+    ``kernel``: TransitionTensor, whose labels are written "0".."kappa-1", or a
+    named-family dict with its ``grid`` spec dict {"halfwidth", "points"}.
     ``lattice``: "N" | "Z" | {"cycle": n} | ("cycle", n) as parse_model returns it.
     """
     if isinstance(lattice, tuple):
         lattice = {"cycle": lattice[1]}
-    doc: dict = {"lattice": lattice}
-    if isinstance(alphabet, FiniteAlphabet):
-        doc["alphabet"] = {"labels": list(alphabet.labels)}
-    else:
-        doc["alphabet"] = {"grid": dict(alphabet)}
     if isinstance(kernel, TransitionTensor):
-        doc["kernel"] = {"tensor": kernel.t}
+        alphabet = {"labels": [str(i) for i in range(kernel.size)]}
+        kernel = {"tensor": kernel.t}
     else:
-        doc["kernel"] = dict(kernel)
-    save_document(path, doc)
+        alphabet = {"grid": dict(grid)}
+    save_document(path, {"lattice": lattice, "alphabet": alphabet, "kernel": dict(kernel)})
 
 
 class ModelFormatError(ValueError):
@@ -511,18 +476,17 @@ def parse_model(doc: dict) -> dict:
     if "labels" in alpha:
         if not isinstance(alpha["labels"], list):
             raise ModelFormatError("labels must be a list")
-        labels = [str(s) for s in alpha["labels"]]
         if "tensor" not in kern:
             raise ModelFormatError("finite alphabet requires an inline kernel tensor")
         try:
             t = decode_array(kern["tensor"])
         except (TypeError, ValueError):
             raise ModelFormatError("tensor entries must be numbers in nested lists") from None
-        k = len(labels)
+        k = len(alpha["labels"])
         if t.shape != (k, k, k):
             raise ModelFormatError(f"tensor shape {t.shape} does not match {k} labels")
         try:
-            out["tensor"] = TransitionTensor(FiniteAlphabet(k, tuple(labels)), t)
+            out["tensor"] = TransitionTensor(t)
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from exc
     elif "grid" in alpha:

@@ -28,28 +28,25 @@ reference to the conditions above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core_types import (EXACT_TOL, CheckReport, ChzmcSpec, FiniteAlphabet, HzmcSpec,
-                         TransitionTensor, _row_blocks, normalize_rows, sup_residual)
+from .core_types import (EXACT_TOL, CheckReport, ChzmcSpec, HzmcSpec, TransitionTensor,
+                         _row_blocks, normalize_rows, sup_residual)
 
 MAX_KAPPA = 64
 SIZE_GUARD = 10**7
 WITNESS_TUPLES = 4096     # six-tuples behind the quartic witness in check_belyaev
 
 
-@dataclass(frozen=True)
-class BaseTriple:
+class BaseTriple(NamedTuple):
     """Anchor (a0, b0, c0) for the quartic identity; row (a0, b0) must be
     strictly positive."""
 
     a0: int
     b0: int
     c0: int
-
-    def as_tuple(self):
-        return (self.a0, self.b0, self.c0)
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ def _anchored_quartic(t: np.ndarray, triple: BaseTriple, a, b) -> tuple[np.ndarr
     """Both sides of the quartic identity anchored at ``triple``,
     t(a,b;c) t(a0,b0;c) t(a0,b;c0) t(a,b0;c0) = t(a0,b0;c0) t(a,b;c0) t(a,b0;c) t(a0,b;c),
     at the neighbor pairs of the broadcasting index arrays (a, b), c last."""
-    a0, b0, c0 = triple.as_tuple()
+    a0, b0, c0 = triple
     lhs = t[a, b] * t[a0, b0] * t[a0, b, c0][..., None] * t[a, b0, c0][..., None]
     rhs = t[a0, b0, c0] * t[a, b, c0][..., None] * t[a, b0] * t[a0, b]
     return lhs, rhs
@@ -147,7 +144,7 @@ def check_belyaev(tensor: TransitionTensor, triple: BaseTriple,
         condition="quartic-identity",
         residual=residual,
         tolerance=tol,
-        witnesses={"triple": triple.as_tuple(), "argmax": where,
+        witnesses={"triple": triple, "argmax": where,
                    "residual_general": residual_general, "witness": witness,
                    "witness_tuples": int(a.size),
                    "lhs_at_argmax": float(lhs[where]), "rhs_at_argmax": float(rhs[where])},
@@ -165,7 +162,7 @@ def check_belyaev_diag(tensor: TransitionTensor, triple: BaseTriple,
         condition="quartic-identity-diag",
         residual=residual,
         tolerance=tol,
-        witnesses={"triple": triple.as_tuple(), "argmax": where},
+        witnesses={"triple": triple, "argmax": where},
     )
 
 
@@ -234,7 +231,7 @@ def check_eta_cubic(kernel, triple: BaseTriple, eta: np.ndarray,
         condition="cubic-equation",
         residual=residual,
         tolerance=tol,
-        witnesses={"triple": triple.as_tuple(), "eta": eta,
+        witnesses={"triple": triple, "eta": eta,
                    "argmax": where if residual > tol else None},
     )
 
@@ -497,8 +494,7 @@ def _construct(tensor: TransitionTensor, triple: BaseTriple):
     return nu, eta, d, u
 
 
-def solve_invariant_hzmc(tensor: TransitionTensor, lattice: str = "N",
-                         tol: float = EXACT_TOL) -> InvariantSolve:
+def solve_invariant_hzmc(tensor: TransitionTensor, tol: float = EXACT_TOL) -> InvariantSolve:
     """Run the whole decision pipeline on a positive kernel.
 
     Always assembles the candidate chain (the eigenvector machinery never
@@ -512,7 +508,7 @@ def solve_invariant_hzmc(tensor: TransitionTensor, lattice: str = "N",
     rep_bd = check_belyaev_diag(tensor, triple, tol=tol)
     nu, eta, d, u = _construct(tensor, triple)
     rep_cubic = check_eta_cubic(tensor, triple, eta.vector, tol=tol)
-    spec = HzmcSpec(d=d, u=u, rho0=stationary_distribution(d).rho0, lattice=lattice)
+    spec = HzmcSpec(d=d, u=u, rho0=stationary_distribution(d).rho0)
     rep_t1, rep_t2, rep_t3 = check_toom_conditions(tensor, spec, tol=tol)
     return InvariantSolve(
         triple=triple,
@@ -545,7 +541,7 @@ def make_factorized_tensor(kappa: int, seed: int):
     du = d @ u
     t = d[:, None, :] * u.T[None, :, :] / du[:, :, None]
     t, _ = normalize_rows(t)
-    return TransitionTensor(FiniteAlphabet(kappa), t), d, u
+    return TransitionTensor(t), d, u
 
 
 def random_positive_tensor(kappa: int, seed: int) -> TransitionTensor:
@@ -553,4 +549,4 @@ def random_positive_tensor(kappa: int, seed: int) -> TransitionTensor:
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.05, 1.05, size=(kappa, kappa, kappa))
     t, _ = normalize_rows(t)
-    return TransitionTensor(FiniteAlphabet(kappa), t)
+    return TransitionTensor(t)

@@ -2,8 +2,8 @@
 
 On the two-sided lattice the site marginals form a family (rho_i) tied by
 rho_{i+1} = rho_i (du); for an invariant chain the family is constant, so a
-single rho0 represents it and the half line's conditions apply to a spec
-marked lattice "Z".  On a cycle of 2n cells the chain becomes a
+single rho0 represents it and the half line's conditions and chain apply
+unchanged.  On a cycle of 2n cells the chain becomes a
 normalized product measure
 
   m(x0, y0, ..., x_{n-1}, y_{n-1})

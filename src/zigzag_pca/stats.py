@@ -29,14 +29,6 @@ class LineSummary:
     se_autocorr: tuple
     autocorr_defined: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "mean": self.mean, "variance": self.variance,
-            "autocorr": list(self.autocorr), "se_mean": self.se_mean,
-            "se_variance": self.se_variance, "se_autocorr": list(self.se_autocorr),
-            "autocorr_defined": self.autocorr_defined,
-        }
-
 
 def _autocorr(x: np.ndarray) -> np.ndarray:
     n = x.size

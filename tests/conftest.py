@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zigzag_pca.core_types import FiniteAlphabet, TransitionTensor, normalize_rows
+from zigzag_pca.core_types import TransitionTensor, normalize_rows
 
 
 def three_letter_tensor() -> TransitionTensor:
@@ -14,7 +14,7 @@ def three_letter_tensor() -> TransitionTensor:
     t[1, 1, 1] = t[1, 1, 2] = t[2, 2, 1] = t[2, 2, 2] = 0.5
     t[1, 2, 1] = t[2, 1, 2] = 0.8
     t[1, 2, 2] = t[2, 1, 1] = 0.2
-    return TransitionTensor(FiniteAlphabet(3, ("0", "1", "2")), t)
+    return TransitionTensor(t)
 
 
 @pytest.fixture(scope="session")
@@ -72,4 +72,4 @@ def near_identity_tensor(kappa, eps, seed=5):
     m /= m.sum(axis=1, keepdims=True)
     d = (1 - eps) * np.eye(kappa) + eps * m
     t = d[:, None, :] * d.T[None, :, :] / (d @ d)[:, :, None]
-    return TransitionTensor(FiniteAlphabet(kappa), normalize_rows(t)[0]), d
+    return TransitionTensor(normalize_rows(t)[0]), d

@@ -14,7 +14,7 @@ from zigzag_pca import finite_solver as fs
 from zigzag_pca import lattice_ext as lx
 from zigzag_pca import simulator as sim
 from zigzag_pca import stats as st
-from zigzag_pca.core_types import normalize_rows, FiniteAlphabet, TransitionTensor
+from zigzag_pca.core_types import normalize_rows, TransitionTensor
 from conftest import corpus_seeds, iterated_nu_eta
 
 
@@ -108,7 +108,7 @@ def test_04_cyclic_case(two_letter):
     u /= u.sum(axis=1, keepdims=True)
     du = d @ u
     t_bad, _ = normalize_rows(d[:, None, :] * u.T[None, :, :] / du[:, :, None])
-    tens_bad = TransitionTensor(FiniteAlphabet(2), t_bad)
+    tens_bad = TransitionTensor(t_bad)
     spec_bad = lx.ChzmcSpec(d=d, u=u, n=2, z=lx.partition_function(d, u, 2))
     _, r10_bad = lx.check_chzmc_conditions(tens_bad, spec_bad, tol=1e-10)
     oracle_bad = lx.bruteforce_cycle_invariance(tens_bad, spec_bad, tol=1e-10)

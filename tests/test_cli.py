@@ -17,8 +17,8 @@ from zigzag_pca import finite_solver as fs
 from zigzag_pca import simulator as sim
 from zigzag_pca import stats as st
 from zigzag_pca.cli import main
-from zigzag_pca.core_types import (MAX_GRID_POINTS, FiniteAlphabet, TransitionTensor,
-                                   decode_array, encode_array, save_model)
+from zigzag_pca.core_types import (MAX_GRID_POINTS, TransitionTensor, decode_array,
+                                   encode_array, save_model)
 from conftest import near_identity_tensor, three_letter_tensor
 
 
@@ -29,38 +29,37 @@ def files(tmp_path_factory):
     paths = {}
 
     paths["two_letter"] = root / "two_letter.json"
-    save_model(paths["two_letter"], two.alphabet, two, "N")
+    save_model(paths["two_letter"], two, "N")
 
     fac3 = fs.make_factorized_tensor(3, 11)[0]
     paths["factorized3"] = root / "factorized3.json"
-    save_model(paths["factorized3"], fac3.alphabet, fac3, "N")
+    save_model(paths["factorized3"], fac3, "N")
 
     paths["two_letter_cycle"] = root / "two_letter_cycle.json"
-    save_model(paths["two_letter_cycle"], two.alphabet, two, {"cycle": 3})
+    save_model(paths["two_letter_cycle"], two, {"cycle": 3})
 
     rnd = fs.random_positive_tensor(2, 41)
     paths["random"] = root / "random.json"
-    save_model(paths["random"], rnd.alphabet, rnd, "N")
+    save_model(paths["random"], rnd, "N")
 
     paths["gauss"] = root / "gauss.json"
-    save_model(paths["gauss"], {"points": 129},
-               {"family": "gaussian", "m": 3, "sigma": 1}, "N")
+    save_model(paths["gauss"], {"family": "gaussian", "m": 3, "sigma": 1}, "N", {"points": 129})
 
     paths["gauss_diag"] = root / "gauss_diag.json"
-    save_model(paths["gauss_diag"], {"points": 129},
-               {"family": "gaussian_diag", "m": 3, "sigma": 1}, "N")
+    save_model(paths["gauss_diag"], {"family": "gaussian_diag", "m": 3, "sigma": 1}, "N",
+               {"points": 129})
 
     paths["gauss_bad"] = root / "gauss_bad.json"
-    save_model(paths["gauss_bad"], {"points": 129},
-               {"family": "gaussian", "m": 1.5, "sigma": 1}, "N")
+    save_model(paths["gauss_bad"], {"family": "gaussian", "m": 1.5, "sigma": 1}, "N",
+               {"points": 129})
 
     paths["beta"] = root / "beta.json"
-    save_model(paths["beta"], {"points": 129},
-               {"family": "beta", "alpha": 1, "beta": 1, "m": 1, "theta": 1}, "N")
+    save_model(paths["beta"], {"family": "beta", "alpha": 1, "beta": 1, "m": 1, "theta": 1}, "N",
+               {"points": 129})
 
     paths["tasep"] = root / "tasep.json"
-    save_model(paths["tasep"], {"points": 9},
-               {"family": "tasep", "r": 0.5, "v": 2.0, "p": 1.0, "spacing": 1.0}, "Z")
+    save_model(paths["tasep"], {"family": "tasep", "r": 0.5, "v": 2.0, "p": 1.0, "spacing": 1.0},
+               "Z", {"points": 9})
 
     paths["broken"] = root / "broken.json"
     paths["broken"].write_text('{"alphabet": [}\n')
@@ -159,7 +158,7 @@ class TestNearlyReducible:
     def test_factorized_kernel_passes_check(self, tmp_path, capsys, eps):
         tens, _ = near_identity_tensor(3, eps)
         path = tmp_path / "near.json"
-        save_model(path, tens.alphabet, tens, "N")
+        save_model(path, tens, "N")
         assert run_main("check", "--model", path) == 0
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
@@ -170,7 +169,7 @@ class TestNearlyReducible:
     def test_factorized_kernel_solves_on_a_cycle(self, tmp_path, capsys, eps):
         tens, _ = near_identity_tensor(3, eps)
         path, spec = tmp_path / "near.json", tmp_path / "spec.json"
-        save_model(path, tens.alphabet, tens, {"cycle": 3})
+        save_model(path, tens, {"cycle": 3})
         assert run_main("solve", "--model", path, "--out", spec) == 0
         assert run_main("verify", "--model", path, "--spec", spec) == 0
 
@@ -180,7 +179,7 @@ class TestNearlyReducible:
         t[0, 0] = [1 - eps, eps]
         t[1, 1] = [2 * eps, 1 - 2 * eps]
         path = tmp_path / "near.json"
-        save_model(path, FiniteAlphabet(2), TransitionTensor(FiniteAlphabet(2), t), "N")
+        save_model(path, TransitionTensor(t), "N")
         assert run_main("check", "--model", path) == 1
         captured = capsys.readouterr()
         assert not json.loads(captured.out)["passed"]
@@ -335,6 +334,55 @@ class TestSolveVerify:
         doc = json.loads(capsys.readouterr().out)
         assert code == 1
         assert "stationarity" in doc["failure"]
+
+    @pytest.mark.parametrize("lattice", ["Q", {"cycle": 3}], ids=["Q", "cycle3"])
+    def test_half_line_verify_refuses_a_spec_lattice_beyond_n_and_z(self, files, capsys,
+                                                                     tmp_path, lattice):
+        spec = tmp_path / "spec.json"
+        assert run_main("solve", "--model", files["two_letter"], "--out", spec) == 0
+        doc = json.loads(spec.read_text())
+        doc["lattice"] = lattice
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_main("verify", "--model", files["two_letter"], "--spec", spec) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and _single_error_line(captured.err)
+        assert f"lattice must be 'N' or 'Z', got {lattice!r}" in captured.err
+
+    @pytest.mark.parametrize("model, flags", [("two_letter", ()), ("two_letter_cycle", ()),
+                                              ("gauss", ("--width", 101))],
+                             ids=["half-line", "cycle3", "gauss"])
+    def test_out_copy_equals_stdout(self, files, capsys, tmp_path, model, flags):
+        spec, report = tmp_path / "spec.json", tmp_path / "report.json"
+        assert run_main("check", "--model", files[model], "--out", report) == 0
+        assert capsys.readouterr().out == report.read_text()
+        assert run_main("solve", "--model", files[model], "--out", spec) == 0
+        capsys.readouterr()
+        assert run_main("verify", "--model", files[model], "--spec", spec, "--out", report,
+                        *flags) == 0
+        assert capsys.readouterr().out == report.read_text()
+
+
+class TestTwoSidedLattice:
+    """On "Z" the chain and its conditions are the half line's: only the
+    model's lattice, echoed in the spec, tells the two apart."""
+
+    def test_z_decides_as_n(self, tmp_path, capsys):
+        tens = fs.make_factorized_tensor(3, 11)[0]
+        runs = {}
+        for lattice in ("N", "Z"):
+            model, spec = tmp_path / f"{lattice}.json", tmp_path / f"{lattice}_spec.json"
+            save_model(model, tens, lattice)
+            assert run_main("check", "--model", model) == 0
+            check = json.loads(capsys.readouterr().out)["reports"]
+            assert run_main("solve", "--model", model, "--out", spec) == 0
+            capsys.readouterr()
+            written = json.loads(spec.read_text())
+            assert written["lattice"] == lattice
+            assert run_main("verify", "--model", model, "--spec", spec) == 0
+            verify = json.loads(capsys.readouterr().out)["reports"]
+            runs[lattice] = check, {k: v for k, v in written.items() if k != "lattice"}, verify
+        assert runs["Z"] == runs["N"]
 
 
 class TestSimulate:
@@ -518,7 +566,7 @@ class TestBadInput:
     def test_overflowing_cyclic_spec_is_one_error_line(self, capsys, tmp_path):
         three = three_letter_tensor()
         model, spec = tmp_path / "c3.json", tmp_path / "c3spec.json"
-        save_model(model, three.alphabet, three, {"cycle": 3})
+        save_model(model, three, {"cycle": 3})
         big = [["1e100"] * 3] * 3
         spec.write_text(json.dumps({"type": "chzmc", "n": 3, "d": big, "u": big}))
         with warnings.catch_warnings():
@@ -722,7 +770,7 @@ class TestBadInput:
         # --tol 1e-16 the screen misses and the 2^30 sweep is beyond the guard
         tens = fs.make_factorized_tensor(2, seed)[0]
         model, spec = tmp_path / "c30.json", tmp_path / "spec.json"
-        save_model(model, tens.alphabet, tens, {"cycle": 30})
+        save_model(model, tens, {"cycle": 30})
         for argv in (("check",), ("solve", "--out", spec)):
             assert run_main(*argv, "--model", model, "--tol", "1e-16") == 1
             rep = json.loads(capsys.readouterr().out)["reports"][-1]
@@ -735,9 +783,9 @@ class TestBadInput:
     @pytest.mark.parametrize("lattice", ["N", {"cycle": 3}], ids=["half-line", "cycle3"])
     def test_alphabet_beyond_max_kappa_refused(self, capsys, tmp_path, lattice):
         k = fs.MAX_KAPPA + 1
-        tens = TransitionTensor(FiniteAlphabet(k), np.full((k, k, k), 1.0 / k))
+        tens = TransitionTensor(np.full((k, k, k), 1.0 / k))
         model, spec = tmp_path / "k65.json", tmp_path / "spec.json"
-        save_model(model, tens.alphabet, tens, lattice)
+        save_model(model, tens, lattice)
         for argv in (("check",), ("solve", "--out", spec)):
             assert run_main(*argv, "--model", model) == 2
             err = capsys.readouterr().err
@@ -765,7 +813,7 @@ class TestBadInput:
     def test_cycle_beyond_size_guard(self, capsys, tmp_path):
         two = three_letter_tensor().restrict([1, 2])
         model, spec = tmp_path / "c30.json", tmp_path / "c30spec.json"
-        save_model(model, two.alphabet, two, {"cycle": 30})
+        save_model(model, two, {"cycle": 30})
         assert run_main("solve", "--model", model, "--out", spec) == 0
         capsys.readouterr()
         assert run_main("verify", "--model", model, "--spec", spec) == 2
@@ -778,9 +826,9 @@ class TestBadInput:
     ], ids=["kappa3-kmax1e7", "kappa3-cycle1e4", "kappa1-kmax1e4"])
     def test_oversized_window_refused_at_once(self, capsys, tmp_path, kappa, lattice, kmax):
         tens = (fs.make_factorized_tensor(3, 11)[0] if kappa == 3
-                else TransitionTensor(FiniteAlphabet(1), np.ones((1, 1, 1))))
+                else TransitionTensor(np.ones((1, 1, 1))))
         model, spec = tmp_path / "model.json", tmp_path / "spec.json"
-        save_model(model, tens.alphabet, tens, lattice)
+        save_model(model, tens, lattice)
         assert run_main("solve", "--model", model, "--out", spec) == 0
         capsys.readouterr()
         start = time.perf_counter()
@@ -864,9 +912,9 @@ class TestBadInput:
     def test_simulate_refuses_a_kernel_with_a_zero_entry(self, capsys, tmp_path):
         t = np.full((2, 2, 2), 0.5)
         t[0, 1] = [1.0, 0.0]
-        tens = TransitionTensor(FiniteAlphabet(2), t)
+        tens = TransitionTensor(t)
         path = tmp_path / "zero.json"
-        save_model(path, tens.alphabet, tens, "N")
+        save_model(path, tens, "N")
         assert run_main("simulate", "--model", path, "--width", 10, "--steps", 2,
                         "--out", tmp_path / "sim") == 2
         err = capsys.readouterr().err

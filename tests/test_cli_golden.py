@@ -43,7 +43,7 @@ def _chzmc_spec(rng, kappa, n):
 
 
 def _finite(path, tensor, lattice):
-    save_model(path, tensor.alphabet, tensor, lattice)
+    save_model(path, tensor, lattice)
 
 
 GAUSSIAN = {"family": "gaussian", "m": 3, "sigma": 1}
@@ -61,13 +61,13 @@ CASES = {
     "fac3-cycle4-sweep": (lambda p: _finite(p, fs.make_factorized_tensor(3, 17)[0],
                                             {"cycle": 4}),
                           lambda: _chzmc_spec(np.random.default_rng(17), 3, 4), ()),
-    "gaussian": (lambda p: save_model(p, {"points": 33}, GAUSSIAN, "N"), None,
+    "gaussian": (lambda p: save_model(p, GAUSSIAN, "N", {"points": 33}), None,
                  ("--width", "2001", "--seed", "11")),
-    "gaussian_diag": (lambda p: save_model(p, {"points": 33},
-                                           dict(GAUSSIAN, family="gaussian_diag"), "N"),
+    "gaussian_diag": (lambda p: save_model(p, dict(GAUSSIAN, family="gaussian_diag"), "N",
+                                           {"points": 33}),
                       None, ("--width", "2001", "--seed", "11")),
-    "beta": (lambda p: save_model(p, {"points": 33}, {"family": "beta", "alpha": 1,
-                                                      "beta": 1, "m": 1, "theta": 1}, "N"),
+    "beta": (lambda p: save_model(p, {"family": "beta", "alpha": 1, "beta": 1, "m": 1,
+                                      "theta": 1}, "N", {"points": 33}),
              None, None),
 }
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from zigzag_pca.core_types import (MAX_GRID_POINTS, CheckReport, ChzmcSpec, FiniteAlphabet,
+from zigzag_pca.core_types import (MAX_GRID_POINTS, CheckReport, ChzmcSpec,
                                    GridMeasure, HzmcSpec, TransitionTensor, decode_array, encode_array,
                                    gauss_legendre_grid, load_model, normalize_rows,
                                    parse_model, save_model, sup_residual, trapezoid_grid,
@@ -80,15 +80,15 @@ class TestTransitionTensor:
     def test_row_sum_validation(self):
         bad = np.full((2, 2, 2), 0.4)
         with pytest.raises(ValueError, match="sums to"):
-            TransitionTensor(FiniteAlphabet(2), bad)
+            TransitionTensor(bad)
 
     def test_mu_positive_flag(self, full_tensor, two_letter):
         assert not full_tensor.mu_positive
         assert two_letter.mu_positive
 
-    def test_restrict_keeps_labels(self, full_tensor):
+    def test_restrict_takes_the_sub_tensor(self, full_tensor):
         sub = full_tensor.restrict([1, 2])
-        assert sub.alphabet.labels == ("1", "2")
+        assert sub.size == 2
         assert sub.t[0, 1, 0] == pytest.approx(0.8)
 
     def test_tensor_locked(self, two_letter):
@@ -171,7 +171,7 @@ class TestSupResidual:
 class TestModelFiles:
     def test_tensor_roundtrip_bit_exact(self, two_letter, tmp_path):
         path = tmp_path / "m.json"
-        save_model(path, two_letter.alphabet, two_letter, "N")
+        save_model(path, two_letter, "N")
         model = load_model(path)
         assert model["lattice"] == "N"
         assert np.array_equal(model["tensor"].t, two_letter.t)
@@ -183,24 +183,24 @@ class TestModelFiles:
 
     def test_cycle_lattice(self, two_letter, tmp_path):
         path = tmp_path / "c.json"
-        save_model(path, two_letter.alphabet, two_letter, {"cycle": 3})
+        save_model(path, two_letter, {"cycle": 3})
         assert load_model(path)["lattice"] == ("cycle", 3)
 
     @pytest.mark.parametrize("lattice", ["N", "Z", {"cycle": 3}, ("cycle", 3)])
     def test_lattice_survives_save_and_load(self, two_letter, tmp_path, lattice):
         """save_model takes back every lattice that load_model hands out."""
         path = tmp_path / "m.json"
-        save_model(path, two_letter.alphabet, two_letter, lattice)
+        save_model(path, two_letter, lattice)
         first = load_model(path)
-        save_model(path, two_letter.alphabet, first["tensor"], first["lattice"])
+        save_model(path, first["tensor"], first["lattice"])
         assert load_model(path)["lattice"] == first["lattice"]
         assert first["lattice"] == (("cycle", 3) if lattice in ({"cycle": 3}, ("cycle", 3))
                                     else lattice)
 
     def test_family_model(self, tmp_path):
         path = tmp_path / "g.json"
-        save_model(path, {"halfwidth": 9.0, "points": 257},
-                   {"family": "gaussian", "m": 3, "sigma": 1}, "N")
+        save_model(path, {"family": "gaussian", "m": 3, "sigma": 1}, "N",
+                   {"halfwidth": 9.0, "points": 257})
         model = load_model(path)
         assert model["family"]["m"] == 3.0
         assert model["grid"]["points"] == 257

@@ -9,34 +9,34 @@ from hypothesis import strategies as hst
 
 from zigzag_pca import finite_solver as fs
 from zigzag_pca import lattice_ext as lx
-from zigzag_pca.core_types import (EXACT_TOL, CheckReport, FiniteAlphabet, HzmcSpec,
-                                   TransitionTensor, _row_blocks, normalize_rows)
+from zigzag_pca.core_types import (EXACT_TOL, CheckReport, HzmcSpec, TransitionTensor,
+                                   _row_blocks, normalize_rows)
 from conftest import corpus_seeds, iterated_nu_eta, near_identity_tensor
 
 
 def constant_tensor(kappa: int) -> TransitionTensor:
-    return TransitionTensor(FiniteAlphabet(kappa), np.full((kappa,) * 3, 1.0 / kappa))
+    return TransitionTensor(np.full((kappa,) * 3, 1.0 / kappa))
 
 
 def product_tensor(f: np.ndarray) -> TransitionTensor:
     """t(a, b; c) = f(c), independent of the neighbors."""
     k = f.size
     t = np.broadcast_to(f, (k, k, k)).copy()
-    return TransitionTensor(FiniteAlphabet(k), t)
+    return TransitionTensor(t)
 
 
 class TestSelectBaseTriple:
     def test_two_letter_anchor(self, two_letter):
-        assert fs.select_base_triple(two_letter).as_tuple() == (0, 0, 0)
+        assert fs.select_base_triple(two_letter) == (0, 0, 0)
 
     def test_uniform_tie_breaks_lexicographically(self):
-        assert fs.select_base_triple(constant_tensor(3)).as_tuple() == (0, 0, 0)
+        assert fs.select_base_triple(constant_tensor(3)) == (0, 0, 0)
 
     def test_zero_in_first_row_moves_anchor(self):
         t = np.full((2, 2, 2), 0.5)
         t[0, 0] = [1.0, 0.0]
-        tens = TransitionTensor(FiniteAlphabet(2), t)
-        a0, b0, _ = fs.select_base_triple(tens).as_tuple()
+        tens = TransitionTensor(t)
+        a0, b0, _ = fs.select_base_triple(tens)
         assert (a0, b0) != (0, 0)
         # scan oracle: the returned row maximizes the row minimum
         mins = tens.t.min(axis=2)
@@ -48,7 +48,7 @@ class TestSelectBaseTriple:
 
     def test_oversized_alphabet_guarded(self):
         k = 65
-        tens = TransitionTensor(FiniteAlphabet(k), np.full((k, k, k), 1.0 / k))
+        tens = TransitionTensor(np.full((k, k, k), 1.0 / k))
         with pytest.raises(ValueError, match="exceeds"):
             fs.select_base_triple(tens)
 
@@ -113,7 +113,7 @@ class TestBelyaevDiag:
     def test_perturbed_diagonal_row_fails(self, two_letter):
         t = two_letter.t.copy()
         t[1, 1] = [0.65, 0.35]
-        tens = TransitionTensor(two_letter.alphabet, t)
+        tens = TransitionTensor(t)
         rep = fs.check_belyaev_diag(tens, fs.select_base_triple(tens))
         assert not rep.passed
         assert rep.residual > 1e-3
@@ -251,7 +251,7 @@ def whole_tensor_cubic_and_kernels(tens, triple, eta):
     contraction B[a, c] = sum_x w[a, x] t[a, x, c] as one einsum over the
     whole tensor."""
     t = tens.t
-    a0, _, c0 = triple.as_tuple()
+    a0, _, c0 = triple
     w = eta[None, :] / t[:, :, c0]
     s0 = w.sum(axis=1)
     big_b = np.einsum("ax,axc->ac", w, t)
@@ -594,7 +594,7 @@ class TestBlockWalk:
         t = np.empty((2, 2, 2))
         t[0] = half / half.sum(axis=1, keepdims=True)
         t[1] = t[0, ::-1, ::-1]
-        tens = TransitionTensor(FiniteAlphabet(2), t)
+        tens = TransitionTensor(t)
         d, u = np.array([[0.7, 0.3], [0.3, 0.7]]), np.array([[0.4, 0.6], [0.6, 0.4]])
         spec = HzmcSpec(d=d, u=u, rho0=np.full(2, 0.5))
         diff = np.abs(fs.push_forward_zigzag(tens, spec, 0) - fs.hzmc_cylinder_weights(spec, 0))

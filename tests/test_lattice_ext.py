@@ -6,8 +6,8 @@ import pytest
 
 from zigzag_pca import finite_solver as fs
 from zigzag_pca import lattice_ext as lx
-from zigzag_pca.core_types import (ChzmcSpec, FiniteAlphabet, HzmcSpec, TransitionTensor,
-                                   normalize_rows)
+from zigzag_pca.core_types import (ChzmcSpec, HzmcSpec, TransitionTensor, load_model,
+                                   normalize_rows, save_model)
 
 
 @pytest.fixture(scope="module")
@@ -30,20 +30,28 @@ def noncommuting_pair(seed=5, kappa=2):
     return d, u
 
 
+def lifted_to_z(tensor, tmp_path):
+    """The tensor as a model document marked lattice "Z", read back."""
+    path = tmp_path / "z.json"
+    save_model(path, tensor, "Z")
+    model = load_model(path)
+    assert model["lattice"] == "Z"
+    np.testing.assert_array_equal(model["tensor"].t, tensor.t)
+    return model["tensor"]
+
+
 class TestHzmcZ:
-    """The two-sided lattice's conditions are the half line's, on a spec
+    """The two-sided lattice's conditions are the half line's, on a model
     marked lattice "Z"."""
 
-    def test_two_letter_lifted(self, two_letter, solved):
-        spec = HzmcSpec(d=solved.spec.d, u=solved.spec.u, rho0=solved.spec.rho0, lattice="Z")
-        reports = fs.check_toom_conditions(two_letter, spec)
+    def test_two_letter_lifted(self, two_letter, solved, tmp_path):
+        reports = fs.check_toom_conditions(lifted_to_z(two_letter, tmp_path), solved.spec)
         assert all(r.passed for r in reports)
 
-    def test_uniform_spec(self):
-        tens = TransitionTensor(FiniteAlphabet(2), np.full((2, 2, 2), 0.5))
+    def test_uniform_spec(self, tmp_path):
+        tens = lifted_to_z(TransitionTensor(np.full((2, 2, 2), 0.5)), tmp_path)
         d, u = uniform_pair()
-        reports = fs.check_toom_conditions(tens, HzmcSpec(d=d, u=u, rho0=np.full(2, 0.5),
-                                                          lattice="Z"))
+        reports = fs.check_toom_conditions(tens, HzmcSpec(d=d, u=u, rho0=np.full(2, 0.5)))
         assert all(r.passed for r in reports)
 
 
@@ -155,7 +163,7 @@ class TestChzmcDensity:
 
 class TestChzmcConditions:
     def test_uniform_passes_every_cycle(self, two_letter):
-        tens = TransitionTensor(FiniteAlphabet(2), np.full((2, 2, 2), 0.5))
+        tens = TransitionTensor(np.full((2, 2, 2), 0.5))
         d, u = uniform_pair()
         for n in (1, 2, 3):
             spec = ChzmcSpec(d=d, u=u, n=n, z=lx.partition_function(d, u, n))
@@ -175,7 +183,7 @@ class TestChzmcConditions:
         du = d @ u
         t = d[:, None, :] * u.T[None, :, :] / du[:, :, None]
         t, _ = normalize_rows(t)
-        tens = TransitionTensor(FiniteAlphabet(2), t)
+        tens = TransitionTensor(t)
         spec = ChzmcSpec(d=d, u=u, n=2, z=lx.partition_function(d, u, 2))
         r9, r10 = lx.check_chzmc_conditions(tens, spec)
         assert r9.passed            # factorization holds by construction
@@ -188,7 +196,7 @@ class TestChzmcConditions:
         d, u = noncommuting_pair(5)
         t = d[:, None, :] * u.T[None, :, :] / (d @ u)[:, :, None]
         t, _ = normalize_rows(t)
-        tens = TransitionTensor(FiniteAlphabet(2), t)
+        tens = TransitionTensor(t)
         u_bad = u[::-1].copy()
         spec = ChzmcSpec(d=d, u=u_bad, n=2, z=lx.partition_function(d, u_bad, 2))
         r9, _ = lx.check_chzmc_conditions(tens, spec)
@@ -248,7 +256,7 @@ class TestSolveChzmc:
         assert rep.passed
 
     def test_constant_tensor_uniform_chain(self):
-        tens = TransitionTensor(FiniteAlphabet(2), np.full((2, 2, 2), 0.5))
+        tens = TransitionTensor(np.full((2, 2, 2), 0.5))
         res = lx.solve_chzmc(tens, 2)
         assert res.ok
         law = lx.chzmc_density(res.spec)
@@ -271,7 +279,7 @@ class TestCycleOracle:
         assert rep.residual < 1e-10
 
     def test_uniform_exact(self):
-        tens = TransitionTensor(FiniteAlphabet(2), np.full((2, 2, 2), 0.5))
+        tens = TransitionTensor(np.full((2, 2, 2), 0.5))
         d, u = uniform_pair()
         spec = ChzmcSpec(d=d, u=u, n=2, z=lx.partition_function(d, u, 2))
         rep = lx.bruteforce_cycle_invariance(tens, spec)

@@ -54,9 +54,9 @@ def _simulate(tmp_path, name):
     path = tmp_path / f"{name}.json"
     if MODELS[name] is None:
         tensor = fs.make_factorized_tensor(4, 11)[0]
-        save_model(path, tensor.alphabet, tensor, "N")
+        save_model(path, tensor, "N")
     else:
-        save_model(path, {"points": 9}, MODELS[name], "Z" if name == "tasep" else "N")
+        save_model(path, MODELS[name], "Z" if name == "tasep" else "N", {"points": 9})
     out = tmp_path / name
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["simulate", "--model", str(path), "--width", str(WIDTH),

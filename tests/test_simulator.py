@@ -11,14 +11,14 @@ from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
 from zigzag_pca import simulator as sim
 from zigzag_pca import stats as st
-from zigzag_pca.core_types import FiniteAlphabet, HzmcSpec, SpaceTimeDiagram, TransitionTensor
+from zigzag_pca.core_types import HzmcSpec, SpaceTimeDiagram, TransitionTensor
 
 
 def copy_left_tensor(kappa=3):
     t = np.zeros((kappa, kappa, kappa))
     for a in range(kappa):
         t[a, :, a] = 1.0
-    return TransitionTensor(FiniteAlphabet(kappa), t)
+    return TransitionTensor(t)
 
 
 class TestRowUniforms:
@@ -131,7 +131,7 @@ class TestStepPca:
         assert np.array_equal(out, line[:-1])
 
     def test_uniform_kernel_ignores_input(self):
-        tens = TransitionTensor(FiniteAlphabet(2), np.full((2, 2, 2), 0.5))
+        tens = TransitionTensor(np.full((2, 2, 2), 0.5))
         model = sim.ModelInstance(kernel=tens, lattice="N", seed=9)
         out = sim.step_pca(np.zeros(40_001, dtype=int), model, t=0)
         s = st.summarize_line(out.astype(float))

@@ -48,8 +48,8 @@ def _run(tr, cmd, *argv):
 def test_finite_commands_produce_spans_and_counters(tmp_path, tracer):
     two = three_letter_tensor().restrict([1, 2])
     half, cycle = tmp_path / "half.json", tmp_path / "cycle.json"
-    save_model(half, two.alphabet, two, "N")
-    save_model(cycle, two.alphabet, two, {"cycle": 3})
+    save_model(half, two, "N")
+    save_model(cycle, two, {"cycle": 3})
     for name, model in (("half", half), ("cycle", cycle)):
         spec = tmp_path / f"{name}_spec.json"
         assert _run(tracer, f"{name}-check", "check", "--model", model) == 0
@@ -82,7 +82,7 @@ def test_finite_commands_produce_spans_and_counters(tmp_path, tracer):
 def test_finite_simulate_produces_spans_and_counters(tmp_path, tracer):
     two = three_letter_tensor().restrict([1, 2])
     model, out = tmp_path / "half.json", tmp_path / "sim"
-    save_model(model, two.alphabet, two, "N")
+    save_model(model, two, "N")
     width, steps = 40, 6
     assert _run(tracer, "simulate", "simulate", "--model", model, "--width", width,
                 "--steps", steps, "--out", out) == 0
@@ -105,7 +105,7 @@ def test_finite_simulate_produces_spans_and_counters(tmp_path, tracer):
 def test_gaussian_commands_produce_spans_and_counters(tmp_path, tracer):
     model, spec = tmp_path / "gauss.json", tmp_path / "gauss_spec.json"
     points = 33
-    save_model(model, {"points": points}, {"family": "gaussian", "m": 3, "sigma": 1}, "N")
+    save_model(model, {"family": "gaussian", "m": 3, "sigma": 1}, "N", {"points": points})
     assert _run(tracer, "check", "check", "--model", model) == 0
     assert _run(tracer, "solve", "solve", "--model", model, "--out", spec) == 0
     assert _run(tracer, "verify", "verify", "--model", model, "--spec", spec,
