@@ -34,9 +34,9 @@ def main():
         print(" ", rep)
 
     law = lx.chzmc_density(res.spec)
-    print(f"  joint law entries: {law.weights.size}, total mass "
-          f"{law.weights.sum():.12f}")
-    print("  first-line marginal:\n", law.first_line_marginal())
+    print(f"  joint law entries: {law.size}, total mass {law.sum():.12f}")
+    # axes run x0, y0, x1, y1, ...: the first line's marginal sums out the y axes
+    print("  first-line marginal:\n", law.sum(axis=tuple(range(1, 2 * n, 2))))
 
     print("\ncyclic conditions and oracle:")
     r9, r10 = lx.check_chzmc_conditions(sub, res.spec)

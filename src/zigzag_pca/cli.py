@@ -9,10 +9,11 @@ runs are reproducible from the JSON alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -27,6 +28,12 @@ from .core_types import (EXACT_TOL, QUAD_TOL, CheckReport, ChzmcSpec, HzmcSpec,
                          load_model, number_field, save_document)
 
 
+def _read_params(cls, block):
+    """``cls`` from the kernel block's fields of the same names: one
+    ``number_field`` per dataclass field, in field order."""
+    return cls(*(number_field(block.get(f.name), f"kernel field {f.name!r}") for f in fields(cls)))
+
+
 def _fpp_rule(block) -> sim.FppRule:
     weights = block.get("weight_params", [1.0])
     if not isinstance(weights, list):
@@ -39,50 +46,45 @@ def _fpp_rule(block) -> sim.FppRule:
 class Family:
     """What the commands know of one named kernel family.
 
-    ``kernel`` is what simulate steps and ``battery`` the kernel the condition
-    battery runs on; where they differ, check also probes that the two agree
-    off a null set.  ``obstruction`` says why solve cannot build an invariant
-    chain; without one, ``chain`` is the closed-form invariant chain that
-    solve writes and verify tests.  ``init`` is the initial line of a family
-    without a chain.
+    ``params`` reads the kernel block: ``_read_params`` of the family's
+    parameter class, whose fields the model file names, or FPP's
+    ``_fpp_rule``.  ``kernel`` is what simulate steps and ``battery`` the
+    kernel the condition battery runs on; where they differ, check also
+    probes that the two agree off a null set.  ``obstruction`` says why solve
+    cannot build an invariant chain; without one, ``chain`` is the
+    closed-form invariant chain that solve writes and verify tests; check
+    reports its ``meta`` but the family name.  ``init`` is the initial line
+    of a family without a chain.
     """
 
-    fields: tuple                       # required numeric kernel fields
     params: Callable                    # kernel block -> parameters
     kernel: Callable                    # parameters -> kernel or particle rule
     battery: Callable | None = None     # parameters -> KernelDensity
     chain: Callable | None = None       # parameters -> HzmcSpec
     grid: Callable | None = None        # (parameters, points) -> default grid
-    extras: Callable | None = None      # (parameters, chain) -> report fields
     obstruction: Callable | None = None  # parameters -> why solve fails
     init: Callable | None = None        # (kernel block, parameters, width) -> line
 
 
-_GAUSSIAN = dict(fields=("m", "sigma"),
-                 params=lambda b: ck.GaussianPcaParams(m=b["m"], sigma=b["sigma"]),
+_GAUSSIAN = dict(params=functools.partial(_read_params, ck.GaussianPcaParams),
                  battery=ck.gaussian_kernel_density, chain=ck.gaussian_invariant_hzmc,
-                 grid=ck.default_gaussian_grid,
-                 extras=lambda p, hz: {k: v for k, v in hz.meta.items() if k != "family"})
+                 grid=ck.default_gaussian_grid)
 
 FAMILIES = {
     "gaussian": Family(kernel=ck.gaussian_kernel_density, **_GAUSSIAN),
     "gaussian_diag": Family(kernel=ck.gaussian_diag_kernel_density, **_GAUSSIAN),
     "beta": Family(
-        fields=("alpha", "beta", "m", "theta"),
-        params=lambda b: ck.BetaPcaParams(alpha=b["alpha"], beta=b["beta"], m_shift=b["m"],
-                                          theta_rate=b["theta"]),
+        params=functools.partial(_read_params, ck.BetaPcaParams),
         kernel=ck.beta_kernel_density, battery=ck.beta_kernel_density,
         chain=ck.beta_candidate_hzmc, grid=ck.default_beta_grid,
-        extras=lambda p, hz: {"drift_per_step": p.drift_per_step},
         obstruction=lambda p: ("no stationary initial law: the stationarity condition cannot "
                                f"be met (drift {p.drift_per_step:g} per down-up step)")),
     "tasep": Family(
-        fields=("r", "v", "p"), params=lambda b: sim.TasepRule(r=b["r"], v=b["v"], p=b["p"]),
-        kernel=lambda rule: rule,
+        params=functools.partial(_read_params, sim.TasepRule), kernel=lambda rule: rule,
         init=lambda b, rule, width: (number_field(b.get("spacing", 2.0 * rule.r),
                                                   "kernel field 'spacing'") * np.arange(width))),
     "fpp": Family(
-        fields=(), params=_fpp_rule, kernel=lambda rule: rule,
+        params=_fpp_rule, kernel=lambda rule: rule,
         init=lambda b, rule, width: np.full(width, number_field(b.get("init_value", 0.0),
                                                                 "kernel field 'init_value'"))),
 }
@@ -220,7 +222,8 @@ def cmd_check(args, model, fam: Family | None, params) -> int:
                          "use simulate")
     hz = fam.chain(params)
     reports, grid, tol = _grid_battery(args, model, fam, params, hz, probe=True)
-    return _report(args, "check", reports, grid=grid, tol=tol, **fam.extras(params, hz))
+    extras = {key: val for key, val in hz.meta.items() if key != "family"}
+    return _report(args, "check", reports, grid=grid, tol=tol, **extras)
 
 
 def cmd_solve(args, model, fam: Family | None, params) -> int:
@@ -290,7 +293,7 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
     if spec.get("family") != name:
         raise ValueError(f"continuous verify needs a {name} spec")
     number = lambda key: _spec_field(spec, key, lambda v: number_field(v, key))
-    if any(number(key) != model["family"][key] for key in fam.fields):
+    if any(number(f.name) != getattr(params, f.name) for f in fields(params)):
         raise ValueError("spec parameters do not match the model")
     # the AR(1) chain the spec states (verify reaches only the Gaussian families)
     hz = ck.ar1_hzmc(ck.Ar1Params(phi=number("phi"), innovation_var=number("sigma_prime_sq")),
@@ -337,15 +340,13 @@ def cmd_simulate(args, model, fam: Family | None, params) -> int:
                "files": [out + ".csv", out + ".bin"]}
     if final.size >= 10:
         summary["final_line"] = asdict(st.summarize_line(final))
-    if diagram.steps >= 1:
-        prev = diagram.row(diagram.steps - 1)
-        n = final.size
-        if n >= 5 and prev.size >= n:
-            zig = np.empty(2 * n - 1)
-            zig[0::2] = prev[:n]
-            zig[1::2] = final[: n - 1]
-            if zig.size >= 10:
-                summary["final_zigzag"] = asdict(st.summarize_line(zig))
+    if diagram.steps >= 1 and final.size >= 6:      # a zigzag of 2n - 1 >= 10 cells
+        # simulate runs on open rows only, and an open row is one cell longer than the next
+        prev, n = diagram.row(diagram.steps - 1), final.size
+        zig = np.empty(2 * n - 1)
+        zig[0::2] = prev[:n]
+        zig[1::2] = final[:-1]
+        summary["final_zigzag"] = asdict(st.summarize_line(zig))
     _emit(summary, out + ".summary.json")
     return 0
 
@@ -374,7 +375,9 @@ def cmd_report(doc: dict) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after."""
     p = argparse.ArgumentParser(prog="zigzag-pca",
                                 description="decide, construct and validate invariant "
                                             "zigzag chains of two-neighbor stochastic "
@@ -421,8 +424,6 @@ def main(argv=None) -> int:
             fam = FAMILIES.get(block["family"])
             if fam is None:
                 raise ValueError(f"unknown kernel family {block['family']!r}")
-            for key in fam.fields:
-                number_field(block.get(key), f"kernel field {key!r}")
             params = fam.params(block)
         elif (getattr(args, "grid_points", None),
               getattr(args, "grid_halfwidth", None)) != (None, None):

@@ -141,20 +141,23 @@ class Ar1Params:
 
 @dataclass(frozen=True)
 class BetaPcaParams:
+    """Beta kernel parameters: Beta(alpha, beta) fraction, shift m, and the
+    rate theta of the candidate chain's Gamma steps."""
+
     alpha: float
     beta: float
-    m_shift: float
-    theta_rate: float
+    m: float
+    theta: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "theta_rate"):
+        for name in ("alpha", "beta", "theta"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
     @property
     def drift_per_step(self) -> float:
         """Mean displacement of one down-up step of the candidate chain."""
-        return (self.alpha + self.beta) / self.theta_rate
+        return (self.alpha + self.beta) / self.theta
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +283,7 @@ def beta_kernel_density(params: BetaPcaParams) -> KernelDensity:
     row integrates to one.  Coinciding neighbors give a point mass at a - m;
     the density reports 0 there (a null set under the line measure).
     """
-    al, be, m, _ = params.alpha, params.beta, params.m_shift, params.theta_rate
+    al, be, m = params.alpha, params.beta, params.m
     lbeta = betaln(al, be)
 
     def density(a, b, c):
@@ -330,7 +333,7 @@ def beta_kernel_density(params: BetaPcaParams) -> KernelDensity:
 def beta_candidate_kernels(params: BetaPcaParams) -> tuple[MarkovKernel, MarkovKernel]:
     """Shifted-Gamma candidate steps: down adds Gamma(alpha, theta) - m,
     up adds Gamma(beta, theta) + m."""
-    al, be, m, th = params.alpha, params.beta, params.m_shift, params.theta_rate
+    al, be, m, th = params.alpha, params.beta, params.m, params.theta
     down, up = _gamma_density(al, th), _gamma_density(be, th)
 
     d1 = MarkovKernel(
@@ -359,7 +362,7 @@ def beta_candidate_hzmc(params: BetaPcaParams) -> HzmcSpec:
     stationarity residual quantifies the obstruction.
     """
     d1, u1 = beta_candidate_kernels(params)
-    al, th = params.alpha, params.theta_rate
+    al, th = params.alpha, params.theta
     pdf = _gamma_density(al, th)
     rho0 = DensityLaw(
         density=lambda x: pdf(np.array(x, dtype=float)),
@@ -367,14 +370,11 @@ def beta_candidate_hzmc(params: BetaPcaParams) -> HzmcSpec:
         support=(0.0, np.inf),
     )
     return HzmcSpec(d=d1, u=u1, rho0=rho0,
-                    meta={"family": "beta_candidate", "alpha": params.alpha,
-                          "beta": params.beta, "m": params.m_shift,
-                          "theta": params.theta_rate,
-                          "drift_per_step": params.drift_per_step})
+                    meta={"family": "beta_candidate", "drift_per_step": params.drift_per_step})
 
 
 def default_beta_grid(params: BetaPcaParams, points: int = DEFAULT_GRID_POINTS) -> GridMeasure:
-    al, be, th, m = params.alpha, params.beta, params.theta_rate, params.m_shift
+    al, be, th, m = params.alpha, params.beta, params.theta, params.m
     reach = (al + np.sqrt(al)) / th + (be + np.sqrt(be)) / th + abs(m)
     return gauss_legendre_grid(8.0 * reach, points)
 

@@ -89,32 +89,16 @@ class GridMeasure:
         return float(np.dot(np.asarray(values, dtype=float), self.weights))
 
 
-def _check_halfwidth(halfwidth) -> None:
-    if not (np.isfinite(halfwidth) and halfwidth > 0):
-        raise ValueError(f"grid halfwidth must be a finite number > 0, got {halfwidth}")
-
-
 def gauss_legendre_grid(halfwidth: float, points: int = DEFAULT_GRID_POINTS) -> GridMeasure:
     """Gauss-Legendre nodes and weights scaled to [-halfwidth, halfwidth]."""
-    _check_halfwidth(halfwidth)
+    if not (np.isfinite(halfwidth) and halfwidth > 0):
+        raise ValueError(f"grid halfwidth must be a finite number > 0, got {halfwidth}")
     if points < 2:
         raise ValueError(f"need grid points >= 2, got {points}")
     if points > MAX_GRID_POINTS:
         raise ValueError(f"{points} grid points exceed the supported bound {MAX_GRID_POINTS}")
     x, w = np.polynomial.legendre.leggauss(points)
     return GridMeasure(points=x * halfwidth, weights=w * halfwidth)
-
-
-def trapezoid_grid(halfwidth: float, points: int = DEFAULT_GRID_POINTS) -> GridMeasure:
-    """Uniform composite trapezoid rule; second order, handy for refinement checks."""
-    _check_halfwidth(halfwidth)
-    if points < 2:
-        raise ValueError(f"need grid points >= 2, got {points}")
-    x = np.linspace(-halfwidth, halfwidth, points)
-    h = x[1] - x[0]
-    w = np.full(points, h)
-    w[0] = w[-1] = h / 2
-    return GridMeasure(points=x, weights=w)
 
 
 @dataclass(frozen=True)
@@ -432,7 +416,8 @@ class ModelFormatError(ValueError):
 def number_field(value, what: str, whole: bool = False, finite: bool = True):
     """A JSON number, never a string, boolean or null; finite unless ``finite``
     is false (NaN and Infinity parse as numbers); with ``whole``, an int (3.0
-    passes, 3.5 does not)."""
+    passes, 3.5 does not).  A refused number is named as the float it reads
+    as, so an int beyond the float range as inf; a whole number as given."""
     kind = "whole number" if whole else "number"
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFormatError(f"{what} must be a {kind}, got {value!r}")
@@ -441,7 +426,7 @@ def number_field(value, what: str, whole: bool = False, finite: bool = True):
     except OverflowError:        # an int beyond the float range
         x = math.inf
     if (finite or whole) and not math.isfinite(x):
-        raise ModelFormatError(f"{what} must be a finite {kind}, got {value!r}")
+        raise ModelFormatError(f"{what} must be a finite {kind}, got {value if whole else x!r}")
     if whole and not x.is_integer():
         raise ModelFormatError(f"{what} must be a whole number, got {value!r}")
     return int(value) if whole else x
@@ -451,8 +436,9 @@ def parse_model(doc: dict) -> dict:
     """Validate a model document and materialize its pieces.
 
     Returns a dict with keys: "lattice" ("N" | "Z" | ("cycle", n)),
-    and either "tensor" (TransitionTensor) or "family" (dict of the named
-    continuous family), plus "grid" (dict or None).
+    and either "tensor" (TransitionTensor) or "family" (the kernel block of
+    the named continuous family as the JSON holds it, its "family" a str),
+    plus "grid" (dict or None).
     """
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
@@ -499,11 +485,7 @@ def parse_model(doc: dict) -> dict:
                                               "grid points", whole=True)}
         if "family" not in kern:
             raise ModelFormatError("grid alphabet requires a named kernel family")
-        fam = {k2: number_field(v, f"kernel field {k2!r}", finite=False)
-               if isinstance(v, (int, float)) and not isinstance(v, bool) else v
-               for k2, v in kern.items()}
-        fam["family"] = str(kern["family"])
-        out["family"] = fam
+        out["family"] = {**kern, "family": str(kern["family"])}
     else:
         raise ModelFormatError("alphabet must carry 'labels' or 'grid'")
     return out

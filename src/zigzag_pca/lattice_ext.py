@@ -17,8 +17,6 @@ products of du and ud around the cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core_types import (EXACT_TOL, CheckReport, ChzmcSpec, TransitionTensor,
@@ -33,25 +31,6 @@ ZERO_SKIP = 1e-14
 def _check_total(total: float):
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"cyclic joint law sums to {total!r}, not 1")
-
-
-@dataclass(frozen=True)
-class CyclicJointLaw:
-    """Joint law on the 2n cycle cells, axes in the interleaved reading order
-    (x0, y0, x1, y1, ..., x_{n-1}, y_{n-1})."""
-
-    n: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        _check_total(float(self.weights.sum()))
-
-    def first_line_marginal(self) -> np.ndarray:
-        """Marginal of (x0, ..., x_{n-1}): sum out the odd axes."""
-        return self.weights.sum(axis=tuple(range(1, 2 * self.n, 2)))
-
-    def second_line_marginal(self) -> np.ndarray:
-        return self.weights.sum(axis=tuple(range(0, 2 * self.n, 2)))
 
 
 def partition_function(d: np.ndarray, u: np.ndarray, n: int) -> float:
@@ -83,14 +62,16 @@ def _cyclic_blocks(link: np.ndarray, n: int, scale: float = 1.0):
                                                         link, n - 2)[0])
 
 
-def chzmc_density(spec: ChzmcSpec) -> CyclicJointLaw:
+def chzmc_density(spec: ChzmcSpec) -> np.ndarray:
     """Exact cyclic joint law of the chain, normalized by the partition
-    constant stored on the spec."""
+    constant stored on the spec: a (kappa,) * 2n array, axes in the
+    interleaved reading order (x0, y0, x1, y1, ..., x_{n-1}, y_{n-1})."""
     d, u, n = spec.d, spec.u, spec.n
     kappa = d.shape[0]
     _size_guard(kappa, 2 * n, f"the cyclic joint law of the {n}-cycle")
     weights = _fill(_cyclic_blocks(d[:, :, None] * u[None], n, 1.0 / spec.z), (kappa,) * (2 * n))
-    return CyclicJointLaw(n=n, weights=weights)
+    _check_total(float(weights.sum()))
+    return weights
 
 
 def check_cycle_commutation(d: np.ndarray, u: np.ndarray, n: int,
@@ -179,7 +160,7 @@ def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,
     the chain for one x0 alive at a time, so about four blocks of
     kappa^(2n-2) entries are held, never the whole law; every entry is the
     product ``chzmc_density`` computes.  The law's block sums are added up
-    and checked as ``CyclicJointLaw`` checks its total."""
+    and checked as ``chzmc_density`` checks its total."""
     d, u, n = spec.d, spec.u, spec.n
     kappa = d.shape[0]
     _size_guard(kappa, 2 * n, f"the cyclic joint law of the {n}-cycle")

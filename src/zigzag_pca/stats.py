@@ -2,10 +2,10 @@
 
 Standard errors come from batch means with about sqrt(n) batches, which
 stays honest for the autocorrelated lines these tools are pointed at.
-Distribution tests use the Kolmogorov-Smirnov sup distance with the fixed
-asymptotic threshold 1.63 (level about 0.01); no multiple-testing
-correction is applied, acceptance suites interpret isolated failures
-across seeds.
+The distribution test is the one-sample Kolmogorov-Smirnov sup distance
+with the fixed asymptotic threshold 1.63 (level about 0.01); no
+multiple-testing correction is applied, acceptance suites interpret
+isolated failures across seeds.
 """
 
 from __future__ import annotations
@@ -102,16 +102,3 @@ def ks_distance(sample, target_cdf) -> DistanceResult:
     dist = float(np.maximum(np.abs(hi - f), np.abs(f - lo)).max())
     return DistanceResult(distance=dist, threshold=KS_COEFF / np.sqrt(n), n=n)
 
-
-def two_sample_distance(sample_a, sample_b) -> DistanceResult:
-    """Two-sample sup distance; threshold 1.63 sqrt((n1 + n2)/(n1 n2))."""
-    a = np.sort(np.asarray(sample_a, dtype=float).ravel())
-    b = np.sort(np.asarray(sample_b, dtype=float).ravel())
-    if a.size < 1000 or b.size < 1000:
-        raise ValueError("two-sample test needs at least 1000 points per sample")
-    pooled = np.concatenate([a, b])
-    fa = np.searchsorted(a, pooled, side="right") / a.size
-    fb = np.searchsorted(b, pooled, side="right") / b.size
-    dist = float(np.abs(fa - fb).max())
-    thr = KS_COEFF * np.sqrt((a.size + b.size) / (a.size * b.size))
-    return DistanceResult(distance=dist, threshold=thr, n=min(a.size, b.size))

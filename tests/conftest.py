@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from zigzag_pca.core_types import TransitionTensor, normalize_rows
+from zigzag_pca.core_types import GridMeasure, TransitionTensor, normalize_rows
+from zigzag_pca.stats import KS_COEFF, DistanceResult
 
 
 def three_letter_tensor() -> TransitionTensor:
@@ -73,3 +74,27 @@ def near_identity_tensor(kappa, eps, seed=5):
     d = (1 - eps) * np.eye(kappa) + eps * m
     t = d[:, None, :] * d.T[None, :, :] / (d @ d)[:, :, None]
     return TransitionTensor(normalize_rows(t)[0]), d
+
+
+def trapezoid_grid(halfwidth: float, points: int) -> GridMeasure:
+    """Uniform composite trapezoid rule on [-halfwidth, halfwidth]; second
+    order, for refinement checks against the package's Gauss-Legendre grids."""
+    x = np.linspace(-halfwidth, halfwidth, points)
+    h = x[1] - x[0]
+    w = np.full(points, h)
+    w[0] = w[-1] = h / 2
+    return GridMeasure(points=x, weights=w)
+
+
+def two_sample_distance(sample_a, sample_b) -> DistanceResult:
+    """Two-sample sup distance; threshold 1.63 sqrt((n1 + n2)/(n1 n2))."""
+    a = np.sort(np.asarray(sample_a, dtype=float).ravel())
+    b = np.sort(np.asarray(sample_b, dtype=float).ravel())
+    if a.size < 1000 or b.size < 1000:
+        raise ValueError("two-sample test needs at least 1000 points per sample")
+    pooled = np.concatenate([a, b])
+    fa = np.searchsorted(a, pooled, side="right") / a.size
+    fb = np.searchsorted(b, pooled, side="right") / b.size
+    dist = float(np.abs(fa - fb).max())
+    thr = KS_COEFF * np.sqrt((a.size + b.size) / (a.size * b.size))
+    return DistanceResult(distance=dist, threshold=thr, n=min(a.size, b.size))

@@ -15,7 +15,7 @@ from zigzag_pca import lattice_ext as lx
 from zigzag_pca import simulator as sim
 from zigzag_pca import stats as st
 from zigzag_pca.core_types import normalize_rows, TransitionTensor
-from conftest import corpus_seeds, iterated_nu_eta
+from conftest import corpus_seeds, iterated_nu_eta, two_sample_distance
 
 
 def _announce(name, ok, elapsed, detail=""):
@@ -207,7 +207,7 @@ def test_07_beta_obstruction_and_image():
         if i == site:
             direct_second_line = yv
         x = u1.sampler(yv, rng2.random(n_rep))
-    res_same = st.two_sample_distance(image_sample, direct_second_line)
+    res_same = two_sample_distance(image_sample, direct_second_line)
     ok &= res_same.passed
 
     # negative control: without the extra down step the drift separates them
@@ -219,7 +219,7 @@ def test_07_beta_obstruction_and_image():
         if i == site:
             unshifted = yv
         x = u1.sampler(yv, rng3.random(n_rep))
-    res_diff = st.two_sample_distance(image_sample, unshifted)
+    res_diff = two_sample_distance(image_sample, unshifted)
     ok &= not res_diff.passed
 
     elapsed = time.monotonic() - start

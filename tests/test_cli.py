@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
 import zigzag_pca
+from zigzag_pca import cli
 from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
 from zigzag_pca import simulator as sim
@@ -943,6 +944,72 @@ class TestBadInput:
             run_main(argv[0], "--model", files["two_letter"], "--out", "/dev/null", *argv[1:])
         assert exc.value.code == 2
 
+
+
+class TestFamilyParameters:
+    """A named family's parameters are read once, under the model file's names."""
+
+    FIELDS = TestBadInput.FAMILY_FIELDS
+
+    @pytest.mark.parametrize("family,field,value", [
+        ("beta", "theta", -1), ("beta", "alpha", 0), ("gaussian", "m", 1),
+        ("gaussian", "sigma", 0), ("tasep", "p", 0)])
+    def test_out_of_domain_value_names_the_model_field(self, tmp_path, capsys, family, field,
+                                                       value):
+        kernel = {"family": family, **self.FIELDS[family], field: value}
+        path = _write_model(tmp_path / "bad.json", {"alphabet": {"grid": {"points": 9}},
+                                                    "kernel": kernel, "lattice": "N"})
+        assert run_main("check", "--model", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _single_error_line(captured.err)
+        assert re.search(rf"\b{field}\b", captured.err), captured.err
+
+    def test_beta_domain_message(self, tmp_path, capsys):
+        kernel = {"family": "beta", "alpha": 1, "beta": 1, "m": 1, "theta": -1}
+        path = _write_model(tmp_path / "bad.json", {"alphabet": {"grid": {"points": 9}},
+                                                    "kernel": kernel, "lattice": "N"})
+        assert run_main("check", "--model", path) == 2
+        assert capsys.readouterr().err == "error: theta must be positive\n"
+
+    @pytest.mark.parametrize("alphabet,kernel,what", [
+        ({"grid": {"points": 9}}, {"family": "gaussian", "m": 10 ** 400, "sigma": 1},
+         "kernel field 'm'"),
+        ({"grid": {"points": 9, "halfwidth": 10 ** 400}}, {"family": "gaussian", "m": 3,
+                                                           "sigma": 1}, "grid halfwidth")])
+    def test_int_beyond_the_float_range_reads_as_inf(self, tmp_path, capsys, alphabet, kernel,
+                                                     what):
+        path = _write_model(tmp_path / "big.json", {"alphabet": alphabet, "kernel": kernel,
+                                                    "lattice": "N"})
+        assert run_main("check", "--model", path) == 2
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        assert err.endswith(f"{what} must be a finite number, got inf\n")
+
+    @pytest.mark.parametrize("family", ["gaussian", "beta", "tasep"])
+    def test_one_number_field_call_per_parameter(self, tmp_path, capsys, monkeypatch, family):
+        calls = []
+        real = cli.number_field
+
+        def counting(value, what, *args, **kwargs):
+            calls.append(what)
+            return real(value, what, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "number_field", counting)
+        kernel = {"family": family, **self.FIELDS[family]}
+        path = _write_model(tmp_path / "ok.json", {"alphabet": {"grid": {"points": 9}},
+                                                   "kernel": kernel, "lattice": "N"})
+        run_main("check", "--model", path)
+        capsys.readouterr()
+        assert calls == [f"kernel field {key!r}" for key in self.FIELDS[family]]
+
+    def test_parser_is_built_once(self, files, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert run_main("check", "--model", files["two_letter"]) == 0
+        capsys.readouterr()
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser.cache_info().hits == 1
 
 _FUZZ_BASES = [
     TENSOR_DOC,

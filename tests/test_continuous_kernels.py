@@ -7,8 +7,8 @@ from scipy.special import betainc, betaincinv, betaln, gammaincinv, gammaln, ndt
 
 from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
-from zigzag_pca.core_types import (HzmcSpec, KernelDensity, MarkovKernel, gauss_legendre_grid,
-                                   trapezoid_grid)
+from zigzag_pca.core_types import HzmcSpec, KernelDensity, MarkovKernel, gauss_legendre_grid
+from conftest import trapezoid_grid
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,7 @@ class TestBetaFamily:
     def test_rows_integrate_to_one(self, a, b):
         par = ck.BetaPcaParams(2.0, 1.5, 1.0, 1.0)
         kern = ck.beta_kernel_density(par)
-        lo, hi = min(a, b) - par.m_shift, max(a, b) - par.m_shift
+        lo, hi = min(a, b) - par.m, max(a, b) - par.m
         x, w = np.polynomial.legendre.leggauss(400)
         c = (lo + hi) / 2 + (hi - lo) / 2 * x
         mass = float(np.sum(kern.density(a, b, c) * w) * (hi - lo) / 2)
@@ -154,7 +154,7 @@ class TestBetaFamily:
         kern = ck.beta_kernel_density(par)
         u = (np.arange(2000) + 0.5) / 2000
         draws = kern.sampler(np.zeros(2000), np.full(2000, 4.0), u)
-        frac = (draws + par.m_shift) / 4.0
+        frac = (draws + par.m) / 4.0
         assert np.abs(betainc(2.0, 3.0, np.sort(frac)) - u).max() < 1e-12
 
     def test_exponential_candidates(self):
@@ -297,7 +297,7 @@ def _line_samplers():
     m, s = gp.m, gp.sigma
     ar, s0 = ck.ar1_parameters(gp), gp.stationary_std
     sp = np.sqrt(ar.innovation_var)
-    al, be, sh, th = bp.alpha, bp.beta, bp.m_shift, bp.theta_rate
+    al, be, sh, th = bp.alpha, bp.beta, bp.m, bp.theta
     gauss, beta = ck.gaussian_invariant_hzmc(gp), ck.beta_candidate_hzmc(bp)
     return {
         "gaussian": (ck.gaussian_kernel_density(gp).sampler, 2,

@@ -8,8 +8,8 @@ from hypothesis import strategies as hst
 from zigzag_pca.core_types import (MAX_GRID_POINTS, CheckReport, ChzmcSpec,
                                    GridMeasure, HzmcSpec, TransitionTensor, decode_array, encode_array,
                                    gauss_legendre_grid, load_model, normalize_rows,
-                                   parse_model, save_model, sup_residual, trapezoid_grid,
-                                   ModelFormatError)
+                                   parse_model, save_model, sup_residual, ModelFormatError)
+from conftest import trapezoid_grid
 
 
 class TestNormalizeRows:
@@ -204,6 +204,13 @@ class TestModelFiles:
         model = load_model(path)
         assert model["family"]["m"] == 3.0
         assert model["grid"]["points"] == 257
+
+    def test_family_block_kept_as_the_json_holds_it(self):
+        # the commands read a family's parameters; parsing only names the family
+        kernel = {"family": "gaussian", "m": 3, "sigma": "1", "extra": 10 ** 400}
+        model = parse_model({"alphabet": {"grid": {"points": 9}}, "kernel": kernel,
+                             "lattice": "N"})
+        assert model["family"] == kernel
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ModelFormatError):

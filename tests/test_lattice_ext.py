@@ -30,6 +30,16 @@ def noncommuting_pair(seed=5, kappa=2):
     return d, u
 
 
+def first_line_marginal(law):
+    """Marginal of (x0, ..., x_{n-1}) of a cyclic joint law: sum out the odd axes."""
+    return law.sum(axis=tuple(range(1, law.ndim, 2)))
+
+
+def second_line_marginal(law):
+    """Marginal of (y0, ..., y_{n-1}): sum out the even axes."""
+    return law.sum(axis=tuple(range(0, law.ndim, 2)))
+
+
 def lifted_to_z(tensor, tmp_path):
     """The tensor as a model document marked lattice "Z", read back."""
     path = tmp_path / "z.json"
@@ -99,14 +109,14 @@ class TestChzmcDensity:
         d, u = uniform_pair()
         spec = ChzmcSpec(d=d, u=u, n=2, z=lx.partition_function(d, u, 2))
         law = lx.chzmc_density(spec)
-        assert np.abs(law.weights - 1 / 16).max() < 1e-14
+        assert np.abs(law - 1 / 16).max() < 1e-14
 
     def test_single_cell_weights(self, solved):
         d, u = solved.spec.d, solved.spec.u
         z = lx.partition_function(d, u, 1)
         law = lx.chzmc_density(ChzmcSpec(d=d, u=u, n=1, z=z))
         for x, y in itertools.product(range(2), repeat=2):
-            assert law.weights[x, y] == pytest.approx(u[y, x] * d[x, y] / z, abs=1e-14)
+            assert law[x, y] == pytest.approx(u[y, x] * d[x, y] / z, abs=1e-14)
 
     def test_first_line_marginal_formula(self, solved):
         d, u = solved.spec.d, solved.spec.u
@@ -115,13 +125,13 @@ class TestChzmcDensity:
         law = lx.chzmc_density(ChzmcSpec(d=d, u=u, n=n, z=z))
         du = d @ u
         oracle = np.einsum("ab,bc,ca->abc", du, du, du) / z
-        assert np.abs(law.first_line_marginal() - oracle).max() < 1e-14
+        assert np.abs(first_line_marginal(law) - oracle).max() < 1e-14
 
     def test_line_marginals_agree_under_commutation(self, solved):
         d, u = solved.spec.d, solved.spec.u
         z = lx.partition_function(d, u, 2)
         law = lx.chzmc_density(ChzmcSpec(d=d, u=u, n=2, z=z))
-        assert np.abs(law.first_line_marginal() - law.second_line_marginal()).max() < 1e-13
+        assert np.abs(first_line_marginal(law) - second_line_marginal(law)).max() < 1e-13
 
     @pytest.mark.parametrize("kappa", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -136,7 +146,7 @@ class TestChzmcDensity:
             for i in range(n):
                 w *= d[x[i], y[i]] * u[y[i], x[(i + 1) % n]]
             oracle[cfg] = w
-        np.testing.assert_allclose(law.weights, oracle, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(law, oracle, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("kappa", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -153,12 +163,17 @@ class TestChzmcDensity:
             for i in range(n):
                 w *= ud[y[i], y[(i + 1) % n]]
             closed[y] = w / z
-        np.testing.assert_allclose(closed, law.second_line_marginal(), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(closed, second_line_marginal(law), rtol=1e-14, atol=0)
 
     def test_size_guard(self):
         d, u = uniform_pair(10)
         with pytest.raises(ValueError, match="guard"):
             lx.chzmc_density(ChzmcSpec(d=d, u=u, n=4, z=1.0))
+
+    def test_misnormalized_law_refused(self, solved):
+        d, u = solved.spec.d, solved.spec.u
+        with pytest.raises(ValueError, match="sums to"):
+            lx.chzmc_density(ChzmcSpec(d=d, u=u, n=2, z=1.5 * lx.partition_function(d, u, 2)))
 
 
 class TestChzmcConditions:
@@ -260,7 +275,7 @@ class TestSolveChzmc:
         res = lx.solve_chzmc(tens, 2)
         assert res.ok
         law = lx.chzmc_density(res.spec)
-        assert np.abs(law.weights - 1 / 16).max() < 1e-12
+        assert np.abs(law - 1 / 16).max() < 1e-12
 
     def test_random_tensor_fails_at_quartic(self):
         tens = fs.random_positive_tensor(2, 17)
@@ -312,7 +327,7 @@ class TestCycleOracle:
         t = tens.t
         spec = ChzmcSpec(d=d, u=u, n=n, z=lx.partition_function(d, u, n))
         law = lx.chzmc_density(spec)
-        my = law.second_line_marginal()
+        my = second_line_marginal(law)
         pushed = np.zeros((kappa,) * (2 * n))
         for cfg in itertools.product(range(kappa), repeat=2 * n):
             y, z = cfg[0::2], cfg[1::2]
@@ -320,7 +335,7 @@ class TestCycleOracle:
             for i in range(n):
                 w *= t[y[i], y[(i + 1) % n], z[i]]
             pushed[cfg] = w
-        diff = np.abs(pushed - law.weights)
+        diff = np.abs(pushed - law)
         rep = lx.bruteforce_cycle_invariance(tens, spec)
         assert not rep.passed
         assert rep.residual == pytest.approx(float(diff.max()), abs=1e-15)
@@ -374,7 +389,7 @@ class TestCycleOracle:
             for i in range(n - 2, 0, -1):
                 w = link[y[i], c[i], y[i + 1]] * w
             pushed[cfg] = w * (1.0 / z) if n == 1 else link[y[0], c[0], y[1]] * (1.0 / z) * w
-        diff = np.abs(pushed - lx.chzmc_density(spec).weights)
+        diff = np.abs(pushed - lx.chzmc_density(spec))
         rep = lx.bruteforce_cycle_invariance(tens, spec)
         assert rep.residual == float(diff.max())
         where = np.unravel_index(diff.argmax(), diff.shape) if not rep.passed else None

