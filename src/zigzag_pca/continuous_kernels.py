@@ -27,22 +27,52 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betaincinv, betaln, gammaincinv, gammaln, ndtr, ndtri
 
 from .core_types import (DEFAULT_GRID_POINTS, QUAD_TOL, CheckReport, DensityLaw, GridMeasure,
                          HzmcSpec, KernelDensity, MarkovKernel, _row_blocks, gauss_legendre_grid,
                          sup_residual)
 
 _GL_NODES = 64
-_gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
-_gl_x01 = 0.5 * (_gl_x + 1.0)          # nodes on [0, 1]
-_gl_w01 = 0.5 * _gl_w
 _MU_THRESH = 1e-9
 
 
+def _special():
+    """``scipy.special``, imported on the first call.  Only the samplers and
+    the Beta and Gamma normalizers use it, and importing it takes most of the
+    package's start-up, so the finite commands and the Gaussian ``check`` and
+    ``solve`` never load it."""
+    import scipy.special
+    return scipy.special
+
+
+@functools.cache
+def _gl_unit() -> tuple[np.ndarray, np.ndarray]:
+    """The ``_GL_NODES`` Gauss-Legendre nodes and weights on [0, 1], built on
+    first use: the table loads ``numpy.polynomial`` and runs an eigensolve."""
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _norm_pdf(x, mean, std):
-    z = (np.asarray(x, dtype=float) - mean) / std
-    return np.exp(-0.5 * z * z) / (std * np.sqrt(2.0 * np.pi))
+    """The N(mean, std^2) density at x, computed in place in one new array (a
+    scalar for scalar arguments).
+
+    With z = (x - mean) / std and h = -0.5 z, the exponent is taken as
+    -2 (h h), which is (-0.5 z) z bit for bit and overflows where it does:
+    scaling by a power of two is exact on normal floats, and where a product
+    is not normal the exponent is below 1e-300 and exp gives 1 either way.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.subtract(x, mean, out=np.empty(np.broadcast(x, mean, std).shape))
+    out /= std
+    out *= -0.5
+    np.multiply(out, out, out=out)
+    out *= -2.0
+    np.exp(out, out=out)
+    out /= std * np.sqrt(2.0 * np.pi)
+    return out if out.ndim else out[()]
 
 
 def _gamma_density(shape, rate):
@@ -55,7 +85,7 @@ def _gamma_density(shape, rate):
     NaN give 0, except x == 0 gives rate when shape == 1.
     """
     head = shape * np.log(rate)
-    tail = gammaln(shape)
+    tail = _special().gammaln(shape)
 
     def fill(x):
         nonpos = ~(x > 0.0)
@@ -171,7 +201,7 @@ def gaussian_kernel_density(params: GaussianPcaParams) -> KernelDensity:
         return _norm_pdf(c, (np.asarray(a, dtype=float) + b) / m, sigma)
 
     def sampler(a, b, u):
-        return (np.asarray(a, dtype=float) + b) / m + sigma * ndtri(u)
+        return (np.asarray(a, dtype=float) + b) / m + sigma * _special().ndtri(u)
 
     return KernelDensity(density=density, sampler=sampler)
 
@@ -219,13 +249,13 @@ def ar1_hzmc(ar: Ar1Params, s0: float) -> HzmcSpec:
     sp = float(np.sqrt(ar.innovation_var))
     step = MarkovKernel(
         density=lambda x, y: _norm_pdf(y, phi * np.asarray(x, dtype=float), sp),
-        noise=lambda u: sp * ndtri(u),
+        noise=lambda u: sp * _special().ndtri(u),
         step=lambda x, e: phi * x + e,
     )
     rho0 = DensityLaw(
         density=lambda x: _norm_pdf(x, 0.0, s0),
-        sampler=lambda u: s0 * ndtri(u),
-        cdf=lambda x: ndtr(np.asarray(x, dtype=float) / s0),
+        sampler=lambda u: s0 * _special().ndtri(u),
+        cdf=lambda x: _special().ndtr(np.asarray(x, dtype=float) / s0),
     )
     return HzmcSpec(d=step, u=step, rho0=rho0)
 
@@ -284,7 +314,7 @@ def beta_kernel_density(params: BetaPcaParams) -> KernelDensity:
     the density reports 0 there (a null set under the line measure).
     """
     al, be, m = params.alpha, params.beta, params.m
-    lbeta = betaln(al, be)
+    lbeta = _special().betaln(al, be)
 
     def density(a, b, c):
         a = np.asarray(a, dtype=float)
@@ -325,7 +355,7 @@ def beta_kernel_density(params: BetaPcaParams) -> KernelDensity:
     def sampler(a, b, u):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        return a + (b - a) * betaincinv(al, be, u) - m
+        return a + (b - a) * _special().betaincinv(al, be, u) - m
 
     return KernelDensity(density=density, sampler=sampler)
 
@@ -338,14 +368,14 @@ def beta_candidate_kernels(params: BetaPcaParams) -> tuple[MarkovKernel, MarkovK
 
     d1 = MarkovKernel(
         density=lambda a, c: down(_difference(c, a, m)),
-        noise=lambda u: gammaincinv(al, u) / th,
+        noise=lambda u: _special().gammaincinv(al, u) / th,
         step=lambda a, e: a - m + e,
         out_support=lambda a: (np.asarray(a, dtype=float) - m, np.inf),
         in_support=lambda c: (-np.inf, np.asarray(c, dtype=float) + m),
     )
     u1 = MarkovKernel(
         density=lambda c, b: up(_difference(b, c, -m)),
-        noise=lambda u: gammaincinv(be, u) / th,
+        noise=lambda u: _special().gammaincinv(be, u) / th,
         step=lambda c, e: c + m + e,
         out_support=lambda c: (np.asarray(c, dtype=float) + m, np.inf),
         in_support=lambda b: (-np.inf, np.asarray(b, dtype=float) - m),
@@ -366,7 +396,7 @@ def beta_candidate_hzmc(params: BetaPcaParams) -> HzmcSpec:
     pdf = _gamma_density(al, th)
     rho0 = DensityLaw(
         density=lambda x: pdf(np.array(x, dtype=float)),
-        sampler=lambda u: gammaincinv(al, u) / th,
+        sampler=lambda u: _special().gammaincinv(al, u) / th,
         support=(0.0, np.inf),
     )
     return HzmcSpec(d=d1, u=u1, rho0=rho0,
@@ -450,13 +480,14 @@ def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np
             blocks = _row_blocks(n, n * _GL_NODES)
             nodes = np.empty((blocks[0].stop, n, _GL_NODES))
             vals = np.empty_like(nodes)
+            unit_x, unit_w = _gl_unit()
             for blk in blocks:
                 rows = blk.stop - blk.start
-                x = np.multiply(width[blk, :, None], _gl_x01, out=nodes[:rows])
+                x = np.multiply(width[blk, :, None], unit_x, out=nodes[:rows])
                 x += lo[blk, :, None]
                 v = np.multiply(k1.density(p[blk, None, None], x), k2.density(x, p[None, :, None]),
                                 out=vals[:rows])
-                v *= _gl_w01
+                v *= unit_w
                 np.multiply(v.sum(axis=2), width[blk], out=out[blk])
             return out
     m1 = _eval_markov(k1, p, p)
@@ -474,9 +505,10 @@ def apply_law(rho: DensityLaw, kernel: MarkovKernel, grid: GridMeasure) -> np.nd
         hi = np.minimum(np.full(n, rho.support[1]), hi_k)
         if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
             width = np.clip(hi - lo, 0.0, None)
-            nodes = lo[:, None] + width[:, None] * _gl_x01[None, :]
+            unit_x, unit_w = _gl_unit()
+            nodes = lo[:, None] + width[:, None] * unit_x[None, :]
             vals = rho.density(nodes) * kernel.density(nodes, p[:, None])
-            return (vals * _gl_w01[None, :]).sum(axis=1) * width
+            return (vals * unit_w[None, :]).sum(axis=1) * width
     rvec = rho.density(p)
     kmat = _eval_markov(kernel, p, p)
     return (rvec * grid.weights) @ kmat

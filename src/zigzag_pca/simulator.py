@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import cycle
 
 import numpy as np
-from scipy.special import gammaincinv
 
+from .continuous_kernels import _special
 from .core_types import HzmcSpec, SpaceTimeDiagram, TransitionTensor
 
 
@@ -62,7 +62,7 @@ _WEIGHT_LAWS = {
     "uniform": (2, "0 <= lo <= hi", lambda lo, hi: 0 <= lo <= hi,
                 lambda u, lo, hi: lo + (hi - lo) * u),
     "gamma": (2, "shape > 0 and rate > 0", lambda shape, rate: shape > 0 and rate > 0,
-              lambda u, shape, rate: gammaincinv(shape, u) / rate),
+              lambda u, shape, rate: _special().gammaincinv(shape, u) / rate),
 }
 
 

@@ -223,13 +223,48 @@ def _reference_gamma_pdf(x, shape, rate):
     return out
 
 
+def _reference_norm_pdf(x, mean, std):
+    """The normal density as one expression: the reference for the in-place
+    evaluation."""
+    z = (np.asarray(x, dtype=float) - mean) / std
+    return np.exp(-0.5 * z * z) / (std * np.sqrt(2.0 * np.pi))
+
+
 def _same(got, want):
     return got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestDensitiesBitForBit:
-    """The Beta kernel and the Gamma candidates are evaluated in place; they
-    must give the bits of the plain formulas."""
+    """The normal density, the Beta kernel and the Gamma candidates are
+    evaluated in place; they must give the bits of the plain formulas."""
+
+    def test_normal_density(self):
+        # zeros of both signs, subnormals, the edges of exp's range, and
+        # values whose squares pass the float range (the reference overflows
+        # on those too, so both warn)
+        edge = np.array([0.0, -0.0, 5e-324, 1e-160, 1e-154, 3e-154, 0.3, 37.5, 38.5, 1.3e154,
+                         1.5e154, 1.9e154, 3e154, 1e300, np.inf, -np.inf, np.nan])
+        rng = np.random.default_rng(9)
+        p = rng.uniform(-40.0, 40.0, 500)
+        cases = [(p, 0.0, 1.0), (p, 0.3, 0.7), (p[:, None], p[None, :20] / 3.0, 2.5),
+                 (edge, 0.0, 1.0), (edge, 0.5, 3.0), (np.concatenate([edge, -edge]), 1.0, 0.7)]
+        for x, mean, std in cases:
+            with warnings.catch_warnings(record=True) as seen_got:
+                warnings.simplefilter("always")
+                got = ck._norm_pdf(x, mean, std)
+            with warnings.catch_warnings(record=True) as seen_want:
+                warnings.simplefilter("always")
+                want = _reference_norm_pdf(x, mean, std)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert {str(w.message) for w in seen_got} == {str(w.message) for w in seen_want}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (0.3, -2.0, 7, np.float64(1.25), np.array(0.5)):
+                got, want = ck._norm_pdf(x, 0.1, 1.3), _reference_norm_pdf(x, 0.1, 1.3)
+                assert type(got) is type(want) is np.float64
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            got = ck._norm_pdf(2.0, np.array([0.0, 1.0]), 2.0)
+            assert got.tobytes() == _reference_norm_pdf(2.0, np.array([0.0, 1.0]), 2.0).tobytes()
 
     M = 0.5
     # dyadic values: c = a - m gives frac exactly 0, c = b - m exactly 1,
