@@ -44,25 +44,23 @@ def _fpp_rule(block) -> sim.FppRule:
 
 @dataclass(frozen=True)
 class Family:
-    """What the commands know of one named kernel family.
+    """What the commands know of one kernel kind: a named family, or ``FINITE``,
+    which no model file names.
 
-    ``params`` reads the kernel block: ``_read_params`` of the family's
-    parameter class, whose fields the model file names, or FPP's
+    ``params`` reads a family's kernel block (a finite model's parameters are
+    its tensor): ``_read_params`` of the family's parameter class, or FPP's
     ``_fpp_rule``.  ``kernel`` is what simulate steps and ``battery`` the
     kernel the condition battery runs on; where they differ, check also
-    probes that the two agree off a null set.  ``obstruction`` says why solve
-    cannot build an invariant chain; without one, ``chain`` is the
-    closed-form invariant chain that solve writes and verify tests; check
-    reports its ``meta`` but the family name.  ``init`` is the initial line
-    of a family without a chain.
+    probes that the two agree off a null set.  ``chain`` is what simulate
+    draws its first line from and the battery tests (check reports its
+    ``meta`` but the family name); ``init`` is the first line without one.
     """
 
-    params: Callable                    # kernel block -> parameters
     kernel: Callable                    # parameters -> kernel or particle rule
+    params: Callable | None = None      # kernel block -> parameters
     battery: Callable | None = None     # parameters -> KernelDensity
     chain: Callable | None = None       # parameters -> HzmcSpec
     grid: Callable | None = None        # (parameters, points) -> default grid
-    obstruction: Callable | None = None  # parameters -> why solve fails
     init: Callable | None = None        # (kernel block, parameters, width) -> line
 
 
@@ -76,9 +74,7 @@ FAMILIES = {
     "beta": Family(
         params=functools.partial(_read_params, ck.BetaPcaParams),
         kernel=ck.beta_kernel_density, battery=ck.beta_kernel_density,
-        chain=ck.beta_candidate_hzmc, grid=ck.default_beta_grid,
-        obstruction=lambda p: ("no stationary initial law: the stationarity condition cannot "
-                               f"be met (drift {p.drift_per_step:g} per down-up step)")),
+        chain=ck.beta_candidate_hzmc, grid=ck.default_beta_grid),
     "tasep": Family(
         params=functools.partial(_read_params, sim.TasepRule), kernel=lambda rule: rule,
         init=lambda b, rule, width: (number_field(b.get("spacing", 2.0 * rule.r),
@@ -88,6 +84,12 @@ FAMILIES = {
         init=lambda b, rule, width: np.full(width, number_field(b.get("init_value", 0.0),
                                                                 "kernel field 'init_value'"))),
 }
+
+
+# the positive construction's chain: simulate refuses a zero entry as solve does
+FINITE = Family(kernel=lambda t: t,
+                chain=lambda t: fs._require_positive(t, "simulate") or
+                fs.solve_invariant_hzmc(t).spec)
 
 
 def _read_json(path) -> dict:
@@ -111,30 +113,12 @@ def _read(path, what: str, reader=_read_json):
     return doc
 
 
-def _grid(args, model, fam: Family, params):
-    """Grid from the model document, with command-line overrides on top."""
-    points = model["grid"]["points"] if args.grid_points is None else args.grid_points
-    halfwidth = model["grid"]["halfwidth"] if args.grid_halfwidth is None else args.grid_halfwidth
-    if halfwidth is None:
-        return fam.grid(params, points)
-    return gauss_legendre_grid(halfwidth, points)
-
-
-def _tol(args, default: float) -> float:
-    """``--tol`` if given (a finite number >= 0; 0 means zero), else ``default``."""
-    if args.tol is None:
-        return default
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
-    return args.tol
-
-
-def _payload(args, command: str, reports, grid=None, tol=None, **extras) -> dict:
+def _payload(args, reports, grid=None, **extras) -> dict:
     doc = {
-        "command": command,
+        "command": args.command,
         "model": args.model,
         "seed": args.seed,
-        "tolerance": tol,
+        "tolerance": args.tol,
         "grid": None if grid is None else {"points": int(grid.size),
                                            "halfwidth": float(grid.halfwidth)},
         "reports": [r.to_dict() for r in reports],
@@ -145,16 +129,16 @@ def _payload(args, command: str, reports, grid=None, tol=None, **extras) -> dict
 
 
 def _emit(doc: dict, out_path) -> None:
-    """Print ``doc`` as indented JSON and write the same text to ``out_path``."""
+    """Write ``doc`` as indented JSON to ``out_path``, then print it: a bad path prints nothing."""
     text = json.dumps(doc, indent=1) + "\n"
-    sys.stdout.write(text)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
-def _report(args, command: str, reports, **fields) -> int:
-    _emit(_payload(args, command, reports, **fields), args.out)
+def _report(args, reports, **fields) -> int:
+    _emit(_payload(args, reports, **fields), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -164,86 +148,50 @@ def _write_spec(doc: dict, out) -> int:
     return 0
 
 
-def _finite_battery(model, tol: float):
-    """Reports, report fields and spec document (arrays left for
-    ``_write_spec`` to encode) of a positive finite-alphabet model's solve;
-    the document is None unless every report passed."""
-    tensor = model["tensor"]
-    lattice = model["lattice"]
-    if isinstance(lattice, tuple):
-        res = lx.solve_chzmc(tensor, lattice[1], tol=tol)
-        extras = {"cycle": lattice[1]}
-        if res.spec is not None:
-            extras["z"] = res.spec.z
-        if res.eta is not None:
-            extras["eta"] = res.eta.vector.tolist()
-            extras["nu"] = res.nu.vector.tolist()
-        doc = {"type": "chzmc", "n": lattice[1], "z": encode_array(res.spec.z),
-               "d": res.spec.d, "u": res.spec.u, "eta": res.eta.vector,
-               "nu": res.nu.vector} if res.ok else None
-        return list(res.reports), extras, doc
+# The construction of each finite cell: (tensor, lattice, tol) -> reports, the
+# fields check shows, the fields a failed solve shows, and the spec document
+# (arrays left for ``save_document`` to encode), None unless every report passed.
+
+def _construct_line(tensor, lattice, tol: float):
     res = fs.solve_invariant_hzmc(tensor, tol=tol)
-    extras = {
-        "triple": res.triple,
-        "nu": res.nu.vector.tolist(),
-        "eta": res.eta.vector.tolist(),
-        "rho0": res.spec.rho0.tolist(),
-    }
+    extras = {"triple": res.triple, "nu": res.nu.vector.tolist(),
+              "eta": res.eta.vector.tolist(), "rho0": res.spec.rho0.tolist()}
     doc = {"type": "hzmc", "lattice": lattice, "d": res.spec.d, "u": res.spec.u,
            "rho0": res.spec.rho0, "triple": extras["triple"], "eta": res.eta.vector,
            "nu": res.nu.vector} if res.ok else None
-    return list(res.reports), extras, doc
+    return list(res.reports), extras, extras, doc
 
 
-def _grid_battery(args, model, fam: Family, params, hz: HzmcSpec, probe: bool = False):
-    """Quadrature condition battery of a named family on the chain ``hz``:
-    reports, grid, tolerance.  With ``probe``, a family whose kernel is not
-    the battery's also gets the mu-equivalence report of the two."""
-    tol = _tol(args, QUAD_TOL)
-    grid = _grid(args, model, fam, params)
-    kernel = fam.kernel(params) if probe and fam.kernel is not fam.battery else None
-    reports = list(ck.quadrature_check_conditions(fam.battery(params), hz, grid, tol=tol,
-                                                  family_kernel=kernel))
-    return reports, grid, tol
+def _construct_cycle(tensor, lattice, tol: float):
+    n = lattice[1]
+    res = lx.solve_chzmc(tensor, n, tol=tol)
+    extras = {"cycle": n}
+    if res.spec is not None:
+        extras["z"] = res.spec.z
+    if res.eta is not None:
+        extras.update(eta=res.eta.vector.tolist(), nu=res.nu.vector.tolist())
+    doc = {"type": "chzmc", "n": n, "z": encode_array(res.spec.z), "d": res.spec.d,
+           "u": res.spec.u, "eta": res.eta.vector, "nu": res.nu.vector} if res.ok else None
+    return list(res.reports), extras, {}, doc
 
 
-def cmd_check(args, model, fam: Family | None, params) -> int:
-    if fam is None:
-        tol = _tol(args, EXACT_TOL)
-        if not model["tensor"].mu_positive:
-            rep = CheckReport("quartic-identity", float("inf"), tol,
-                              notes="kernel is not everywhere positive; the positive "
-                                    "construction route does not apply")
-            return _report(args, "check", [rep], tol=tol)
-        reports, extras, _ = _finite_battery(model, tol)
-        return _report(args, "check", reports, tol=tol, **extras)
-    if fam.battery is None:
-        raise ValueError(f"family {model['family']['family']!r} has no condition battery; "
-                         "use simulate")
-    hz = fam.chain(params)
-    reports, grid, tol = _grid_battery(args, model, fam, params, hz, probe=True)
-    extras = {key: val for key, val in hz.meta.items() if key != "family"}
-    return _report(args, "check", reports, grid=grid, tol=tol, **extras)
+def _check_finite(construct, args, model, fam, tensor) -> int:
+    if not tensor.mu_positive:
+        rep = CheckReport("quartic-identity", float("inf"), args.tol,
+                          notes="kernel is not everywhere positive; the positive "
+                                "construction route does not apply")
+        return _report(args, [rep])
+    reports, extras, _, _ = construct(tensor, model["lattice"], args.tol)
+    return _report(args, reports, **extras)
 
 
-def cmd_solve(args, model, fam: Family | None, params) -> int:
-    if fam is None:
-        tol = _tol(args, EXACT_TOL)
-        fs._require_positive(model["tensor"], "solve")
-        reports, extras, doc = _finite_battery(model, tol)
-        if doc is None:
-            shown = {} if isinstance(model["lattice"], tuple) else extras
-            _emit(_payload(args, "solve", reports, tol=tol, **shown), None)
-            return 1
-        return _write_spec(doc, args.out)
-    if fam.chain is None:
-        raise ValueError(f"cannot solve family {model['family']['family']!r}")
-    if fam.obstruction is None:
-        return _write_spec({"type": "hzmc", **fam.chain(params).meta}, args.out)
-    reports, grid, tol = _grid_battery(args, model, fam, params, fam.chain(params))
-    _emit(_payload(args, "solve", reports, grid=grid, tol=tol,
-                   failure=fam.obstruction(params)), None)
-    return 1
+def _solve_finite(construct, args, model, fam, tensor) -> int:
+    fs._require_positive(tensor, "solve")
+    reports, _, shown, doc = construct(tensor, model["lattice"], args.tol)
+    if doc is None:
+        _emit(_payload(args, reports, **shown), None)
+        return 1
+    return _write_spec(doc, args.out)
 
 
 def _spec_field(spec: dict, key: str, cast=decode_array):
@@ -253,42 +201,74 @@ def _spec_field(spec: dict, key: str, cast=decode_array):
         raise ValueError(f"spec field {key!r} is missing or malformed") from None
 
 
-def cmd_verify(args, model, fam: Family | None, params) -> int:
+def _verify_line(args, model, fam, tensor) -> int:
     spec = _read(args.spec, "spec")
-    if fam is None:
-        tensor = model["tensor"]
-        tol = _tol(args, EXACT_TOL)
-        lattice = model["lattice"]
-        square = (tensor.size, tensor.size)
-        if isinstance(lattice, tuple):
-            if spec.get("type") != "chzmc":
-                raise ValueError("cyclic model needs a chzmc spec")
-            d = _spec_field(spec, "d")
-            u = _spec_field(spec, "u")
-            n = _spec_field(spec, "n", lambda v: number_field(v, "cycle length", whole=True))
-            if n != lattice[1]:
-                raise ValueError(f"spec cycle {n} != model cycle {lattice[1]}")
-            if d.shape != square or u.shape != square:
-                raise ValueError("spec kernels incompatible with model alphabet")
-            z = lx.partition_function(d, u, n)
-            cspec = ChzmcSpec(d=d, u=u, n=n, z=z)
-            reports = list(lx.check_chzmc_conditions(tensor, cspec, tol=tol))
-            reports.append(lx.bruteforce_cycle_invariance(tensor, cspec, tol=tol))
-            return _report(args, "verify", reports, tol=tol, z=z)
-        if spec.get("type") != "hzmc" or "d" not in spec:
-            raise ValueError("finite model needs an hzmc spec with inline kernels")
-        d, u, rho0 = (_spec_field(spec, key) for key in ("d", "u", "rho0"))
-        if d.shape != square or u.shape != square or rho0.shape != square[:1]:
-            raise ValueError("spec kernels incompatible with model alphabet")
-        if spec.get("lattice", "N") not in ("N", "Z"):
-            raise ValueError(f"lattice must be 'N' or 'Z', got {spec['lattice']!r}")
-        hz = HzmcSpec(d=d, u=u, rho0=rho0)
-        kmax = 2 if args.kmax is None else args.kmax
-        rep = fs.bruteforce_invariance(tensor, hz, kmax, tol=tol)
-        return _report(args, "verify", [rep], tol=tol, kmax=kmax)
+    square = (tensor.size, tensor.size)
+    if spec.get("type") != "hzmc" or "d" not in spec:
+        raise ValueError("finite model needs an hzmc spec with inline kernels")
+    d, u, rho0 = (_spec_field(spec, key) for key in ("d", "u", "rho0"))
+    if d.shape != square or u.shape != square or rho0.shape != square[:1]:
+        raise ValueError("spec kernels incompatible with model alphabet")
+    if spec.get("lattice", "N") not in ("N", "Z"):
+        raise ValueError(f"lattice must be 'N' or 'Z', got {spec['lattice']!r}")
+    kmax = 2 if args.kmax is None else args.kmax
+    rep = fs.bruteforce_invariance(tensor, HzmcSpec(d=d, u=u, rho0=rho0), kmax, tol=args.tol)
+    return _report(args, [rep], kmax=kmax)
 
-    if fam.chain is None or fam.obstruction is not None:
-        raise ValueError(f"verify does not apply to family {model['family']['family']!r}")
+
+def _verify_cycle(args, model, fam, tensor) -> int:
+    spec = _read(args.spec, "spec")
+    square = (tensor.size, tensor.size)
+    if spec.get("type") != "chzmc":
+        raise ValueError("cyclic model needs a chzmc spec")
+    d, u = (_spec_field(spec, key) for key in ("d", "u"))
+    n = _spec_field(spec, "n", lambda v: number_field(v, "cycle length", whole=True))
+    if n != model["lattice"][1]:
+        raise ValueError(f"spec cycle {n} != model cycle {model['lattice'][1]}")
+    if d.shape != square or u.shape != square:
+        raise ValueError("spec kernels incompatible with model alphabet")
+    cspec = ChzmcSpec(d=d, u=u, n=n, z=lx.partition_function(d, u, n))
+    reports = list(lx.check_chzmc_conditions(tensor, cspec, tol=args.tol))
+    reports.append(lx.bruteforce_cycle_invariance(tensor, cspec, tol=args.tol))
+    return _report(args, reports, z=cspec.z)
+
+
+def _grid_battery(args, model, fam: Family, params, hz: HzmcSpec, probe: bool = False):
+    """Reports and grid of the quadrature battery on the chain ``hz``, on the model's grid
+    with the command-line overrides on top.  With ``probe``, a family whose kernel is not
+    the battery's also gets the mu-equivalence report of the two."""
+    points = model["grid"]["points"] if args.grid_points is None else args.grid_points
+    halfwidth = model["grid"]["halfwidth"] if args.grid_halfwidth is None else args.grid_halfwidth
+    grid = (fam.grid(params, points) if halfwidth is None
+            else gauss_legendre_grid(halfwidth, points))
+    kernel = fam.kernel(params) if probe and fam.kernel is not fam.battery else None
+    reports = list(ck.quadrature_check_conditions(fam.battery(params), hz, grid, tol=args.tol,
+                                                  family_kernel=kernel))
+    return reports, grid
+
+
+def _check_grid(args, model, fam: Family, params) -> int:
+    hz = fam.chain(params)
+    reports, grid = _grid_battery(args, model, fam, params, hz, probe=True)
+    extras = {key: val for key, val in hz.meta.items() if key != "family"}
+    return _report(args, reports, grid=grid, **extras)
+
+
+def _solve_closed_form(args, model, fam: Family, params) -> int:
+    return _write_spec({"type": "hzmc", **fam.chain(params).meta}, args.out)
+
+
+def _solve_beta(args, model, fam: Family, params) -> int:
+    """Beta's candidate chain drifts: solve runs its battery and names the drift."""
+    reports, grid = _grid_battery(args, model, fam, params, fam.chain(params))
+    _emit(_payload(args, reports, grid=grid,
+                   failure="no stationary initial law: the stationarity condition cannot be "
+                           f"met (drift {params.drift_per_step:g} per down-up step)"), None)
+    return 1
+
+
+def _verify_grid(args, model, fam: Family, params) -> int:
+    spec = _read(args.spec, "spec")
     name = fam.chain(params).meta["family"]
     if spec.get("family") != name:
         raise ValueError(f"continuous verify needs a {name} spec")
@@ -298,10 +278,10 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
     # the AR(1) chain the spec states (verify reaches only the Gaussian families)
     hz = ck.ar1_hzmc(ck.Ar1Params(phi=number("phi"), innovation_var=number("sigma_prime_sq")),
                      number("stationary_std"))
-    width = 20_001 if args.width is None else args.width     # the Monte-Carlo line
+    width = 20_001 if args.mc_width is None else args.mc_width     # the Monte-Carlo line
     if width < 2:               # before the battery: the refusal costs no quadrature
         raise ValueError("width must be >= 2")
-    reports, grid, tol = _grid_battery(args, model, fam, params, hz)
+    reports, grid = _grid_battery(args, model, fam, params, hz)
     zig = sim.sample_hzmc_lines(hz, 2 * width + 1, 1, args.seed)[0]
     inst = sim.ModelInstance(kernel=fam.battery(params), lattice="N", seed=args.seed)
     z = sim.step_pca(zig[1::2], inst, t=0)
@@ -309,24 +289,17 @@ def cmd_verify(args, model, fam: Family | None, params) -> int:
     reports.append(CheckReport("monte-carlo-stationarity", ks.distance, ks.threshold,
                                witnesses={"n": ks.n},
                                notes="KS of the stepped line against the stationary law"))
-    return _report(args, "verify", reports, grid=grid, tol=tol)
+    return _report(args, reports, grid=grid)
 
 
-def cmd_simulate(args, model, fam: Family | None, params) -> int:
+def cmd_simulate(args, model, fam: Family, params) -> int:
     width = args.width
     if width < 2 or not 0 <= args.steps < width:     # before any solve or draw
         raise ValueError(f"simulate needs --width >= 2 and 0 <= --steps < --width "
                          f"(the window loses one cell a step), got {width} and {args.steps}")
-    if fam is None:
-        fs._require_positive(model["tensor"], "simulate")
-        kernel, chain = model["tensor"], fs.solve_invariant_hzmc(model["tensor"]).spec
-    else:
-        kernel, chain = fam.kernel(params), fam.chain(params) if fam.chain else None
-    if chain is not None:
-        init = sim.sample_hzmc_lines(chain, 2 * width - 1, 1, args.seed)[0][0::2]
-    else:
-        init = fam.init(model["family"], params, width)
-    inst = sim.ModelInstance(kernel=kernel, lattice=model["lattice"], seed=args.seed)
+    init = (fam.init(model["family"], params, width) if fam.chain is None else
+            sim.sample_hzmc_lines(fam.chain(params), 2 * width - 1, 1, args.seed)[0][0::2])
+    inst = sim.ModelInstance(kernel=fam.kernel(params), lattice=model["lattice"], seed=args.seed)
     diagram = sim.simulate_diagram(inst, init, args.steps)
 
     out = args.out or "diagram"
@@ -375,6 +348,35 @@ def cmd_report(doc: dict) -> int:
     return 0
 
 
+def _cell(check, solve, verify, simulate, options=()) -> dict:
+    return dict(check=check, solve=solve, verify=verify, simulate=simulate, options=options)
+
+
+# What each command runs on each (kernel kind, lattice) cell, "line" being 'N' or 'Z': the
+# function main calls with (args, model, family, parameters), or why the command exits 2.
+# ``options`` are the flags of CELL_OPTIONS that the cell reads; the others exit 2.
+CELL_OPTIONS = {"grid_points": "--grid-points", "grid_halfwidth": "--grid-halfwidth",
+                "kmax": "--kmax", "mc_width": "--width"}      # dest -> flag
+_GRID = ("--grid-points", "--grid-halfwidth")
+_PARTICLE = "a particle rule has no condition battery or chain; use simulate"
+ROUTES = {
+    ("finite", "line"): _cell(functools.partial(_check_finite, _construct_line),
+                              functools.partial(_solve_finite, _construct_line),
+                              _verify_line, cmd_simulate, ("--kmax",)),
+    ("finite", "cycle"): _cell(functools.partial(_check_finite, _construct_cycle),
+                               functools.partial(_solve_finite, _construct_cycle), _verify_cycle,
+                               "an exact sampler of the cyclic law does not exist yet"),
+    **{(name, "line"): _cell(_check_grid, _solve_closed_form, _verify_grid, cmd_simulate,
+                             (*_GRID, "--width")) for name in ("gaussian", "gaussian_diag")},
+    ("beta", "line"): _cell(_check_grid, _solve_beta, "no invariant chain to verify (solve "
+                            "names the drift)", cmd_simulate, _GRID),
+    **{(name, "line"): _cell(_PARTICLE, _PARTICLE, _PARTICLE, cmd_simulate)
+       for name in ("tasep", "fpp")},
+    **{(name, "cycle"): _cell(*["named families run on the lattice 'N' or 'Z' only"] * 4)
+       for name in FAMILIES},
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and reused after."""
@@ -384,9 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
                                             "cellular dynamics")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text, out_required=False, battery=True):
+    def command(name, help_text, out_required=False, battery=True):
         sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(func=func)
         sp.add_argument("--model", required=True, help="model JSON file")
         sp.add_argument("--out", required=out_required, help="output path")
         sp.add_argument("--seed", type=int, default=0)
@@ -396,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--grid-halfwidth", type=float, default=None)
         return sp
 
-    command("check", cmd_check, "run the applicable condition battery")
-    command("solve", cmd_solve, "construct and write the invariant chain", out_required=True)
-    sp = command("verify", cmd_verify, "independent oracle against a solved spec")
+    command("check", "run the applicable condition battery")
+    command("solve", "construct and write the invariant chain", out_required=True)
+    sp = command("verify", "independent oracle against a solved spec")
     sp.add_argument("--spec", required=True, help="spec JSON from solve")
     sp.add_argument("--kmax", type=int, default=None)
-    sp.add_argument("--width", type=int, default=None)
-    sp = command("simulate", cmd_simulate, "run the model and dump the diagram", battery=False)
+    sp.add_argument("--width", dest="mc_width", type=int, default=None)
+    sp = command("simulate", "run the model and dump the diagram", battery=False)
     sp.add_argument("--steps", type=int, default=10)
     sp.add_argument("--width", type=int, default=1000)
 
@@ -419,28 +420,27 @@ def main(argv=None) -> int:
         if not 0 <= args.seed < 1 << 64:        # (seed << 64) + t keys a Philox stream
             raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
         model = _read(args.model, "model", load_model)
-        block, fam, params = model["family"], None, None
-        if block is not None:
-            fam = FAMILIES.get(block["family"])
-            if fam is None:
-                raise ValueError(f"unknown kernel family {block['family']!r}")
-            params = fam.params(block)
-        elif (getattr(args, "grid_points", None),
-              getattr(args, "grid_halfwidth", None)) != (None, None):
-            raise ValueError("--grid-points and --grid-halfwidth apply to named families, "
-                             "not to a finite-alphabet model")
-        elif args.command == "verify" and args.width is not None:
-            raise ValueError("--width of verify applies to named families, "
-                             "not to a finite-alphabet model")
-        if isinstance(model["lattice"], tuple) and (fam is not None or args.command == "simulate"):
-            what = "simulate" if fam is None else f"family {block['family']!r}"
-            raise ValueError(f"{what} runs on the lattice 'N' or 'Z', not on "
-                             f"{{'cycle': {model['lattice'][1]}}}")
-        if getattr(args, "kmax", None) is not None and (fam is not None
-                                                        or isinstance(model["lattice"], tuple)):
-            raise ValueError("--kmax of verify applies to a finite-alphabet model on the "
-                             "lattice 'N' or 'Z', not to a named family or a cycle")
-        return args.func(args, model, fam, params)
+        block, lattice = model["family"], model["lattice"]
+        kind = "finite" if block is None else block["family"]
+        if block is not None and kind not in FAMILIES:
+            raise ValueError(f"unknown kernel family {kind!r}")
+        fam = FINITE if block is None else FAMILIES[kind]
+        params = model["tensor"] if block is None else fam.params(block)
+        line = lattice in ("N", "Z")
+        cell = ROUTES[kind, "line" if line else "cycle"]
+        where = (("a finite-alphabet model" if block is None else f"family {kind!r}")
+                 + f" on {lattice if line else {'cycle': lattice[1]}!r}")
+        route = cell[args.command]
+        if isinstance(route, str):
+            raise ValueError(f"{args.command} does not apply to {where}: {route}")
+        for dest, flag in CELL_OPTIONS.items():
+            if getattr(args, dest, None) is not None and flag not in cell["options"]:
+                raise ValueError(f"{flag} does not apply to {where}")
+        if hasattr(args, "tol"):        # the battery commands; --tol 0 means zero
+            args.tol = (EXACT_TOL if block is None else QUAD_TOL) if args.tol is None else args.tol
+            if not (math.isfinite(args.tol) and args.tol >= 0):
+                raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
+        return route(args, model, fam, params)
     except (OSError, ValueError) as exc:     # bad input: exit 2, one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

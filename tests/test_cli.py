@@ -456,6 +456,52 @@ class TestReport:
         assert "quartic-identity" in out
 
 
+ROUTE_FAMILIES = {"gaussian": {"m": 3, "sigma": 1}, "gaussian_diag": {"m": 3, "sigma": 1},
+                  "beta": {"alpha": 1, "beta": 1, "m": 1, "theta": 1},
+                  "tasep": {"r": 0.5, "v": 2.0, "p": 1.0}, "fpp": {}}
+COMMANDS = ("check", "solve", "verify", "simulate")
+# (kernel kind, lattice) -> exit codes of check, solve, verify and simulate
+CELL_EXITS = {("finite", "line"): (0, 0, 0, 0), ("finite", "cycle"): (0, 0, 0, 2),
+              ("gaussian", "line"): (0, 0, 0, 0), ("gaussian_diag", "line"): (0, 0, 0, 0),
+              ("beta", "line"): (1, 1, 2, 0), ("tasep", "line"): (2, 2, 2, 0),
+              ("fpp", "line"): (2, 2, 2, 0),
+              **{(name, "cycle"): (2, 2, 2, 2) for name in ROUTE_FAMILIES}}
+
+
+class TestRoutes:
+    """Each command on each (kernel kind x lattice) cell runs or is refused
+    with exit 2 and one error line that names the cell."""
+
+    def test_every_cell_is_pinned(self):
+        assert set(CELL_EXITS) == set(cli.ROUTES)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("kind, lattice", list(CELL_EXITS), ids="-".join)
+    def test_every_cell(self, tmp_path, capsys, kind, lattice, command):
+        model, cycle = tmp_path / "model.json", {"cycle": 3 if kind == "finite" else 4}
+        on = "N" if lattice == "line" else cycle
+        if kind == "finite":
+            save_model(model, three_letter_tensor().restrict([1, 2]), on)
+        else:
+            _write_model(model, {"alphabet": {"grid": {"points": 33}}, "lattice": on,
+                                 "kernel": {"family": kind, **ROUTE_FAMILIES[kind]}})
+        spec = tmp_path / "spec.json"
+        if run_main("solve", "--model", model, "--out", spec) != 0:
+            spec = model            # any JSON object: a cell that cannot solve refuses verify
+        capsys.readouterr()
+        extra = {"solve": ("--out", tmp_path / "out.json"), "verify": ("--spec", spec),
+                 "simulate": ("--width", 20, "--steps", 3, "--out", tmp_path / "sim")}
+        code = run_main(command, "--model", model, *extra.get(command, ()))
+        captured = capsys.readouterr()
+        assert code == CELL_EXITS[kind, lattice][COMMANDS.index(command)]
+        if code != 2:
+            assert captured.err == ""
+            return
+        assert captured.out == "" and _single_error_line(captured.err)
+        name = "a finite-alphabet model" if kind == "finite" else f"family {kind!r}"
+        assert f"{command} does not apply to {name} on {on!r}: " in captured.err
+
+
 def test_console_entry_point(files):
     # the child imports the package from where this process found it, so the
     # test needs neither an install nor PYTHONPATH
@@ -503,14 +549,19 @@ class TestBadInput:
         {**GAUSS_DOC, "kernel": {"family": "gaussian", "m": 3, "sigma": True}},
         {**GAUSS_DOC, "kernel": {"family": "gaussian", "m": 10 ** 400, "sigma": 1}},
         {**TENSOR_DOC, "lattice": {"cycle": 10 ** 400}},
+        {**GAUSS_DOC, "kernel": {"family": "finite"}},
+        {**GAUSS_DOC, "kernel": {"family": "nosuch", "m": 3, "sigma": 1}},
     ], ids=["points-abc", "missing-sigma", "m-string", "tensor-entry", "tensor-null", "cycle-z",
             "cycle-string", "points-string", "points-fractional", "points-boolean",
             "halfwidth-string", "halfwidth-null", "sigma-boolean", "m-beyond-float",
-            "cycle-beyond-float"])
+            "cycle-beyond-float", "family-finite", "family-unknown"])
     def test_malformed_model_is_one_error_line(self, tmp_path, capsys, doc):
         path = _write_model(tmp_path / "bad.json", doc)
         assert run_main("check", "--model", path) == 2
-        assert _single_error_line(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert _single_error_line(err)
+        if doc["kernel"].get("family") in ("finite", "nosuch"):     # no family has these names
+            assert "unknown kernel family" in err
 
     @pytest.mark.parametrize("cycle", [3.5, True])
     def test_cycle_length_must_be_whole(self, tmp_path, capsys, cycle):
@@ -610,6 +661,18 @@ class TestBadInput:
         assert captured.out == ""
         assert _single_error_line(captured.err)
         assert "--width" in captured.err
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_out_that_cannot_be_written_prints_no_report(self, files, capsys, tmp_path,
+                                                         command):
+        spec = tmp_path / "spec.json"
+        assert run_main("solve", "--model", files["gauss"], "--out", spec) == 0
+        capsys.readouterr()
+        extra = ("--spec", spec, "--width", 101) if command == "verify" else ()
+        assert run_main(command, "--model", files["gauss"], *extra,
+                        "--out", tmp_path / "missing" / "report.json") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and _single_error_line(captured.err)
 
     @pytest.mark.parametrize("edit", ["u-first-row", "u-3x4", "rho0-short", "rho0-matrix"])
     def test_half_line_spec_shapes(self, files, capsys, tmp_path, edit):

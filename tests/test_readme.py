@@ -3,9 +3,12 @@
 Every fenced ```python block runs to the end in a fresh namespace, and every
 ```json block, a model example, passes ``parse_model``.  A signature change
 that leaves a documented example broken fails here, and so does a family
-whose parameters the "Families:" sentence names otherwise than the code.
+whose parameters the "Families:" sentence names otherwise than the code, a
+capability table that says otherwise than ``cli.ROUTES``, or a usage block
+whose options are not those the parser registers.
 """
 
+import argparse
 import dataclasses
 import functools
 import json
@@ -48,3 +51,26 @@ def test_families_sentence_names_each_parameter_class():
     assert set(read) == {"gaussian", "gaussian_diag", "beta", "tasep"}
     for name, cls in read.items():
         assert listed.get(name) == [f.name for f in dataclasses.fields(cls)], name
+
+
+def test_capability_table_is_the_route_table():
+    # "| `name`, lattice | check | solve | verify | simulate | reads |", finite unquoted
+    rows = re.findall(r"^\| `?(\w+)`?, (line|cycle) \| (.*) \|$", README.read_text(), re.M)
+    assert sorted((kind, lattice) for kind, lattice, _ in rows) == sorted(cli.ROUTES)
+    for kind, lattice, entries in rows:
+        *routes, reads = entries.split(" | ")
+        cell = cli.ROUTES[kind, lattice]
+        assert routes == [r if isinstance(r, str) else "✓"
+                          for r in (cell[c] for c in ("check", "solve", "verify", "simulate"))]
+        assert re.findall(r"`(--[\w-]+)`", reads) == list(cell["options"]), (kind, lattice)
+
+
+def test_usage_block_lists_the_options_each_subcommand_registers():
+    usage = re.search(r"^```\n(zigzag-pca check .*?)^```$", README.read_text(), re.M | re.S)
+    listed = {name: set(re.findall(r"--[\w-]+", text)) for name, text in
+              re.findall(r"^zigzag-pca (\w+)(.*?)(?=^zigzag-pca |\Z)", usage.group(1), re.M | re.S)}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    registered = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+                  for name, sp in sub.choices.items()}
+    assert listed == registered
