@@ -281,6 +281,9 @@ def _verify_grid(args, model, fam: Family, params) -> int:
     width = 20_001 if args.mc_width is None else args.mc_width     # the Monte-Carlo line
     if width < 2:               # before the battery: the refusal costs no quadrature
         raise ValueError("width must be >= 2")
+    if 3 * width > fs.SIZE_GUARD:       # the zigzag line of 2 width + 1 cells, the stepped line
+        raise ValueError(f"--width {width} would hold {3 * width} float64 cells, "
+                         f"over the {fs.SIZE_GUARD} guard")
     reports, grid = _grid_battery(args, model, fam, params, hz)
     zig = sim.sample_hzmc_lines(hz, 2 * width + 1, 1, args.seed)[0]
     inst = sim.ModelInstance(kernel=fam.battery(params), lattice="N", seed=args.seed)
@@ -297,6 +300,10 @@ def cmd_simulate(args, model, fam: Family, params) -> int:
     if width < 2 or not 0 <= args.steps < width:     # before any solve or draw
         raise ValueError(f"simulate needs --width >= 2 and 0 <= --steps < --width "
                          f"(the window loses one cell a step), got {width} and {args.steps}")
+    cells = width * (args.steps + 3)        # steps + 1 diagram rows and the first zigzag line
+    if cells > fs.SIZE_GUARD:
+        raise ValueError(f"--width {width} and --steps {args.steps} would hold {cells} "
+                         f"float64 cells, over the {fs.SIZE_GUARD} guard")
     init = (fam.init(model["family"], params, width) if fam.chain is None else
             sim.sample_hzmc_lines(fam.chain(params), 2 * width - 1, 1, args.seed)[0][0::2])
     inst = sim.ModelInstance(kernel=fam.kernel(params), lattice=model["lattice"], seed=args.seed)

@@ -17,8 +17,10 @@ eta the chain kernels are
   d[a,c] = sum_x (eta[x]/t[a,x,c0]) t[a,x,c] / sum_x (eta[x]/t[a,x,c0]),
   u[c,b] = (eta[b]/t[a0,b,c0]) t[a0,b,c] / sum_x (eta[x]/t[a0,x,c0]) t[a0,x,c].
 
-The nu/eta stages, solve_nu to build_hzmc_kernels, read t only as kernel[...]:
-they run on a TransitionTensor and on a continuous_kernels.GridKernel alike.
+solve_nu, solve_eta and build_hzmc_kernels read t only as kernel[...]: they
+run on a TransitionTensor and on a continuous_kernels.GridKernel alike.
+build_hzmc_kernels takes the one kappa^3 contraction; check_eta_cubic reads
+what it returns, never the kernel.
 
 Everything is validated against a brute-force push-forward oracle that
 evaluates the defining cylinder identity by exhaustive summation, with no
@@ -49,8 +51,7 @@ class BaseTriple(NamedTuple):
     c0: int
 
 
-@dataclass(frozen=True)
-class EigenSolveResult:
+class EigenSolveResult(NamedTuple):
     """Positive principal eigenvector, normalized to unit total mass."""
 
     vector: np.ndarray
@@ -59,12 +60,19 @@ class EigenSolveResult:
     residual: float
 
 
-@dataclass(frozen=True)
-class StationaryResult:
-    rho0: np.ndarray
-    residual: float
-    unique: bool
-    iterations: int          # always 1: one direct solve
+class HzmcKernels(NamedTuple):
+    """What ``build_hzmc_kernels`` makes of eta: the chain kernels d and u, and
+    the terms of its one kappa^3 contraction that ``check_eta_cubic`` reads,
+    w[a, x] = eta[x] / t[a, x, c0], B[a, c] = sum_x w[a, x] t[a, x, c] and
+    up[x, c] = w[a0, x] t[a0, x, c]."""
+
+    d: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+    big_b: np.ndarray
+    up: np.ndarray
+    triple: BaseTriple
+    eta: np.ndarray
 
 
 def _require_positive(kernel, op: str):
@@ -197,72 +205,46 @@ def solve_eta(kernel, triple: BaseTriple, nu: np.ndarray) -> EigenSolveResult:
     return _perron((nu * diag)[:, None] / kernel[:, :, c0])
 
 
-def _eta_weights(kernel, triple: BaseTriple, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """w[a, x] = eta[x] / t[a, x, c0] and B[a, c] = sum_x w[a, x] t[a, x, c], the
-    kappa^3 contraction of check_eta_cubic and build_hzmc_kernels, taken over
-    row blocks of t (``_row_blocks``): a grid never holds n^3 values at once."""
-    n = kernel.size
-    w = np.asarray(eta, dtype=float)[None, :] / kernel[:, :, triple.c0]
-    big_b = np.empty((n, n))
-    for blk in _row_blocks(n, n * n):
-        np.einsum("ax,axc->ac", w[blk], kernel[blk], out=big_b[blk])
-    return w, big_b
-
-
-def check_eta_cubic(kernel, triple: BaseTriple, eta: np.ndarray,
-                    tol: float = EXACT_TOL) -> CheckReport:
-    """Residual of the cubic fixed-point equation for eta, over all (a, b).
-
-    Both sides are evaluated as exact finite sums; the left side is the
-    eta-form of du(a;b), the right side the eta-form of ud(a;b).
-    """
-    _require_positive(kernel, "check_eta_cubic")
-    eta = np.asarray(eta, dtype=float)
-    w, big_b = _eta_weights(kernel, triple, eta)      # B[c, b] = sum_x w[c,x] t[c,x,b]
-    s0 = w.sum(axis=1)                                # s0[a]
-    lhs = w / s0[:, None]                             # lhs[a, b]
-
-    cvec = big_b[triple.a0, :]                        # C[a]   = B[a0, a]
-    fac1 = (w[triple.a0, :][:, None] * kernel[triple.a0]) / s0[:, None]   # fac1[c, a]
-    rhs = (fac1.T @ big_b) / cvec[:, None]            # rhs[a, b]
-
-    residual, where = sup_residual([np.abs(lhs - rhs)], lhs.shape)
-    return CheckReport(
-        condition="cubic-equation",
-        residual=residual,
-        tolerance=tol,
-        witnesses={"triple": triple, "eta": eta,
-                   "argmax": where if residual > tol else None},
-    )
-
-
-def build_hzmc_kernels(kernel, triple: BaseTriple,
-                       eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Down and up kernels generated by the weight vector eta.
+def build_hzmc_kernels(kernel, triple: BaseTriple, eta: np.ndarray) -> HzmcKernels:
+    """Down and up kernels generated by the weight vector eta, with the
+    contraction B they come from (``HzmcKernels``).  B is taken over row
+    blocks of t (``_row_blocks``): a grid never holds n^3 values at once.
 
     Rows come out stochastic by construction (on a grid, up to quadrature);
     a final renormalization removes the remainder.
     """
     _require_positive(kernel, "build_hzmc_kernels")
-    w, big_b = _eta_weights(kernel, triple, eta)
-    d = big_b / w.sum(axis=1)[:, None]
-    num = (w[triple.a0, :][:, None] * kernel[triple.a0]).T    # num[c, b] = w[a0,b] t[a0,b,c]
-    u = num / num.sum(axis=1)[:, None]
-    d, _ = normalize_rows(d)
-    u, _ = normalize_rows(u)
-    return d, u
+    n, eta = kernel.size, np.asarray(eta, dtype=float)
+    w = eta[None, :] / kernel[:, :, triple.c0]
+    big_b = np.empty((n, n))
+    for blk in _row_blocks(n, n * n):
+        np.einsum("ax,axc->ac", w[blk], kernel[blk], out=big_b[blk])
+    up = w[triple.a0, :][:, None] * kernel[triple.a0]
+    d, _ = normalize_rows(big_b / w.sum(axis=1)[:, None])
+    u, _ = normalize_rows(up.T / up.T.sum(axis=1)[:, None])
+    return HzmcKernels(d, u, w, big_b, up, triple, eta)
 
 
-def _irreducible(pattern: np.ndarray) -> bool:
-    """Reachability test on the positivity pattern of a square matrix.
+def check_eta_cubic(built: HzmcKernels, tol: float = EXACT_TOL) -> CheckReport:
+    """Residual of the cubic fixed-point equation for eta, over all (a, b),
+    from the contraction ``build_hzmc_kernels`` took.
 
-    Each squaring doubles the path length covered, so n.bit_length()
-    squarings reach every path of length n - 1."""
-    n = pattern.shape[0]
-    reach = (pattern > 0) | np.eye(n, dtype=bool)
-    for _ in range(n.bit_length()):
-        reach = reach | (reach @ reach)
-    return bool(reach.all())
+    Both sides are evaluated as exact finite sums; the left side is the
+    eta-form of du(a;b), the right side the eta-form of ud(a;b).
+    """
+    w, big_b = built.w, built.big_b                   # B[c, b] = sum_x w[c,x] t[c,x,b]
+    s0 = w.sum(axis=1)                                # s0[a]
+    lhs = w / s0[:, None]                             # lhs[a, b]
+    cvec = big_b[built.triple.a0, :]                  # C[a]   = B[a0, a]
+    rhs = ((built.up / s0[:, None]).T @ big_b) / cvec[:, None]     # rhs[a, b]
+    residual, where = sup_residual([np.abs(lhs - rhs)], lhs.shape)
+    return CheckReport(
+        condition="cubic-equation",
+        residual=residual,
+        tolerance=tol,
+        witnesses={"triple": built.triple, "eta": built.eta,
+                   "argmax": where if residual > tol else None},
+    )
 
 
 def _stationary(p: np.ndarray) -> np.ndarray:
@@ -279,15 +261,15 @@ def _stationary(p: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(a, np.append(np.zeros(n), 1.0), rcond=None)[0]
 
 
-def stationary_distribution(d: np.ndarray) -> StationaryResult:
-    """Stationary law of a row-stochastic matrix, by ``_stationary``.  A
-    reducible input has many; the minimum-norm one mixes the laws of the
-    closed classes with positive weights (disjoint supports) and comes back
-    flagged non-unique."""
+def stationary_distribution(d: np.ndarray) -> EigenSolveResult:
+    """Stationary law rho0 of a row-stochastic matrix, by ``_stationary``: the
+    left eigenvector of eigenvalue 1.  A reducible input has many; the
+    minimum-norm one mixes the laws of the closed classes with positive
+    weights (disjoint supports)."""
     d = np.asarray(d, dtype=float)
     rho = _stationary(d)
-    resid = float(np.abs(rho @ d - rho).max())
-    return StationaryResult(rho0=rho, residual=resid, unique=_irreducible(d), iterations=1)
+    return EigenSolveResult(vector=rho, eigenvalue=1.0, iterations=1,
+                            residual=float(np.abs(rho @ d - rho).max()))
 
 
 def _factorization_gap(t: np.ndarray, d: np.ndarray, u: np.ndarray, du: np.ndarray) -> np.ndarray:
@@ -487,11 +469,10 @@ class InvariantSolve:
 
 def _construct(tensor: TransitionTensor, triple: BaseTriple):
     """The construction every lattice shares: nu, then eta, then the chain
-    kernels (d, u) that eta generates.  Returns (nu, eta, d, u)."""
+    kernels that eta generates.  Returns (nu, eta, ``HzmcKernels``)."""
     nu = solve_nu(tensor)
     eta = solve_eta(tensor, triple, nu.vector)
-    d, u = build_hzmc_kernels(tensor, triple, eta.vector)
-    return nu, eta, d, u
+    return nu, eta, build_hzmc_kernels(tensor, triple, eta.vector)
 
 
 def solve_invariant_hzmc(tensor: TransitionTensor, tol: float = EXACT_TOL) -> InvariantSolve:
@@ -506,9 +487,9 @@ def solve_invariant_hzmc(tensor: TransitionTensor, tol: float = EXACT_TOL) -> In
     triple = select_base_triple(tensor)
     rep_b = check_belyaev(tensor, triple, tol=tol)
     rep_bd = check_belyaev_diag(tensor, triple, tol=tol)
-    nu, eta, d, u = _construct(tensor, triple)
-    rep_cubic = check_eta_cubic(tensor, triple, eta.vector, tol=tol)
-    spec = HzmcSpec(d=d, u=u, rho0=stationary_distribution(d).rho0)
+    nu, eta, built = _construct(tensor, triple)
+    rep_cubic = check_eta_cubic(built, tol=tol)
+    spec = HzmcSpec(d=built.d, u=built.u, rho0=stationary_distribution(built.d).vector)
     rep_t1, rep_t2, rep_t3 = check_toom_conditions(tensor, spec, tol=tol)
     return InvariantSolve(
         triple=triple,

@@ -137,7 +137,8 @@ def solve_chzmc(tensor: TransitionTensor, n: int, tol: float = EXACT_TOL) -> Inv
     rep4 = check_belyaev(tensor, triple, tol=tol)
     if not rep4.passed:
         return InvariantSolve(triple=triple, nu=None, eta=None, spec=None, reports=(rep4,))
-    nu, eta, d, u = _construct(tensor, triple)
+    nu, eta, built = _construct(tensor, triple)
+    d, u = built.d, built.u
     rep11 = check_cycle_commutation(d, u, n, tol=tol)
     spec = ChzmcSpec(d=d, u=u, n=n, z=partition_function(d, u, n)) if rep11.passed else None
     return InvariantSolve(triple=triple, nu=nu, eta=eta, spec=spec, reports=(rep4, rep11))

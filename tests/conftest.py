@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from zigzag_pca.core_types import GridMeasure, TransitionTensor, normalize_rows
+from zigzag_pca.core_types import (DensityLaw, GridMeasure, HzmcSpec, KernelDensity, MarkovKernel,
+                                   TransitionTensor, normalize_rows)
 from zigzag_pca.stats import KS_COEFF, DistanceResult
 
 
@@ -98,3 +99,45 @@ def two_sample_distance(sample_a, sample_b) -> DistanceResult:
     dist = float(np.abs(fa - fb).max())
     thr = KS_COEFF * np.sqrt((a.size + b.size) / (a.size * b.size))
     return DistanceResult(distance=dist, threshold=thr, n=min(a.size, b.size))
+
+
+LEGENDRE_LAMBDA = (0.12, -0.05, 0.03)
+LEGENDRE_MU = (0.10, 0.04, -0.02)
+
+
+def legendre_markov(coef) -> MarkovKernel:
+    """Markov density k(x, y) = (1 + sum_k coef_k (2k+1) P_k(x) P_k(y)) / 2 on
+    [-1, 1], P_k the Legendre polynomials: the uniform law is stationary, and
+    P_k is an eigenfunction of eigenvalue coef_k.  Positive while
+    sum_k |coef_k| (2k+1) < 1.  Density only: it has no sampler, and no
+    support bounds, so compositions run on the grid, exact on a
+    Gauss-Legendre one."""
+    legval, basis = np.polynomial.legendre.legval, np.eye(len(coef) + 1)[1:]
+
+    def density(x, y):
+        total = 1.0
+        for k, (c, e_k) in enumerate(zip(coef, basis), start=1):
+            total = total + c * (2 * k + 1) * legval(x, e_k) * legval(y, e_k)
+        return 0.5 * total
+
+    return MarkovKernel(density=density, noise=None, step=None)
+
+
+def legendre_factorized(eps: float = 0.0):
+    """The continuous twin of ``make_factorized_tensor``: d and u are
+    ``legendre_markov`` of LEGENDRE_LAMBDA and LEGENDRE_MU, which commute,
+    du is ``legendre_markov`` of their products, and
+    t(a, b; c) = d(a, c) u(c, b) / du(a, b).  A Gauss-Legendre grid of more
+    than three nodes integrates every product exactly, so the conditions
+    hold to rounding.  ``eps`` tilts the kernel by (1 + eps c) where
+    a b > 0.8, not renormalized.  Returns (kernel, chain), the chain's
+    initial law uniform."""
+    d, u = legendre_markov(LEGENDRE_LAMBDA), legendre_markov(LEGENDRE_MU)
+    du = legendre_markov(np.multiply(LEGENDRE_LAMBDA, LEGENDRE_MU))
+
+    def density(a, b, c):
+        t = d.density(a, c) * u.density(c, b) / du.density(a, b)
+        return t * np.where(a * b > 0.8, 1 + eps * c, 1.0)
+
+    uniform = DensityLaw(density=lambda x: np.full(np.shape(x), 0.5), sampler=None)
+    return KernelDensity(density=density, sampler=None), HzmcSpec(d=d, u=u, rho0=uniform)

@@ -644,6 +644,41 @@ class TestBadInput:
         assert "width must be >= 2" in err
         assert entered == []
 
+    @pytest.mark.parametrize("model,command", [("gauss", "simulate"), ("tasep", "simulate"),
+                                               ("gauss", "verify")])
+    def test_huge_width_is_one_error_line(self, files, capsys, tmp_path, model, command):
+        if command == "verify":
+            spec = tmp_path / "gspec.json"
+            assert run_main("solve", "--model", files[model], "--out", spec) == 0
+            capsys.readouterr()
+            extra = ("--spec", spec)
+        else:
+            extra = ("--steps", 1, "--out", tmp_path / "sim")
+        start = time.perf_counter()
+        assert run_main(command, "--model", files[model], *extra, "--width", 10**12) == 2
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert captured.out == "" and _single_error_line(captured.err)
+        assert f"float64 cells, over the {fs.SIZE_GUARD} guard" in captured.err
+        assert elapsed < 0.5
+        assert not list(tmp_path.glob("sim*"))
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_width_guard_admits_its_bound(self, files, capsys, tmp_path, monkeypatch, command):
+        # simulate holds (steps + 3) lines of width cells, verify 3
+        if command == "verify":
+            spec = tmp_path / "gspec.json"
+            assert run_main("solve", "--model", files["gauss"], "--out", spec) == 0
+            model, extra, lines = files["gauss"], ("--spec", spec), 3
+        else:
+            model, extra, lines = files["tasep"], ("--steps", 3, "--out", tmp_path / "sim"), 6
+        monkeypatch.setattr(fs, "SIZE_GUARD", 40 * lines)
+        capsys.readouterr()
+        assert run_main(command, "--model", model, *extra, "--width", 40) in (0, 1)
+        capsys.readouterr()
+        assert run_main(command, "--model", model, *extra, "--width", 41) == 2
+        assert f"{41 * lines} float64 cells" in capsys.readouterr().err
+
     @pytest.mark.parametrize("width", [-5, 2, 20_001])
     @pytest.mark.parametrize("model", ["two_letter", "two_letter_cycle", "factorized3"])
     def test_verify_width_refused_on_a_finite_model(self, files, capsys, tmp_path, model,

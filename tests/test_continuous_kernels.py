@@ -8,7 +8,7 @@ from scipy.special import betainc, betaincinv, betaln, gammaincinv, gammaln, ndt
 from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
 from zigzag_pca.core_types import HzmcSpec, KernelDensity, MarkovKernel, gauss_legendre_grid
-from conftest import trapezoid_grid
+from conftest import legendre_factorized, trapezoid_grid
 
 
 @pytest.fixture(scope="module")
@@ -476,8 +476,9 @@ class TestDiscretizedFiniteRoute:
         triple = fs.BaseTriple(i0, i0, i0)
         nu = fs.solve_nu(gk).vector
         eta = fs.solve_eta(gk, triple, nu).vector
-        assert fs.check_eta_cubic(gk, triple, eta, tol=1e-6).passed
-        d_mat, u_mat = fs.build_hzmc_kernels(gk, triple, eta)
+        built = fs.build_hzmc_kernels(gk, triple, eta)
+        assert fs.check_eta_cubic(built, tol=1e-6).passed
+        d_mat, u_mat = built.d, built.u
 
         hz = ck.gaussian_invariant_hzmc(gauss31)
         closed_d = hz.d.density(p[:, None], p[None, :]) * w
@@ -486,6 +487,67 @@ class TestDiscretizedFiniteRoute:
         closed_u = hz.u.density(p[:, None], p[None, :]) * w
         closed_u /= closed_u.sum(axis=1, keepdims=True)
         assert np.abs(u_mat - closed_u).max() < 1e-6
+
+
+    def test_grid_route_evaluates_each_triple_twice(self, gauss31):
+        # once for positivity, once for the contraction B that the kernel
+        # build takes and the cubic check reads
+        grid = ck.default_gaussian_grid(gauss31, 33)
+        base = ck.gaussian_kernel_density(gauss31)
+        evaluated = []
+
+        def counted(a, b, c):
+            evaluated.append(np.broadcast(a, b, c).size)
+            return base.density(a, b, c)
+
+        i0 = int(np.argmin(np.abs(grid.points)))
+        gk = ck.GridKernel(KernelDensity(density=counted, sampler=None), grid)
+        _, _, built = fs._construct(gk, fs.BaseTriple(i0, i0, i0))
+        assert fs.check_eta_cubic(built, tol=1e-6).passed
+        n = grid.size
+        assert 2 * n ** 3 <= sum(evaluated) < 3 * n ** 3
+
+
+class TestLegendreFamily:
+    """The Legendre-factorized kernel of conftest: positive, with conditions
+    that hold to rounding on a Gauss-Legendre grid, so a 1e-8 defect shows
+    where the Gaussian's quadrature floor would hide it."""
+
+    @pytest.mark.parametrize("points", [9, 33, 129, 257])
+    def test_conditions_hold_to_rounding(self, points):
+        kern, hz = legendre_factorized()
+        reports = ck.quadrature_check_conditions(kern, hz, gauss_legendre_grid(1.0, points),
+                                                 tol=1e-14)
+        assert [r.condition for r in reports] == ["factorization", "commutation", "stationarity"]
+        assert all(r.passed for r in reports), [r.residual for r in reports]
+
+    @pytest.mark.parametrize("points", [9, 33, 129, 257])
+    def test_tamper_fails_factorization_only(self, points):
+        kern, hz = legendre_factorized(eps=1e-8)
+        fact, comm, stat = ck.quadrature_check_conditions(kern, hz,
+                                                          gauss_legendre_grid(1.0, points),
+                                                          tol=1e-12)
+        assert not fact.passed and 4e-9 < fact.residual < 5e-9
+        assert comm.passed and stat.passed
+
+    @pytest.mark.parametrize("points", [17, 65])
+    def test_grid_route_recovers_the_chain(self, points):
+        kern, hz = legendre_factorized()
+        grid = gauss_legendre_grid(1.0, points)
+        p, w = grid.points, grid.weights
+        i0 = int(np.argmin(np.abs(p)))          # the node at 0
+        _, _, built = fs._construct(ck.GridKernel(kern, grid), fs.BaseTriple(i0, i0, i0))
+        assert fs.check_eta_cubic(built, tol=1e-14).passed
+        for got, closed in ((built.d, hz.d), (built.u, hz.u)):
+            assert np.abs(got - closed.density(p[:, None], p[None, :]) * w).max() <= 1e-12
+
+    @pytest.mark.parametrize("points", [17, 65])
+    def test_tamper_fails_the_grid_cubic(self, points):
+        kern, _ = legendre_factorized(eps=1e-8)
+        grid = gauss_legendre_grid(1.0, points)
+        i0 = int(np.argmin(np.abs(grid.points)))
+        _, _, built = fs._construct(ck.GridKernel(kern, grid), fs.BaseTriple(i0, i0, i0))
+        assert fs.check_eta_cubic(built, tol=1e-12).residual > 1e-12
 
 
 class TestMuEquivalence:

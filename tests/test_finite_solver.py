@@ -200,19 +200,21 @@ class TestSolveEta:
 class TestEtaCubic:
     def test_two_letter_solution_passes(self, two_letter):
         triple = fs.select_base_triple(two_letter)
-        rep = fs.check_eta_cubic(two_letter, triple, np.array([1 / 3, 2 / 3]))
+        built = fs.build_hzmc_kernels(two_letter, triple, np.array([1 / 3, 2 / 3]))
+        rep = fs.check_eta_cubic(built)
         assert rep.passed
         assert rep.residual < 1e-12
         assert rep.witnesses["argmax"] is None
 
     def test_constant_tensor_uniform_passes(self):
         tens = constant_tensor(3)
-        rep = fs.check_eta_cubic(tens, fs.select_base_triple(tens), np.full(3, 1 / 3))
+        rep = fs.check_eta_cubic(fs.build_hzmc_kernels(tens, fs.select_base_triple(tens),
+                                                     np.full(3, 1 / 3)))
         assert rep.passed
 
     def test_wrong_weights_fail(self, two_letter):
         triple = fs.select_base_triple(two_letter)
-        rep = fs.check_eta_cubic(two_letter, triple, np.array([0.5, 0.5]))
+        rep = fs.check_eta_cubic(fs.build_hzmc_kernels(two_letter, triple, np.array([0.5, 0.5])))
         assert not rep.passed
         assert rep.residual > 1e-3
         assert len(rep.witnesses["argmax"]) == 2
@@ -221,7 +223,7 @@ class TestEtaCubic:
 class TestBuildKernels:
     def test_two_letter_golden_kernels(self, two_letter):
         triple = fs.select_base_triple(two_letter)
-        d, u = fs.build_hzmc_kernels(two_letter, triple, np.array([1 / 3, 2 / 3]))
+        d, u, *_ = fs.build_hzmc_kernels(two_letter, triple, np.array([1 / 3, 2 / 3]))
         assert np.abs(d - np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])).max() < 1e-10
         assert np.abs(u - np.array([[1 / 3, 2 / 3], [2 / 3, 1 / 3]])).max() < 1e-10
 
@@ -230,7 +232,7 @@ class TestBuildKernels:
         tens = product_tensor(f)
         triple = fs.select_base_triple(tens)
         eta = np.array([0.1, 0.4, 0.5])
-        d, u = fs.build_hzmc_kernels(tens, triple, eta)
+        d, u, *_ = fs.build_hzmc_kernels(tens, triple, eta)
         assert np.abs(d - f[None, :]).max() < 1e-12
         assert np.abs(u - eta[None, :]).max() < 1e-12
 
@@ -240,7 +242,7 @@ class TestBuildKernels:
             triple = fs.select_base_triple(tens)
             nu = fs.solve_nu(tens).vector
             eta = fs.solve_eta(tens, triple, nu).vector
-            d, u = fs.build_hzmc_kernels(tens, triple, eta)
+            d, u, *_ = fs.build_hzmc_kernels(tens, triple, eta)
             assert np.abs(d.sum(axis=1) - 1).max() < 1e-12
             assert np.abs(u.sum(axis=1) - 1).max() < 1e-12
             assert d.min() > 0 and u.min() > 0
@@ -273,9 +275,9 @@ def test_blocked_contraction_matches_whole_einsum_bitwise(kappa, make):
     triple = fs.select_base_triple(tens)
     eta = fs.solve_eta(tens, triple, fs.solve_nu(tens).vector).vector
     residual, d_ref, u_ref = whole_tensor_cubic_and_kernels(tens, triple, eta)
-    assert fs.check_eta_cubic(tens, triple, eta).residual == residual
-    d, u = fs.build_hzmc_kernels(tens, triple, eta)
-    assert np.array_equal(d, d_ref) and np.array_equal(u, u_ref)
+    built = fs.build_hzmc_kernels(tens, triple, eta)
+    assert fs.check_eta_cubic(built).residual == residual
+    assert np.array_equal(built.d, d_ref) and np.array_equal(built.u, u_ref)
     if kappa == 64:
         assert len(_row_blocks(kappa, kappa * kappa)) > 1      # several blocks walked
 
@@ -284,13 +286,12 @@ class TestStationaryDistribution:
     def test_two_letter_uniform(self, two_letter):
         res = fs.solve_invariant_hzmc(two_letter)
         stat = fs.stationary_distribution(res.spec.d)
-        assert np.abs(stat.rho0 - 0.5).max() < 1e-10
-        assert stat.unique
+        assert np.abs(stat.vector - 0.5).max() < 1e-10
+        assert stat.eigenvalue == 1.0 and stat.iterations == 1
 
-    def test_identity_flagged_non_unique(self):
+    def test_identity_gives_the_minimum_norm_law(self):
         res = fs.stationary_distribution(np.eye(3))
-        assert np.abs(res.rho0 - 1 / 3).max() < 1e-12
-        assert not res.unique
+        assert np.abs(res.vector - 1 / 3).max() < 1e-12
 
     def test_matches_null_space_solve(self):
         rng = np.random.default_rng(5)
@@ -301,12 +302,12 @@ class TestStationaryDistribution:
         a = np.vstack([d.T - np.eye(4), np.ones(4)])
         b = np.concatenate([np.zeros(4), [1.0]])
         oracle = np.linalg.lstsq(a, b, rcond=None)[0]
-        assert np.abs(res.rho0 - oracle).max() < 1e-10
+        assert np.abs(res.vector - oracle).max() < 1e-10
 
     def test_periodic_chain_converges(self):
         perm = np.array([[0.0, 1.0], [1.0, 0.0]])
         res = fs.stationary_distribution(perm)
-        assert np.abs(res.rho0 - 0.5).max() < 1e-12
+        assert np.abs(res.vector - 0.5).max() < 1e-12
 
     def test_reducible_two_closed_classes_and_a_transient_state(self):
         # closed classes {0, 1} and {2, 3}; state 4 leaks into both
@@ -316,17 +317,15 @@ class TestStationaryDistribution:
                       [0.0, 0.0, 0.5, 0.5, 0.0],
                       [0.2, 0.0, 0.3, 0.0, 0.5]])
         res = fs.stationary_distribution(d)
-        assert res.rho0.min() >= -1e-15
-        assert res.rho0.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(res.rho0 @ d - res.rho0).max() <= 1e-12
+        assert res.vector.min() >= -1e-15
+        assert res.vector.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(res.vector @ d - res.vector).max() <= 1e-12
         assert res.residual <= 1e-12
-        assert not res.unique
-
 
     def test_nearly_reducible_chain_to_full_relative_accuracy(self):
         a, b = 1e-13, 3e-13
         res = fs.stationary_distribution(np.array([[1 - a, a], [b, 1 - b]]))
-        assert np.abs(res.rho0 / [0.75, 0.25] - 1).max() < 1e-12
+        assert np.abs(res.vector / [0.75, 0.25] - 1).max() < 1e-12
 
 
 class TestToomConditions:
@@ -506,7 +505,7 @@ class TestBruteforceInvariance:
             d = np.array(spec.d)
             d[0, 0] += 1e-6
             d /= d.sum(axis=1, keepdims=True)
-            rho0 = fs.stationary_distribution(d).rho0 if resolve else spec.rho0
+            rho0 = fs.stationary_distribution(d).vector if resolve else spec.rho0
             spec = HzmcSpec(d=d, u=spec.u, rho0=rho0)
         assert np.min(spec.rho0) > 0
         window0 = fs.bruteforce_invariance(tens, spec, 0)
@@ -531,8 +530,8 @@ class TestBruteforceInvariance:
         triple = fs.select_base_triple(tens)
         assert not fs.check_belyaev(tens, triple).passed
         eta = np.full(3, 1 / 3)
-        d, u = fs.build_hzmc_kernels(tens, triple, eta)
-        rho0 = fs.stationary_distribution(d).rho0
+        d, u, *_ = fs.build_hzmc_kernels(tens, triple, eta)
+        rho0 = fs.stationary_distribution(d).vector
         spec = HzmcSpec(d=d, u=u, rho0=rho0)
         rep = fs.bruteforce_invariance(tens, spec, 2)
         assert not rep.passed

@@ -4,7 +4,11 @@
 and reads counters from their arguments (``tensor``, ``k_max``, ``spec``,
 ``grid``, ``length``, ``n_chains``, ``path``) and results.  A rename in the
 package would crash a traced benchmark run; these tests run the finite and
-the Gaussian commands under the tracer so the rename fails here.
+the Gaussian commands under the tracer so the rename fails here.  A refactor
+that stops calling a traced function would instead zero its per-layer
+metric without a sound, so one test runs check, solve, verify and simulate
+on finite, Gaussian and Beta models and checks that only the known
+uncalled names produce no span.
 """
 
 import contextlib
@@ -121,3 +125,35 @@ def test_gaussian_commands_produce_spans_and_counters(tmp_path, tracer):
     evals = [s["density_evals_computed"] for s in spans
              if s["name"] == "continuous_kernels._cond_residuals"]
     assert evals == [points ** 3] * 2
+
+
+# traced names that no command calls: the oracles walk their laws in blocks,
+# and check runs the mu-equivalence probe inside the factorization sweep
+UNCALLED = {"finite_solver.push_forward_zigzag", "finite_solver.hzmc_cylinder_weights",
+            "lattice_ext.chzmc_density", "continuous_kernels.mu_equivalence_probe"}
+
+
+def test_every_traced_name_but_the_uncalled_produces_a_span(tmp_path, tracer):
+    two = three_letter_tensor().restrict([1, 2])
+    models = {"half": (two, "N", None), "cycle": (two, {"cycle": 3}, None)}
+    for family, params in (("gaussian", {"m": 3, "sigma": 1}),
+                           ("gaussian_diag", {"m": 3, "sigma": 1}),
+                           ("beta", {"alpha": 1, "beta": 1, "m": 1, "theta": 1})):
+        models[family] = ({"family": family, **params}, "N", {"points": 33})
+    codes = {}
+    for name, (kernel, lattice, grid) in models.items():
+        model, spec = tmp_path / f"{name}.json", tmp_path / f"{name}_spec.json"
+        save_model(model, kernel, lattice, grid)
+        width = () if name in ("half", "cycle") else ("--width", 101)
+        codes[name] = (_run(tracer, name, "check", "--model", model),
+                       _run(tracer, name, "solve", "--model", model, "--out", spec),
+                       _run(tracer, name, "verify", "--model", model, "--spec", spec, *width))
+        if name != "cycle":      # a finite cycle has no sampler
+            assert _run(tracer, name, "simulate", "--model", model, "--width", 40,
+                        "--steps", 3, "--out", tmp_path / name) == 0
+    # beta's solve names the drift and its verify is refused
+    assert codes == {**{name: (0, 0, 0) for name in models}, "beta": (1, 1, 2)}
+
+    traced = {f"{mod}.{fn}" for mod, names in _load_tracing().TRACED.items() for fn in names}
+    assert UNCALLED <= traced
+    assert traced - {s["name"] for s in tracer.dump()} == UNCALLED
