@@ -24,13 +24,14 @@ probability density is stationary: each down-up step drifts by
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_types import (DEFAULT_GRID_POINTS, QUAD_TOL, CheckReport, DensityLaw, GridMeasure,
-                         HzmcSpec, KernelDensity, MarkovKernel, _row_blocks, gauss_legendre_grid,
-                         sup_residual)
+from .core_types import (_BLOCK, DEFAULT_GRID_POINTS, QUAD_TOL, CheckReport, DensityLaw,
+                         GridMeasure, HzmcSpec, KernelDensity, MarkovKernel, _row_blocks,
+                         gauss_legendre_grid, gauss_legendre_rule, sup_residual)
 
 _GL_NODES = 64
 _MU_THRESH = 1e-9
@@ -48,8 +49,8 @@ def _special():
 @functools.cache
 def _gl_unit() -> tuple[np.ndarray, np.ndarray]:
     """The ``_GL_NODES`` Gauss-Legendre nodes and weights on [0, 1], built on
-    first use: the table loads ``numpy.polynomial`` and runs an eigensolve."""
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    first use by ``gauss_legendre_rule``, the grids' own rule."""
+    x, w = gauss_legendre_rule(_GL_NODES)
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
@@ -217,10 +218,11 @@ def gaussian_diag_kernel_density(params: GaussianPcaParams) -> KernelDensity:
 
     def density(a, b, c):
         a = np.asarray(a, dtype=float)
-        g = base.density(a, b, c)
-        same = (a == b)
-        atom = np.where(np.asarray(c) == a, np.inf, 0.0)
-        return np.where(same, atom, g)
+        out = np.asarray(base.density(a, b, c))
+        # the atom's values take the shape of (a, c) and the mask that of (a, b):
+        # on the n^3 grid triples neither is as large as ``out``
+        np.copyto(out, np.where(np.asarray(c) == a, np.inf, 0.0), where=a == b)
+        return out if out.ndim else out[()]
 
     def sampler(a, b, u):
         a = np.asarray(a, dtype=float)
@@ -419,9 +421,65 @@ def _eval_markov(kernel, xs, ys) -> np.ndarray:
                           np.asarray(ys, dtype=float)[None, :])
 
 
-def _triples(p: np.ndarray, blk: slice) -> tuple:
-    """Kernel density arguments (a, b, c) of the grid triples with a in ``blk``."""
-    return p[blk, None, None], p[None, :, None], p[None, None, :]
+def _triples(p: np.ndarray, rows: slice, cols: slice = slice(None)) -> tuple:
+    """Kernel density arguments (a, b, c) of the grid triples with a in
+    ``rows`` and b in ``cols``."""
+    return p[rows, None, None], p[None, cols, None], p[None, None, :]
+
+
+def _pair_blocks(lo: int, hi: int, n: int, inner: int, budget: int) -> list[tuple]:
+    """Rows lo to hi of a pass over the pairs (a, b) of n grid points, with
+    ``inner`` doubles a pair, cut into blocks (rows, cols) of about ``budget``
+    doubles that follow one another in C order: whole rows while one fits
+    (as _row_blocks), else pieces of one row, of one pair at least.  The
+    first block is the largest, so scratch of its shape serves them all."""
+    pairs = max(1, budget // inner)
+    if pairs >= n:
+        step = pairs // n
+        return [(slice(a, min(a + step, hi)), slice(0, n)) for a in range(lo, hi, step)]
+    step = -(-n // round(n / pairs))
+    return [(slice(a, a + 1), slice(b, min(b + step, n)))
+            for a in range(lo, hi) for b in range(0, n, step)]
+
+
+def _extent(block: tuple) -> tuple[int, int]:
+    """Rows and columns of a _pair_blocks block."""
+    rows, cols = block
+    return rows.stop - rows.start, cols.stop - cols.start
+
+
+def _split_rows(n: int, inner: int, run) -> list:
+    """The results, in row order, of ``run(blocks)`` on k contiguous ranges of
+    rows that cover range(n), one thread per range, where k = min(CPUs this
+    process may use, n); numpy releases the GIL, so the ranges run at once.
+    A range comes as its blocks (_pair_blocks, ``inner`` doubles a pair) of
+    about _BLOCK doubles when k <= 2, and 2 _BLOCK / k beyond: the ranges
+    hold two blocks of scratch together at most, however many CPUs there
+    are.  Halving the blocks on two CPUs instead cost the 257-point Beta
+    check a third more time: each block pays the kernels' per-call overhead,
+    which holds the GIL.
+
+    Each thread runs under the caller's numpy error state, which a new thread
+    does not inherit.  An exception of a range reaches the caller once every
+    thread has ended (the first range's, in row order).  ``run`` must call no
+    function that ``perfbench/tracing.py`` wraps: its span stack is one per
+    process.
+    """
+    from concurrent.futures import ThreadPoolExecutor     # only the grid passes start threads
+    affinity = getattr(os, "sched_getaffinity", None)     # Linux only
+    k = min(len(affinity(0)) if affinity else os.cpu_count() or 1, n)
+    budget = min(_BLOCK, 2 * _BLOCK // k)
+    err = np.geterr()
+
+    def run_range(blocks):
+        with np.errstate(**err):
+            return run(blocks)
+
+    edges = [n * i // k for i in range(k + 1)]
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        futures = [pool.submit(run_range, _pair_blocks(lo, hi, n, inner, budget))
+                   for lo, hi in zip(edges, edges[1:])]
+    return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -450,9 +508,11 @@ class GridKernel:
 
     @functools.cached_property
     def mu_positive(self) -> bool:
-        """True when t is positive on every grid triple; one blocked pass."""
+        """True when t is positive on every grid triple; one blocked pass,
+        split over threads (_split_rows)."""
         n = self.size
-        return all(bool(np.all(self[blk] > 0)) for blk in _row_blocks(n, n * n))
+        return all(_split_rows(n, n, lambda blocks: all(
+            bool(np.all(self[blk] > 0)) for blk in blocks)))
 
 
 def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np.ndarray:
@@ -461,7 +521,11 @@ def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np
     When both kernels expose support bounds and every pairwise intersection
     is a finite interval, the integral runs on Gauss-Legendre nodes placed on
     exactly that interval (this keeps indicator-supported kernels exact).
-    Otherwise it contracts the grid-sampled matrices with the grid weights.
+    Otherwise it contracts the grid-sampled matrices with the grid weights,
+    by ``einsum`` and not a matrix product: a BLAS call leaves its worker
+    threads spinning on the other cores for 0.1-0.3 s, where the threaded
+    passes that follow it run.  Either way the rows split over threads
+    (_split_rows).
     """
     p = grid.points
     n = p.size
@@ -477,22 +541,32 @@ def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np
         if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
             width = np.clip(hi - lo, 0.0, None)
             out = np.empty((n, n))
-            blocks = _row_blocks(n, n * _GL_NODES)
-            nodes = np.empty((blocks[0].stop, n, _GL_NODES))
-            vals = np.empty_like(nodes)
             unit_x, unit_w = _gl_unit()
-            for blk in blocks:
-                rows = blk.stop - blk.start
-                x = np.multiply(width[blk, :, None], unit_x, out=nodes[:rows])
-                x += lo[blk, :, None]
-                v = np.multiply(k1.density(p[blk, None, None], x), k2.density(x, p[None, :, None]),
-                                out=vals[:rows])
-                v *= unit_w
-                np.multiply(v.sum(axis=2), width[blk], out=out[blk])
+
+            def compose_rows(blocks):
+                nodes = np.empty((*_extent(blocks[0]), _GL_NODES))
+                vals = np.empty_like(nodes)
+                for rows, cols in blocks:
+                    nr, nc = _extent((rows, cols))
+                    x = np.multiply(width[rows, cols, None], unit_x, out=nodes[:nr, :nc])
+                    x += lo[rows, cols, None]
+                    v = np.multiply(k1.density(p[rows, None, None], x),
+                                    k2.density(x, p[None, cols, None]), out=vals[:nr, :nc])
+                    v *= unit_w
+                    np.multiply(v.sum(axis=2), width[rows, cols], out=out[rows, cols])
+
+            _split_rows(n, _GL_NODES, compose_rows)
             return out
-    m1 = _eval_markov(k1, p, p)
+    m1 = _eval_markov(k1, p, p) * grid.weights
     m2 = _eval_markov(k2, p, p)
-    return (m1 * grid.weights[None, :]) @ m2
+    out = np.empty((n, n))
+
+    def contract_rows(blocks):
+        for rows, cols in blocks:
+            out[rows, cols] = np.einsum("ac,cb->ab", m1[rows], m2[:, cols], optimize=False)
+
+    _split_rows(n, 1, contract_rows)
+    return out
 
 
 def apply_law(rho: DensityLaw, kernel: MarkovKernel, grid: GridMeasure) -> np.ndarray:
@@ -511,16 +585,17 @@ def apply_law(rho: DensityLaw, kernel: MarkovKernel, grid: GridMeasure) -> np.nd
             return (vals * unit_w[None, :]).sum(axis=1) * width
     rvec = rho.density(p)
     kmat = _eval_markov(kernel, p, p)
-    return (rvec * grid.weights) @ kmat
+    return np.einsum("a,ab->b", rvec * grid.weights, kmat, optimize=False)     # no BLAS
 
 
 def _mark_differing(ta: np.ndarray, tb: np.ndarray, buf: np.ndarray, out: np.ndarray,
                     thresh: float) -> None:
     """Sets out[a, b] for the block's pairs where |ta - tb| exceeds ``thresh``,
-    or is NaN, at some c; ``buf`` is scratch of the block's shape."""
+    or is NaN, at some c; ``buf`` is scratch of the block's shape.  The max
+    over c is NaN where any entry is NaN, and NaN <= thresh is False."""
     np.subtract(ta, tb, out=buf)
     np.abs(buf, out=buf)
-    out[...] = ~np.all(buf <= thresh, axis=2)
+    np.logical_not(buf.max(axis=2) <= thresh, out=out)
 
 
 def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
@@ -530,8 +605,12 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
     differs from ``kernel`` (None without one).
 
     The factorization sweep t(a,b;c) du(a;b) = d(a;c) u(c;b) walks the n^3
-    triples in blocks (_row_blocks) and evaluates each kernel once per
-    triple.  It skips the neighbor diagonal a == b whatever its values.
+    triples in blocks, its rows split over threads (_split_rows), and
+    evaluates the battery kernel once per triple, and ``family_kernel`` once
+    more.  It skips the neighbor diagonal a == b
+    whatever its values.  The residual and argmax of the split sweep are
+    those of one pass in row order: the ranges' results are taken in row
+    order, and the first of equal residuals wins.
     """
     p = grid.points
     n = p.size
@@ -540,28 +619,33 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
     ud = compose_kernels(u, d, grid)
     d_mat = _eval_markov(d, p, p)
     u_t = np.ascontiguousarray(_eval_markov(u, p, p).T)     # u_t[b, c] = u(c; b)
-
-    blocks = _row_blocks(n, n * n)
-    lhs_buf = np.empty((blocks[0].stop, n, n))
-    rhs_buf = np.empty_like(lhs_buf)
     differs = None if family_kernel is None else np.zeros((n, n), dtype=bool)
 
-    def sweep():
-        for blk in blocks:
-            rows = blk.stop - blk.start
-            abc = _triples(p, blk)
-            t = kernel.density(*abc)
-            if differs is not None:
-                _mark_differing(family_kernel.density(*abc), t, rhs_buf[:rows], differs[blk],
-                                _MU_THRESH)
-            diff = np.multiply(t, du[blk, :, None], out=lhs_buf[:rows])
-            diff -= np.multiply(d_mat[blk, None, :], u_t, out=rhs_buf[:rows])
-            np.abs(diff, out=diff)
-            diff[np.arange(rows), np.arange(blk.start, blk.stop)] = 0.0     # a == b
-            yield diff
+    def sweep_rows(blocks):
+        start, stop = blocks[0][0].start, blocks[-1][0].stop
+        lhs_buf = np.empty((*_extent(blocks[0]), n))
+        rhs_buf = np.empty_like(lhs_buf)
 
-    with np.errstate(invalid="ignore"):
-        fact = sup_residual(sweep(), (n, n, n))
+        def sweep():
+            for rows, cols in blocks:
+                nr, nc = _extent((rows, cols))
+                abc = _triples(p, rows, cols)
+                t = kernel.density(*abc)
+                if differs is not None:
+                    _mark_differing(family_kernel.density(*abc), t, rhs_buf[:nr, :nc],
+                                    differs[rows, cols], _MU_THRESH)
+                diff = np.multiply(t, du[rows, cols, None], out=lhs_buf[:nr, :nc])
+                diff -= np.multiply(d_mat[rows, None, :], u_t[cols], out=rhs_buf[:nr, :nc])
+                np.abs(diff, out=diff)
+                ab = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+                diff[ab - rows.start, ab - cols.start] = 0.0     # a == b
+                yield diff
+
+        with np.errstate(invalid="ignore"):
+            worst, (a, b, c) = sup_residual(sweep(), (stop - start, n, n))
+        return worst, (a + start, b, c)
+
+    fact = max(_split_rows(n, n, sweep_rows), key=lambda r: r[0])     # the first on ties
     comm = sup_residual([np.abs(du - ud)], du.shape)
     stat = sup_residual([np.abs(apply_law(rho0, d, grid) - rho0.density(p))], (n,))
     return fact, comm, stat, differs

@@ -75,8 +75,8 @@ CASES = {
 # case -> ((exit code, sha256) of check, of solve, of verify)
 GOLDEN = {
     "beta": (
-        (1, "e625aa9d8018dae96934623a7d566871b1dc4bdeea1adf1044af0e839d46db69"),
-        (1, "d51baa8837cb76db679931cad7cad0179ff0ddde471b4f7b8d98fa04471ab376"),
+        (1, "4e1adecd54c293c07d6bfe780a4c91424a80152334f0c9ebe36482fd2a701e20"),
+        (1, "81568a7e7ee2390180965ade4868288ea8555b0f53d13ebd0e8121c6dcac78a5"),
     ),
     "fac2-cycle3": (
         (0, "5d07ad0ddcf1542c829eb5cf98d2a42b401c3185f72f6edda43b62a9d075b021"),
@@ -94,14 +94,14 @@ GOLDEN = {
         (0, "3a68ea3202832feabb617feaf006b44c77c7995a299670543a40653da079cb74"),
     ),
     "gaussian": (
-        (0, "45bd951a67ef31054a9c285b6a0b592da103310c7ff658f8a68d9de3131b9805"),
+        (0, "f4eb71975dd170d9213e648994f3dde61ebfc552de6690269e5bec19518cbdcd"),
         (0, "2e3412633ec5b6bfbc717ac09082d5b085aafcedb48d44f20d82151664dd7419"),
-        (0, "b24c3a6464de93bf13b80d02c7748742be2389d4dd92100243cb6bf2f36d1a62"),
+        (0, "4bd0f926ebf58c9c28ae8aef3c76d5aa2efd5fd32dab4b45952cf1a89bde5a23"),
     ),
     "gaussian_diag": (
-        (0, "309c180d3d8c163bff2bdcfa297435a605dea0179a15b7d49eeffa447a1c567e"),
+        (0, "53ad0b419b8f823892e90626a05bd1f1623fa83a474a963caba26d6d866ec16e"),
         (0, "2e3412633ec5b6bfbc717ac09082d5b085aafcedb48d44f20d82151664dd7419"),
-        (0, "b24c3a6464de93bf13b80d02c7748742be2389d4dd92100243cb6bf2f36d1a62"),
+        (0, "4bd0f926ebf58c9c28ae8aef3c76d5aa2efd5fd32dab4b45952cf1a89bde5a23"),
     ),
     "gen3-half": (
         (1, "5d4559c332de3c06e5d776c21c75477b64f43a4e2f571f5b9153e8cd092ac083"),

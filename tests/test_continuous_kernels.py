@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -7,7 +9,8 @@ from scipy.special import betainc, betaincinv, betaln, gammaincinv, gammaln, ndt
 
 from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
-from zigzag_pca.core_types import HzmcSpec, KernelDensity, MarkovKernel, gauss_legendre_grid
+from zigzag_pca.core_types import (HzmcSpec, KernelDensity, MarkovKernel, gauss_legendre_grid,
+                                   gauss_legendre_rule)
 from conftest import legendre_factorized, trapezoid_grid
 
 
@@ -230,13 +233,25 @@ def _reference_norm_pdf(x, mean, std):
     return np.exp(-0.5 * z * z) / (std * np.sqrt(2.0 * np.pi))
 
 
+def _reference_diag_density(params):
+    """The diagonal-atom Gaussian as one expression over the whole broadcast
+    shape: the reference for the overlay written in place."""
+    base = ck.gaussian_kernel_density(params)
+
+    def density(a, b, c):
+        a = np.asarray(a, dtype=float)
+        return np.where(a == b, np.where(np.asarray(c) == a, np.inf, 0.0), base.density(a, b, c))
+    return density
+
+
 def _same(got, want):
     return got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestDensitiesBitForBit:
-    """The normal density, the Beta kernel and the Gamma candidates are
-    evaluated in place; they must give the bits of the plain formulas."""
+    """The normal density, the diagonal-atom Gaussian, the Beta kernel and the
+    Gamma candidates are evaluated in place; they must give the bits of the
+    plain formulas."""
 
     def test_normal_density(self):
         # zeros of both signs, subnormals, the edges of exp's range, and
@@ -292,6 +307,27 @@ class TestDensitiesBitForBit:
             for args in [(0.0, 1.0, -m), (0.0, 1.0, 1.0 - m), (0.0, 1.0, 0.3), (1.0, 1.0, 0.5),
                          (0.0, 1.0, 4.0), (2.0, -1.0, 0.0)]:
                 assert _same(got(*args), want(*args))
+
+    def test_gaussian_diag_density(self):
+        par = ck.GaussianPcaParams(3.0, 1.5)
+        got, want = ck.gaussian_diag_kernel_density(par).density, _reference_diag_density(par)
+        v = np.array([-2.0, -0.5, 0.0, 0.75, 1.0, 3.0, 40.0, np.nan])
+        p = np.sort(np.random.default_rng(11).uniform(-4.0, 4.0, 30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (v, p):
+                abc = (x[:, None, None], x[None, :, None], x[None, None, :])
+                g, w = got(*abc), want(*abc)
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            assert np.isinf(got(*abc)[np.arange(30), np.arange(30), np.arange(30)]).all()
+            # the atom at c == a, zero elsewhere on a == b, NaN inputs, the plain kernel
+            for args in [(1.0, 1.0, 1.0), (1.0, 1.0, 0.5), (np.nan, np.nan, 0.0),
+                         (1.0, 1.0, np.nan), (0.0, 2.0, np.nan), (0.0, 2.0, 0.5), (0, 0, 0)]:
+                g, w = got(*args), want(*args)
+                assert type(g) is np.float64
+                assert np.asarray(g).tobytes() == w.tobytes()
+            g, w = got(1.0, np.array([1.0, 2.0]), 1.0), want(1.0, np.array([1.0, 2.0]), 1.0)
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("shape", [0.5, 1.0, 2.5, 1])
     @pytest.mark.parametrize("rate", [1.0, 2.5])
@@ -602,7 +638,7 @@ def full_compose(k1, k2, grid):
     lo = np.maximum(lo1[:, None], lo2[None, :])
     hi = np.minimum(hi1[:, None], hi2[None, :])
     width = np.clip(hi - lo, 0.0, None)
-    x = np.polynomial.legendre.leggauss(64)
+    x = gauss_legendre_rule(64)
     x01, w01 = 0.5 * (x[0] + 1.0), 0.5 * x[1]
     nodes = lo[:, :, None] + width[:, :, None] * x01[None, None, :]
     vals = k1.density(p[:, None, None], nodes) * k2.density(nodes, p[None, :, None])
@@ -732,3 +768,142 @@ class TestSweepNeverPassesVacuously:
 
         rep = self._factorization(KernelDensity(density=density, sampler=base.sampler), setting)
         assert rep.to_dict() == self._factorization(base, setting).to_dict()
+
+
+def _cpus(monkeypatch, count):
+    """Lets the grid passes see ``count`` CPUs, so they split into that many ranges."""
+    monkeypatch.setattr(ck.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestSplitRows:
+    """The grid passes split their rows over threads.  Every report, witness
+    and composition of a split run is the one-range run's, bit for bit."""
+
+    @staticmethod
+    def _battery(name, points):
+        gp, bp = ck.GaussianPcaParams(3.0, 1.0), ck.BetaPcaParams(2.5, 0.7, 0.3, 2.0)
+        if name == "beta":
+            return (ck.beta_kernel_density(bp), ck.beta_candidate_hzmc(bp), None,
+                    ck.default_beta_grid(bp, points))
+        family = ck.gaussian_diag_kernel_density(gp) if name == "gaussian_diag" else None
+        # "atom" sweeps the diagonal-atom kernel itself, whose a == b entries are skipped
+        base = (ck.gaussian_diag_kernel_density if name == "atom" else ck.gaussian_kernel_density)
+        return (tilted(base(gp), 0.2), ck.gaussian_invariant_hzmc(gp), family,
+                ck.default_gaussian_grid(gp, points))
+
+    @staticmethod
+    def _run(kernel, hz, family, grid):
+        reports = ck.quadrature_check_conditions(kernel, hz, grid, family_kernel=family)
+        compose = ck.compose_kernels(hz.d, hz.u, grid)
+        positive = ck.GridKernel(kernel, grid).mu_positive
+        return ([(r.condition, r.residual.hex(), r.to_dict()) for r in reports],
+                compose.tobytes(), positive)
+
+    @pytest.mark.parametrize("name", ["gaussian", "gaussian_diag", "atom", "beta"])
+    @pytest.mark.parametrize("points", [65, 100])
+    def test_split_run_equals_one_range_run(self, monkeypatch, name, points):
+        case = self._battery(name, points)
+        _cpus(monkeypatch, 1)
+        one = self._run(*case)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # threads swap often: a lost row write would show
+        try:
+            # at 100 points, 40 ranges cut the sweep's and the Beta compositions' rows
+            for count in (2, 3, 7, 40):
+                _cpus(monkeypatch, count)
+                assert self._run(*case) == one, count
+                assert threading.active_count() == threads
+        finally:
+            sys.setswitchinterval(interval)
+        assert one[0][0][2]["witnesses"]["argmax"] is not None
+        assert np.isfinite(float.fromhex(one[0][0][1]))
+
+    @pytest.mark.parametrize("lo,hi,n,inner,budget", [
+        (0, 257, 257, 257, 1 << 16), (3, 200, 257, 257, 1 << 15), (5, 9, 257, 64, 1 << 16),
+        (1020, 1025, 1025, 1025, 1 << 12), (2, 7, 100, 1, 10), (0, 5, 5, 5, 1)])
+    def test_blocks_cover_the_rows_in_c_order(self, lo, hi, n, inner, budget):
+        blocks = ck._pair_blocks(lo, hi, n, inner, budget)
+        pairs = np.arange(n * n).reshape(n, n)
+        assert np.array_equal(np.concatenate([pairs[blk].ravel() for blk in blocks]),
+                              np.arange(lo * n, hi * n))
+        sizes = [np.prod(ck._extent(blk)) for blk in blocks]
+        assert sizes[0] == max(sizes)
+        assert sizes[0] * inner <= max(1.5 * budget, inner)
+
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(ck.os, "sched_getaffinity", raising=False)
+        for count, starts in [(3, [0, 3, 6]), (None, [0])]:
+            monkeypatch.setattr(ck.os, "cpu_count", lambda: count)
+            ranges = ck._split_rows(10, 1, lambda blocks: blocks)
+            assert [blocks[0][0].start for blocks in ranges] == starts
+
+    def test_battery_memory_does_not_grow_with_cpus(self, monkeypatch, gauss31, gauss_grid):
+        # the 257-point batteries under the same bound, with 16 ranges sharing the blocks
+        _cpus(monkeypatch, 16)
+        TestBlockedSweep().test_battery_memory_stays_in_blocks(gauss31, gauss_grid)
+
+    @pytest.mark.parametrize("first,second", [(np.inf, np.nan), (np.nan, np.inf),
+                                              (np.inf, np.inf), (np.nan, np.nan)])
+    def test_first_range_wins_a_tie(self, monkeypatch, gauss31, first, second):
+        grid = ck.default_gaussian_grid(gauss31, 64)
+        p = grid.points
+        base = ck.gaussian_kernel_density(gauss31)
+        # one bad entry each side of the boundary between the two ranges (row 32)
+        holes = [((30, 5, 7), first), ((33, 2, 1), second)]
+
+        def density(a, b, c):
+            out = base.density(a, b, c)
+            for (i, j, k), value in holes:
+                out = np.where((a == p[i]) & (b == p[j]) & (c == p[k]), value, out)
+            return out
+
+        kernel = KernelDensity(density=density, sampler=base.sampler)
+        hz = ck.gaussian_invariant_hzmc(gauss31)
+        runs = []
+        for count in (1, 2):
+            _cpus(monkeypatch, count)
+            runs.append(ck.quadrature_check_conditions(kernel, hz, grid)[0].to_dict())
+        assert runs[0] == runs[1]
+        assert runs[1]["residual"] == np.inf
+        assert runs[1]["witnesses"]["argmax"] == (30, 5, 7)
+
+    def test_error_in_the_second_range_reaches_the_caller(self, monkeypatch, gauss31):
+        grid = ck.default_gaussian_grid(gauss31, 64)
+        base = ck.gaussian_kernel_density(gauss31)
+        edge = grid.points[32]
+
+        def density(a, b, c):
+            if np.any(np.asarray(a) >= edge):
+                raise ValueError("second range")
+            return base.density(a, b, c)
+
+        kernel = KernelDensity(density=density, sampler=base.sampler)
+        _cpus(monkeypatch, 2)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="second range"):
+            ck.quadrature_check_conditions(kernel, ck.gaussian_invariant_hzmc(gauss31), grid)
+        with pytest.raises(ValueError, match="second range"):
+            ck.GridKernel(kernel, grid).mu_positive
+        assert threading.active_count() == threads
+
+    def test_nan_made_in_a_thread_warns_nothing(self, monkeypatch, gauss31):
+        grid = ck.default_gaussian_grid(gauss31, 64)
+        base = ck.gaussian_kernel_density(gauss31)
+
+        def density(a, b, c):
+            # inf - inf, an invalid operation, makes NaN at c == a in every range's rows
+            atom = np.where(c == a, np.inf, 0.0)
+            return base.density(a, b, c) + (atom - atom)
+
+        kernel = KernelDensity(density=density, sampler=base.sampler)
+        _cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = ck.quadrature_check_conditions(kernel, ck.gaussian_invariant_hzmc(gauss31),
+                                                 grid)[0]
+            # a pass that sets no error state of its own runs under the caller's
+            with np.errstate(invalid="ignore"):
+                positive = ck.GridKernel(kernel, grid).mu_positive
+        assert rep.residual == np.inf and not rep.passed
+        assert not positive

@@ -7,8 +7,9 @@ from hypothesis import strategies as hst
 
 from zigzag_pca.core_types import (MAX_GRID_POINTS, CheckReport, ChzmcSpec,
                                    GridMeasure, HzmcSpec, TransitionTensor, decode_array, encode_array,
-                                   gauss_legendre_grid, load_model, normalize_rows,
-                                   parse_model, save_model, sup_residual, ModelFormatError)
+                                   gauss_legendre_grid, gauss_legendre_rule, load_model,
+                                   normalize_rows, parse_model, save_model, sup_residual,
+                                   ModelFormatError)
 from conftest import trapezoid_grid
 
 
@@ -74,6 +75,42 @@ class TestGrids:
         g = gauss_legendre_grid(1.0, 5)
         with pytest.raises(ValueError):
             g.points[0] = 42.0
+
+
+class TestGaussLegendreRule:
+    """The grids' own rule: Newton on the Legendre recurrence, no LAPACK."""
+
+    SIZES = [2, 3, 5, 64, 257, 1025]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_nodes_symmetric_ascending_weights_positive(self, n):
+        x, w = gauss_legendre_rule(n)
+        assert x.shape == w.shape == (n,)
+        assert np.array_equal(x, -x[::-1]) and np.all(np.diff(x) > 0)
+        assert np.all(w > 0) and np.array_equal(w, w[::-1])
+        assert w.sum() == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 5, 64, 257, 1025])
+    def test_even_monomials_exact_to_degree_2n_minus_1(self, n):
+        # x^(2j) for 2j <= 2n - 1; numpy's leggauss misses this by 8e-12 at 257 points
+        x, w = gauss_legendre_rule(n)
+        j = np.arange(n)
+        got = (w * x[None, :] ** (2 * j[:, None])).sum(axis=1)
+        assert np.allclose(got, 2.0 / (2 * j + 1), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 100, 129, 256, 257])
+    def test_nodes_match_numpy_leggauss(self, n):
+        assert np.abs(gauss_legendre_rule(n)[0]
+                      - np.polynomial.legendre.leggauss(n)[0]).max() <= 2.2e-16
+
+    def test_converges_at_every_supported_size(self):
+        # a sample of the sizes up to MAX_GRID_POINTS (all 1024 take 6.5 s):
+        # each returns within its ten Newton steps, on numpy's nodes
+        for n in [*range(2, 130), *range(130, MAX_GRID_POINTS - 2, 29),
+                  MAX_GRID_POINTS - 1, MAX_GRID_POINTS]:
+            x, w = gauss_legendre_rule(n)
+            assert np.abs(x - np.polynomial.legendre.leggauss(n)[0]).max() <= 2.2e-16, n
+            assert w.sum() == pytest.approx(2.0, rel=1e-14), n
 
 
 class TestTransitionTensor:

@@ -1,4 +1,4 @@
-"""Start-up loads numpy and nothing heavier.
+"""Start-up loads numpy and nothing heavier: no scipy and no thread pool.
 
 ``scipy.special`` is imported where a continuous kernel first calls it: by
 the samplers and by the Beta and Gamma normalizers.  The finite commands,
@@ -52,6 +52,17 @@ def _fresh(commands):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     return json.loads(proc.stdout)
+
+
+def test_import_loads_no_thread_pool():
+    """The grid passes import their thread pool where they first split rows."""
+    src = os.path.dirname(os.path.dirname(zigzag_pca.__file__))
+    code = ("import sys, zigzag_pca, zigzag_pca.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _here(argv):
