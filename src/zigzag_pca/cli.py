@@ -50,10 +50,12 @@ class Family:
     ``params`` reads a family's kernel block (a finite model's parameters are
     its tensor): ``_read_params`` of the family's parameter class, or FPP's
     ``_fpp_rule``.  ``kernel`` is what simulate steps and ``battery`` the
-    kernel the condition battery runs on; where they differ, check also
-    probes that the two agree off a null set.  ``chain`` is what simulate
-    draws its first line from and the battery tests (check reports its
-    ``meta`` but the family name); ``init`` is the first line without one.
+    kernel the condition battery runs on; where they differ, ``override``
+    turns the battery's values into the kernel's (``ck.override_density``),
+    and check also probes that the two agree off a null set.  ``chain`` is
+    what simulate draws its first line from and the battery tests (check
+    reports its ``meta`` but the family name); ``init`` is the first line
+    without one.
     """
 
     kernel: Callable                    # parameters -> kernel or particle rule
@@ -61,6 +63,7 @@ class Family:
     battery: Callable | None = None     # parameters -> KernelDensity
     chain: Callable | None = None       # parameters -> HzmcSpec
     grid: Callable | None = None        # (parameters, points) -> default grid
+    override: Callable | None = None    # (a, b, c, battery values) -> ((i, j), rows)
     init: Callable | None = None        # (kernel block, parameters, width) -> line
 
 
@@ -70,7 +73,8 @@ _GAUSSIAN = dict(params=functools.partial(_read_params, ck.GaussianPcaParams),
 
 FAMILIES = {
     "gaussian": Family(kernel=ck.gaussian_kernel_density, **_GAUSSIAN),
-    "gaussian_diag": Family(kernel=ck.gaussian_diag_kernel_density, **_GAUSSIAN),
+    "gaussian_diag": Family(kernel=ck.gaussian_diag_kernel_density, override=ck.diagonal_atom,
+                            **_GAUSSIAN),
     "beta": Family(
         params=functools.partial(_read_params, ck.BetaPcaParams),
         kernel=ck.beta_kernel_density, battery=ck.beta_kernel_density,
@@ -236,14 +240,13 @@ def _verify_cycle(args, model, fam, tensor) -> int:
 def _grid_battery(args, model, fam: Family, params, hz: HzmcSpec, probe: bool = False):
     """Reports and grid of the quadrature battery on the chain ``hz``, on the model's grid
     with the command-line overrides on top.  With ``probe``, a family whose kernel is not
-    the battery's also gets the mu-equivalence report of the two."""
+    the battery's (it has an ``override``) also gets the mu-equivalence report of the two."""
     points = model["grid"]["points"] if args.grid_points is None else args.grid_points
     halfwidth = model["grid"]["halfwidth"] if args.grid_halfwidth is None else args.grid_halfwidth
     grid = (fam.grid(params, points) if halfwidth is None
             else gauss_legendre_grid(halfwidth, points))
-    kernel = fam.kernel(params) if probe and fam.kernel is not fam.battery else None
     reports = list(ck.quadrature_check_conditions(fam.battery(params), hz, grid, tol=args.tol,
-                                                  family_kernel=kernel))
+                                                  override=fam.override if probe else None))
     return reports, grid
 
 

@@ -207,22 +207,59 @@ def gaussian_kernel_density(params: GaussianPcaParams) -> KernelDensity:
     return KernelDensity(density=density, sampler=sampler)
 
 
+def _at(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The rows along the last axis of the three-axis array x, at the pairs
+    (i, j) of its first two axes, where x is broadcast along them."""
+    return x[i if x.shape[0] > 1 else 0, j if x.shape[1] > 1 else 0]
+
+
+def diagonal_atom(a, b, c, t):
+    """``gaussian_diag``'s override of a kernel's values t on a block of
+    triples (see ``override_density``): the pairs it rewrites, those with
+    a == b, and their rows of values, +inf at c == a and 0 elsewhere: the
+    child copies the common value, and the +inf lets probes see where the
+    two kernels disagree."""
+    i, j, _ = np.nonzero(a == b)
+    return (i, j), np.where(_at(c, i, j) == _at(a, i, j), np.inf, 0.0)
+
+
+def override_density(density, override):
+    """``density`` with ``override``'s values written over its own.
+
+    An override takes a block of triples, a, b and c broadcasting to the
+    shape (rows, cols, K) of the values t there, a and b constant along the
+    last axis, and returns the index (i, j) of the pairs whose rows
+    t[i, j] it replaces, each pair once, and values that broadcast to those
+    rows.  A call whose arguments do not come in that form is read as one
+    block whose pairs each hold one triple.  ``density``'s array may be
+    overwritten.
+    """
+    def overridden(a, b, c):
+        t = np.asarray(density(a, b, c))
+        a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+        if t.ndim == a.ndim == b.ndim == 3 and a.shape[2] == b.shape[2] == 1:
+            block = t
+        else:
+            block = t.reshape(-1, 1, 1)
+            a, b, c = (np.broadcast_to(x, t.shape).reshape(-1, 1, 1) for x in (a, b, c))
+        (i, j), values = override(a, b, c, block)
+        block[i, j] = values
+        out = block.reshape(t.shape)
+        return out if out.ndim else out[()]
+
+    return overridden
+
+
 def gaussian_diag_kernel_density(params: GaussianPcaParams) -> KernelDensity:
     """Gaussian kernel overridden to a point mass on coinciding neighbors.
 
-    Off the diagonal this is exactly the Gaussian kernel; on it, the child
-    copies the common value.  The density reports +inf at the copied point
-    so that probes can see where the two kernels disagree.
+    Its density is the Gaussian's with ``diagonal_atom`` applied: off the
+    diagonal a == b it is the Gaussian kernel's value bit for bit; on it,
+    the child copies the common value.  The condition battery runs on the
+    Gaussian and reads the override alone (``_cond_residuals``).
     """
     base = gaussian_kernel_density(params)
-
-    def density(a, b, c):
-        a = np.asarray(a, dtype=float)
-        out = np.asarray(base.density(a, b, c))
-        # the atom's values take the shape of (a, c) and the mask that of (a, b):
-        # on the n^3 grid triples neither is as large as ``out``
-        np.copyto(out, np.where(np.asarray(c) == a, np.inf, 0.0), where=a == b)
-        return out if out.ndim else out[()]
+    density = override_density(base.density, diagonal_atom)
 
     def sampler(a, b, u):
         a = np.asarray(a, dtype=float)
@@ -598,19 +635,22 @@ def _mark_differing(ta: np.ndarray, tb: np.ndarray, buf: np.ndarray, out: np.nda
     np.logical_not(buf.max(axis=2) <= thresh, out=out)
 
 
-def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
-                    family_kernel: KernelDensity | None = None):
+def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure, override=None):
     """Factorization, commutation and stationarity residuals with their argmax
-    witnesses (``sup_residual``), and the (a, b) pairs where ``family_kernel``
-    differs from ``kernel`` (None without one).
+    witnesses (``sup_residual``), and the (a, b) pairs where ``override`` (see
+    ``override_density``) changes ``kernel`` by more than _MU_THRESH, or to or
+    from NaN (None without one).
 
     The factorization sweep t(a,b;c) du(a;b) = d(a;c) u(c;b) walks the n^3
     triples in blocks, its rows split over threads (_split_rows), and
-    evaluates the battery kernel once per triple, and ``family_kernel`` once
-    more.  It skips the neighbor diagonal a == b
-    whatever its values.  The residual and argmax of the split sweep are
-    those of one pass in row order: the ranges' results are taken in row
-    order, and the first of equal residuals wins.
+    evaluates ``kernel`` once per triple.  The override reads each block's t
+    and returns the pairs whose rows it replaces, and only those rows are
+    compared: off them the overridden kernel's value is t by construction.
+    The override runs in the threads, so it must call no function that
+    ``perfbench/tracing.py`` wraps.  The sweep skips the neighbor diagonal
+    a == b whatever its values.  The residual and argmax of the split sweep
+    are those of one pass in row order: the ranges' results are taken in
+    row order, and the first of equal residuals wins.
     """
     p = grid.points
     n = p.size
@@ -619,7 +659,7 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
     ud = compose_kernels(u, d, grid)
     d_mat = _eval_markov(d, p, p)
     u_t = np.ascontiguousarray(_eval_markov(u, p, p).T)     # u_t[b, c] = u(c; b)
-    differs = None if family_kernel is None else np.zeros((n, n), dtype=bool)
+    differs = None if override is None else np.zeros((n, n), dtype=bool)
 
     def sweep_rows(blocks):
         start, stop = blocks[0][0].start, blocks[-1][0].stop
@@ -631,9 +671,10 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
                 nr, nc = _extent((rows, cols))
                 abc = _triples(p, rows, cols)
                 t = kernel.density(*abc)
-                if differs is not None:
-                    _mark_differing(family_kernel.density(*abc), t, rhs_buf[:nr, :nc],
-                                    differs[rows, cols], _MU_THRESH)
+                if override is not None:
+                    (i, j), values = override(*abc, t)
+                    gap = np.abs(values - t[i, j])
+                    differs[rows, cols][i, j] = ~(gap.max(axis=1) <= _MU_THRESH)     # NaN too
                 diff = np.multiply(t, du[rows, cols, None], out=lhs_buf[:nr, :nc])
                 diff -= np.multiply(d_mat[rows, None, :], u_t[cols], out=rhs_buf[:nr, :nc])
                 np.abs(diff, out=diff)
@@ -652,17 +693,19 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
 
 
 def quadrature_check_conditions(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure,
-                                tol: float = QUAD_TOL, family_kernel: KernelDensity | None = None):
+                                tol: float = QUAD_TOL, override=None):
     """Factorization, commutation and stationarity residuals on the grid.
 
     The factorization sweep skips the exact neighbor diagonal a == b, a null
     set under the line measure where atom-carrying kernels are allowed to
     disagree; a NaN anywhere else makes its residual inf.  Given the
-    ``family_kernel`` that a family steps where it differs from the battery's
-    ``kernel``, a fourth report, mu-equivalence (see mu_equivalence_probe),
-    compares the two on the sweep's own blocks.
+    ``override`` that turns the battery's ``kernel`` into the kernel a family
+    steps (see ``override_density``), a fourth report, mu-equivalence (see
+    mu_equivalence_probe), compares the two on the sweep's own blocks, at
+    the entries the override writes; where ``kernel`` is finite, that is
+    the probe's report on the two kernels.
     """
-    (r1, w1), (r2, w2), (r3, w3), differs = _cond_residuals(kernel, hzmc, grid, family_kernel)
+    (r1, w1), (r2, w2), (r3, w3), differs = _cond_residuals(kernel, hzmc, grid, override)
     reports = (
         CheckReport("factorization", r1, tol, witnesses={"argmax": w1}),
         CheckReport("commutation", r2, tol, witnesses={"argmax": w2}),

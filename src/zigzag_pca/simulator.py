@@ -127,34 +127,51 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum < u[:, None]).sum(axis=1)
 
 
+_LINE_CHUNK = 1 << 16      # noise cells a line sampler holds at once
+
+
 def sample_hzmc_lines(hzmc: HzmcSpec, length: int, n_chains: int, seed: int) -> np.ndarray:
     """Zigzag samples (x0, y0, x1, y1, ...) as an (n_chains, length) array.
 
     Finite chains return state indices; continuous chains return reals.
     """
     # row i drives position i: the same stream, in the same order, as one
-    # draw of n_chains uniforms per position.  A finite step reads its uniform
-    # as it is; a continuous leg maps all its rows to noise in one call.
-    noise = _line_rng(seed).random((length, n_chains))
+    # draw of n_chains uniforms per position.  The rows come in chunks of
+    # about _LINE_CHUNK uniforms, each chain's state carried from one chunk
+    # to the next.  A finite step reads its uniform as it is; a continuous
+    # leg maps a chunk's rows to noise in one call.
+    rng = _line_rng(seed)
     if hzmc.is_finite:
-        first = _inverse_cdf(np.cumsum(hzmc.rho0), noise[0])
+        first = _inverse_cdf(np.cumsum(hzmc.rho0), rng.random(n_chains))
         # a cumulative row never decreases: bisect_left counts its entries below u
         cum_d, cum_u = (np.cumsum(m, axis=1).tolist() for m in (hzmc.d, hzmc.u))
         legs = (lambda x, u: bisect_left(cum_d[x], u), lambda x, u: bisect_left(cum_u[x], u))
+        carry = int
     else:
-        first = hzmc.rho0.sampler(noise[0])
+        first = hzmc.rho0.sampler(rng.random(n_chains))
         legs = (hzmc.d.step, hzmc.u.step)
-        noise[1::2], noise[2::2] = hzmc.d.noise(noise[1::2]), hzmc.u.noise(noise[2::2])
+        carry = float
 
-    def walk(x, innovations):
-        yield x
-        for step, e in zip(cycle(legs), innovations):
+    def walk(x, innovations, order):
+        for step, e in zip(cycle(order), innovations):
             x = step(x, e)
             yield x
 
     out = np.empty((n_chains, length))
-    for c, x in enumerate(first.tolist()):
-        out[c] = np.fromiter(walk(x, noise[1:, c].tolist()), float, length)
+    out[:, 0] = first
+    xs = first.tolist()
+    rows = max(1, _LINE_CHUNK // n_chains)
+    for lo in range(1, length, rows):
+        hi = min(lo + rows, length)
+        noise = rng.random((hi - lo, n_chains))
+        down = 1 - lo % 2           # the chunk's first row of the down leg
+        if not hzmc.is_finite:
+            noise[down::2], noise[1 - down::2] = (hzmc.d.noise(noise[down::2]),
+                                                  hzmc.u.noise(noise[1 - down::2]))
+        order = legs if down == 0 else legs[::-1]
+        for c, x in enumerate(xs):
+            out[c, lo:hi] = np.fromiter(walk(x, noise[:, c].tolist(), order), float, hi - lo)
+        xs = [carry(x) for x in out[:, hi - 1].tolist()]
     return out
 
 

@@ -113,6 +113,26 @@ class TestCheck:
             "factorization", "commutation", "stationarity", "mu-equivalence"]
         assert doc["reports"][3]["witnesses"]["differing_pairs"] == 129
 
+    def test_gaussian_diag_check_evaluates_each_triple_once(self, tmp_path, monkeypatch, capsys):
+        # the probe reads the battery's own blocks: no second normal density per triple
+        triples = {}
+        pdf = ck._norm_pdf
+
+        def counted(x, mean, std):
+            out = pdf(x, mean, std)
+            if np.ndim(out) == 3:       # the sweep's blocks; the chain's kernels are matrices
+                triples[family] += np.size(out)
+            return out
+
+        monkeypatch.setattr(ck, "_norm_pdf", counted)
+        for family in ("gaussian", "gaussian_diag"):
+            path = tmp_path / f"{family}.json"
+            save_model(path, {"family": family, "m": 3, "sigma": 1}, "N", {"points": 33})
+            triples[family] = 0
+            assert run_main("check", "--model", path) == 0
+        capsys.readouterr()
+        assert triples == {"gaussian": 33 ** 3, "gaussian_diag": 33 ** 3}
+
     def test_passing_condition_reports_name_no_witness(self, files, capsys):
         assert run_main("check", "--model", files["two_letter"]) == 0
         reports = {r["condition"]: r for r in json.loads(capsys.readouterr().out)["reports"]}

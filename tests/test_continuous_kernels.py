@@ -602,6 +602,29 @@ class TestMuEquivalence:
         assert rep.passed
         assert rep.witnesses["differing_pairs"] == 0
 
+    def test_diag_density_is_the_gaussian_with_the_override(self, gauss31):
+        grid = ck.default_gaussian_grid(gauss31, 33)
+        p, i = grid.points, np.arange(33)
+        want = ck.gaussian_kernel_density(gauss31).density(*_full_triples(grid))
+        want[i, i] = np.where(p[None, :] == p[:, None], np.inf, 0.0)     # row a: the atom at c == a
+        got = ck.gaussian_diag_kernel_density(gauss31).density(*_full_triples(grid))
+        assert got.tobytes() == want.tobytes()
+
+    def test_nan_rows_of_the_override_differ(self, gauss31):
+        grid = ck.default_gaussian_grid(gauss31, 65)
+        base, hz = ck.gaussian_kernel_density(gauss31), ck.gaussian_invariant_hzmc(gauss31)
+        far = (grid.points[3], grid.points[60])
+
+        def nan_pair(a, b, c, t):
+            i, j, _ = np.nonzero((a == far[0]) & (b == far[1]))
+            return (i, j), np.full((i.size, t.shape[2]), np.nan)
+
+        fused = ck.quadrature_check_conditions(base, hz, grid, override=nan_pair)[3]
+        family = KernelDensity(ck.override_density(base.density, nan_pair), base.sampler)
+        assert fused.to_dict() == ck.mu_equivalence_probe(family, base, grid).to_dict()
+        assert not fused.passed
+        assert fused.witnesses["differing_pairs"] == fused.witnesses["off_band_pairs"] == 1
+
     def test_different_means_not_equivalent(self, gauss31):
         grid = ck.default_gaussian_grid(gauss31, 97)
         rep = ck.mu_equivalence_probe(
@@ -666,6 +689,15 @@ def tilted(kernel, eps):
     return KernelDensity(density=density, sampler=kernel.sampler)
 
 
+def off_band(a, b, c, t):
+    """``diagonal_atom``, and twice the values t on the pairs with a < -1 and
+    b > 1: an override that also rewrites a set of positive mass off the band."""
+    (i, j), atom = ck.diagonal_atom(a, b, c, t)
+    k, m, _ = np.nonzero((a < -1.0) & (b > 1.0))
+    rows = np.broadcast_to(atom, (i.size, t.shape[2]))
+    return (np.concatenate([i, k]), np.concatenate([j, m])), np.concatenate([rows, 2.0 * t[k, m]])
+
+
 class TestBlockedSweep:
     """The blocked passes against literal full-tensor numpy, bitwise.  At 100
     points the blocks (6 rows of the triple sweep) do not divide the grid;
@@ -699,7 +731,7 @@ class TestBlockedSweep:
         grid = ck.default_gaussian_grid(gauss31, 100)
         base, diag = ck.gaussian_kernel_density(gauss31), ck.gaussian_diag_kernel_density(gauss31)
         hz = ck.gaussian_invariant_hzmc(gauss31)
-        fused = ck.quadrature_check_conditions(base, hz, grid, family_kernel=diag)
+        fused = ck.quadrature_check_conditions(base, hz, grid, override=ck.diagonal_atom)
         separate = (ck.quadrature_check_conditions(base, hz, grid)
                     + (ck.mu_equivalence_probe(diag, base, grid),))
         assert [r.to_dict() for r in fused] == [r.to_dict() for r in separate]
@@ -785,26 +817,32 @@ class TestSplitRows:
         if name == "beta":
             return (ck.beta_kernel_density(bp), ck.beta_candidate_hzmc(bp), None,
                     ck.default_beta_grid(bp, points))
-        family = ck.gaussian_diag_kernel_density(gp) if name == "gaussian_diag" else None
+        override = {"gaussian_diag": ck.diagonal_atom, "off_band": off_band}.get(name)
         # "atom" sweeps the diagonal-atom kernel itself, whose a == b entries are skipped
         base = (ck.gaussian_diag_kernel_density if name == "atom" else ck.gaussian_kernel_density)
-        return (tilted(base(gp), 0.2), ck.gaussian_invariant_hzmc(gp), family,
+        return (tilted(base(gp), 0.2), ck.gaussian_invariant_hzmc(gp), override,
                 ck.default_gaussian_grid(gp, points))
 
     @staticmethod
-    def _run(kernel, hz, family, grid):
-        reports = ck.quadrature_check_conditions(kernel, hz, grid, family_kernel=family)
+    def _run(kernel, hz, override, grid):
+        reports = ck.quadrature_check_conditions(kernel, hz, grid, override=override)
         compose = ck.compose_kernels(hz.d, hz.u, grid)
         positive = ck.GridKernel(kernel, grid).mu_positive
         return ([(r.condition, r.residual.hex(), r.to_dict()) for r in reports],
                 compose.tobytes(), positive)
 
-    @pytest.mark.parametrize("name", ["gaussian", "gaussian_diag", "atom", "beta"])
+    @pytest.mark.parametrize("name", ["gaussian", "gaussian_diag", "off_band", "atom", "beta"])
     @pytest.mark.parametrize("points", [65, 100])
     def test_split_run_equals_one_range_run(self, monkeypatch, name, points):
         case = self._battery(name, points)
         _cpus(monkeypatch, 1)
         one = self._run(*case)
+        kernel, _, override, grid = case
+        if override is not None:
+            # the fused report is the stand-alone probe's on the overridden kernel
+            family = KernelDensity(ck.override_density(kernel.density, override), kernel.sampler)
+            assert one[0][3][2] == ck.mu_equivalence_probe(family, kernel, grid).to_dict()
+            assert one[0][3][2]["passed"] == (name == "gaussian_diag")
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)     # threads swap often: a lost row write would show

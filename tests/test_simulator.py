@@ -106,6 +106,28 @@ class TestLineSamplerStream:
             assert got.shape == (n_chains, length)
             assert got.tobytes() == per_step_lines(hz, length, n_chains, seed=23).tobytes()
 
+    @pytest.mark.parametrize("n_chains", [1, 3])
+    @pytest.mark.parametrize("kind", _STREAM_SPECS)
+    def test_chunks_carry_each_chain(self, monkeypatch, kind, n_chains):
+        # chunks of 7 rows (1 chain) or 2 rows (3 chains) start on both legs
+        monkeypatch.setattr(sim, "_LINE_CHUNK", 7)
+        hz = _STREAM_SPECS[kind]()
+        for length in (8, 9, 40):
+            got = sim.sample_hzmc_lines(hz, length, n_chains, seed=29)
+            assert got.tobytes() == per_step_lines(hz, length, n_chains, seed=29).tobytes()
+
+    def test_memory_stays_near_the_output(self):
+        # a million-cell line holds the line, one chunk of noise and its walk
+        hz = _STREAM_SPECS["gaussian"]()
+        sim.sample_hzmc_lines(hz, 3, 1, seed=1)       # loads scipy outside the trace
+        tracemalloc.start()
+        try:
+            line = sim.sample_hzmc_lines(hz, 1_000_001, 1, seed=31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * line.nbytes + 8 * sim._LINE_CHUNK
+
     def test_one_noise_call_per_leg(self):
         hz = _STREAM_SPECS["beta"]()
         calls = {"d": 0, "u": 0}

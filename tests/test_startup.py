@@ -2,8 +2,8 @@
 
 ``scipy.special`` is imported where a continuous kernel first calls it: by
 the samplers and by the Beta and Gamma normalizers.  The finite commands,
-``report``, ``--help`` and the Gaussian ``check`` and ``solve`` never load
-it.  Each test runs the CLI in a fresh interpreter, because this one has
+``report``, ``--help``, the Gaussian ``check`` and ``solve`` and the
+``gaussian_diag`` ``check`` never load it.  Each test runs the CLI in a fresh interpreter, because this one has
 imported scipy already; the commands that do load scipy must print and
 write the same bytes there as here.
 """
@@ -79,10 +79,13 @@ def _digests(paths):
 @pytest.fixture(scope="module")
 def models(tmp_path_factory):
     root = tmp_path_factory.mktemp("startup")
-    paths = {name: root / f"{name}.json" for name in ("half", "cycle", "gauss", "beta", "fpp")}
+    paths = {name: root / f"{name}.json"
+             for name in ("half", "cycle", "gauss", "gdiag", "beta", "fpp")}
     save_model(paths["half"], fs.make_factorized_tensor(3, 11)[0], "N")
     save_model(paths["cycle"], fs.make_factorized_tensor(2, 13)[0], {"cycle": 3})
     save_model(paths["gauss"], {"family": "gaussian", "m": 3, "sigma": 1}, "N", {"points": 129})
+    save_model(paths["gdiag"], {"family": "gaussian_diag", "m": 3, "sigma": 1}, "N",
+               {"points": 33})
     save_model(paths["beta"], {"family": "beta", "alpha": 1, "beta": 1, "m": 1, "theta": 1}, "N",
                {"points": 17, "halfwidth": 6.0})
     save_model(paths["fpp"], {"family": "fpp", "weight_family": "gamma",
@@ -106,6 +109,7 @@ def test_finite_and_gaussian_decisions_load_no_scipy(models):
                  ["report", "--in", report],
                  ["--help"],
                  ["check", "--model", str(models["gauss"])],
+                 ["check", "--model", str(models["gdiag"])],
                  ["solve", "--model", str(models["gauss"]), "--out", str(root / "gauss.spec.json")]]
     results = _fresh(commands)
     assert len(results) == len(commands)
