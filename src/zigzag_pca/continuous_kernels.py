@@ -485,6 +485,13 @@ def _extent(block: tuple) -> tuple[int, int]:
     return rows.stop - rows.start, cols.stop - cols.start
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may use: its affinity set where the system reports
+    one (Linux), else ``os.cpu_count()``, else 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _split_rows(n: int, inner: int, run) -> list:
     """The results, in row order, of ``run(blocks)`` on k contiguous ranges of
     rows that cover range(n), one thread per range, where k = min(CPUs this
@@ -502,9 +509,8 @@ def _split_rows(n: int, inner: int, run) -> list:
     function that ``perfbench/tracing.py`` wraps: its span stack is one per
     process.
     """
-    from concurrent.futures import ThreadPoolExecutor     # only the grid passes start threads
-    affinity = getattr(os, "sched_getaffinity", None)     # Linux only
-    k = min(len(affinity(0)) if affinity else os.cpu_count() or 1, n)
+    from concurrent.futures import ThreadPoolExecutor     # imported at first use
+    k = min(_usable_cpus(), n)
     budget = min(_BLOCK, 2 * _BLOCK // k)
     err = np.geterr()
 

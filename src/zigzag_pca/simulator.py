@@ -21,7 +21,7 @@ from itertools import cycle
 
 import numpy as np
 
-from .continuous_kernels import _special
+from .continuous_kernels import _special, _usable_cpus
 from .core_types import HzmcSpec, SpaceTimeDiagram, TransitionTensor
 
 
@@ -203,15 +203,24 @@ DIAGRAM_MAGIC = b"ZPD1"
 # blocks of cells across rows.  A cell of 1e-4 <= |v| < 1e16 prints in fixed
 # notation from its exponent X and 17-digit significand
 # D = round-half-even(|v| * 10**(16 - X)).  The digits of D, as the 20 chars
-# "000" + D in 4-char words, go twice into a per-cell template of 13 words:
+# "000" + D in five 4-char words, go twice into a per-cell template of 13 words:
 #   [3 unused, sign] [digits] ['.', 3 unused] [digits] [separator, 3 unused]
 # A row of _MASK, chosen by (X, significant digits, sign), keeps the integer
 # digits from the first copy and the fraction digits from the second; the
-# "000" pad supplies the zeros of "0.000ddd".  A block of whole numbers in
-# [0, 1e4) uses a 2-word template [4 digits] [separator].  Every other cell
-# (zero, exponent notation, subnormals, infinities) keeps only its separator,
-# and Python's text for it is spliced in before it.
-_CSV_BLOCK = 4096          # cells per block: each float temporary stays at 32 KB
+# "000" pad supplies the zeros of "0.000ddd".  The templates are filled and
+# gathered in _CSV_GATHERS pieces of a block, so only a piece's are held.  A
+# block of whole numbers in [0, 1e4) uses a 2-word template [4 digits]
+# [separator].  Every other cell (zero, exponent notation, subnormals,
+# infinities) keeps only its separator, and Python's text for it is spliced
+# in before it.
+#
+# Where the process may use two CPUs or more, the caller and one worker
+# thread take alternate blocks, and the caller writes them in order, so at
+# most two blocks are in flight.  A float block peaks at about 80 bytes a
+# cell.  Smaller blocks, or more threads, lose to the GIL: every numpy call
+# holds it a while, and at 4096 cells two threads formatted slower than one.
+_CSV_BLOCK = 16384
+_CSV_GATHERS = 4
 _POW10 = 10.0 ** np.arange(23)                  # exact doubles
 # words ",", "\n" (the separators, by newline flag), "   -" and "."
 _SEP, _SIGN, _DOT = np.split(np.array([[44, 0, 0, 0], [10, 0, 0, 0], [0, 0, 0, 45], [46, 0, 0, 0]],
@@ -219,10 +228,12 @@ _SEP, _SIGN, _DOT = np.split(np.array([[44, 0, 0, 0], [10, 0, 0, 0], [0, 0, 0, 4
 
 
 def _split(x):
-    """Dekker's split: x = hi + lo exactly, each with at most 26 significant bits."""
-    c = 134217729.0 * x
-    hi = c - (c - x)
-    return hi, x - hi
+    """Dekker's split: x = hi + lo exactly, each with at most 26 significant
+    bits; lo takes the place of x."""
+    hi = 134217729.0 * x
+    t = hi - x
+    np.subtract(hi, t, out=hi)
+    return hi, np.subtract(x, hi, out=x)
 
 
 def _csv_tables():
@@ -250,53 +261,82 @@ def _csv_tables():
     mask = mask.reshape(-1, 52)
     # _INT_MASK[width] for the 2-word template of a whole number below 1e4
     int_mask = (pos[:8] >= 4 - np.arange(5)[:, None]) & (pos[:8] < 4) | (pos[:8] == 4)
-    return words, width, ends.ravel(), mask, mask.sum(axis=1), int_mask, int_mask.sum(axis=1)
+    return (words, width, ends.ravel(), mask, mask.sum(axis=1, dtype=np.uint8), int_mask,
+            int_mask.sum(axis=1, dtype=np.uint8))
 
 
 _WORD4, _WIDTH4, _ENDS, _MASK, _MASK_LEN, _INT_MASK, _INT_MASK_LEN = _csv_tables()
-_SPLIT10 = _split(_POW10)
+_SPLIT10 = _split(_POW10.copy())
 _GROUP = 10_000 * np.arange(5)
 
 
 def _significand(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """round-half-even(a * 10**(16 - x)) exactly, for a product in [2**53, 2**63):
-    hi is then an even integer and hi + lo the exact product (two-product)."""
-    p = 16 - x
-    scale, ph, pl = _POW10.take(p), _SPLIT10[0].take(p), _SPLIT10[1].take(p)
-    hi = a * scale
+    hi is then an even integer and hi + lo the exact product (two-product).
+    The terms of lo are summed in place, in the order of
+    ((ah ph - hi) + ah pl + al ph) + al pl.  a is overwritten."""
+    p = np.subtract(16, x, dtype=np.intp)
+    hi = _POW10.take(p)
+    hi *= a
+    ph, pl = _SPLIT10[0].take(p), _SPLIT10[1].take(p)
+    del p
     ah, al = _split(a)
-    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    lo = ah * ph
+    lo -= hi
+    ah *= pl
+    lo += ah
+    del ah
+    ph *= al
+    lo += ph
+    del ph
+    pl *= al
+    lo += pl
+    del pl, al
+    d = hi.astype(np.int64)
+    del hi
+    d += np.rint(lo, out=lo).astype(np.int64)
+    return d
 
 
 def _format_fixed(v: np.ndarray, words: np.ndarray):
-    """Fill the 13-word templates of cells v; returns the key of each cell
-    into _MASK and the indices of the cells left to Python."""
+    """Fill words[:, :5] with the digit words of cells v, "000" + D; returns
+    the key of each cell into _MASK and the indices of the cells left to
+    Python.  Each temporary goes after its last use, which keeps a block's
+    peak near 80 bytes a cell."""
     a = np.abs(v)
     fixed = (a >= 1e-4) & (a < 1e16)
-    a = np.where(fixed, a, 1.0)
-    x = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int64)
+    a[~fixed] = 1.0
+    x = np.log10(a)
+    x = np.clip(np.floor(x, out=x), -4, 15, out=x).astype(np.int16)
     d = _significand(a, x)
-    step = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
+    del a
+    step = (d >= 10 ** 17).view(np.int8) - (d < 10 ** 16)
     off = np.flatnonzero(step)
     if off.size:            # log10 fell on the wrong side of a power of ten
         x[off] = np.clip(x[off] + step[off], -4, 15)
-        d[off] = _significand(a[off], x[off])
-    fixed &= (d >= 10 ** 16) & (d < 10 ** 17)
-    # the groups of "000" + D: lead digit, then four groups of 4 digits
+        d[off] = dx = _significand(np.abs(v[off]), x[off])
+        fixed[off] &= (dx >= 10 ** 16) & (dx < 10 ** 17)       # the clip held x back
+    del step, off
+    # the groups of "000" + D: lead digit, then four groups of 4 digits.  The
+    # 9- and 8-digit halves of D, in rows 2 and 4, split together; then each
+    # split row loses 10**4 times its quotient, with d as scratch
     groups = np.empty((5, v.size), dtype=np.intp)
-    hi = d // 10 ** 8
-    groups[4] = d - hi * 10 ** 8
-    groups[0] = hi // 10 ** 8
-    groups[2] = hi - groups[0] * 10 ** 8
-    groups[1] = groups[2] // 10 ** 4
-    groups[2] -= groups[1] * 10 ** 4
-    groups[3] = groups[4] // 10 ** 4
-    groups[4] -= groups[3] * 10 ** 4
-    words[:, 1:6] = words[:, 7:12] = _WORD4.take(groups).T
-    nd = _ENDS.take(groups + _GROUP[:, None]).max(axis=0) - 3
-    key = np.where(fixed, ((x + 4) * 18 + nd) * 2 + np.signbit(v), 0)
-    return key, np.flatnonzero(~fixed)
+    np.floor_divide(d, 10 ** 8, out=groups[2])
+    np.subtract(d, np.multiply(groups[2], 10 ** 8, out=groups[4]), out=groups[4])
+    np.floor_divide(groups[2::2], 10 ** 4, out=groups[1::2])
+    np.floor_divide(groups[1], 10 ** 4, out=groups[0])
+    for q in (1, 3, 0):
+        groups[q + 1] -= np.multiply(groups[q], 10 ** 4, out=d)
+    del d
+    for g, row in enumerate(groups):
+        np.take(_WORD4, row, out=words[:, g], mode="clip")
+    groups += _GROUP[:, None]
+    nd = _ENDS.take(groups).max(axis=0) - 3
+    del groups
+    key = ((x + 4) * 18 + nd) * 2 + np.signbit(v)
+    left = ~fixed
+    key[left] = 0
+    return key, np.flatnonzero(left)
 
 
 def _row_ends(states: np.ndarray) -> np.ndarray:
@@ -312,58 +352,108 @@ def _row_ends(states: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _in_block(positions: np.ndarray, s: int) -> np.ndarray:
-    """The sorted flat positions that fall in the block starting at s, from s."""
-    lo, hi = np.searchsorted(positions, [s, s + _CSV_BLOCK])
+def _gather(words: np.ndarray, newline: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The bytes that the _MASK rows ``key`` keep of the cells' 13-word
+    templates, which their digit words and separators (by ``newline`` flag)
+    fill, _CSV_GATHERS pieces at a time."""
+    if key.size and (key.min() < 0 or key.max() >= len(_MASK)):
+        raise ValueError("CSV cell key outside the _MASK rows")     # "clip" would hide it
+    piece = -(-key.size // _CSV_GATHERS)
+    cells = np.empty((min(piece, key.size), 13), dtype=np.uint32)
+    cells[:, 0], cells[:, 6] = _SIGN, _DOT
+    mask = np.empty((len(cells), 52), dtype=bool)
+    texts = []
+    for lo in range(0, key.size, piece):
+        part, n = slice(lo, lo + piece), min(piece, key.size - lo)
+        cells[:n, 1:6] = cells[:n, 7:12] = words[part]
+        np.take(_SEP, newline[part], out=cells[:n, 12], mode="clip")
+        texts.append(cells[:n].view(np.uint8)[_MASK.take(key[part], axis=0, out=mask[:n],
+                                                         mode="clip")])
+    del cells, mask
+    return np.concatenate(texts)
+
+
+def _in_block(positions: np.ndarray, s: int, size: int) -> np.ndarray:
+    """The sorted flat positions that fall in the block [s, s + size), from s."""
+    lo, hi = np.searchsorted(positions, [s, s + size])
     return positions[lo:hi] - s
+
+
+def _format_block(block: np.ndarray, line_ends: np.ndarray, empty_rows: np.ndarray) -> list:
+    """The text of a block of cells, as the pieces to write in order;
+    ``line_ends`` and ``empty_rows`` are the block positions of the last
+    live cell of a row and of the start of a row with no live cell."""
+    at = np.flatnonzero(~np.isnan(block))
+    v = block[at]
+    newline = np.zeros(v.size, dtype=np.uint8)
+    newline[np.searchsorted(at, line_ends)] = 1
+    # text spliced in before a live cell: the line of a row with no live
+    # cell, and Python's text of a cell before its separator
+    splice = [(i, 0, b"\n") for i in np.searchsorted(at, empty_rows).tolist()]
+    del at
+    if not v.size or (v.min() >= 0 and v.max() < 10_000 and np.all(v == np.floor(v))
+                      and not np.signbit(v).any()):
+        n = v.astype(np.intp)
+        width = _WIDTH4.take(n)
+        out = np.stack([_WORD4.take(n), _SEP.take(newline)], axis=1).view(np.uint8)[
+            _INT_MASK.take(width, axis=0)]
+        length, key = _INT_MASK_LEN, width      # a cell's text is length[key] bytes
+    else:
+        words = np.empty((v.size, 5), dtype=np.uint32)
+        key, rest = _format_fixed(v, words)
+        splice += [(i, 1, format(v[i], ".17g").encode()) for i in rest.tolist()]
+        del v
+        out = _gather(words, newline, key)
+        length = _MASK_LEN
+    if not splice:
+        return [out]
+    starts = np.zeros(key.size + 1, dtype=np.intp)      # of each cell's text, and the end
+    np.cumsum(length.take(key), out=starts[1:])
+    pieces, done = [], 0
+    for i, _, text in sorted(splice):
+        cut = starts[i]
+        pieces += [out[done:cut], text]
+        done = cut
+    return pieces + [out[done:]]
 
 
 def write_diagram_csv(diagram: SpaceTimeDiagram, path) -> None:
     """One row per step, its live (non-NaN) cells comma separated, each
     written as ``format(v, ".17g")``; shrunk rows are shorter, and a row with
-    no live cell is an empty line."""
+    no live cell is an empty line.  The bytes do not depend on how many
+    threads format the blocks."""
     flat = diagram.states.reshape(-1)
     ends = _row_ends(diagram.states)
     row_ends = ends[ends >= 0]
     empty_rows = np.flatnonzero(ends < 0) * diagram.width
-    words = np.empty((_CSV_BLOCK, 13), dtype=np.uint32)
-    words[:, 0], words[:, 6] = _SIGN, _DOT
+    starts = range(0, max(flat.size, 1), _CSV_BLOCK)
+
+    def block(s):
+        return _format_block(flat[s:s + _CSV_BLOCK], _in_block(row_ends, s, _CSV_BLOCK),
+                             _in_block(empty_rows, s, _CSV_BLOCK))
+
     with open(path, "wb") as fh:
-        for s in range(0, max(flat.size, 1), _CSV_BLOCK):
-            block = flat[s:s + _CSV_BLOCK]
-            at = np.flatnonzero(~np.isnan(block))
-            v = block[at]
-            newline = np.zeros(block.size, dtype=bool)
-            newline[_in_block(row_ends, s)] = True
-            sep = _SEP[newline[at].view(np.uint8)]
-            rest = ()
-            if np.all((v < 10_000) & (v == np.floor(v)) & ~np.signbit(v)):
-                n = v.astype(np.intp)
-                cells = np.stack([_WORD4.take(n), sep], axis=1)
-                width = _WIDTH4.take(n)
-                out = cells.view(np.uint8)[_INT_MASK.take(width, axis=0)]
-                lengths = _INT_MASK_LEN.take(width)
-            else:
-                cells = words[:v.size]
-                key, rest = _format_fixed(v, cells)
-                cells[:, 12] = sep
-                out = cells.view(np.uint8)[_MASK.take(key, axis=0)]
-                lengths = _MASK_LEN.take(key)
-            # text spliced in at block positions: the line of a row with no
-            # live cell, and Python's text of a cell before its separator
-            splice = [(p, b"\n") for p in _in_block(empty_rows, s)]
-            splice += [(at[i], format(v[i], ".17g").encode()) for i in rest]
-            if not splice:
-                fh.write(out)
-                continue
-            starts = np.append(np.cumsum(lengths) - lengths, out.size)
-            done = 0
-            for p, text in sorted(splice, key=lambda e: e[0]):
-                cut = starts[np.searchsorted(at, p)]
-                fh.write(out[done:cut])
-                fh.write(text)
-                done = cut
-            fh.write(out[done:])
+        if _usable_cpus() == 1 or len(starts) == 1:
+            for s in starts:
+                fh.writelines(block(s))
+            return
+        from concurrent.futures import ThreadPoolExecutor     # imported at first use
+        err = np.geterr()
+
+        def in_worker(s):       # a new thread does not inherit the caller's error state
+            with np.errstate(**err):
+                return block(s)
+
+        # the caller formats the even blocks, the worker the odd ones; each
+        # odd block is handed out as the even block before it starts, and
+        # its future dropped as the next is made.  An exception leaves the
+        # with block only after the worker has ended.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for i in range(0, len(starts), 2):
+                odd = pool.submit(in_worker, starts[i + 1]) if i + 1 < len(starts) else None
+                fh.writelines(block(starts[i]))
+                if odd:
+                    fh.writelines(odd.result())
 
 
 def write_diagram_binary(diagram: SpaceTimeDiagram, path) -> None:

@@ -12,10 +12,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 
 import pytest
 
 from zigzag_pca import finite_solver as fs
+from zigzag_pca import simulator as sim
 from zigzag_pca.cli import main
 from zigzag_pca.core_types import save_model
 
@@ -71,4 +73,14 @@ def _simulate(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_simulate_output_is_pinned(tmp_path, name):
+    assert _simulate(tmp_path, name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_output_does_not_depend_on_cpus(tmp_path, monkeypatch, name, cpus):
+    # a diagram of 41 x 160 cells is one block at the writer's block size:
+    # blocks of 512 cells split it over the caller and a worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(sim, "_CSV_BLOCK", 512)
     assert _simulate(tmp_path, name) == GOLDEN[name]

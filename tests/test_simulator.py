@@ -1,6 +1,10 @@
 import dataclasses
 import decimal
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -526,3 +530,121 @@ class TestCsvIsExact17g:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+
+def _cpus(monkeypatch, count):
+    """Lets the CSV writer see ``count`` CPUs, so that it formats on that many threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestCsvThreads:
+    """The caller and, on two CPUs or more, one worker format alternate
+    blocks, and the caller writes them in order: the file is the same for
+    any CPU count."""
+
+    @staticmethod
+    def _states():
+        size = sim._CSV_BLOCK
+        rng = np.random.default_rng(17)
+        states = rng.normal(size=(7, 3 * size // 2))    # every other row starts a block
+        flat = states.reshape(-1)
+        # left to Python on both sides of the first two block edges
+        flat[[size - 1, size, 2 * size - 1, 2 * size]] = [0.0, 1e-300, -0.0, np.inf]
+        states[2] = np.nan                      # an empty row that starts block 3
+        states[3] = rng.integers(0, 10_000, size=states.shape[1])   # whole-number blocks 4, 5
+        states[5, 905:] = np.nan                # shrunk row
+        states[6, 17] = np.nan                  # interior NaN; block 10 is half a block
+        return states
+
+    def test_bytes_do_not_depend_on_cpus(self, monkeypatch, tmp_path):
+        diag = SpaceTimeDiagram(self._states())
+        expected = _csv_reference(diag)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # threads swap often: a block out of order would show
+        try:
+            for count in (1, 2, 3, 16):
+                _cpus(monkeypatch, count)
+                sim.write_diagram_csv(diag, tmp_path / "d.csv")
+                assert (tmp_path / "d.csv").read_bytes() == expected, count
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("count", [2, 16])
+    def test_memory_stays_in_blocks_on_threads(self, monkeypatch, tmp_path, count):
+        # at most two blocks are in flight, whatever the CPU count
+        _cpus(monkeypatch, count)
+        TestCsvIsExact17g().test_memory_stays_in_blocks(tmp_path)
+
+    @pytest.mark.parametrize("bad", [0, 1])     # the caller's block, the worker's block
+    def test_error_in_a_block_reaches_the_caller(self, monkeypatch, tmp_path, bad):
+        states = np.random.default_rng(3).normal(size=(4, sim._CSV_BLOCK))
+        states[bad, 7] = 1234.5
+        fixed = sim._format_fixed
+
+        def failing(v, words):
+            if np.any(v == 1234.5):
+                raise ValueError("bad block")
+            return fixed(v, words)
+
+        monkeypatch.setattr(sim, "_format_fixed", failing)
+        _cpus(monkeypatch, 2)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="bad block"):
+            sim.write_diagram_csv(SpaceTimeDiagram(states), tmp_path / "d.csv")
+        assert threading.active_count() == threads
+
+    def test_workers_run_under_the_callers_error_state(self, monkeypatch, tmp_path):
+        fixed = sim._format_fixed
+
+        def invalid(v, words):
+            np.sqrt(-np.ones(1))        # warns, unless the error state ignores it
+            return fixed(v, words)
+
+        monkeypatch.setattr(sim, "_format_fixed", invalid)
+        _cpus(monkeypatch, 2)
+        diag = SpaceTimeDiagram(np.random.default_rng(4).normal(size=(4, sim._CSV_BLOCK)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                sim.write_diagram_csv(diag, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == _csv_reference(diag)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, tmp_path):
+        def start(thread):
+            raise AssertionError("a thread was started")
+
+        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        diag = SpaceTimeDiagram(np.random.default_rng(4).normal(size=(3, sim._CSV_BLOCK)))
+        sim.write_diagram_csv(diag, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == _csv_reference(diag)
+
+    def test_many_cpus_start_one_worker(self, monkeypatch, tmp_path):
+        import concurrent.futures
+
+        sizes = []
+        pool = concurrent.futures.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers)
+
+        _cpus(monkeypatch, 16)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        diag = SpaceTimeDiagram(np.random.default_rng(5).normal(size=(3, sim._CSV_BLOCK)))
+        sim.write_diagram_csv(diag, tmp_path / "d.csv")
+        assert sizes == [1]
+        assert (tmp_path / "d.csv").read_bytes() == _csv_reference(diag)
+
+    def test_keys_reach_every_exponent(self):
+        # keys of exponents up to 15 overflow 8-bit integers; each must name
+        # its own _MASK row, and a key past the rows is refused, not clipped
+        v = np.array([-9.5e15, 1.25e15, 3e4, -1e-4, 2.5e-3])
+        words = np.empty((v.size, 5), dtype=np.uint32)
+        key, rest = sim._format_fixed(v, words)
+        assert rest.size == 0
+        assert np.all(key // 36 == [19, 19, 8, 0, 1])           # exponent + 4
+        text = sim._gather(words, np.zeros(v.size, dtype=np.uint8), key).tobytes()
+        assert text == b"".join(format(x, ".17g").encode() + b"," for x in v)
+        with pytest.raises(ValueError, match="key"):
+            sim._gather(words, np.zeros(v.size, dtype=np.uint8), key + len(sim._MASK))
