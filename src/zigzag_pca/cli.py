@@ -307,8 +307,9 @@ def cmd_simulate(args, model, fam: Family, params) -> int:
     if cells > fs.SIZE_GUARD:
         raise ValueError(f"--width {width} and --steps {args.steps} would hold {cells} "
                          f"float64 cells, over the {fs.SIZE_GUARD} guard")
+    # a chain's line is a copy of its zigzag's even cells, so that the zigzag is freed
     init = (fam.init(model["family"], params, width) if fam.chain is None else
-            sim.sample_hzmc_lines(fam.chain(params), 2 * width - 1, 1, args.seed)[0][0::2])
+            sim.sample_hzmc_lines(fam.chain(params), 2 * width - 1, 1, args.seed)[0, ::2].copy())
     inst = sim.ModelInstance(kernel=fam.kernel(params), lattice=model["lattice"], seed=args.seed)
     diagram = sim.simulate_diagram(inst, init, args.steps)
 

@@ -24,26 +24,17 @@ probability density is stationary: each down-up step drifts by
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core_types import (_BLOCK, DEFAULT_GRID_POINTS, QUAD_TOL, CheckReport, DensityLaw,
                          GridMeasure, HzmcSpec, KernelDensity, MarkovKernel, _row_blocks,
-                         gauss_legendre_grid, gauss_legendre_rule, sup_residual)
+                         _special, gauss_legendre_grid, gauss_legendre_rule, sup_residual,
+                         threaded_map, usable_cpus)
 
 _GL_NODES = 64
 _MU_THRESH = 1e-9
-
-
-def _special():
-    """``scipy.special``, imported on the first call.  Only the samplers and
-    the Beta and Gamma normalizers use it, and importing it takes most of the
-    package's start-up, so the finite commands and the Gaussian ``check`` and
-    ``solve`` never load it."""
-    import scipy.special
-    return scipy.special
 
 
 @functools.cache
@@ -485,44 +476,22 @@ def _extent(block: tuple) -> tuple[int, int]:
     return rows.stop - rows.start, cols.stop - cols.start
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may use: its affinity set where the system reports
-    one (Linux), else ``os.cpu_count()``, else 1."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _split_rows(n: int, inner: int, run) -> list:
     """The results, in row order, of ``run(blocks)`` on k contiguous ranges of
-    rows that cover range(n), one thread per range, where k = min(CPUs this
-    process may use, n); numpy releases the GIL, so the ranges run at once.
+    rows that cover range(n), one thread per range (``threaded_map``: the
+    caller runs the first), where k = min(CPUs this process may use, n).
     A range comes as its blocks (_pair_blocks, ``inner`` doubles a pair) of
     about _BLOCK doubles when k <= 2, and 2 _BLOCK / k beyond: the ranges
     hold two blocks of scratch together at most, however many CPUs there
     are.  Halving the blocks on two CPUs instead cost the 257-point Beta
     check a third more time: each block pays the kernels' per-call overhead,
     which holds the GIL.
-
-    Each thread runs under the caller's numpy error state, which a new thread
-    does not inherit.  An exception of a range reaches the caller once every
-    thread has ended (the first range's, in row order).  ``run`` must call no
-    function that ``perfbench/tracing.py`` wraps: its span stack is one per
-    process.
     """
-    from concurrent.futures import ThreadPoolExecutor     # imported at first use
-    k = min(_usable_cpus(), n)
+    k = min(usable_cpus(), n)
     budget = min(_BLOCK, 2 * _BLOCK // k)
-    err = np.geterr()
-
-    def run_range(blocks):
-        with np.errstate(**err):
-            return run(blocks)
-
     edges = [n * i // k for i in range(k + 1)]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        futures = [pool.submit(run_range, _pair_blocks(lo, hi, n, inner, budget))
-                   for lo, hi in zip(edges, edges[1:])]
-    return [f.result() for f in futures]
+    ranges = [_pair_blocks(lo, hi, n, inner, budget) for lo, hi in zip(edges, edges[1:])]
+    return list(threaded_map(run, ranges, k))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -40,7 +41,7 @@ DEFAULT_GRID_POINTS = 257
 # one row a of the n^3 triples; a _row_blocks block never holds less than
 # one row.  The threaded passes of continuous_kernels hold two _BLOCKs at
 # most, whatever their thread count, in pieces of rows where need be
-# (_split_rows there).
+# (_split_rows there, which runs its ranges through threaded_map).
 _BLOCK = 1 << 16
 
 
@@ -49,6 +50,52 @@ def _row_blocks(n: int, row: int) -> list[slice]:
     into blocks of about _BLOCK doubles (at least one row)."""
     step = max(1, _BLOCK // row)
     return [slice(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
+
+
+def _special():
+    """``scipy.special``, imported on the first call.  Only the samplers and
+    the Beta and Gamma normalizers use it, and importing it takes most of the
+    package's start-up, so the finite commands and the Gaussian ``check`` and
+    ``solve`` never load it."""
+    import scipy.special
+    return scipy.special
+
+
+def usable_cpus() -> int:
+    """CPUs this process may use: its affinity set where the system reports
+    one (Linux), else ``os.cpu_count()``, else 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def threaded_map(fn: Callable, items: Sequence, threads: int):
+    """Yields ``fn(item)`` for each item, in order.  The items go in turns of
+    ``threads``: the caller computes the first of a turn and ``threads - 1``
+    worker threads the rest; numpy releases the GIL, so they run at once.
+    One thread or one item is a plain loop, which starts no thread.
+
+    Workers run under the caller's numpy error state.  An exception reaches
+    the caller once every worker has ended, the first item's in order where
+    several fail, and closing the generator early waits for them too.  A
+    result is dropped once yielded.  ``fn`` must call nothing that
+    ``perfbench/tracing.py`` wraps: its span stack is one per process.
+    """
+    if threads <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor     # imported at first use
+    err = np.geterr()
+
+    def in_worker(item):
+        with np.errstate(**err):
+            return fn(item)
+
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        for i in range(0, len(items), threads):
+            turn = [pool.submit(in_worker, item) for item in items[i + 1:i + threads]]
+            yield fn(items[i])
+            while turn:
+                yield turn.pop(0).result()     # the future, and its result, dropped
 
 
 def _locked(a, dtype=float):

@@ -21,8 +21,8 @@ from itertools import cycle
 
 import numpy as np
 
-from .continuous_kernels import _special, _usable_cpus
-from .core_types import HzmcSpec, SpaceTimeDiagram, TransitionTensor
+from .core_types import (HzmcSpec, SpaceTimeDiagram, TransitionTensor, _special, threaded_map,
+                         usable_cpus)
 
 
 def row_uniforms(seed: int, t: int, width: int, per_cell: int = 1) -> np.ndarray:
@@ -432,28 +432,10 @@ def write_diagram_csv(diagram: SpaceTimeDiagram, path) -> None:
         return _format_block(flat[s:s + _CSV_BLOCK], _in_block(row_ends, s, _CSV_BLOCK),
                              _in_block(empty_rows, s, _CSV_BLOCK))
 
-    with open(path, "wb") as fh:
-        if _usable_cpus() == 1 or len(starts) == 1:
-            for s in starts:
-                fh.writelines(block(s))
-            return
-        from concurrent.futures import ThreadPoolExecutor     # imported at first use
-        err = np.geterr()
-
-        def in_worker(s):       # a new thread does not inherit the caller's error state
-            with np.errstate(**err):
-                return block(s)
-
-        # the caller formats the even blocks, the worker the odd ones; each
-        # odd block is handed out as the even block before it starts, and
-        # its future dropped as the next is made.  An exception leaves the
-        # with block only after the worker has ended.
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            for i in range(0, len(starts), 2):
-                odd = pool.submit(in_worker, starts[i + 1]) if i + 1 < len(starts) else None
-                fh.writelines(block(starts[i]))
-                if odd:
-                    fh.writelines(odd.result())
+    with open(path, "wb") as fh:    # the caller and at most one worker take alternate blocks
+        for text in threaded_map(block, starts, min(2, usable_cpus())):
+            fh.writelines(text)
+            del text        # not held while the next block is formatted
 
 
 def write_diagram_binary(diagram: SpaceTimeDiagram, path) -> None:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,10 @@ def legendre_factorized(eps: float = 0.0):
 
     uniform = DensityLaw(density=lambda x: np.full(np.shape(x), 0.5), sampler=None)
     return KernelDensity(density=density, sampler=None), HzmcSpec(d=d, u=u, rho0=uniform)
+
+
+def _cpus(monkeypatch, count):
+    """Lets ``core_types.usable_cpus`` see ``count`` CPUs, so that the grid
+    passes split into that many ranges and the CSV writer takes a worker
+    from two on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -447,6 +448,20 @@ class TestSimulate:
         zig = summary["final_zigzag"]
         phi = 0.3819660112501051
         assert abs(zig["autocorr"][0] - phi) < 3 * zig["se_autocorr"][0]
+
+    def test_zigzag_sample_is_not_held(self, files, capsys, tmp_path):
+        # the run peaks in the sampler, on the 2 width - 1 zigzag and its walk
+        # (32.8 bytes a cell); holding the zigzag through the diagram reads 40.8
+        width, out = 200_000, tmp_path / "wide"
+        run_main("simulate", "--model", files["gauss"], "--steps", 0, "--width", 10, "--out", out)
+        tracemalloc.start()
+        try:
+            assert run_main("simulate", "--model", files["gauss"], "--steps", 0,
+                            "--width", width, "--seed", 3, "--out", out) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * width
 
     def test_deterministic_per_seed(self, files, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

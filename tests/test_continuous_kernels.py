@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import tracemalloc
@@ -11,7 +12,7 @@ from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
 from zigzag_pca.core_types import (HzmcSpec, KernelDensity, MarkovKernel, gauss_legendre_grid,
                                    gauss_legendre_rule)
-from conftest import legendre_factorized, trapezoid_grid
+from conftest import _cpus, legendre_factorized, trapezoid_grid
 
 
 @pytest.fixture(scope="module")
@@ -802,11 +803,6 @@ class TestSweepNeverPassesVacuously:
         assert rep.to_dict() == self._factorization(base, setting).to_dict()
 
 
-def _cpus(monkeypatch, count):
-    """Lets the grid passes see ``count`` CPUs, so they split into that many ranges."""
-    monkeypatch.setattr(ck.os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 class TestSplitRows:
     """The grid passes split their rows over threads.  Every report, witness
     and composition of a split run is the one-range run's, bit for bit."""
@@ -870,9 +866,9 @@ class TestSplitRows:
         assert sizes[0] * inner <= max(1.5 * budget, inner)
 
     def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
-        monkeypatch.delattr(ck.os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         for count, starts in [(3, [0, 3, 6]), (None, [0])]:
-            monkeypatch.setattr(ck.os, "cpu_count", lambda: count)
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
             ranges = ck._split_rows(10, 1, lambda blocks: blocks)
             assert [blocks[0][0].start for blocks in ranges] == starts
 
@@ -924,6 +920,37 @@ class TestSplitRows:
         with pytest.raises(ValueError, match="second range"):
             ck.GridKernel(kernel, grid).mu_positive
         assert threading.active_count() == threads
+
+    def test_error_of_the_first_range_wins(self, monkeypatch, gauss31):
+        grid = ck.default_gaussian_grid(gauss31, 64)
+        base = ck.gaussian_kernel_density(gauss31)
+        edge = grid.points[32]
+        raised = []
+
+        def density(a, b, c):
+            side = "second" if np.any(np.asarray(a) >= edge) else "first"
+            raised.append(side)         # the caller's range and the worker's both raise
+            raise ValueError(f"{side} range")
+
+        kernel = KernelDensity(density=density, sampler=base.sampler)
+        _cpus(monkeypatch, 2)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="first range"):
+            ck.quadrature_check_conditions(kernel, ck.gaussian_invariant_hzmc(gauss31), grid)
+        assert sorted(raised) == ["first", "second"]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("name", ["gaussian_diag", "beta"])
+    def test_one_cpu_starts_no_thread(self, monkeypatch, name):
+        def start(thread):
+            raise AssertionError("a thread was started")
+
+        case = self._battery(name, 65)
+        _cpus(monkeypatch, 2)
+        split = self._run(*case)
+        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert self._run(*case) == split
 
     def test_nan_made_in_a_thread_warns_nothing(self, monkeypatch, gauss31):
         grid = ck.default_gaussian_grid(gauss31, 64)

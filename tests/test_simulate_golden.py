@@ -12,7 +12,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 
 import pytest
 
@@ -20,6 +19,7 @@ from zigzag_pca import finite_solver as fs
 from zigzag_pca import simulator as sim
 from zigzag_pca.cli import main
 from zigzag_pca.core_types import save_model
+from conftest import _cpus
 
 WIDTH, STEPS, SEED = 160, 40, 7
 
@@ -81,6 +81,6 @@ def test_simulate_output_is_pinned(tmp_path, name):
 def test_output_does_not_depend_on_cpus(tmp_path, monkeypatch, name, cpus):
     # a diagram of 41 x 160 cells is one block at the writer's block size:
     # blocks of 512 cells split it over the caller and a worker
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    _cpus(monkeypatch, cpus)
     monkeypatch.setattr(sim, "_CSV_BLOCK", 512)
     assert _simulate(tmp_path, name) == GOLDEN[name]

@@ -1,6 +1,6 @@
 import dataclasses
 import decimal
-import os
+import io
 import sys
 import threading
 import tracemalloc
@@ -16,6 +16,7 @@ from zigzag_pca import finite_solver as fs
 from zigzag_pca import simulator as sim
 from zigzag_pca import stats as st
 from zigzag_pca.core_types import HzmcSpec, SpaceTimeDiagram, TransitionTensor
+from conftest import _cpus
 
 
 def copy_left_tensor(kappa=3):
@@ -521,20 +522,19 @@ class TestCsvIsExact17g:
         _assert_csv_exact(tmp_path / "d.csv", np.full(shape, np.nan))
 
     def test_memory_stays_in_blocks(self, tmp_path):
-        # about 3.2 MB of states and 8 MB of text: the writer holds one block
-        diag = SpaceTimeDiagram(np.random.default_rng(5).normal(size=(101, 4001)))
-        tracemalloc.start()
-        try:
-            sim.write_diagram_csv(diag, tmp_path / "d.csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        # the writer holds one block, two on threads (TestCsvThreads)
+        assert _csv_peak(tmp_path) < 4 * 2 ** 20
 
 
-def _cpus(monkeypatch, count):
-    """Lets the CSV writer see ``count`` CPUs, so that it formats on that many threads."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+def _csv_peak(tmp_path) -> int:
+    """The traced peak of writing about 3.2 MB of states as 8 MB of text."""
+    diag = SpaceTimeDiagram(np.random.default_rng(5).normal(size=(101, 4001)))
+    tracemalloc.start()
+    try:
+        sim.write_diagram_csv(diag, tmp_path / "d.csv")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCsvThreads:
@@ -569,11 +569,14 @@ class TestCsvThreads:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("count", [2, 16])
+    @pytest.mark.parametrize("count", [1, 2, 16])
     def test_memory_stays_in_blocks_on_threads(self, monkeypatch, tmp_path, count):
-        # at most two blocks are in flight, whatever the CPU count
+        # one block in flight on one CPU and two on more, whatever the count:
+        # 1.26 and 2.52 MiB.  A block's text held while the next one is
+        # formatted reads 1.57 and 2.83 MiB.
+        import concurrent.futures.thread    # the pool's modules load outside the trace
         _cpus(monkeypatch, count)
-        TestCsvIsExact17g().test_memory_stays_in_blocks(tmp_path)
+        assert _csv_peak(tmp_path) < (1.4 if count == 1 else 2.7) * 2 ** 20
 
     @pytest.mark.parametrize("bad", [0, 1])     # the caller's block, the worker's block
     def test_error_in_a_block_reaches_the_caller(self, monkeypatch, tmp_path, bad):
@@ -590,6 +593,21 @@ class TestCsvThreads:
         _cpus(monkeypatch, 2)
         threads = threading.active_count()
         with pytest.raises(ValueError, match="bad block"):
+            sim.write_diagram_csv(SpaceTimeDiagram(states), tmp_path / "d.csv")
+        assert threading.active_count() == threads
+
+    def test_error_in_a_write_ends_the_worker(self, monkeypatch, tmp_path):
+        class Full(io.BytesIO):
+            def writelines(self, pieces):
+                if self.tell() > 0:         # the second block on: mid-file
+                    raise OSError("disk full")
+                super().writelines(pieces)
+
+        monkeypatch.setattr(sim, "open", lambda path, mode: Full(), raising=False)
+        _cpus(monkeypatch, 2)
+        threads = threading.active_count()
+        states = np.random.default_rng(3).normal(size=(6, sim._CSV_BLOCK))
+        with pytest.raises(OSError, match="disk full"):
             sim.write_diagram_csv(SpaceTimeDiagram(states), tmp_path / "d.csv")
         assert threading.active_count() == threads
 

@@ -8,11 +8,13 @@ imported scipy already; the commands that do load scipy must print and
 write the same bytes there as here.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -63,6 +65,23 @@ def test_import_loads_no_thread_pool():
                           env={**os.environ, "PYTHONPATH": src}, check=False)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_one_thread_pool_in_the_package():
+    """Every thread the package starts comes from ``core_types.threaded_map``,
+    and ``simulator`` reaches nothing private of ``continuous_kernels``."""
+    package = pathlib.Path(zigzag_pca.__file__).parent
+    pools, private = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom) else
+                     [getattr(node, "id", getattr(node, "attr", None))])
+            pools += [path.stem for name in names if name == "ThreadPoolExecutor"]
+            if (path.stem == "simulator" and isinstance(node, ast.ImportFrom)
+                    and node.module == "continuous_kernels"):
+                private += [name for name in names if name.startswith("_")]
+    assert pools == ["core_types", "core_types"]      # its import and its one pool
+    assert private == []
 
 
 def _here(argv):
