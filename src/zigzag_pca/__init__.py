@@ -6,7 +6,7 @@ Subpackages by concern:
 * ``finite_solver``       exact decision/construction on finite alphabets
 * ``lattice_ext``         two-sided and cyclic lattices, partition functions
 * ``continuous_kernels``  Gaussian and Beta families, quadrature checks
-* ``simulator``           synchronous space-time simulation, TASEP, percolation
+* ``simulator``           synchronous space-time simulation and diagram files
 * ``stats``               empirical summaries and distribution tests
 * ``cli``                 check / solve / verify / simulate commands
 """

@@ -34,59 +34,39 @@ def _read_params(cls, block):
     return cls(*(number_field(block.get(f.name), f"kernel field {f.name!r}") for f in fields(cls)))
 
 
-def _fpp_rule(block) -> sim.FppRule:
-    weights = block.get("weight_params", [1.0])
-    if not isinstance(weights, list):
-        raise ValueError(f"kernel field 'weight_params' must be a list, got {weights!r}")
-    law = tuple(number_field(w, "kernel field 'weight_params'") for w in weights)
-    return sim.FppRule(sim.WeightLaw(block.get("weight_family", "exp"), law))
-
-
 @dataclass(frozen=True)
 class Family:
     """What the commands know of one kernel kind: a named family, or ``FINITE``,
     which no model file names.
 
-    ``params`` reads a family's kernel block (a finite model's parameters are
-    its tensor): ``_read_params`` of the family's parameter class, or FPP's
-    ``_fpp_rule``.  ``kernel`` is what simulate steps and ``battery`` the
-    kernel the condition battery runs on; where they differ, ``override``
-    turns the battery's values into the kernel's (``ck.override_density``),
-    and check also probes that the two agree off a null set.  ``chain`` is
-    what simulate draws its first line from and the battery tests (check
-    reports its ``meta`` but the family name); ``init`` is the first line
-    without one.
+    ``params`` is a family's parameter class, which ``_read_params`` reads
+    from its kernel block (a finite model's parameters are its tensor).
+    ``kernel`` is what simulate steps and ``battery`` the kernel the
+    condition battery runs on; where they differ, ``override`` turns the
+    battery's values into the kernel's (``ck.override_density``), and check
+    also probes that the two agree off a null set.  ``chain`` is what
+    simulate draws its first line from and the battery tests (check reports
+    its ``meta`` but the family name).
     """
 
-    kernel: Callable                    # parameters -> kernel or particle rule
-    params: Callable | None = None      # kernel block -> parameters
+    kernel: Callable                    # parameters -> kernel
+    chain: Callable                     # parameters -> HzmcSpec
+    params: type | None = None          # the parameter dataclass
     battery: Callable | None = None     # parameters -> KernelDensity
-    chain: Callable | None = None       # parameters -> HzmcSpec
     grid: Callable | None = None        # (parameters, points) -> default grid
     override: Callable | None = None    # (a, b, c, battery values) -> ((i, j), rows)
-    init: Callable | None = None        # (kernel block, parameters, width) -> line
 
 
-_GAUSSIAN = dict(params=functools.partial(_read_params, ck.GaussianPcaParams),
-                 battery=ck.gaussian_kernel_density, chain=ck.gaussian_invariant_hzmc,
-                 grid=ck.default_gaussian_grid)
+_GAUSSIAN = dict(params=ck.GaussianPcaParams, battery=ck.gaussian_kernel_density,
+                 chain=ck.gaussian_invariant_hzmc, grid=ck.default_gaussian_grid)
 
 FAMILIES = {
     "gaussian": Family(kernel=ck.gaussian_kernel_density, **_GAUSSIAN),
     "gaussian_diag": Family(kernel=ck.gaussian_diag_kernel_density, override=ck.diagonal_atom,
                             **_GAUSSIAN),
-    "beta": Family(
-        params=functools.partial(_read_params, ck.BetaPcaParams),
-        kernel=ck.beta_kernel_density, battery=ck.beta_kernel_density,
-        chain=ck.beta_candidate_hzmc, grid=ck.default_beta_grid),
-    "tasep": Family(
-        params=functools.partial(_read_params, sim.TasepRule), kernel=lambda rule: rule,
-        init=lambda b, rule, width: (number_field(b.get("spacing", 2.0 * rule.r),
-                                                  "kernel field 'spacing'") * np.arange(width))),
-    "fpp": Family(
-        params=_fpp_rule, kernel=lambda rule: rule,
-        init=lambda b, rule, width: np.full(width, number_field(b.get("init_value", 0.0),
-                                                                "kernel field 'init_value'"))),
+    "beta": Family(params=ck.BetaPcaParams, kernel=ck.beta_kernel_density,
+                   battery=ck.beta_kernel_density, chain=ck.beta_candidate_hzmc,
+                   grid=ck.default_beta_grid),
 }
 
 
@@ -307,9 +287,8 @@ def cmd_simulate(args, model, fam: Family, params) -> int:
     if cells > fs.SIZE_GUARD:
         raise ValueError(f"--width {width} and --steps {args.steps} would hold {cells} "
                          f"float64 cells, over the {fs.SIZE_GUARD} guard")
-    # a chain's line is a copy of its zigzag's even cells, so that the zigzag is freed
-    init = (fam.init(model["family"], params, width) if fam.chain is None else
-            sim.sample_hzmc_lines(fam.chain(params), 2 * width - 1, 1, args.seed)[0, ::2].copy())
+    # the first line is a copy of the zigzag's even cells, so that the zigzag is freed
+    init = sim.sample_hzmc_lines(fam.chain(params), 2 * width - 1, 1, args.seed)[0, ::2].copy()
     inst = sim.ModelInstance(kernel=fam.kernel(params), lattice=model["lattice"], seed=args.seed)
     diagram = sim.simulate_diagram(inst, init, args.steps)
 
@@ -369,7 +348,6 @@ def _cell(check, solve, verify, simulate, options=()) -> dict:
 CELL_OPTIONS = {"grid_points": "--grid-points", "grid_halfwidth": "--grid-halfwidth",
                 "kmax": "--kmax", "mc_width": "--width"}      # dest -> flag
 _GRID = ("--grid-points", "--grid-halfwidth")
-_PARTICLE = "a particle rule has no condition battery or chain; use simulate"
 ROUTES = {
     ("finite", "line"): _cell(functools.partial(_check_finite, _construct_line),
                               functools.partial(_solve_finite, _construct_line),
@@ -381,8 +359,6 @@ ROUTES = {
                              (*_GRID, "--width")) for name in ("gaussian", "gaussian_diag")},
     ("beta", "line"): _cell(_check_grid, _solve_beta, "no invariant chain to verify (solve "
                             "names the drift)", cmd_simulate, _GRID),
-    **{(name, "line"): _cell(_PARTICLE, _PARTICLE, _PARTICLE, cmd_simulate)
-       for name in ("tasep", "fpp")},
     **{(name, "cycle"): _cell(*["named families run on the lattice 'N' or 'Z' only"] * 4)
        for name in FAMILIES},
 }
@@ -436,7 +412,7 @@ def main(argv=None) -> int:
         if block is not None and kind not in FAMILIES:
             raise ValueError(f"unknown kernel family {kind!r}")
         fam = FINITE if block is None else FAMILIES[kind]
-        params = model["tensor"] if block is None else fam.params(block)
+        params = model["tensor"] if block is None else _read_params(fam.params, block)
         line = lattice in ("N", "Z")
         cell = ROUTES[kind, "line" if line else "cycle"]
         where = (("a finite-alphabet model" if block is None else f"family {kind!r}")

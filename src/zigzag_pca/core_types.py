@@ -99,6 +99,13 @@ def threaded_map(fn: Callable, items: Sequence, threads: int):
 
 
 def _locked(a, dtype=float):
+    """``a`` as a read-only ``dtype`` array.  A read-only array that owns its
+    buffer is taken as it is, since no view of it can write; anything else
+    is copied, so that a later write through the caller's array does not
+    reach the result."""
+    if (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr

@@ -1,4 +1,4 @@
-"""Synchronous space-time simulation for the model zoo.
+"""Synchronous space-time simulation of a finite or continuous kernel.
 
 One step draws every new cell independently from the kernel of its two
 neighbors (j, j+1).  On the open lattices "N" and "Z" the window shrinks: a
@@ -7,10 +7,9 @@ invented at the right edge.  On a cycle the last cell pairs with the first,
 so the width stays.
 
 Randomness is counter based.  Step t of a run seeded with s consumes the
-block ``row_uniforms(s, t, width, per_cell)``: a Philox stream keyed by
-(s, t) laid out row-major as (site, slot), so site j owns row j of the
-block.  Identical (seed, model, init) give bitwise identical diagrams, no
-matter how the work is scheduled.
+block ``row_uniforms(s, t, width)``: a Philox stream keyed by (s, t), whose
+uniform j site j owns.  Identical (seed, model, init) give bitwise identical
+diagrams, no matter how the work is scheduled.
 """
 
 from __future__ import annotations
@@ -21,14 +20,13 @@ from itertools import cycle
 
 import numpy as np
 
-from .core_types import (HzmcSpec, SpaceTimeDiagram, TransitionTensor, _special, threaded_map,
-                         usable_cpus)
+from .core_types import HzmcSpec, SpaceTimeDiagram, TransitionTensor, threaded_map, usable_cpus
 
 
-def row_uniforms(seed: int, t: int, width: int, per_cell: int = 1) -> np.ndarray:
-    """Uniform block for step t: shape (width, per_cell), site j owns row j."""
+def row_uniforms(seed: int, t: int, width: int) -> np.ndarray:
+    """Uniform block for step t: shape (width,), site j owns entry j."""
     bg = np.random.Philox(key=(int(seed) << 64) + int(t))
-    return np.random.Generator(bg).random((width, per_cell))
+    return np.random.Generator(bg).random(width)
 
 
 def _line_rng(seed: int) -> np.random.Generator:
@@ -36,89 +34,17 @@ def _line_rng(seed: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class TasepRule:
-    """Exclusion dynamics: radius r, hop distance v, move probability p.  The
-    cells are particle positions; x hops with probability p to min(x + v,
-    next - 2r), which keeps the spacing of at least 2r exactly."""
-
-    r: float
-    v: float
-    p: float
-
-    def __post_init__(self):
-        if self.r < 0 or self.v < 0 or not (0 < self.p <= 1):
-            raise ValueError("need r >= 0, v >= 0, and p in (0, 1]")
-
-    def sampler(self, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if not np.all(a + 2 * self.r <= b):
-            raise ValueError("inadmissible configuration: spacing below 2r")
-        return np.where(u < self.p, np.minimum(a + self.v, b - 2 * self.r), a)
-
-
-# weight family -> (parameter count, domain, domain test, inverse CDF)
-_WEIGHT_LAWS = {
-    "dirac": (1, "w >= 0", lambda w: w >= 0, lambda u, w: np.full_like(u, float(w))),
-    "exp": (1, "rate > 0", lambda rate: rate > 0, lambda u, rate: -np.log1p(-u) / rate),
-    "uniform": (2, "0 <= lo <= hi", lambda lo, hi: 0 <= lo <= hi,
-                lambda u, lo, hi: lo + (hi - lo) * u),
-    "gamma": (2, "shape > 0 and rate > 0", lambda shape, rate: shape > 0 and rate > 0,
-              lambda u, shape, rate: _special().gammaincinv(shape, u) / rate),
-}
-
-
-@dataclass(frozen=True)
-class WeightLaw:
-    """Named nonnegative edge-weight law with inverse-CDF sampling.
-
-    The family, the parameter count and the parameter domain are checked at
-    construction, so a law that exists can always sample.
-    """
-
-    family: str
-    params: tuple
-
-    def __post_init__(self):
-        if not isinstance(self.family, str) or self.family not in _WEIGHT_LAWS:
-            raise ValueError(f"unknown weight family {self.family!r}")
-        count, domain, admissible, _ = _WEIGHT_LAWS[self.family]
-        if len(self.params) != count:
-            raise ValueError(f"weight family {self.family!r} takes {count} parameter(s), "
-                             f"got {len(self.params)}")
-        if not (all(np.isfinite(self.params)) and admissible(*self.params)):
-            raise ValueError(f"weight family {self.family!r} needs finite parameters with "
-                             f"{domain}, got {tuple(self.params)}")
-
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        return _WEIGHT_LAWS[self.family][3](np.asarray(u, dtype=float), *self.params)
-
-
-@dataclass(frozen=True)
-class FppRule:
-    """Min-plus growth: new cell = min(left + T1, right + T2), T i.i.d.;
-    the two weights take two uniforms per cell."""
-
-    weights: WeightLaw
-
-    def sampler(self, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if np.any(a < 0) or np.any(b < 0):
-            raise ValueError("row values must be nonnegative")
-        return np.minimum(a + self.weights.sample(u[:, 0]), b + self.weights.sample(u[:, 1]))
-
-
-@dataclass(frozen=True)
 class ModelInstance:
-    """A runnable model: kernel (or particle rule), lattice and seed.  The open
-    lattices "N" and "Z" shrink by one cell per step; a "cycle" wraps around."""
+    """A runnable model: kernel, lattice and seed.  The open lattices "N" and
+    "Z" shrink by one cell per step; a "cycle" wraps around."""
 
-    kernel: object       # TransitionTensor | KernelDensity | TasepRule | FppRule
+    kernel: object       # TransitionTensor | KernelDensity
     lattice: str         # "N" | "Z" | "cycle"
     seed: int = 0
 
     def __post_init__(self):
         if self.lattice not in ("N", "Z", "cycle"):
             raise ValueError(f"unknown lattice {self.lattice!r}: need 'N', 'Z' or 'cycle'")
-        if self.lattice == "cycle" and isinstance(self.kernel, TasepRule):
-            raise ValueError("exclusion dynamics run on an open shrinking window only")
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -178,8 +104,7 @@ def sample_hzmc_lines(hzmc: HzmcSpec, length: int, n_chains: int, seed: int) -> 
 def step_pca(line: np.ndarray, model: ModelInstance, t: int = 0) -> np.ndarray:
     """One synchronous update; cell j of the output is drawn from the kernel
     of input cells (j, j+1), the last cell of a cycle pairing with the first,
-    using uniform row j of the (seed, t) block: its one uniform, or both for
-    first-passage growth."""
+    with uniform j of the (seed, t) block."""
     line = np.asarray(line)
     if line.size < 2:
         raise ValueError("width must be >= 2")
@@ -187,10 +112,7 @@ def step_pca(line: np.ndarray, model: ModelInstance, t: int = 0) -> np.ndarray:
         a, b = line, np.roll(line, -1)
     else:
         a, b = line[:-1], line[1:]
-    kernel = model.kernel
-    if isinstance(kernel, FppRule):
-        return kernel.sampler(a, b, row_uniforms(model.seed, t, a.size, 2))
-    u = row_uniforms(model.seed, t, a.size)[:, 0]
+    kernel, u = model.kernel, row_uniforms(model.seed, t, a.size)
     if isinstance(kernel, TransitionTensor):
         return _inverse_cdf(kernel.cumulative[a.astype(int), b.astype(int)], u)
     return kernel.sampler(a, b, u)
@@ -478,4 +400,5 @@ def simulate_diagram(model: ModelInstance, init: np.ndarray, t_steps: int) -> Sp
     for t in range(t_steps):
         line = np.asarray(step_pca(line, model, t), dtype=float)
         states[t + 1, : line.size] = line
+    states.setflags(write=False)        # the diagram takes it without a copy
     return SpaceTimeDiagram(states)

@@ -241,11 +241,13 @@ def test_08_equivalence_and_frozen_dynamics():
     dd = sim.simulate_diagram(md, init, 100)
     ok = np.array_equal(dg.states, dd.states, equal_nan=True)
 
-    r = 0.5
-    frozen = 2 * r * np.arange(40)
-    model = sim.ModelInstance(kernel=sim.TasepRule(r=r, v=4 * r, p=1.0), lattice="Z", seed=1)
-    diag = sim.simulate_diagram(model, frozen, 15)
+    # a constant line sits on the null diagonal a == b, where the two kernels
+    # differ: gaussian_diag copies the common value, the Gaussian draws
+    frozen = np.full(40, 0.75)
+    diag = sim.simulate_diagram(md, frozen, 15)
     ok &= all(np.array_equal(diag.row(t), frozen[: 40 - t]) for t in range(16))
+    moved = sim.simulate_diagram(mg, frozen, 15)
+    ok &= all(np.all(moved.row(t) != 0.75) for t in range(1, 16))
 
     elapsed = time.monotonic() - start
     _announce("8 equivalence/frozen", ok, elapsed)

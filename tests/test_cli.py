@@ -59,10 +59,6 @@ def files(tmp_path_factory):
     save_model(paths["beta"], {"family": "beta", "alpha": 1, "beta": 1, "m": 1, "theta": 1}, "N",
                {"points": 129})
 
-    paths["tasep"] = root / "tasep.json"
-    save_model(paths["tasep"], {"family": "tasep", "r": 0.5, "v": 2.0, "p": 1.0, "spacing": 1.0},
-               "Z", {"points": 9})
-
     paths["broken"] = root / "broken.json"
     paths["broken"].write_text('{"alphabet": [}\n')
 
@@ -417,16 +413,6 @@ class TestSimulate:
         assert len(lines) == 1
         assert len(lines[0].split(",")) == 50
 
-    def test_frozen_exclusion_diagram_constant(self, files, capsys, tmp_path):
-        out = tmp_path / "tasep"
-        code = run_main("simulate", "--model", files["tasep"], "--steps", 5,
-                        "--width", 12, "--out", out)
-        assert code == 0
-        rows = [[float(v) for v in line.split(",")]
-                for line in (tmp_path / "tasep.csv").read_text().strip().split("\n")]
-        for t, row in enumerate(rows):
-            assert row == [float(i) for i in range(12 - t)]
-
     def test_gaussian_summary_and_binary(self, files, capsys, tmp_path):
         out = tmp_path / "g"
         code = run_main("simulate", "--model", files["gauss"], "--steps", 3,
@@ -492,14 +478,12 @@ class TestReport:
 
 
 ROUTE_FAMILIES = {"gaussian": {"m": 3, "sigma": 1}, "gaussian_diag": {"m": 3, "sigma": 1},
-                  "beta": {"alpha": 1, "beta": 1, "m": 1, "theta": 1},
-                  "tasep": {"r": 0.5, "v": 2.0, "p": 1.0}, "fpp": {}}
+                  "beta": {"alpha": 1, "beta": 1, "m": 1, "theta": 1}}
 COMMANDS = ("check", "solve", "verify", "simulate")
 # (kernel kind, lattice) -> exit codes of check, solve, verify and simulate
 CELL_EXITS = {("finite", "line"): (0, 0, 0, 0), ("finite", "cycle"): (0, 0, 0, 2),
               ("gaussian", "line"): (0, 0, 0, 0), ("gaussian_diag", "line"): (0, 0, 0, 0),
-              ("beta", "line"): (1, 1, 2, 0), ("tasep", "line"): (2, 2, 2, 0),
-              ("fpp", "line"): (2, 2, 2, 0),
+              ("beta", "line"): (1, 1, 2, 0),
               **{(name, "cycle"): (2, 2, 2, 2) for name in ROUTE_FAMILIES}}
 
 
@@ -679,7 +663,7 @@ class TestBadInput:
         assert "width must be >= 2" in err
         assert entered == []
 
-    @pytest.mark.parametrize("model,command", [("gauss", "simulate"), ("tasep", "simulate"),
+    @pytest.mark.parametrize("model,command", [("gauss", "simulate"), ("two_letter", "simulate"),
                                                ("gauss", "verify")])
     def test_huge_width_is_one_error_line(self, files, capsys, tmp_path, model, command):
         if command == "verify":
@@ -706,7 +690,7 @@ class TestBadInput:
             assert run_main("solve", "--model", files["gauss"], "--out", spec) == 0
             model, extra, lines = files["gauss"], ("--spec", spec), 3
         else:
-            model, extra, lines = files["tasep"], ("--steps", 3, "--out", tmp_path / "sim"), 6
+            model, extra, lines = files["gauss"], ("--steps", 3, "--out", tmp_path / "sim"), 6
         monkeypatch.setattr(fs, "SIZE_GUARD", 40 * lines)
         capsys.readouterr()
         assert run_main(command, "--model", model, *extra, "--width", 40) in (0, 1)
@@ -799,8 +783,7 @@ class TestBadInput:
         assert _single_error_line(captured.err)
 
     FAMILY_FIELDS = {"gaussian": {"m": 3, "sigma": 1}, "gaussian_diag": {"m": 3, "sigma": 1},
-                     "beta": {"alpha": 2, "beta": 3, "m": 1, "theta": 1},
-                     "tasep": {"r": 1, "v": 2, "p": 0.5}}
+                     "beta": {"alpha": 2, "beta": 3, "m": 1, "theta": 1}}
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
                              ids=["nan", "inf", "-inf"])
@@ -872,23 +855,6 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert _single_error_line(captured.err)
-
-    @pytest.mark.parametrize("weights", [
-        {"weight_family": "exp", "weight_params": [0]},
-        {"weight_family": "exp", "weight_params": [1, 2, 3]},
-        {"weight_family": "gamma", "weight_params": [2]},
-        {"weight_family": "uniform", "weight_params": [2, 1]},
-        {"weight_family": "lognormal", "weight_params": [1]},
-    ], ids=["exp-rate-0", "three-params", "gamma-one-param", "uniform-lo-above-hi",
-            "unknown-family"])
-    def test_invalid_weight_law_refused_before_any_step(self, tmp_path, capsys, weights):
-        path = _write_model(tmp_path / "fpp.json", {
-            "alphabet": {"grid": {"points": 9}},
-            "kernel": {"family": "fpp", "init_value": 0, **weights}, "lattice": "N"})
-        assert run_main("simulate", "--model", path, "--steps", 0, "--width", 10,
-                        "--out", tmp_path / "sim") == 2
-        assert _single_error_line(capsys.readouterr().err)
-        assert not (tmp_path / "sim.csv").exists()
 
     def test_window_beyond_size_guard(self, files, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -1002,7 +968,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("width, steps", [(0, 0), (-3, 0), (1, 0), (5, 5), (5, 9)],
                              ids=["0", "-3", "1", "5-steps5", "5-steps9"])
-    @pytest.mark.parametrize("model", ["two_letter", "gauss", "tasep"])
+    @pytest.mark.parametrize("model", ["two_letter", "gauss", "gauss_diag"])
     def test_simulate_width_refused_before_any_draw(self, files, capsys, tmp_path,
                                                     monkeypatch, model, width, steps):
         # the window loses one cell a step, so --steps >= --width is refused too
@@ -1064,6 +1030,23 @@ class TestBadInput:
         assert run_main(command, "--model", path, *extra) == 2
         assert "'cycle': 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "solve", "verify", "simulate"])
+    @pytest.mark.parametrize("kernel", [
+        {"family": "tasep", "r": 0.5, "v": 2.0, "p": 1.0, "spacing": 1.0},
+        {"family": "fpp", "weight_family": "gamma", "weight_params": [2, 1.5], "init_value": 1},
+    ], ids=["tasep", "fpp"])
+    def test_particle_rule_is_an_unknown_family(self, tmp_path, capsys, kernel, command):
+        # the exclusion and first-passage rules have no chain, and no family reads them
+        path = _write_model(tmp_path / "rule.json", {"alphabet": {"grid": {"points": 9}},
+                                                     "kernel": kernel, "lattice": "N"})
+        extra = {"solve": ("--out", tmp_path / "s.json"), "verify": ("--spec", path),
+                 "simulate": ("--out", tmp_path / "sim")}.get(command, ())
+        assert run_main(command, "--model", path, *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown kernel family {kernel['family']!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rule.json"]
+
     def test_finite_simulate_on_a_cycle_is_refused(self, files, capsys, tmp_path):
         assert run_main("simulate", "--model", files["two_letter_cycle"], "--steps", 3,
                         "--width", 10, "--out", tmp_path / "sim") == 2
@@ -1086,7 +1069,7 @@ class TestFamilyParameters:
 
     @pytest.mark.parametrize("family,field,value", [
         ("beta", "theta", -1), ("beta", "alpha", 0), ("gaussian", "m", 1),
-        ("gaussian", "sigma", 0), ("tasep", "p", 0)])
+        ("gaussian", "sigma", 0), ("gaussian_diag", "m", -2)])
     def test_out_of_domain_value_names_the_model_field(self, tmp_path, capsys, family, field,
                                                        value):
         kernel = {"family": family, **self.FIELDS[family], field: value}
@@ -1119,7 +1102,7 @@ class TestFamilyParameters:
         assert _single_error_line(err)
         assert err.endswith(f"{what} must be a finite number, got inf\n")
 
-    @pytest.mark.parametrize("family", ["gaussian", "beta", "tasep"])
+    @pytest.mark.parametrize("family", ["gaussian", "gaussian_diag", "beta"])
     def test_one_number_field_call_per_parameter(self, tmp_path, capsys, monkeypatch, family):
         calls = []
         real = cli.number_field
@@ -1150,11 +1133,6 @@ _FUZZ_BASES = [
     GAUSS_DOC,
     {"alphabet": {"grid": {"points": 17, "halfwidth": 6.0}},
      "kernel": {"family": "beta", "alpha": 1, "beta": 1, "m": 1, "theta": 1}, "lattice": "N"},
-    {"alphabet": {"grid": {"points": 9}},
-     "kernel": {"family": "tasep", "r": 0.5, "v": 2.0, "p": 1.0, "spacing": 1.0}, "lattice": "Z"},
-    {"alphabet": {"grid": {"points": 9}},
-     "kernel": {"family": "fpp", "weight_family": "gamma", "weight_params": [2, 1.5],
-                "init_value": 1}, "lattice": "N"},
 ]
 
 

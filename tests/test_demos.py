@@ -11,9 +11,9 @@ import pytest
 DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
-def test_all_five_demos_found():
+def test_all_four_demos_found():
     assert [p.stem for p in DEMOS] == ["beta_drift", "cyclic_chain", "finite_pipeline",
-                                       "gaussian_ar1", "particle_models"]
+                                       "gaussian_ar1"]
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])

@@ -26,9 +26,6 @@ WIDTH, STEPS, SEED = 160, 40, 7
 MODELS = {
     "fac4": None,   # make_factorized_tensor(4, 11), on the half line
     "gaussian": {"family": "gaussian", "m": 3, "sigma": 1},
-    "tasep": {"family": "tasep", "r": 0.5, "v": 2.0, "p": 0.6, "spacing": 1.5},
-    "fpp": {"family": "fpp", "weight_family": "gamma", "weight_params": [2, 1.5],
-            "init_value": 0.5},
 }
 
 # model -> (.bin sha256, .csv sha256, summary statistics sha256)
@@ -39,12 +36,6 @@ GOLDEN = {
     "gaussian": ("da454a3d23216dc8819e7aeb06d5b092c72e18f4ab4851cd168897cc150dd169",
                  "b37c78f402ed0917158e4299035d107c0213eeafef44f70025699d4b487e19d1",
                  "81864cf68849e5840489435d9a9ce50d6b2a20fccbb0bc76aede677e7809f9f5"),
-    "tasep": ("af13be169d750fdf0b270f7e63c020a51eb835c62bd70a9b2a0bd85d3ea39ca7",
-              "38576b5bb1a137ef31219410d3ba4a68298d4150240d91a5452bec05ed5b5df6",
-              "93f11d4d5cb7abd8fd9bec98d60d918609d8ea22eec242478cef20418d7f73dc"),
-    "fpp": ("e007897e685c29af1e9fd7e72ef5fa98ac5de657ecab0037a20a2ff1e7e90a46",
-            "e03b619af416b9b4ea84f46ab7f1a064ec4ac23d058d0d2036ca2d3e8a884a22",
-            "d8cc4630e24606f3f94f4945aafb0844074dafa61909dbf9294cd244d087fb2a"),
 }
 
 
@@ -58,7 +49,7 @@ def _simulate(tmp_path, name):
         tensor = fs.make_factorized_tensor(4, 11)[0]
         save_model(path, tensor, "N")
     else:
-        save_model(path, MODELS[name], "Z" if name == "tasep" else "N", {"points": 9})
+        save_model(path, MODELS[name], "N", {"points": 9})
     out = tmp_path / name
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["simulate", "--model", str(path), "--width", str(WIDTH),

@@ -99,7 +99,7 @@ def _digests(paths):
 def models(tmp_path_factory):
     root = tmp_path_factory.mktemp("startup")
     paths = {name: root / f"{name}.json"
-             for name in ("half", "cycle", "gauss", "gdiag", "beta", "fpp")}
+             for name in ("half", "cycle", "gauss", "gdiag", "beta")}
     save_model(paths["half"], fs.make_factorized_tensor(3, 11)[0], "N")
     save_model(paths["cycle"], fs.make_factorized_tensor(2, 13)[0], {"cycle": 3})
     save_model(paths["gauss"], {"family": "gaussian", "m": 3, "sigma": 1}, "N", {"points": 129})
@@ -107,8 +107,6 @@ def models(tmp_path_factory):
                {"points": 33})
     save_model(paths["beta"], {"family": "beta", "alpha": 1, "beta": 1, "m": 1, "theta": 1}, "N",
                {"points": 17, "halfwidth": 6.0})
-    save_model(paths["fpp"], {"family": "fpp", "weight_family": "gamma",
-                              "weight_params": [2, 1.5], "init_value": 0.5}, "N", {"points": 9})
     paths["root"] = root
     return paths
 
@@ -146,9 +144,9 @@ def test_lazily_loaded_commands_match_in_process(models):
                  "--out", str(root / "gauss.sim")],
                 ["verify", "--model", gauss, "--spec", str(spec), "--width", "2001", "--seed", "3"],
                 ["check", "--model", str(models["beta"])],
-                ["simulate", "--model", str(models["fpp"]), "--width", "120", "--steps", "30",
-                 "--seed", "5", "--out", str(root / "fpp.sim")]]
-    written = [root / f"{stem}.{ext}" for stem in ("gauss.sim", "fpp.sim")
+                ["simulate", "--model", str(models["beta"]), "--width", "120", "--steps", "30",
+                 "--seed", "5", "--out", str(root / "beta.sim")]]
+    written = [root / f"{stem}.{ext}" for stem in ("gauss.sim", "beta.sim")
                for ext in ("bin", "csv", "summary.json")]
     fresh = _fresh(commands)
     # the first sampler call loads scipy.special, so this child took the lazy path
