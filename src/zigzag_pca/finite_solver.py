@@ -30,16 +30,18 @@ reference to the conditions above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from .core_types import (EXACT_TOL, CheckReport, ChzmcSpec, HzmcSpec, TransitionTensor,
+from .core_types import (_BLOCK, EXACT_TOL, CheckReport, ChzmcSpec, HzmcSpec, TransitionTensor,
                          _row_blocks, normalize_rows, sup_residual)
 
 MAX_KAPPA = 64
 SIZE_GUARD = 10**7
 WITNESS_TUPLES = 4096     # six-tuples behind the quartic witness in check_belyaev
+_PIECE = _BLOCK // 4     # entries in a piece of a chain walk: 128 KB, so two stay in L2
 
 
 class BaseTriple(NamedTuple):
@@ -327,27 +329,26 @@ def _grow(w: np.ndarray, link: np.ndarray, links: int) -> np.ndarray:
 
 
 def _chain_blocks(first: np.ndarray, tail_of):
-    """Walk the chain w[p, m, b, rest] = first[p, m, b] tail_of(p)[b, rest]
-    one leading pair (p, m) at a time, in C order, so block i is the flat
-    slice [i * size, (i + 1) * size) of the whole chain.  Every block is
-    written into one buffer, valid until the next block; tail_of(p) is called
-    after the previous leading cell's tail is dropped, so at most one tail is
-    alive."""
-    block = None
+    """Walk the chain w[p, m, b, c] = first[p, m, b] tail_of(p)[b, c] in C
+    order, in pieces of at most _PIECE entries: whole pairs (p, m) while one
+    fits, else whole rows b, else slices of a row; each entry is the one
+    product first[p, m, b] tail[b, c] wherever the cuts fall.  Pieces share
+    one buffer, valid until the next; one tail is alive at a time."""
+    pairs, buf = first.shape[1], np.empty(_PIECE)
     for p in range(first.shape[0]):
         tail = tail_of(p)
-        if block is None:
-            block = np.empty(tail.shape)
-        for m in range(first.shape[1]):
-            yield np.multiply(first[p, m][:, None], tail, out=block)
-        del tail
+        rows, cols = tail.shape
+        dm, db, dc = max(1, _PIECE // tail.size), max(1, _PIECE // cols), min(cols, _PIECE)
+        for m0, b0, c0 in product(range(0, pairs, dm), range(0, rows, db), range(0, cols, dc)):
+            f, t = first[p, m0:m0 + dm, b0:b0 + db, None], tail[b0:b0 + db, c0:c0 + dc]
+            yield np.multiply(f, t, out=buf[:f.shape[0] * t.size].reshape(f.shape[0], *t.shape))
+        del tail, t         # t is a view: it would keep the tail alive
 
 
 def _fill(blocks, shape: tuple) -> np.ndarray:
     """The whole chain of a block walk, as an array of ``shape``."""
     w = np.empty(shape)
-    flat = w.reshape(-1)
-    start = 0
+    flat, start = w.reshape(-1), 0
     for blk in blocks:
         flat[start:start + blk.size] = blk.reshape(-1)
         start += blk.size
@@ -411,9 +412,9 @@ def bruteforce_invariance(tensor: TransitionTensor, hzmc: HzmcSpec, k_max: int,
     """Independent oracle: compares the pushed-forward law with the chain's
     own cylinder weights on every window size up to k_max.  The witness
     ``argmax`` (k, then the cells) is None on a pass: it would name noise.
-    Each window is walked one leading pair (b0, c0) at a time, the two laws
-    in lockstep, so about four blocks of kappa^(2k+1) entries are alive at
-    once, never a whole window; every entry is the product
+    Each window is walked in cache-sized pieces (``_chain_blocks``), the two
+    laws in lockstep, so two tails of kappa^(2k+1) entries and two pieces
+    are alive, never a whole window; every entry is the product
     ``push_forward_zigzag`` and ``hzmc_cylinder_weights`` compute.
 
     The witness ``complete`` says whether the windows checked settle every

@@ -47,12 +47,11 @@ def partition_function(d: np.ndarray, u: np.ndarray, n: int) -> float:
 
 
 def _cyclic_blocks(link: np.ndarray, n: int, scale: float = 1.0):
-    """Block walk (``finite_solver._chain_blocks``) of
+    """Pieced walk (``finite_solver._chain_blocks``) of
     w(x0, m0, x1, m1, ..., x_{n-1}, m_{n-1}) = scale prod_i link[x_i, m_i, x_{i+1 mod n}],
-    one leading pair (x0, m0) a block; the diagonal for n = 1.  For each x0
-    the closing link link[x_{n-1}, m_{n-1}, x0] comes first, and the open
-    chain grows leftward to x1 (``finite_solver._grow``); a block is that
-    chain times the link from (x0, m0), times ``scale``."""
+    the diagonal for n = 1: the link from (x0, m0) times ``scale``, times the
+    tail for x0, the closing link link[x_{n-1}, m_{n-1}, x0] grown leftward to
+    x1 (``finite_solver._grow``)."""
     kappa = link.shape[0]
     if n == 1:
         diag = link[np.arange(kappa), :, np.arange(kappa)] * scale
@@ -81,7 +80,7 @@ def check_cycle_commutation(d: np.ndarray, u: np.ndarray, n: int,
     Screened first by the stronger matrix identity du = ud (sufficient); the
     full n-tuple sweep runs only when screening fails.  It walks the two
     products prod_i du(x_i; x_{i+1 mod n}) and prod_i ud(x_i; x_{i+1 mod n})
-    in lockstep blocks (``_cyclic_blocks``), never holding either whole.
+    in lockstep pieces (``_cyclic_blocks``), holding two kappa^(n-1) tails.
     The report notes which branch decided.  Beyond the size guard a failed
     screen leaves the question undecided: the report fails with residual inf.
     """
@@ -157,11 +156,11 @@ def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,
     prod_i t(y_i, y_{i+1}; .): the cyclic chain of the half line's push
     link, over z.
 
-    Both laws are walked one leading pair (x0, m0) at a time, in lockstep,
-    the chain for one x0 alive at a time, so about four blocks of
-    kappa^(2n-2) entries are held, never the whole law; every entry is the
-    product ``chzmc_density`` computes.  The law's block sums are added up
-    and checked as ``chzmc_density`` checks its total."""
+    Both laws are walked in cache-sized pieces, in lockstep, the chain for
+    one x0 alive at a time, so two tails of kappa^(2n-2) entries and two
+    pieces are held, never the whole law; every entry is the product
+    ``chzmc_density`` computes.  The law's piece sums are added up and
+    checked as ``chzmc_density`` checks its total."""
     d, u, n = spec.d, spec.u, spec.n
     kappa = d.shape[0]
     _size_guard(kappa, 2 * n, f"the cyclic joint law of the {n}-cycle")

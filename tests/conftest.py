@@ -67,6 +67,17 @@ def iterated_nu_eta(tensor, triple, start):
     return nu, _power_iterate(m2, start)
 
 
+def pair_blocks(first, tail_of):
+    """The chain walk w[p, m, b, c] = first[p, m, b] tail_of(p)[b, c] one
+    leading pair (p, m) a block, first[p, m][:, None] * tail_of(p): the
+    reference for the pieced walk of ``finite_solver._chain_blocks``, whose
+    entries must equal these bit for bit."""
+    for p in range(first.shape[0]):
+        tail = tail_of(p)
+        for m in range(first.shape[1]):
+            yield first[p, m][:, None] * tail
+
+
 def near_identity_tensor(kappa, eps, seed=5):
     """Factorizable kernel of the chain d = u = (1 - eps) I + eps M, with M a
     random positive stochastic matrix from ``default_rng(seed)``: for small

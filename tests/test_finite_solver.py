@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 import tracemalloc
 
@@ -9,9 +10,9 @@ from hypothesis import strategies as hst
 
 from zigzag_pca import finite_solver as fs
 from zigzag_pca import lattice_ext as lx
-from zigzag_pca.core_types import (EXACT_TOL, CheckReport, HzmcSpec, TransitionTensor,
+from zigzag_pca.core_types import (EXACT_TOL, CheckReport, ChzmcSpec, HzmcSpec, TransitionTensor,
                                    _row_blocks, normalize_rows)
-from conftest import corpus_seeds, iterated_nu_eta, near_identity_tensor
+from conftest import corpus_seeds, iterated_nu_eta, near_identity_tensor, pair_blocks
 
 
 def constant_tensor(kappa: int) -> TransitionTensor:
@@ -569,9 +570,93 @@ def whole_window_oracle(tens, spec, k_max, tol=EXACT_TOL):
     return worst, per_k, where
 
 
+def walked_reports(kappa: int) -> list[str]:
+    """Every report a chain walk decides, as JSON (floats by repr, so equal
+    strings are equal bits): both oracles on passing and failing chains, a
+    non-commuting pair on the half line and on cycles, n = 1 included, and
+    its full cycle sweep."""
+    rng = np.random.default_rng(70 + kappa)
+    d, u = (m / m.sum(axis=1, keepdims=True) for m in rng.uniform(0.1, 1.0, (2, kappa, kappa)))
+    k_max = 5 - kappa                    # windows of up to 2^9 and 3^7 entries
+    reps = []
+    for kind in ("factorized", "tampered", "generic"):
+        reps.append(fs.bruteforce_invariance(*oracle_case(kind, kappa, 50 + kappa), k_max))
+    tens = fs.make_factorized_tensor(kappa, 7)[0]
+    reps.append(fs.bruteforce_invariance(tens, HzmcSpec(d=d, u=u, rho0=np.full(kappa, 1 / kappa)),
+                                         k_max))
+    for n in (1, 2, 3, 4):
+        reps.append(lx.bruteforce_cycle_invariance(tens, lx.solve_chzmc(tens, n).spec))
+        reps.append(lx.bruteforce_cycle_invariance(
+            tens, ChzmcSpec(d=d, u=u, n=n, z=lx.partition_function(d, u, n))))
+        reps.append(lx.check_cycle_commutation(d, u, n))
+    assert reps[-1].notes == "decided by full cycle sweep" and not reps[-1].passed
+    return [json.dumps(rep.to_dict(), sort_keys=True) for rep in reps]
+
+
+class TestPiecedWalk:
+    """The chain walk cuts its pieces by a budget of entries; where the cuts
+    fall changes no entry and no report."""
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    def test_piece_budget_changes_no_report(self, monkeypatch, kappa):
+        default = walked_reports(kappa)
+        for budget in (1, 7, 64):
+            monkeypatch.setattr(fs, "_PIECE", budget)
+            assert walked_reports(kappa) == default
+
+    @pytest.mark.parametrize("budget", [1, 4, 5, 12, None])
+    def test_tie_and_nan_across_pieces_of_one_row(self, monkeypatch, budget):
+        # one row of 12 entries: at a budget of 4 its pieces are [0, 4), [4, 8)
+        # and [8, 12), so the tie at 1 and 5 and the NaN at 6 sit in later
+        # pieces; None keeps the default budget, one piece
+        if budget is not None:
+            monkeypatch.setattr(fs, "_PIECE", budget)
+        tie = np.zeros((1, 12))
+        tie[0, [1, 5]] = 3.0
+        nan = np.array([[0.0, 0.5, 0.0, 0.0, 0.0, 2.0, np.nan, 0.0, 0.0, 0.0, 7.0, 0.0]])
+        zero = np.zeros((1, 12))
+        shape = (1, 1, 1, 12)
+
+        def walk(tail):
+            return fs._chain_blocks(np.ones((1, 1, 1)), lambda p: tail)
+
+        assert fs._sup_distance(walk(tie), walk(zero), shape, EXACT_TOL) == (3.0, (0, 0, 0, 1))
+        assert fs._sup_distance(walk(nan), walk(zero), shape, EXACT_TOL) == (np.inf, (0, 0, 0, 6))
+
+    @pytest.mark.parametrize("kappa, k", [(2, 0), (2, 8), (3, 4), (16, 1)])
+    def test_pieces_fit_the_budget_and_fill_bitwise(self, kappa, k):
+        # (2, 8): rows of 2^16 entries, cut into slices; (3, 4): rows of 3^8,
+        # two a piece; (16, 1) and (2, 0): pairs of 16^3 and 2, grouped
+        tens, spec = oracle_case("generic", kappa, 60 + kappa)
+        link = fs._push_link(tens.t, spec.u @ spec.d)
+        first = (spec.rho0 @ spec.d)[:, None, None] * link
+        tail = fs._grow(np.ones((1, kappa, 1)), link, k)[0]
+        sizes = [piece.size for piece in fs._chain_blocks(first, lambda p: tail)]
+        assert sum(sizes) == kappa ** (2 * k + 3) and max(sizes) <= fs._PIECE
+        if tail.size <= fs._PIECE:           # whole pairs of one leading cell a piece
+            assert max(sizes) == min(kappa, fs._PIECE // tail.size) * tail.size
+        shape = (kappa,) * (2 * k + 3)
+        pieced = fs._fill(fs._chain_blocks(first, lambda p: tail), shape)
+        assert pieced.tobytes() == fs._fill(pair_blocks(first, lambda p: tail), shape).tobytes()
+
+    @pytest.mark.parametrize("kappa, k, n", [(2, 0, 1), (2, 8, 10), (3, 1, 2), (3, 4, 6)])
+    def test_every_caller_matches_the_pair_walk(self, monkeypatch, kappa, k, n):
+        tens, spec = oracle_case("tampered", kappa, 80 + kappa)
+        cyc = lx.solve_chzmc(tens, n).spec
+
+        def laws():
+            return [fs.push_forward_zigzag(tens, spec, k), fs.hzmc_cylinder_weights(spec, k),
+                    lx.chzmc_density(cyc)]
+
+        pieced = laws()
+        monkeypatch.setattr(fs, "_chain_blocks", pair_blocks)
+        monkeypatch.setattr(lx, "_chain_blocks", pair_blocks)
+        assert [w.tobytes() for w in pieced] == [w.tobytes() for w in laws()]
+
+
 class TestBlockWalk:
-    """The oracles walk one leading pair at a time and report, bit for bit,
-    what the whole-window comparison reports."""
+    """The oracles walk the chain in pieces and report, bit for bit, what
+    the whole-window comparison reports."""
 
     @pytest.mark.parametrize("kappa", [2, 3])
     @pytest.mark.parametrize("kind", ["factorized", "generic", "tampered"])
@@ -618,7 +703,8 @@ class TestBlockWalk:
 
     def test_largest_half_line_window_memory(self):
         # kappa^(2k+3) = 2^23 entries, the largest window SIZE_GUARD admits: a
-        # whole window is 64 MiB, and the oracle holds about four 16 MiB blocks
+        # whole window is 64 MiB; the oracle holds the two laws' 16 MiB tails
+        # and two pieces, a peak of 36 MiB while the second tail grows
         tens, _, _ = fs.make_factorized_tensor(2, 7)
         spec = fs.solve_invariant_hzmc(tens).spec
         tracemalloc.start()
@@ -628,7 +714,7 @@ class TestBlockWalk:
         finally:
             tracemalloc.stop()
         assert rep.passed and len(rep.witnesses["per_k"]) == 11
-        assert peak < 80 * 2**20
+        assert peak < 48 * 2**20
 
 
 class TestCorpusProperties:

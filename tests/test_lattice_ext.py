@@ -238,7 +238,8 @@ class TestChzmcConditions:
 
     def test_full_sweep_memory(self):
         # kappa^n = 10^7 products, the largest sweep the size guard admits:
-        # each whole product is 76 MiB, and the sweep holds a few 8 MiB blocks
+        # each whole product is 76 MiB; the sweep holds two 8 MiB tails and
+        # two pieces, a peak of 16 MiB while the second tail grows
         d, u = noncommuting_pair(5, kappa=10)
         tracemalloc.start()
         try:
@@ -247,7 +248,7 @@ class TestChzmcConditions:
         finally:
             tracemalloc.stop()
         assert rep.notes == "decided by full cycle sweep" and not rep.passed
-        assert peak < 64 * 2**20
+        assert peak < 24 * 2**20
 
     @pytest.mark.parametrize("seed", [12, 13])
     def test_screen_miss_beyond_the_guard_is_undecided(self, seed):
@@ -396,10 +397,11 @@ class TestCycleOracle:
         assert rep.witnesses["argmax"] == (None if where is None else tuple(int(i) for i in where))
         assert rep.passed == (kind == "factorized")
 
-    @pytest.mark.parametrize("kappa, n, budget_mib", [(2, 11, 48), (3, 7, 24)])
+    @pytest.mark.parametrize("kappa, n, budget_mib", [(2, 11, 24), (3, 7, 12)])
     def test_largest_cycle_memory(self, kappa, n, budget_mib):
         # the largest cycles SIZE_GUARD admits: the whole law is 32 MiB at
-        # (2, 11) and 43 MiB at (3, 7); the oracle holds about four blocks
+        # (2, 11) and 43 MiB at (3, 7); the oracle holds the two laws' tails
+        # for one x0 and two pieces, a peak of 18 and 9 MiB
         tens, _, _ = fs.make_factorized_tensor(kappa, 7)
         spec = lx.solve_chzmc(tens, n).spec
         tracemalloc.start()
