@@ -51,17 +51,20 @@ def _norm_pdf(x, mean, std):
     """The N(mean, std^2) density at x, computed in place in one new array (a
     scalar for scalar arguments).
 
-    With z = (x - mean) / std and h = -0.5 z, the exponent is taken as
-    -2 (h h), which is (-0.5 z) z bit for bit and overflows where it does:
-    scaling by a power of two is exact on normal floats, and where a product
-    is not normal the exponent is below 1e-300 and exp gives 1 either way.
+    With z = (x - mean) / std, the exponent is taken as round(z z) (-0.5),
+    which is (-0.5 z) z bit for bit: scaling by a power of two is exact on
+    normal floats, and where a product is not normal the exponent is below
+    1e-300 and exp gives 1 either way.  z z overflows from |z| > 2^512
+    (1.3e154), (-0.5 z) z only from 1.9e154: between the two, where both
+    give a density of 0, z z alone warns of the overflow.  At a scalar
+    std == 1 the division, exact there, is skipped.
     """
     x = np.asarray(x, dtype=float)
     out = np.subtract(x, mean, out=np.empty(np.broadcast(x, mean, std).shape))
-    out /= std
-    out *= -0.5
+    if np.ndim(std) or std != 1.0:
+        out /= std
     np.multiply(out, out, out=out)
-    out *= -2.0
+    out *= -0.5
     np.exp(out, out=out)
     out /= std * np.sqrt(2.0 * np.pi)
     return out if out.ndim else out[()]
@@ -532,12 +535,17 @@ def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np
 
     When both kernels expose support bounds and every pairwise intersection
     is a finite interval, the integral runs on Gauss-Legendre nodes placed on
-    exactly that interval (this keeps indicator-supported kernels exact).
-    Otherwise it contracts the grid-sampled matrices with the grid weights,
-    by ``einsum`` and not a matrix product: a BLAS call leaves its worker
+    exactly that interval (this keeps indicator-supported kernels exact).  An
+    empty interval integrates to +0.0 whatever the kernels are at its nodes,
+    and each block's columns are trimmed to the span of its pairs with a
+    non-empty interval: no node beyond that span is evaluated.  The Beta
+    candidates' intervals are empty at b <= a, half of the pairs.  Otherwise
+    it contracts the grid-sampled matrices with the grid weights, by
+    ``einsum`` and not a matrix product: a BLAS call leaves its worker
     threads spinning on the other cores for 0.1-0.3 s, where the threaded
     passes that follow it run.  Either way the rows split over threads
-    (_split_rows).
+    (_split_rows); trimmed Beta rows hold less work the later they come, and
+    the ranges stay even in rows.
     """
     p = grid.points
     n = p.size
@@ -552,20 +560,26 @@ def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np
         hi = np.minimum(hi1[:, None], hi2[None, :])
         if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
             width = np.clip(hi - lo, 0.0, None)
-            out = np.empty((n, n))
+            live = width > 0.0
+            out = np.zeros((n, n))
             unit_x, unit_w = _gl_unit()
 
             def compose_rows(blocks):
                 nodes = np.empty((*_extent(blocks[0]), _GL_NODES))
                 vals = np.empty_like(nodes)
                 for rows, cols in blocks:
+                    span = np.flatnonzero(live[rows, cols].any(axis=0))
+                    if not span.size:
+                        continue
+                    cols = slice(cols.start + span[0], cols.start + span[-1] + 1)
                     nr, nc = _extent((rows, cols))
                     x = np.multiply(width[rows, cols, None], unit_x, out=nodes[:nr, :nc])
                     x += lo[rows, cols, None]
                     v = np.multiply(k1.density(p[rows, None, None], x),
                                     k2.density(x, p[None, cols, None]), out=vals[:nr, :nc])
                     v *= unit_w
-                    np.multiply(v.sum(axis=2), width[rows, cols], out=out[rows, cols])
+                    np.multiply(v.sum(axis=2), width[rows, cols], out=out[rows, cols],
+                                where=live[rows, cols])
 
             _split_rows(n, _GL_NODES, compose_rows)
             return out
@@ -616,6 +630,10 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure, ov
     ``override_density``) changes ``kernel`` by more than _MU_THRESH, or to or
     from NaN (None without one).
 
+    When the chain's two legs are one kernel (``hzmc.d is hzmc.u``, as in
+    the AR(1) chain), it is composed and evaluated once: ud is du, which a
+    second composition would give bit for bit.
+
     The factorization sweep t(a,b;c) du(a;b) = d(a;c) u(c;b) walks the n^3
     triples in blocks, its rows split over threads (_split_rows), and
     evaluates ``kernel`` once per triple.  The override reads each block's t
@@ -630,10 +648,11 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure, ov
     p = grid.points
     n = p.size
     d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
+    same = u is d
     du = compose_kernels(d, u, grid)
-    ud = compose_kernels(u, d, grid)
+    ud = du if same else compose_kernels(u, d, grid)
     d_mat = _eval_markov(d, p, p)
-    u_t = np.ascontiguousarray(_eval_markov(u, p, p).T)     # u_t[b, c] = u(c; b)
+    u_t = np.ascontiguousarray((d_mat if same else _eval_markov(u, p, p)).T)  # u(c; b) at [b, c]
     differs = None if override is None else np.zeros((n, n), dtype=bool)
 
     def sweep_rows(blocks):

@@ -130,6 +130,36 @@ class TestCheck:
         capsys.readouterr()
         assert triples == {"gaussian": 33 ** 3, "gaussian_diag": 33 ** 3}
 
+    def test_equal_legs_are_composed_once(self, tmp_path, monkeypatch, capsys):
+        # the AR(1) chain has d is u, so ud is du; Beta's legs differ
+        compose = ck.compose_kernels
+        calls = []
+
+        def spy(k1, k2, grid):
+            calls.append(k1 is k2)
+            return compose(k1, k2, grid)
+
+        monkeypatch.setattr(ck, "compose_kernels", spy)
+        families = {"gaussian": {"m": 3, "sigma": 1}, "gaussian_diag": {"m": 3, "sigma": 1},
+                    "beta": {"alpha": 1, "beta": 1, "m": 1, "theta": 1}}
+        for family, params in families.items():
+            path = tmp_path / f"{family}.json"
+            save_model(path, {"family": family, **params}, "N", {"points": 33})
+            calls.clear()
+            assert run_main("check", "--model", path) == (1 if family == "beta" else 0)
+            reports = {r["condition"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+            assert calls == ([False, False] if family == "beta" else [True]), family
+            if family != "beta":
+                assert reports["commutation"]["residual"] == 0.0
+                assert reports["commutation"]["witnesses"]["argmax"] == [0, 0]
+        spec = tmp_path / "spec.json"
+        assert run_main("solve", "--model", tmp_path / "gaussian.json", "--out", spec) == 0
+        calls.clear()
+        assert run_main("verify", "--model", tmp_path / "gaussian.json", "--spec", spec,
+                        "--width", 101) == 0
+        assert calls == [True]
+        capsys.readouterr()
+
     def test_passing_condition_reports_name_no_witness(self, files, capsys):
         assert run_main("check", "--model", files["two_letter"]) == 0
         reports = {r["condition"]: r for r in json.loads(capsys.readouterr().out)["reports"]}

@@ -1,8 +1,10 @@
+import itertools
 import os
 import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,6 +266,11 @@ class TestDensitiesBitForBit:
         p = rng.uniform(-40.0, 40.0, 500)
         cases = [(p, 0.0, 1.0), (p, 0.3, 0.7), (p[:, None], p[None, :20] / 3.0, 2.5),
                  (edge, 0.0, 1.0), (edge, 0.5, 3.0), (np.concatenate([edge, -edge]), 1.0, 0.7)]
+        # a scalar std of 1 in every form skips the division; an array holding a 1 keeps it
+        cases += [(x, mean, one) for one in (1, 1.0, np.float64(1.0), np.array(1.0))
+                  for x, mean in ((p, 0.3), (edge, 0.0), (np.concatenate([edge, -edge]), 1.0))]
+        cases += [(edge[:, None], 0.5, np.array([1.0, 0.7, 3.0])), (p, 0.0, np.ones(p.size)),
+                  (p[:, None], 0.3, np.array([[1.0, 2.5]]))]
         for x, mean, std in cases:
             with warnings.catch_warnings(record=True) as seen_got:
                 warnings.simplefilter("always")
@@ -712,6 +719,18 @@ class TestBlockedSweep:
         hz = ck.gaussian_invariant_hzmc(gauss31)
         assert ck._cond_residuals(kern, hz, grid)[0] == full_factorization(kern, hz, grid)
 
+    @staticmethod
+    def _compositions_match_full_tensor(points):
+        # exponents of 1 skip a log term; the shift m takes both signs
+        for (al, be), m in itertools.product([(1.0, 1.0), (2.0, 3.0), (0.5, 1.0), (0.7, 0.6)],
+                                             [0.3, -0.4]):
+            par = ck.BetaPcaParams(al, be, m, 2.0)
+            grid = ck.default_beta_grid(par, points)
+            hz = ck.beta_candidate_hzmc(par)
+            for k1, k2 in ((hz.d, hz.u), (hz.u, hz.d)):
+                assert np.array_equal(ck.compose_kernels(k1, k2, grid),
+                                      full_compose(k1, k2, grid)), (al, be, m, k1 is hz.d)
+
     @pytest.mark.parametrize("points", [17, 100, 129])
     def test_beta_sweep_and_composition_match_full_tensor(self, points):
         par = ck.BetaPcaParams(2.5, 0.7, 0.3, 2.0)
@@ -719,6 +738,55 @@ class TestBlockedSweep:
         kern, hz = ck.beta_kernel_density(par), ck.beta_candidate_hzmc(par)
         assert np.array_equal(ck.compose_kernels(hz.d, hz.u, grid), full_compose(hz.d, hz.u, grid))
         assert ck._cond_residuals(kern, hz, grid)[0] == full_factorization(kern, hz, grid)
+        self._compositions_match_full_tensor(points)
+
+    def test_compositions_in_pieces_of_a_row_match_full_tensor(self, monkeypatch):
+        # 40 pairs a block: each block is a piece of one row, trimmed on its own
+        monkeypatch.setattr(ck, "_BLOCK", 40 * ck._GL_NODES)
+        rows, cols = ck._extent(ck._split_rows(100, ck._GL_NODES, lambda blocks: blocks[0])[0])
+        assert rows == 1 and cols < 100
+        self._compositions_match_full_tensor(100)
+
+    def test_empty_interval_integrates_to_positive_zero(self):
+        # both legs uniform on [x - 1/2, x + 1/2] and NaN off it, so the
+        # composition is the triangle (1 - |b - a|)+; the nodes of an empty
+        # interval sit off one leg's support
+        half = lambda x: (np.asarray(x, dtype=float) - 0.5, np.asarray(x, dtype=float) + 0.5)
+        leg = MarkovKernel(
+            density=lambda x, y: np.where(np.abs(np.asarray(y) - x) <= 0.5, 1.0, np.nan),
+            noise=lambda u: u - 0.5, step=lambda x, e: x + e, out_support=half, in_support=half)
+        grid = gauss_legendre_grid(3.0, 33)
+        p = grid.points
+        gap = np.abs(p[None, :] - p[:, None])
+        empty = gap >= 1.0
+        assert empty.any() and (~empty).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ck.compose_kernels(leg, leg, grid)
+        assert np.all(out[empty] == 0.0) and not np.signbit(out[empty]).any()
+        # the full-tensor formula multiplies the NaN by the width 0; the live pairs agree
+        full = full_compose(leg, leg, grid)
+        assert np.isnan(full[gap > 1.0]).all()
+        assert np.array_equal(out[~empty], full[~empty])
+        assert np.allclose(out, np.clip(1.0 - gap, 0.0, None), rtol=0.0, atol=1e-14)
+
+    def test_beta_composition_evaluates_only_live_columns(self):
+        par = ck.BetaPcaParams(2.0, 3.0, 0.3, 2.0)
+        grid = ck.default_beta_grid(par, 257)
+        hz = ck.beta_candidate_hzmc(par)
+
+        def counted(kernel, nodes):
+            def density(x, y):
+                nodes.append(np.broadcast(x, y).size)
+                return kernel.density(x, y)
+            return replace(kernel, density=density)
+
+        for k1, k2 in ((hz.d, hz.u), (hz.u, hz.d)):
+            first, second = [], []
+            got = ck.compose_kernels(counted(k1, first), counted(k2, second), grid)
+            assert np.array_equal(got, full_compose(k1, k2, grid))
+            # the live pairs are b > a, about half of all pairs, in both orders
+            assert 0 < sum(first) == sum(second) <= 0.55 * 257 ** 2 * ck._GL_NODES
 
     @pytest.mark.parametrize("points", [17, 100, 129, 257])
     def test_mu_probe_matches_full_tensor(self, gauss31, points):
