@@ -24,6 +24,7 @@ probability density is stationary: each down-up step drifts by
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,13 +75,13 @@ def _gamma_density(shape, rate):
     """The Gamma(shape, rate) density (mean shape/rate) as a function that
     overwrites a float array of arguments with the density there.
 
-    shape log(rate) and gammaln(shape) are taken once, here.  A call works in
+    shape log(rate) and lgamma(shape) are taken once, here.  A call works in
     place, with one more array for the log term (shape - 1) log x when
     shape != 1; when shape == 1 that term is +-0 and is skipped.  x <= 0 and
     NaN give 0, except x == 0 gives rate when shape == 1.
     """
     head = shape * np.log(rate)
-    tail = _special().gammaln(shape)
+    tail = math.lgamma(shape)
 
     def fill(x):
         nonpos = ~(x > 0.0)
@@ -347,7 +348,7 @@ def beta_kernel_density(params: BetaPcaParams) -> KernelDensity:
     the density reports 0 there (a null set under the line measure).
     """
     al, be, m = params.alpha, params.beta, params.m
-    lbeta = _special().betaln(al, be)
+    lbeta = math.lgamma(al) + math.lgamma(be) - math.lgamma(al + be)
 
     def density(a, b, c):
         a = np.asarray(a, dtype=float)

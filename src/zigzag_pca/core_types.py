@@ -53,10 +53,9 @@ def _row_blocks(n: int, row: int) -> list[slice]:
 
 
 def _special():
-    """``scipy.special``, imported on the first call.  Only the samplers and
-    the Beta and Gamma normalizers use it, and importing it takes most of the
-    package's start-up, so the finite commands and the Gaussian ``check`` and
-    ``solve`` never load it."""
+    """``scipy.special``, imported on the first call.  Only the samplers use
+    it, and importing it takes most of the package's start-up, so ``check``
+    and ``solve`` never load it."""
     import scipy.special
     return scipy.special
 

@@ -133,7 +133,7 @@ def solve_chzmc(tensor: TransitionTensor, n: int, tol: float = EXACT_TOL) -> Inv
     commutation; the spec is built only when both pass."""
     _require_positive(tensor, "solve_chzmc")
     triple = select_base_triple(tensor)
-    rep4 = check_belyaev(tensor, triple, tol=tol)
+    rep4 = check_belyaev(tensor, tol=tol)
     if not rep4.passed:
         return InvariantSolve(triple=triple, nu=None, eta=None, spec=None, reports=(rep4,))
     nu, eta, built = _construct(tensor, triple)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import sys
 import threading
@@ -194,8 +195,9 @@ class TestBetaFamily:
 def _reference_beta_density(al, be, m):
     """The Beta kernel density as one expression per step, allocating each
     temporary: the formula that the in-place evaluation must reproduce bit
-    for bit."""
-    lbeta = betaln(al, be)
+    for bit, with the package's normalizer (``test_normalizers_match_scipy``
+    holds it to scipy's)."""
+    lbeta = math.lgamma(al) + math.lgamma(be) - math.lgamma(al + be)
 
     def density(a, b, c):
         a = np.asarray(a, dtype=float)
@@ -222,7 +224,7 @@ def _reference_gamma_pdf(x, shape, rate):
     pos = x > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         logpdf = shape * np.log(rate) + (shape - 1.0) * np.log(np.where(pos, x, 1.0)) \
-            - rate * np.where(pos, x, 0.0) - gammaln(shape)
+            - rate * np.where(pos, x, 0.0) - math.lgamma(shape)
         out = np.where(pos, np.exp(logpdf), 0.0)
     if shape == 1.0:
         out = np.where(x == 0.0, float(rate), out)
@@ -355,6 +357,19 @@ class TestDensitiesBitForBit:
             for scalar in (-1.0, 0.0, 0.5):
                 assert _same(pdf(np.array(scalar, dtype=float)),
                              _reference_gamma_pdf(scalar, shape, rate))
+
+    def test_normalizers_match_scipy(self):
+        # the Beta and Gamma normalizers come from math.lgamma; at the middle
+        # of the Beta support and at x = 1 both densities are exp(-normalizer)
+        # times a power of two (or e^-1), against scipy's betaln and gammaln
+        shapes = [0.05, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.7, 7.5, 12.0, 19.9, 20.0]
+        for al, be in itertools.product(shapes, repeat=2):
+            got = ck.beta_kernel_density(ck.BetaPcaParams(al, be, 0.0, 1.0)).density(0.0, 1.0, 0.5)
+            want = np.exp((al + be - 2.0) * np.log(0.5) - betaln(al, be))
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), (al, be)
+        for shape in shapes:
+            got = ck._gamma_density(shape, 1.0)(np.array([1.0]))[0]
+            assert got == pytest.approx(np.exp(-1.0 - gammaln(shape)), rel=1e-13, abs=0.0), shape
 
     @pytest.mark.parametrize("al,be", [(1.0, 1.0), (0.5, 2.5), (2.0, 1.0)])
     def test_candidate_kernels_and_initial_law(self, al, be):

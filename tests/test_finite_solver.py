@@ -54,10 +54,15 @@ class TestSelectBaseTriple:
             fs.select_base_triple(tens)
 
 
+def tampered_tensor(kappa: int, eps: float, seed: int = 0) -> TransitionTensor:
+    """The tamper ladder: (1 - eps) F + eps R, F factorizable and R generic."""
+    f = fs.make_factorized_tensor(kappa, seed)[0].t
+    return TransitionTensor((1 - eps) * f + eps * fs.random_positive_tensor(kappa, 1000 + seed).t)
+
+
 class TestBelyaev:
     def test_two_letter_passes_and_products_are_one_over_25(self, two_letter):
-        triple = fs.select_base_triple(two_letter)
-        rep = fs.check_belyaev(two_letter, triple)
+        rep = fs.check_belyaev(two_letter)
         assert rep.passed
         t = two_letter.t
         lhs = t[1, 1, 1] * t[0, 0, 1] * t[0, 1, 0] * t[1, 0, 0]
@@ -66,56 +71,77 @@ class TestBelyaev:
         assert rhs == pytest.approx(1 / 25, abs=1e-12)
 
     def test_neighbor_free_tensor_residual_at_rounding_scale(self):
-        # both sides multiply the same four values, in different orders
+        # log t = log f(c) has no interaction: only the means round
         tens = product_tensor(np.array([0.2, 0.3, 0.5]))
-        rep = fs.check_belyaev(tens, fs.select_base_triple(tens))
+        rep = fs.check_belyaev(tens)
         assert rep.residual < 1e-15
-        assert rep.witnesses["residual_general"] < 1e-15
+        assert rep.witnesses["max_abs_log_t"] == -np.log(0.2)
 
     def test_random_tensor_fails(self):
         tens = fs.random_positive_tensor(3, 11)
-        rep = fs.check_belyaev(tens, fs.select_base_triple(tens))
+        rep = fs.check_belyaev(tens)
         assert not rep.passed
         assert rep.residual > 1e-3
+        assert np.abs(fs._interaction(tens)[0])[rep.witnesses["argmax"]] == rep.residual
 
-    def test_exhaustive_witness_matches_loop_over_all_six_tuples(self):
-        tens = fs.random_positive_tensor(3, 11)
-        rep = fs.check_belyaev(tens, fs.select_base_triple(tens))
-        t = tens.t
-        oracle = max(abs(t[a, b, c] * t[a, q, r] * t[p, b, r] * t[p, q, c]
-                         - t[p, q, r] * t[p, b, c] * t[a, q, c] * t[a, b, r])
-                     for a, b, c, p, q, r in itertools.product(range(3), repeat=6))
-        assert rep.witnesses["residual_general"] == pytest.approx(oracle, rel=1e-12)
-        assert rep.witnesses["witness"] == "exhaustive"
-        assert rep.witnesses["witness_tuples"] == 729
+    def test_interaction_bounds_every_log_contrast(self):
+        # each 2x2x2 log contrast (the quartic over six letters) is a signed
+        # sum of 8 entries of r, and r is a mean of contrasts; the loop over
+        # all 729 six-tuples is the reference
+        for tens in (fs.random_positive_tensor(3, 11), tampered_tensor(3, 1e-6)):
+            log_t = np.log(tens.t)
+            contrast = max(abs(log_t[a, b, c] + log_t[a, q, r] + log_t[p, b, r] + log_t[p, q, c]
+                               - log_t[p, q, r] - log_t[p, b, c] - log_t[a, q, c] - log_t[a, b, r])
+                           for a, b, c, p, q, r in itertools.product(range(3), repeat=6))
+            residual = fs.check_belyaev(tens).residual
+            assert residual <= contrast <= 8 * residual
 
-    def test_sampled_witness_is_reproducible(self):
-        tens = fs.random_positive_tensor(16, 11)
-        triple = fs.select_base_triple(tens)
-        first = fs.check_belyaev(tens, triple).witnesses
-        second = fs.check_belyaev(tens, triple).witnesses
-        assert first["residual_general"] == second["residual_general"]
-        assert first["residual_general"] > 1e-6
-        assert first["witness"] == "sampled"
-        assert first["witness_tuples"] == fs.WITNESS_TUPLES
+    def test_nonpositive_kernel_refused(self, full_tensor):
+        with pytest.raises(ValueError, match="everywhere-positive"):
+            fs.check_belyaev(full_tensor)
+
+
+class TestBelyaevLadder:
+    """The tamper ladder t = (1 - eps) F + eps R at the default tolerance."""
+
+    @pytest.mark.parametrize("kappa", [2, 4, 8, 16, 32, 64])
+    def test_untampered_passes_and_1e_8_fails_on_every_seed(self, kappa):
+        for seed in range(20):
+            assert fs.check_belyaev(tampered_tensor(kappa, 0.0, seed)).passed, seed
+            assert not fs.check_belyaev(tampered_tensor(kappa, 1e-8, seed)).passed, seed
+
+    # 8 fixed relabelings p, the identity first, applied as t[p][:, p][:, :, p]
+    @pytest.mark.parametrize("kappa", [2, 3, 8, 16])
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 3e-11, 1e-10, 3e-8])
+    def test_relabeling_moves_no_verdict(self, kappa, eps):
+        t = tampered_tensor(kappa, eps).t
+        perms = [np.arange(kappa)] + [np.random.default_rng(i).permutation(kappa)
+                                      for i in range(7)]
+        for check in (fs.check_belyaev, fs.check_belyaev_diag):
+            first = check(TransitionTensor(t))
+            # r is summed in another order: allow a few ulps of log t besides 1e-4 of r
+            floor = 16 * np.finfo(float).eps * np.abs(np.log(t)).max()
+            for p in perms[1:]:
+                rep = check(TransitionTensor(t[p][:, p][:, :, p]))
+                assert rep.passed == first.passed, (check.__name__, p)
+                assert abs(rep.residual - first.residual) <= 1e-4 * first.residual + floor
 
 
 class TestBelyaevDiag:
     def test_two_letter_passes(self, two_letter):
-        rep = fs.check_belyaev_diag(two_letter, fs.select_base_triple(two_letter))
+        rep = fs.check_belyaev_diag(two_letter)
         assert rep.passed
 
     def test_passing_general_form_implies_diag(self):
         tens, _, _ = fs.make_factorized_tensor(3, 8)
-        triple = fs.select_base_triple(tens)
-        assert fs.check_belyaev(tens, triple).passed
-        assert fs.check_belyaev_diag(tens, triple).passed
+        assert fs.check_belyaev(tens).passed
+        assert fs.check_belyaev_diag(tens).passed
 
     def test_perturbed_diagonal_row_fails(self, two_letter):
         t = two_letter.t.copy()
         t[1, 1] = [0.65, 0.35]
         tens = TransitionTensor(t)
-        rep = fs.check_belyaev_diag(tens, fs.select_base_triple(tens))
+        rep = fs.check_belyaev_diag(tens)
         assert not rep.passed
         assert rep.residual > 1e-3
 
@@ -127,11 +153,9 @@ class TestBelyaevDiag:
         for seed in range(5):
             tens = (fs.make_factorized_tensor(kappa, seed)[0] if kind == "factorized"
                     else fs.random_positive_tensor(kappa, seed))
-            triple = fs.select_base_triple(tens)
-            full, diag = fs.check_belyaev(tens, triple), fs.check_belyaev_diag(tens, triple)
-            lhs, rhs = fs._anchored_quartic(tens.t, triple, np.arange(kappa)[:, None],
-                                            np.arange(kappa))
-            on_diag = np.abs(lhs - rhs)[np.arange(kappa), np.arange(kappa)]
+            full, diag = fs.check_belyaev(tens), fs.check_belyaev_diag(tens)
+            r = fs._interaction(tens)[0]
+            on_diag = np.abs(r)[np.arange(kappa), np.arange(kappa)]
             assert diag.residual == on_diag.max() <= full.residual
             assert diag.witnesses["argmax"] == np.unravel_index(on_diag.argmax(), on_diag.shape)
 
@@ -529,7 +553,7 @@ class TestBruteforceInvariance:
     def test_arbitrary_weights_fail_with_quartic(self):
         tens = fs.random_positive_tensor(3, 13)
         triple = fs.select_base_triple(tens)
-        assert not fs.check_belyaev(tens, triple).passed
+        assert not fs.check_belyaev(tens).passed
         eta = np.full(3, 1 / 3)
         d, u, *_ = fs.build_hzmc_kernels(tens, triple, eta)
         rho0 = fs.stationary_distribution(d).vector
@@ -789,11 +813,11 @@ class TestLargestAlphabet:
         assert res.ok and len(res.reports) == 6
         assert elapsed < 1.0
         assert peak < 64 * 2**20
-        assert res.reports[0].witnesses["witness"] == "sampled"
+        assert res.reports[0].residual < 1e-13        # the interaction's rounding floor
 
     def test_generic_kernel_fails_quartic(self):
         tens = fs.random_positive_tensor(fs.MAX_KAPPA, 5)
-        assert not fs.check_belyaev(tens, fs.select_base_triple(tens)).passed
+        assert not fs.check_belyaev(tens).passed
 
     def test_cyclic_solve_returns_spec(self):
         tens, _, _ = fs.make_factorized_tensor(fs.MAX_KAPPA, 6)
