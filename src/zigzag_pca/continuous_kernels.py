@@ -30,9 +30,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core_types import (_BLOCK, DEFAULT_GRID_POINTS, QUAD_TOL, CheckReport, DensityLaw,
-                         GridMeasure, HzmcSpec, KernelDensity, MarkovKernel, _row_blocks,
+                         GridMeasure, HzmcSpec, KernelDensity, MarkovKernel, _extent, _row_blocks,
                          _special, gauss_legendre_grid, gauss_legendre_rule, sup_residual,
                          threaded_map, usable_cpus)
+from .finite_solver import _factorization_sweep
 
 _GL_NODES = 64
 _MU_THRESH = 1e-9
@@ -474,12 +475,6 @@ def _pair_blocks(lo: int, hi: int, n: int, inner: int, budget: int) -> list[tupl
             for a in range(lo, hi) for b in range(0, n, step)]
 
 
-def _extent(block: tuple) -> tuple[int, int]:
-    """Rows and columns of a _pair_blocks block."""
-    rows, cols = block
-    return rows.stop - rows.start, cols.stop - cols.start
-
-
 def _split_rows(n: int, inner: int, run) -> list:
     """The results, in row order, of ``run(blocks)`` on k contiguous ranges of
     rows that cover range(n), one thread per range (``threaded_map``: the
@@ -524,11 +519,8 @@ class GridKernel:
 
     @functools.cached_property
     def mu_positive(self) -> bool:
-        """True when t is positive on every grid triple; one blocked pass,
-        split over threads (_split_rows)."""
-        n = self.size
-        return all(_split_rows(n, n, lambda blocks: all(
-            bool(np.all(self[blk] > 0)) for blk in blocks)))
+        """True when t is positive on every grid triple; one blocked pass."""
+        return all(bool(np.all(self[blk] > 0)) for blk in _row_blocks(self.size, self.size ** 2))
 
 
 def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np.ndarray:
@@ -615,14 +607,10 @@ def apply_law(rho: DensityLaw, kernel: MarkovKernel, grid: GridMeasure) -> np.nd
     return np.einsum("a,ab->b", rvec * grid.weights, kmat, optimize=False)     # no BLAS
 
 
-def _mark_differing(ta: np.ndarray, tb: np.ndarray, buf: np.ndarray, out: np.ndarray,
-                    thresh: float) -> None:
-    """Sets out[a, b] for the block's pairs where |ta - tb| exceeds ``thresh``,
-    or is NaN, at some c; ``buf`` is scratch of the block's shape.  The max
-    over c is NaN where any entry is NaN, and NaN <= thresh is False."""
-    np.subtract(ta, tb, out=buf)
-    np.abs(buf, out=buf)
-    np.logical_not(buf.max(axis=2) <= thresh, out=out)
+def _differing(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """The pairs where |ta - tb| exceeds _MU_THRESH, or is NaN, at some c (the
+    last axis): the max over c is NaN where any entry is, and NaN <= x is False."""
+    return ~(np.abs(ta - tb).max(axis=-1) <= _MU_THRESH)
 
 
 def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure, override=None):
@@ -635,16 +623,14 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure, ov
     the AR(1) chain), it is composed and evaluated once: ud is du, which a
     second composition would give bit for bit.
 
-    The factorization sweep t(a,b;c) du(a;b) = d(a;c) u(c;b) walks the n^3
-    triples in blocks, its rows split over threads (_split_rows), and
-    evaluates ``kernel`` once per triple.  The override reads each block's t
-    and returns the pairs whose rows it replaces, and only those rows are
-    compared: off them the overridden kernel's value is t by construction.
-    The override runs in the threads, so it must call no function that
-    ``perfbench/tracing.py`` wraps.  The sweep skips the neighbor diagonal
-    a == b whatever its values.  The residual and argmax of the split sweep
-    are those of one pass in row order: the ranges' results are taken in
-    row order, and the first of equal residuals wins.
+    The factorization is ``finite_solver._factorization_sweep``, its rows
+    split over threads (_split_rows); it evaluates ``kernel`` once a triple.
+    The override reads each block's t and returns the pairs whose rows it
+    replaces; only those rows are compared, as off them the overridden
+    kernel's value is t by construction.  It runs in the threads, so it must
+    call no function that ``perfbench/tracing.py`` wraps.  The ranges'
+    results are taken in row order, the first of equal residuals winning,
+    which gives the residual and argmax of one pass.
     """
     p = grid.points
     n = p.size
@@ -656,32 +642,16 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure, ov
     u_t = np.ascontiguousarray((d_mat if same else _eval_markov(u, p, p)).T)  # u(c; b) at [b, c]
     differs = None if override is None else np.zeros((n, n), dtype=bool)
 
-    def sweep_rows(blocks):
-        start, stop = blocks[0][0].start, blocks[-1][0].stop
-        lhs_buf = np.empty((*_extent(blocks[0]), n))
-        rhs_buf = np.empty_like(lhs_buf)
+    def t_of(block):
+        abc = _triples(p, *block)
+        t = kernel.density(*abc)
+        if override is not None:
+            (i, j), values = override(*abc, t)
+            differs[block][i, j] = _differing(values, t[i, j])
+        return t
 
-        def sweep():
-            for rows, cols in blocks:
-                nr, nc = _extent((rows, cols))
-                abc = _triples(p, rows, cols)
-                t = kernel.density(*abc)
-                if override is not None:
-                    (i, j), values = override(*abc, t)
-                    gap = np.abs(values - t[i, j])
-                    differs[rows, cols][i, j] = ~(gap.max(axis=1) <= _MU_THRESH)     # NaN too
-                diff = np.multiply(t, du[rows, cols, None], out=lhs_buf[:nr, :nc])
-                diff -= np.multiply(d_mat[rows, None, :], u_t[cols], out=rhs_buf[:nr, :nc])
-                np.abs(diff, out=diff)
-                ab = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
-                diff[ab - rows.start, ab - cols.start] = 0.0     # a == b
-                yield diff
-
-        with np.errstate(invalid="ignore"):
-            worst, (a, b, c) = sup_residual(sweep(), (stop - start, n, n))
-        return worst, (a + start, b, c)
-
-    fact = max(_split_rows(n, n, sweep_rows), key=lambda r: r[0])     # the first on ties
+    fact = max(_split_rows(n, n, lambda blocks: _factorization_sweep(      # a == b skipped
+        t_of, du, d_mat, u_t, blocks, np.eye(n, dtype=bool))), key=lambda r: r[0])
     comm = sup_residual([np.abs(du - ud)], du.shape)
     stat = sup_residual([np.abs(apply_law(rho0, d, grid) - rho0.density(p))], (n,))
     return fact, comm, stat, differs
@@ -721,13 +691,10 @@ def mu_equivalence_probe(kernel_a: KernelDensity, kernel_b: KernelDensity,
     p = grid.points
     n = p.size
     differs = np.zeros((n, n), dtype=bool)
-    blocks = _row_blocks(n, n * n)
-    buf = np.empty((blocks[0].stop, n, n))
     with np.errstate(invalid="ignore"):
-        for blk in blocks:
+        for blk in _row_blocks(n, n * n):
             abc = _triples(p, blk)
-            _mark_differing(kernel_a.density(*abc), kernel_b.density(*abc),
-                            buf[:blk.stop - blk.start], differs[blk], _MU_THRESH)
+            differs[blk] = _differing(kernel_a.density(*abc), kernel_b.density(*abc))
     return _mu_report(differs, grid)
 
 

@@ -52,6 +52,12 @@ def _row_blocks(n: int, row: int) -> list[slice]:
     return [slice(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
 
 
+def _extent(block: tuple) -> tuple[int, int]:
+    """Rows and columns of a block (rows, cols) of pairs, two slices."""
+    rows, cols = block
+    return rows.stop - rows.start, cols.stop - cols.start
+
+
 def _special():
     """``scipy.special``, imported on the first call.  Only the samplers use
     it, and importing it takes most of the package's start-up, so ``check``
@@ -240,6 +246,20 @@ class TransitionTensor:
     def mu_positive(self) -> bool:
         """True when every entry is strictly positive; scanned once."""
         return bool(np.all(self.t > 0))
+
+    @functools.cached_property
+    def interaction(self) -> tuple[np.ndarray, float]:
+        """The three-way interaction r = (I - M_a)(I - M_b)(I - M_c) log t, M_x
+        the mean over one axis, read-only, and max |log t|: taken once for the
+        quartic identity and its diagonal.  A kernel with a zero is refused."""
+        if not self.mu_positive:
+            raise ValueError("the quartic identity requires an everywhere-positive kernel")
+        r = np.log(self.t)
+        log_t_max = float(np.abs(r).max())
+        for axis in range(3):
+            r -= r.mean(axis=axis, keepdims=True)
+        r.setflags(write=False)
+        return r, log_t_max
 
     def restrict(self, indices: Sequence[int]) -> "TransitionTensor":
         """Sub-tensor on a subset of states that the kernel leaves closed.

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core_types import (_BLOCK, EXACT_TOL, CheckReport, ChzmcSpec, HzmcSpec, TransitionTensor,
-                         _row_blocks, normalize_rows, sup_residual)
+                         _extent, _row_blocks, normalize_rows, sup_residual)
 
 MAX_KAPPA = 64
 SIZE_GUARD = 10**7
@@ -114,20 +114,9 @@ def select_base_triple(tensor: TransitionTensor) -> BaseTriple:
     return BaseTriple(int(a0), int(b0), 0)
 
 
-def _interaction(tensor: TransitionTensor) -> tuple[np.ndarray, float]:
-    """The three-way interaction r = (I - M_a)(I - M_b)(I - M_c) log t of a
-    positive kernel, M_x the mean over one axis, and max |log t|."""
-    _require_positive(tensor, "the quartic identity")
-    r = np.log(tensor.t)
-    log_t_max = float(np.abs(r).max())
-    for axis in range(3):
-        r -= r.mean(axis=axis, keepdims=True)
-    return r, log_t_max
-
-
 def check_belyaev(tensor: TransitionTensor, tol: float = EXACT_TOL) -> CheckReport:
     """Quartic identity in anchor-free log form: max |r| over all (a, b, c),
-    r the three-way interaction of log t (``_interaction``).
+    r the three-way interaction of log t (``TransitionTensor.interaction``).
 
     For positive t, t(a,b;c) (du)(a;b) = d(a;c) u(c;b) holds for some positive
     d and u exactly when log t lies in {f(a,c) + g(c,b) + h(a,b)}, i.e. r = 0.
@@ -136,7 +125,7 @@ def check_belyaev(tensor: TransitionTensor, tol: float = EXACT_TOL) -> CheckRepo
     max |r| <= max |contrast| <= 8 max |r|.  Relabeling the alphabet
     permutes r.  Witnesses: the argmax (a, b, c) and max |log t|.
     """
-    r, log_t_max = _interaction(tensor)
+    r, log_t_max = tensor.interaction
     residual, where = sup_residual([np.abs(r)], r.shape)
     return CheckReport("quartic-identity", residual, tol,
                        witnesses={"argmax": where, "max_abs_log_t": log_t_max})
@@ -146,7 +135,7 @@ def check_belyaev_diag(tensor: TransitionTensor, tol: float = EXACT_TOL) -> Chec
     """Diagonal restriction of the quartic identity (b = a), over all (a, c):
     the b = a entries of ``check_belyaev``'s interaction r, so its residual
     never exceeds that one."""
-    on_diag = np.abs(np.einsum("aac->ac", _interaction(tensor)[0]))
+    on_diag = np.abs(np.einsum("aac->ac", tensor.interaction[0]))
     residual, where = sup_residual([on_diag], on_diag.shape)
     return CheckReport("quartic-identity-diag", residual, tol, witnesses={"argmax": where})
 
@@ -249,9 +238,31 @@ def stationary_distribution(d: np.ndarray) -> EigenSolveResult:
                             residual=float(np.abs(rho @ d - rho).max()))
 
 
-def _factorization_gap(t: np.ndarray, d: np.ndarray, u: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """|t(a,b;c) du(a;b) - d(a;c) u(c;b)| as [a, b, c], with du = d @ u."""
-    return np.abs(t * du[:, :, None] - d[:, None, :] * u.T[None, :, :])
+def _factorization_sweep(t_of, du: np.ndarray, d: np.ndarray, u_t: np.ndarray, blocks=None,
+                         skip: np.ndarray | None = None) -> tuple[float, tuple]:
+    """Condition (1) on tensors, cycles and grids alike: ``sup_residual`` of
+    |t(a,b;c) du(a;b) - d(a;c) u(c;b)|, d as [a, c] and u_t as u(c; b) at [b, c],
+    over C-ordered ``blocks`` (rows, cols) of pairs (a, b), by default one of
+    every pair; ``t_of(block)`` is t on a block.  A pair marked in the boolean
+    [a, b] array ``skip`` reads 0, and a NaN inf, with no warning."""
+    blocks = blocks or [(slice(0, du.shape[0]), slice(0, du.shape[1]))]
+    start, n = blocks[0][0].start, d.shape[1]
+    lhs = np.empty((*_extent(blocks[0]), n))            # scratch that serves every block
+    rhs = np.empty_like(lhs)
+
+    def gaps():
+        for rows, cols in blocks:
+            nr, nc = _extent((rows, cols))
+            gap = np.multiply(t_of((rows, cols)), du[rows, cols, None], out=lhs[:nr, :nc])
+            gap -= np.multiply(d[rows, None, :], u_t[cols], out=rhs[:nr, :nc])
+            np.abs(gap, out=gap)
+            if skip is not None:
+                gap[skip[rows, cols]] = 0.0
+            yield gap
+
+    with np.errstate(invalid="ignore"):
+        worst, (a, b, c) = sup_residual(gaps(), (blocks[-1][0].stop - start, du.shape[1], n))
+    return worst, (a + start, b, c)
 
 
 def check_toom_conditions(tensor: TransitionTensor, hzmc: HzmcSpec,
@@ -260,7 +271,7 @@ def check_toom_conditions(tensor: TransitionTensor, hzmc: HzmcSpec,
     zigzag chain against the kernel."""
     d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
     du = d @ u
-    r1, w1 = sup_residual([_factorization_gap(tensor.t, d, u, du)], tensor.t.shape)
+    r1, w1 = _factorization_sweep(tensor.__getitem__, du, d, u.T)     # one block, no thread
     r2, w2 = sup_residual([np.abs(du - u @ d)], du.shape)
     r3, _ = sup_residual([np.abs(rho0 @ d - rho0)], rho0.shape)
 

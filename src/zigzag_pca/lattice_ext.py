@@ -21,7 +21,7 @@ import numpy as np
 
 from .core_types import (EXACT_TOL, CheckReport, ChzmcSpec, TransitionTensor,
                          check_chain_entries, sup_residual)
-from .finite_solver import (InvariantSolve, _chain_blocks, _construct, _factorization_gap, _fill,
+from .finite_solver import (InvariantSolve, _chain_blocks, _construct, _factorization_sweep, _fill,
                             _grow, _push_link, _require_positive, _size_guard, _sup_distance,
                             check_belyaev, select_base_triple)
 
@@ -109,19 +109,21 @@ def check_chzmc_conditions(tensor: TransitionTensor, spec: ChzmcSpec,
                            tol: float = EXACT_TOL) -> tuple[CheckReport, CheckReport]:
     """Cyclic invariance conditions for (tensor, spec).
 
-    Factorization is enforced only on triples whose return path has positive
-    (n-1)-step weight; pairs below the zero threshold are skipped, which for
-    everywhere-positive kernels never triggers.
+    Both conditions are homogeneous in d and in u, so d and u are first
+    each divided by the power of two nearest its largest row sum: exact, the
+    identity on stochastic kernels, and one verdict for a spec and its
+    multiples.  Factorization is enforced only on pairs (a, b) whose return
+    path has positive (n-1)-step weight (du)^(n-1)(b; a); pairs below the
+    zero threshold are skipped, which for everywhere-positive kernels never
+    triggers.
     """
-    d, u, n = spec.d, spec.u, spec.n
-    du = d @ u
-    dun1 = np.linalg.matrix_power(du, n - 1) if n > 1 else np.eye(d.shape[0])
-    live = (dun1.T > ZERO_SKIP)                        # live[a, b] <=> (du)^(n-1)(b; a) > 0
-    diff = _factorization_gap(tensor.t, d, u, du) * live[:, :, None]
-    r9, w9 = sup_residual([diff], diff.shape)
+    d, u = (np.ldexp(m, -int(np.rint(np.log2(m.sum(axis=1).max())))) for m in (spec.d, spec.u))
+    n, du = spec.n, d @ u
+    dead = ~(np.linalg.matrix_power(du, n - 1).T > ZERO_SKIP)     # (du)^(n-1)(b; a) at [a, b]
+    r9, w9 = _factorization_sweep(tensor.__getitem__, du, d, u.T, skip=dead)
     rep9 = CheckReport("cycle-factorization", r9, tol,
                        witnesses={"argmax": w9 if r9 > tol else None,
-                                  "skipped_pairs": int((~live).sum())})
+                                  "skipped_pairs": int(dead.sum())})
     rep10 = check_cycle_commutation(d, u, n, tol=tol)
     return rep9, rep10
 

@@ -78,6 +78,14 @@ def pair_blocks(first, tail_of):
             yield first[p, m][:, None] * tail
 
 
+def factorization_gap(t, d, u, du):
+    """|t(a,b;c) du(a;b) - d(a;c) u(c;b)| as [a, b, c], with du = d @ u: the
+    one-line tensor formula, the reference for the blocked sweep
+    ``finite_solver._factorization_sweep``, whose residual and argmax must
+    equal those of this array bit for bit."""
+    return np.abs(t * du[:, :, None] - d[:, None, :] * u.T[None, :, :])
+
+
 def near_identity_tensor(kappa, eps, seed=5):
     """Factorizable kernel of the chain d = u = (1 - eps) I + eps M, with M a
     random positive stochastic matrix from ``default_rng(seed)``: for small

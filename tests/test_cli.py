@@ -302,6 +302,32 @@ class TestSolveVerify:
         assert ("d entries must be nonnegative" if edit == "sign-gauge"
                 else "d entries must be finite numbers") in captured.err
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1.0, 5.0, 1e3])
+    @pytest.mark.parametrize("pair", ["solved", "independent"])
+    def test_cyclic_spec_verdict_does_not_depend_on_scale(self, capsys, tmp_path, scale, pair):
+        # d and u times a constant give the same cyclic law, so the cycle
+        # conditions must give the oracle's verdict at every scale; an
+        # independent stochastic pair neither factorizes t nor commutes
+        model, spec = tmp_path / "model.json", tmp_path / "cspec.json"
+        save_model(model, fs.make_factorized_tensor(3, 17)[0], {"cycle": 4})
+        assert run_main("solve", "--model", model, "--out", spec) == 0
+        doc = json.loads(spec.read_text())
+        d, u = decode_array(doc["d"]), decode_array(doc["u"])
+        if pair == "independent":
+            rng = np.random.default_rng(3)
+            d, u = (m / m.sum(axis=1, keepdims=True) for m in rng.uniform(0.1, 1.0, (2, 3, 3)))
+        doc["d"], doc["u"] = encode_array(scale * d), encode_array(scale * u)
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_main("verify", "--model", model, "--spec", spec)
+        reports = {r["condition"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+        valid = pair == "solved"
+        assert code == (0 if valid else 1)
+        assert reports["cycle-push-forward-oracle"]["passed"] == valid
+        for cond in ("cycle-factorization", "cycle-commutation"):
+            assert reports[cond]["passed"] == valid, cond
+        assert reports["cycle-factorization"]["witnesses"]["skipped_pairs"] == 0
+
     @pytest.mark.parametrize("n, code", [(3.0, 0), (3.5, 2), (True, 2), ("x", 2)])
     def test_spec_cycle_length_must_be_whole(self, files, capsys, tmp_path, n, code):
         spec = tmp_path / "cspec.json"

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
 from zigzag_pca import lattice_ext as lx
 from zigzag_pca.core_types import (EXACT_TOL, CheckReport, ChzmcSpec, HzmcSpec, TransitionTensor,
-                                   _row_blocks, normalize_rows)
-from conftest import corpus_seeds, iterated_nu_eta, near_identity_tensor, pair_blocks
+                                   _row_blocks, normalize_rows, sup_residual)
+from conftest import (corpus_seeds, factorization_gap, iterated_nu_eta, near_identity_tensor,
+                      pair_blocks)
 
 
 def constant_tensor(kappa: int) -> TransitionTensor:
@@ -82,7 +84,7 @@ class TestBelyaev:
         rep = fs.check_belyaev(tens)
         assert not rep.passed
         assert rep.residual > 1e-3
-        assert np.abs(fs._interaction(tens)[0])[rep.witnesses["argmax"]] == rep.residual
+        assert np.abs(tens.interaction[0])[rep.witnesses["argmax"]] == rep.residual
 
     def test_interaction_bounds_every_log_contrast(self):
         # each 2x2x2 log contrast (the quartic over six letters) is a signed
@@ -154,7 +156,7 @@ class TestBelyaevDiag:
             tens = (fs.make_factorized_tensor(kappa, seed)[0] if kind == "factorized"
                     else fs.random_positive_tensor(kappa, seed))
             full, diag = fs.check_belyaev(tens), fs.check_belyaev_diag(tens)
-            r = fs._interaction(tens)[0]
+            r = tens.interaction[0]
             on_diag = np.abs(r)[np.arange(kappa), np.arange(kappa)]
             assert diag.residual == on_diag.max() <= full.residual
             assert diag.witnesses["argmax"] == np.unravel_index(on_diag.argmax(), on_diag.shape)
@@ -378,6 +380,58 @@ class TestToomConditions:
         t = two_letter.t
         lhs = t[a, b, c] * (swapped.d @ swapped.u)[a, b]
         assert abs(lhs - swapped.d[a, c] * swapped.u[c, b]) == rep1.residual
+
+
+class TestFactorizationSweep:
+    """The one sweep of condition (1) against the one-line tensor formula
+    (``conftest.factorization_gap``), bit for bit, on the tamper ladder."""
+
+    @pytest.mark.parametrize("kappa", [2, 3, 8, 16, 64])
+    @pytest.mark.parametrize("eps", [0.0, 1e-10, 1e-6])
+    def test_half_line_and_cycles_match_the_tensor_formula(self, kappa, eps):
+        tens = tampered_tensor(kappa, eps)
+        built = fs.make_factorized_tensor(kappa, 0)[1:]
+        solved = fs.solve_invariant_hzmc(tens).spec
+        for d, u in (built, (solved.d, solved.u)):
+            du = d @ u
+            gap = factorization_gap(tens.t, d, u, du)
+            resid, where = sup_residual([gap], gap.shape)
+            shown = where if resid > EXACT_TOL else None
+            assert fs._factorization_sweep(tens.__getitem__, du, d, u.T) == (resid, where)
+            spec = HzmcSpec(d=d, u=u, rho0=fs.stationary_distribution(d).vector)
+            rep = fs.check_toom_conditions(tens, spec)[0]
+            assert (rep.residual.hex(), rep.witnesses["argmax"]) == (resid.hex(), shown)
+            for n in (1, 2, 3):
+                live = np.linalg.matrix_power(du, n - 1).T > lx.ZERO_SKIP
+                masked = gap * live[:, :, None]
+                resid_n, where_n = sup_residual([masked], masked.shape)
+                rep = lx.check_chzmc_conditions(
+                    tens, ChzmcSpec(d=d, u=u, n=n, z=lx.partition_function(d, u, n)))[0]
+                assert (rep.residual.hex(), rep.witnesses["argmax"]) == (
+                    resid_n.hex(), where_n if resid_n > EXACT_TOL else None)
+
+    def test_blocks_and_skip_change_no_bit(self):
+        # the grid's row ranges and pieces of rows, on a tensor: each range's
+        # argmax counts rows from 0, and the larger range result, the first
+        # on ties, is the whole sweep's
+        kappa = 9
+        tens = tampered_tensor(kappa, 1e-6, seed=3)
+        _, d, u = fs.make_factorized_tensor(kappa, 3)
+        du = d @ u
+        gap = factorization_gap(tens.t, d, u, du)
+        whole = fs._factorization_sweep(tens.__getitem__, du, d, u.T)
+        assert whole == sup_residual([gap], gap.shape)
+        for budget in (kappa, 4 * kappa, 20 * kappa, kappa ** 3):
+            for edge in (1, 4, kappa - 1):
+                parts = [fs._factorization_sweep(tens.__getitem__, du, d, u.T,
+                                                 ck._pair_blocks(lo, hi, kappa, kappa, budget))
+                         for lo, hi in ((0, edge), (edge, kappa))]
+                assert max(parts, key=lambda r: r[0]) == whole, (budget, edge)
+        skip = np.zeros((kappa, kappa), dtype=bool)
+        skip[whole[1][:2]] = True
+        gap[whole[1][:2]] = 0.0
+        assert fs._factorization_sweep(tens.__getitem__, du, d, u.T, skip=skip) == \
+            sup_residual([gap], gap.shape)
 
 
 def free_chain(kappa: int, seed: int):
@@ -795,6 +849,23 @@ def test_one_solve_leaves_positivity_cached():
     assert "mu_positive" not in vars(tens)
     fs.solve_invariant_hzmc(tens)
     assert vars(tens)["mu_positive"] is True
+
+
+def test_one_solve_takes_one_log_pass(monkeypatch):
+    # both quartic reports read the one cached interaction r of the tensor
+    tens = fs.make_factorized_tensor(3, 1)[0]
+    shapes, log = [], np.log
+    monkeypatch.setattr(np, "log", lambda x, *args, **kw: shapes.append(np.shape(x))
+                        or log(x, *args, **kw))
+    res = fs.solve_invariant_hzmc(tens)
+    monkeypatch.undo()
+    assert shapes == [(3, 3, 3)]
+    r, log_t_max = vars(tens)["interaction"]
+    assert not r.flags.writeable
+    fresh = TransitionTensor(tens.t.copy())
+    for rep, check in zip(res.reports, (fs.check_belyaev, fs.check_belyaev_diag)):
+        assert rep.to_dict() == check(fresh).to_dict()
+    assert res.reports[0].witnesses["max_abs_log_t"] == log_t_max
 
 
 class TestLargestAlphabet:

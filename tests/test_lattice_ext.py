@@ -219,6 +219,28 @@ class TestChzmcConditions:
         a, b, c = r9.witnesses["argmax"]
         assert abs(t[a, b, c] * (d @ u_bad)[a, b] - d[a, c] * u_bad[c, b]) == r9.residual
 
+    @pytest.mark.parametrize("rows, residual, argmax", [
+        ({}, 0.0, None),
+        ({(0, 1): [0.25, 0.75]}, 0.0, None),
+        ({(0, 0): [0.75, 0.25]}, 0.125, (0, 0, 0)),
+        ({(0, 1): [0.25, 0.75], (0, 0): [0.75, 0.25]}, 0.125, (0, 0, 0))],
+        ids=["untouched", "dead", "live", "both"])
+    def test_gap_on_a_dead_pair_is_skipped(self, rows, residual, argmax):
+        # d = I and an upper triangular u: on the 2-cycle the pair (a, b) =
+        # (0, 1) has no return path, (du)(1; 0) = 0, so its row of t is free;
+        # a gap of 0.375 there is skipped, the live pair's 0.125 (a tie over
+        # c, the first c named) fails, and the oracle agrees on each
+        d, u = np.eye(2), np.array([[0.5, 0.5], [0.0, 1.0]])
+        t = np.array([[[1.0, 0.0], [1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]]])
+        for pair, row in rows.items():
+            t[pair] = row
+        tens = TransitionTensor(t)
+        spec = ChzmcSpec(d=d, u=u, n=2, z=lx.partition_function(d, u, 2))
+        r9, r10 = lx.check_chzmc_conditions(tens, spec)
+        assert r9.witnesses == {"argmax": argmax, "skipped_pairs": 1}
+        assert r9.residual == residual and r10.passed
+        assert lx.bruteforce_cycle_invariance(tens, spec).passed == (residual == 0.0)
+
     @pytest.mark.parametrize("n, kappa", [(n, kappa) for kappa in (2, 3) for n in (1, 2, 3, 4)],
                              ids=[f"{n}" for n in (1, 2, 3, 4)] + [f"{n}-k3" for n in (1, 2, 3, 4)])
     def test_full_sweep_matches_literal_max(self, n, kappa):
