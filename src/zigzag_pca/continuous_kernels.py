@@ -448,12 +448,6 @@ def default_beta_grid(params: BetaPcaParams, points: int = DEFAULT_GRID_POINTS) 
 # Quadrature machinery
 # ---------------------------------------------------------------------------
 
-def _eval_markov(kernel, xs, ys) -> np.ndarray:
-    """Matrix K[i, j] = kernel.density(xs[i], ys[j])."""
-    return kernel.density(np.asarray(xs, dtype=float)[:, None],
-                          np.asarray(ys, dtype=float)[None, :])
-
-
 def _triples(p: np.ndarray, rows: slice, cols: slice = slice(None)) -> tuple:
     """Kernel density arguments (a, b, c) of the grid triples with a in
     ``rows`` and b in ``cols``."""
@@ -461,7 +455,7 @@ def _triples(p: np.ndarray, rows: slice, cols: slice = slice(None)) -> tuple:
 
 
 def _pair_blocks(lo: int, hi: int, n: int, inner: int, budget: int) -> list[tuple]:
-    """Rows lo to hi of a pass over the pairs (a, b) of n grid points, with
+    """Rows lo to hi of a pass over pairs (a, b), b among n columns, with
     ``inner`` doubles a pair, cut into blocks (rows, cols) of about ``budget``
     doubles that follow one another in C order: whole rows while one fits
     (as _row_blocks), else pieces of one row, of one pair at least.  The
@@ -475,21 +469,22 @@ def _pair_blocks(lo: int, hi: int, n: int, inner: int, budget: int) -> list[tupl
             for a in range(lo, hi) for b in range(0, n, step)]
 
 
-def _split_rows(n: int, inner: int, run) -> list:
+def _split_rows(rows: int, cols: int, inner: int, run) -> list:
     """The results, in row order, of ``run(blocks)`` on k contiguous ranges of
-    rows that cover range(n), one thread per range (``threaded_map``: the
-    caller runs the first), where k = min(CPUs this process may use, n).
-    A range comes as its blocks (_pair_blocks, ``inner`` doubles a pair) of
-    about _BLOCK doubles when k <= 2, and 2 _BLOCK / k beyond: the ranges
-    hold two blocks of scratch together at most, however many CPUs there
-    are.  Halving the blocks on two CPUs instead cost the 257-point Beta
-    check a third more time: each block pays the kernels' per-call overhead,
-    which holds the GIL.
+    rows that cover range(rows), one thread per range (``threaded_map``: the
+    caller runs the first), where k = min(CPUs this process may use, rows),
+    so that one row starts no thread.  A range comes as its blocks
+    (_pair_blocks, ``cols`` pairs a row, ``inner`` doubles a pair) of about
+    _BLOCK doubles when k <= 2, and 2 _BLOCK / k beyond: the ranges hold two
+    blocks of scratch together at most, however many CPUs there are.
+    Halving the blocks on two CPUs instead cost the 257-point Beta check a
+    third more time: each block pays the kernels' per-call overhead, which
+    holds the GIL.
     """
-    k = min(usable_cpus(), n)
+    k = min(usable_cpus(), rows)
     budget = min(_BLOCK, 2 * _BLOCK // k)
-    edges = [n * i // k for i in range(k + 1)]
-    ranges = [_pair_blocks(lo, hi, n, inner, budget) for lo, hi in zip(edges, edges[1:])]
+    edges = [rows * i // k for i in range(k + 1)]
+    ranges = [_pair_blocks(lo, hi, cols, inner, budget) for lo, hi in zip(edges, edges[1:])]
     return list(threaded_map(run, ranges, k))
 
 
@@ -523,10 +518,14 @@ class GridKernel:
         return all(bool(np.all(self[blk] > 0)) for blk in _row_blocks(self.size, self.size ** 2))
 
 
-def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np.ndarray:
-    """(k1 k2)(a; b) = integral of k1(a; c) k2(c; b) over c, on the grid pairs.
+def _compose(density, out_support, k2: MarkovKernel, grid: GridMeasure,
+             rows: np.ndarray) -> np.ndarray:
+    """The integral over c of density(a, c) k2(c; b), at the pairs of the
+    points a in ``rows`` and the grid points b: the composition k1 k2 when
+    ``density`` and ``out_support`` are k1's (``compose_kernels``), and a
+    law's image when they ignore a (``apply_law``).
 
-    When both kernels expose support bounds and every pairwise intersection
+    When both factors expose support bounds and every pairwise intersection
     is a finite interval, the integral runs on Gauss-Legendre nodes placed on
     exactly that interval (this keeps indicator-supported kernels exact).  An
     empty interval integrates to +0.0 whatever the kernels are at its nodes,
@@ -541,9 +540,9 @@ def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np
     the ranges stay even in rows.
     """
     p = grid.points
-    n = p.size
-    if k1.out_support is not None and k2.in_support is not None:
-        lo1, hi1 = (np.broadcast_to(np.asarray(s, dtype=float), (n,)) for s in k1.out_support(p))
+    r, n = rows.size, p.size
+    if out_support is not None and k2.in_support is not None:
+        lo1, hi1 = (np.broadcast_to(np.asarray(s, dtype=float), (r,)) for s in out_support(rows))
         lo2, hi2 = (np.broadcast_to(np.asarray(s, dtype=float), (n,)) for s in k2.in_support(p))
         # the inner integral runs on the exact continuum support of the
         # integrand (not truncated to the grid window): both kernels are
@@ -554,57 +553,50 @@ def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np
         if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
             width = np.clip(hi - lo, 0.0, None)
             live = width > 0.0
-            out = np.zeros((n, n))
+            out = np.zeros((r, n))
             unit_x, unit_w = _gl_unit()
 
             def compose_rows(blocks):
                 nodes = np.empty((*_extent(blocks[0]), _GL_NODES))
                 vals = np.empty_like(nodes)
-                for rows, cols in blocks:
-                    span = np.flatnonzero(live[rows, cols].any(axis=0))
+                for i, j in blocks:
+                    span = np.flatnonzero(live[i, j].any(axis=0))
                     if not span.size:
                         continue
-                    cols = slice(cols.start + span[0], cols.start + span[-1] + 1)
-                    nr, nc = _extent((rows, cols))
-                    x = np.multiply(width[rows, cols, None], unit_x, out=nodes[:nr, :nc])
-                    x += lo[rows, cols, None]
-                    v = np.multiply(k1.density(p[rows, None, None], x),
-                                    k2.density(x, p[None, cols, None]), out=vals[:nr, :nc])
+                    j = slice(j.start + span[0], j.start + span[-1] + 1)
+                    nr, nc = _extent((i, j))
+                    x = np.multiply(width[i, j, None], unit_x, out=nodes[:nr, :nc])
+                    x += lo[i, j, None]
+                    v = np.multiply(density(rows[i, None, None], x),
+                                    k2.density(x, p[None, j, None]), out=vals[:nr, :nc])
                     v *= unit_w
-                    np.multiply(v.sum(axis=2), width[rows, cols], out=out[rows, cols],
-                                where=live[rows, cols])
+                    np.multiply(v.sum(axis=2), width[i, j], out=out[i, j], where=live[i, j])
 
-            _split_rows(n, _GL_NODES, compose_rows)
+            _split_rows(r, n, _GL_NODES, compose_rows)
             return out
-    m1 = _eval_markov(k1, p, p) * grid.weights
-    m2 = _eval_markov(k2, p, p)
-    out = np.empty((n, n))
+    m1 = density(rows[:, None], p[None, :]) * grid.weights
+    m2 = k2.density(p[:, None], p[None, :])
+    out = np.empty((r, n))
 
     def contract_rows(blocks):
-        for rows, cols in blocks:
-            out[rows, cols] = np.einsum("ac,cb->ab", m1[rows], m2[:, cols], optimize=False)
+        for i, j in blocks:
+            out[i, j] = np.einsum("ac,cb->ab", m1[i], m2[:, j], optimize=False)
 
-    _split_rows(n, 1, contract_rows)
+    _split_rows(r, n, 1, contract_rows)
     return out
 
 
+def compose_kernels(k1: MarkovKernel, k2: MarkovKernel, grid: GridMeasure) -> np.ndarray:
+    """(k1 k2)(a; b) = integral of k1(a; c) k2(c; b) over c, on the grid pairs
+    (``_compose``)."""
+    return _compose(k1.density, k1.out_support, k2, grid, grid.points)
+
+
 def apply_law(rho: DensityLaw, kernel: MarkovKernel, grid: GridMeasure) -> np.ndarray:
-    """Density of (rho kernel) at the grid points."""
-    p = grid.points
-    n = p.size
-    if kernel.in_support is not None and np.isfinite(rho.support[0]):
-        lo_k, hi_k = (np.broadcast_to(np.asarray(s, dtype=float), (n,)) for s in kernel.in_support(p))
-        lo = np.maximum(np.full(n, rho.support[0]), lo_k)
-        hi = np.minimum(np.full(n, rho.support[1]), hi_k)
-        if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-            width = np.clip(hi - lo, 0.0, None)
-            unit_x, unit_w = _gl_unit()
-            nodes = lo[:, None] + width[:, None] * unit_x[None, :]
-            vals = rho.density(nodes) * kernel.density(nodes, p[:, None])
-            return (vals * unit_w[None, :]).sum(axis=1) * width
-    rvec = rho.density(p)
-    kmat = _eval_markov(kernel, p, p)
-    return np.einsum("a,ab->b", rvec * grid.weights, kmat, optimize=False)     # no BLAS
+    """Density of (rho kernel) at the grid points: the one row of ``_compose``
+    whose left factor is rho's density on rho's support, whatever the row."""
+    return _compose(lambda a, c: rho.density(c), lambda a: rho.support, kernel, grid,
+                    grid.points[:1])[0]
 
 
 def _differing(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -638,8 +630,9 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure, ov
     same = u is d
     du = compose_kernels(d, u, grid)
     ud = du if same else compose_kernels(u, d, grid)
-    d_mat = _eval_markov(d, p, p)
-    u_t = np.ascontiguousarray((d_mat if same else _eval_markov(u, p, p)).T)  # u(c; b) at [b, c]
+    a, b = p[:, None], p[None, :]
+    d_mat = d.density(a, b)
+    u_t = np.ascontiguousarray((d_mat if same else u.density(a, b)).T)  # u(c; b) at [b, c]
     differs = None if override is None else np.zeros((n, n), dtype=bool)
 
     def t_of(block):
@@ -650,7 +643,7 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure, ov
             differs[block][i, j] = _differing(values, t[i, j])
         return t
 
-    fact = max(_split_rows(n, n, lambda blocks: _factorization_sweep(      # a == b skipped
+    fact = max(_split_rows(n, n, n, lambda blocks: _factorization_sweep(      # a == b skipped
         t_of, du, d_mat, u_t, blocks, np.eye(n, dtype=bool))), key=lambda r: r[0])
     comm = sup_residual([np.abs(du - ud)], du.shape)
     stat = sup_residual([np.abs(apply_law(rho0, d, grid) - rho0.density(p))], (n,))
@@ -669,15 +662,19 @@ def quadrature_check_conditions(kernel: KernelDensity, hzmc: HzmcSpec, grid: Gri
     mu_equivalence_probe), compares the two on the sweep's own blocks, at
     the entries the override writes; where ``kernel`` is finite, that is
     the probe's report on the two kernels.
+
+    An overflow on a wide grid (the normal density's z z from |z| > 1.3e154,
+    the pair mass w_a w_b) gives inf or a density of 0 without a warning.
     """
-    (r1, w1), (r2, w2), (r3, w3), differs = _cond_residuals(kernel, hzmc, grid, override)
-    reports = (
-        CheckReport("factorization", r1, tol, witnesses={"argmax": w1}),
-        CheckReport("commutation", r2, tol, witnesses={"argmax": w2}),
-        CheckReport("stationarity", r3, tol, witnesses={"argmax": w3}),
-    )
-    if differs is not None:
-        reports += (_mu_report(differs, grid),)
+    with np.errstate(over="ignore"):
+        (r1, w1), (r2, w2), (r3, w3), differs = _cond_residuals(kernel, hzmc, grid, override)
+        reports = (
+            CheckReport("factorization", r1, tol, witnesses={"argmax": w1}),
+            CheckReport("commutation", r2, tol, witnesses={"argmax": w2}),
+            CheckReport("stationarity", r3, tol, witnesses={"argmax": w3}),
+        )
+        if differs is not None:
+            reports += (_mu_report(differs, grid),)
     return reports
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zigzag_pca.core_types import (DensityLaw, GridMeasure, HzmcSpec, KernelDensity, MarkovKernel,
-                                   TransitionTensor, normalize_rows)
+                                   TransitionTensor, gauss_legendre_rule, normalize_rows)
 from zigzag_pca.stats import KS_COEFF, DistanceResult
 
 
@@ -84,6 +84,31 @@ def factorization_gap(t, d, u, du):
     ``finite_solver._factorization_sweep``, whose residual and argmax must
     equal those of this array bit for bit."""
     return np.abs(t * du[:, :, None] - d[:, None, :] * u.T[None, :, :])
+
+
+def apply_law_reference(rho, kernel, grid):
+    """The density of (rho kernel) at the grid points by its own two branches:
+    64 Gauss-Legendre nodes on each point's interval when rho's lower end and
+    the kernel's in-support bounds are finite, else the grid sum; the
+    reference for ``continuous_kernels.apply_law``, the composition's one
+    row, whose values must equal these bit for bit."""
+    p = grid.points
+    n = p.size
+    if kernel.in_support is not None and np.isfinite(rho.support[0]):
+        lo_k, hi_k = (np.broadcast_to(np.asarray(s, dtype=float), (n,))
+                      for s in kernel.in_support(p))
+        lo = np.maximum(np.full(n, rho.support[0]), lo_k)
+        hi = np.minimum(np.full(n, rho.support[1]), hi_k)
+        if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
+            width = np.clip(hi - lo, 0.0, None)
+            x, w = gauss_legendre_rule(64)
+            unit_x, unit_w = 0.5 * (x + 1.0), 0.5 * w
+            nodes = lo[:, None] + width[:, None] * unit_x[None, :]
+            vals = rho.density(nodes) * kernel.density(nodes, p[:, None])
+            return (vals * unit_w[None, :]).sum(axis=1) * width
+    rvec = rho.density(p)
+    kmat = kernel.density(p[:, None], p[None, :])
+    return np.einsum("a,ab->b", rvec * grid.weights, kmat, optimize=False)
 
 
 def near_identity_tensor(kappa, eps, seed=5):

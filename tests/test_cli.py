@@ -199,6 +199,21 @@ class TestCheck:
         assert not by_name["stationarity"]["passed"]
 
 
+    @pytest.mark.parametrize("halfwidth", ["1e154", "1e300"])
+    @pytest.mark.parametrize("model", ["gauss", "gauss_diag"])
+    def test_huge_grid_fails_without_a_warning(self, files, capsys, model, halfwidth):
+        # the normal density's z z overflows from |z| > 1.3e154, and at 1e300
+        # gaussian_diag's pair mass w_a w_b does too: inf fails a report, and
+        # no numpy warning reaches stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_main("check", "--model", files[model], "--grid-points", 33,
+                            "--grid-halfwidth", halfwidth)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert not json.loads(captured.out)["passed"]
+
+
 class TestNearlyReducible:
     """Kernels whose diagonal chain t(x, x; .) is nearly reducible."""
 
@@ -232,6 +247,36 @@ class TestNearlyReducible:
         captured = capsys.readouterr()
         assert not json.loads(captured.out)["passed"]
         assert captured.err == ""
+
+
+class TestVerdictsDoNotMoveWithLabels:
+    """Relabel and mirror gates.  t relabeled by a permutation p of the
+    alphabet, t[p][:, p][:, :, p], and t read right to left, t(b, a; c), have
+    an invariant chain exactly when t has, so check, solve and verify of the
+    solved spec exit alike on all of them.  Exit codes are compared, not
+    residuals: the construction is anchored at a base triple that moves with
+    the labels, and its residuals move with it."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-10, 1e-8, 1e-6])
+    @pytest.mark.parametrize("kappa,lattice", [(2, "Z"), (3, "Z"), (8, "Z"), (16, "Z"),
+                                               (2, "cycle"), (3, "cycle")])
+    def test_exit_codes_agree(self, tmp_path, capsys, kappa, lattice, eps):
+        f = fs.make_factorized_tensor(kappa, 0)[0].t
+        t = (1 - eps) * f + eps * fs.random_positive_tensor(kappa, 1000).t
+        perms = [np.random.default_rng(seed).permutation(kappa) for seed in range(4)]
+        variants = [t, t.transpose(1, 0, 2)] + [t[p][:, p][:, :, p] for p in perms]
+        # the half line's oracle takes --kmax, the cycle's walks its whole length
+        lat, kmax = ("Z", ("--kmax", 1)) if lattice == "Z" else ({"cycle": 3}, ())
+        codes = []
+        for i, v in enumerate(variants):
+            model, spec = tmp_path / f"model{i}.json", tmp_path / f"spec{i}.json"
+            save_model(model, TransitionTensor(np.ascontiguousarray(v)), lat)
+            solved = run_main("solve", "--model", model, "--out", spec)
+            codes.append((run_main("check", "--model", model), solved,
+                          run_main("verify", "--model", model, "--spec", spec, *kmax)
+                          if solved == 0 else None))
+        capsys.readouterr()
+        assert codes == [codes[0]] * len(variants), codes
 
 
 class TestSolveVerify:

@@ -15,7 +15,7 @@ from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
 from zigzag_pca.core_types import (HzmcSpec, KernelDensity, MarkovKernel, gauss_legendre_grid,
                                    gauss_legendre_rule)
-from conftest import _cpus, legendre_factorized, trapezoid_grid
+from conftest import _cpus, apply_law_reference, legendre_factorized, trapezoid_grid
 
 
 @pytest.fixture(scope="module")
@@ -758,7 +758,7 @@ class TestBlockedSweep:
     def test_compositions_in_pieces_of_a_row_match_full_tensor(self, monkeypatch):
         # 40 pairs a block: each block is a piece of one row, trimmed on its own
         monkeypatch.setattr(ck, "_BLOCK", 40 * ck._GL_NODES)
-        rows, cols = ck._extent(ck._split_rows(100, ck._GL_NODES, lambda blocks: blocks[0])[0])
+        rows, cols = ck._extent(ck._split_rows(100, 100, ck._GL_NODES, lambda blocks: blocks[0])[0])
         assert rows == 1 and cols < 100
         self._compositions_match_full_tensor(100)
 
@@ -837,6 +837,39 @@ class TestBlockedSweep:
                 tracemalloc.stop()
             assert grid.size == 257
             assert peak <= 16 * 2 ** 20
+
+
+class TestApplyLaw:
+    """``apply_law`` is the composition's one row: its values are those of the
+    law's own two-branch integral (``apply_law_reference``) bit for bit, on
+    the Gaussian legs' grid sums and the Beta candidates' Gauss-Legendre
+    intervals, and its one row starts no thread."""
+
+    FAMILIES = {"gauss-3-1": ck.GaussianPcaParams(3.0, 1.0),
+                "gauss-m2.5-0.3": ck.GaussianPcaParams(-2.5, 0.3),
+                "beta-1-1": ck.BetaPcaParams(1.0, 1.0, 0.3, 2.0),
+                "beta-2-3": ck.BetaPcaParams(2.0, 3.0, 0.3, 2.0),
+                "beta-0.5-0.7": ck.BetaPcaParams(0.5, 0.7, 0.3, 2.0)}
+
+    @pytest.mark.parametrize("leg", ["d", "u"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("points", [2, 3, 5, 17, 64, 100, 129, 257, 513, 1025])
+    def test_equals_the_two_branch_integral(self, monkeypatch, points, family, leg):
+        par = self.FAMILIES[family]
+        if isinstance(par, ck.BetaPcaParams):
+            hz, grid = ck.beta_candidate_hzmc(par), ck.default_beta_grid(par, points)
+        else:
+            hz, grid = ck.gaussian_invariant_hzmc(par), ck.default_gaussian_grid(par, points)
+        kernel = getattr(hz, leg)
+        threads = []
+        run = ck.threaded_map
+        spy = lambda fn, items, count: threads.append(count) or run(fn, items, count)
+        _cpus(monkeypatch, 4)
+        monkeypatch.setattr(ck, "threaded_map", spy)
+        got = ck.apply_law(hz.rho0, kernel, grid)
+        want = apply_law_reference(hz.rho0, kernel, grid)
+        assert got.shape == (points,) and got.tobytes() == want.tobytes()
+        assert threads == [1]
 
 
 class TestSweepNeverPassesVacuously:
@@ -952,7 +985,7 @@ class TestSplitRows:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         for count, starts in [(3, [0, 3, 6]), (None, [0])]:
             monkeypatch.setattr(os, "cpu_count", lambda: count)
-            ranges = ck._split_rows(10, 1, lambda blocks: blocks)
+            ranges = ck._split_rows(10, 10, 1, lambda blocks: blocks)
             assert [blocks[0][0].start for blocks in ranges] == starts
 
     def test_battery_memory_does_not_grow_with_cpus(self, monkeypatch, gauss31, gauss_grid):

@@ -84,6 +84,22 @@ def test_one_thread_pool_in_the_package():
     assert private == []
 
 
+def test_one_quadrature_in_the_package():
+    """One function of the package places Gauss-Legendre nodes on intervals
+    (``continuous_kernels._compose``, whose rows give both the compositions
+    and a law's image): a second quadrature would call ``_gl_unit`` too."""
+    package = pathlib.Path(zigzag_pca.__file__).parent
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Call) and "_gl_unit" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    for stmt in fn.body for node in ast.walk(stmt)):
+                callers.append(f"{path.stem}.{fn.name}")
+    assert callers == ["continuous_kernels._compose"]
+
+
 def _here(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
