@@ -627,6 +627,10 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure, ov
     p = grid.points
     n = p.size
     d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
+    rho_p = rho0.density(p)
+    if not np.any(rho_p):
+        raise ValueError(f"the chain's initial law has density 0 at each of the {n} grid nodes "
+                         f"in [{p[0]:g}, {p[-1]:g}]: the grid misses its mass")
     same = u is d
     du = compose_kernels(d, u, grid)
     ud = du if same else compose_kernels(u, d, grid)
@@ -646,7 +650,7 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure, ov
     fact = max(_split_rows(n, n, n, lambda blocks: _factorization_sweep(      # a == b skipped
         t_of, du, d_mat, u_t, blocks, np.eye(n, dtype=bool))), key=lambda r: r[0])
     comm = sup_residual([np.abs(du - ud)], du.shape)
-    stat = sup_residual([np.abs(apply_law(rho0, d, grid) - rho0.density(p))], (n,))
+    stat = sup_residual([np.abs(apply_law(rho0, d, grid) - rho_p)], (n,))
     return fact, comm, stat, differs
 
 
@@ -665,6 +669,8 @@ def quadrature_check_conditions(kernel: KernelDensity, hzmc: HzmcSpec, grid: Gri
 
     An overflow on a wide grid (the normal density's z z from |z| > 1.3e154,
     the pair mass w_a w_b) gives inf or a density of 0 without a warning.
+    A grid on whose every node the chain's initial law has density 0 would
+    pass each residual at 0 and is refused with a ValueError.
     """
     with np.errstate(over="ignore"):
         (r1, w1), (r2, w2), (r3, w3), differs = _cond_residuals(kernel, hzmc, grid, override)

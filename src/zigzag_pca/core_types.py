@@ -5,7 +5,8 @@ measure on a finite alphabet, and a weighted quadrature grid on a truncated
 interval [-L, L].  Kernels come in three shapes:
 
 * ``TransitionTensor``     -- a two-neighbor kernel on a finite alphabet,
-  stored as a kappa x kappa x kappa array with stochastic rows t[a, b, :].
+  stored as a kappa x kappa x kappa array with stochastic rows t[a, b, :],
+  with an inverse-CDF sampler as a ``KernelDensity`` has one.
 * ``KernelDensity``        -- a two-neighbor kernel on the line, given by an
   evaluable density (a, b, c) -> t(a, b; c) plus an exact inverse-CDF sampler.
 * ``MarkovKernel``         -- a one-step kernel on the line (the "down" and
@@ -237,10 +238,34 @@ class TransitionTensor:
         return self.t[key]
 
     @functools.cached_property
-    def cumulative(self) -> np.ndarray:
-        """Cumulative rows t.cumsum(axis=2), taken once: the inverse-CDF
-        table that the simulator draws from."""
-        return _locked(np.cumsum(self.t, axis=2))
+    def search_table(self) -> np.ndarray:
+        """The inverse-CDF table that the simulator bisects, taken once and
+        flattened: row a kappa + b holds the first kappa - 1 entries of
+        t[a, b].cumsum() (the bits of np.cumsum(t, axis=2)), padded with +inf
+        to the width 2**ceil(log2 kappa) - 1.  A row's total is left out, so
+        no uniform, however close to 1, draws past letter kappa - 1."""
+        k = self.size
+        table = np.full((k, k, (1 << (k - 1).bit_length()) - 1), np.inf)
+        table[:, :, :k - 1] = np.cumsum(self.t[:, :, :-1], axis=2)
+        return _locked(table.reshape(-1))
+
+    def sampler(self, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF draws from t[a, b, :] for integer letter arrays a and b
+        and uniforms u: the number of entries of row (a, b) of
+        ``search_table`` below each u, by a branchless bisection of
+        ceil(log2 kappa) rounds."""
+        table, k = self.search_table, self.size
+        width = table.size // (k * k)
+        at = a * k
+        at += b
+        at *= width                 # the start of each cell's row
+        start = at.copy()
+        step = (width + 1) >> 1
+        while step:
+            at += (table.take(at + (step - 1)) < u) * step
+            step >>= 1
+        at -= start
+        return at
 
     @functools.cached_property
     def mu_positive(self) -> bool:

@@ -9,11 +9,14 @@ so the width stays.
 Randomness is counter based.  Step t of a run seeded with s consumes the
 block ``row_uniforms(s, t, width)``: a Philox stream keyed by (s, t), whose
 uniform j site j owns.  Identical (seed, model, init) give bitwise identical
-diagrams, no matter how the work is scheduled.
+diagrams, no matter how the work is scheduled.  A counter-based stream is
+fixed by its key and counter, so each thread keeps one Philox and re-keys
+it for every block, made on first use.
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import cycle
@@ -23,10 +26,28 @@ import numpy as np
 from .core_types import HzmcSpec, SpaceTimeDiagram, TransitionTensor, threaded_map, usable_cpus
 
 
+_ROW_STREAM = threading.local()     # .generator: this thread's re-keyed Philox
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+_PHILOX_ZEROS.setflags(write=False)
+
+
 def row_uniforms(seed: int, t: int, width: int) -> np.ndarray:
-    """Uniform block for step t: shape (width,), site j owns entry j."""
-    bg = np.random.Philox(key=(int(seed) << 64) + int(t))
-    return np.random.Generator(bg).random(width)
+    """Uniform block for step t: shape (width,), site j owns entry j.
+
+    The bits of ``Generator(Philox(key=(seed << 64) + t)).random(width)``:
+    this thread's Philox is set to that key, counter 0 and an empty buffer."""
+    key = (int(seed) << 64) + int(t)
+    if not 0 <= key < 1 << 128:
+        raise ValueError(f"row stream key (seed {seed}, step {t}) must be in [0, 2**128)")
+    gen = getattr(_ROW_STREAM, "generator", None)
+    if gen is None:
+        gen = _ROW_STREAM.generator = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": _PHILOX_ZEROS, "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+        "state": {"counter": _PHILOX_ZEROS,
+                  "key": np.array([key & (1 << 64) - 1, key >> 64], dtype=np.uint64)}}
+    return gen.random(width)
 
 
 def _line_rng(seed: int) -> np.random.Generator:
@@ -47,12 +68,6 @@ class ModelInstance:
             raise ValueError(f"unknown lattice {self.lattice!r}: need 'N', 'Z' or 'cycle'")
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: the index each uniform of u selects in the
-    cumulative rows ``cum`` (the last axis)."""
-    return (cum < u[:, None]).sum(axis=1)
-
-
 _LINE_CHUNK = 1 << 16      # noise cells a line sampler holds at once
 
 
@@ -68,10 +83,14 @@ def sample_hzmc_lines(hzmc: HzmcSpec, length: int, n_chains: int, seed: int) -> 
     # leg maps a chunk's rows to noise in one call.
     rng = _line_rng(seed)
     if hzmc.is_finite:
-        first = _inverse_cdf(np.cumsum(hzmc.rho0), rng.random(n_chains))
-        # a cumulative row never decreases: bisect_left counts its entries below u
+        # a cumulative row never decreases, so a draw counts its entries below
+        # u; like the step's search table, only the first kappa - 1 count, so
+        # a row total rounded below u draws the last letter and not kappa
+        last = hzmc.rho0.size - 1
+        first = (np.cumsum(hzmc.rho0)[:last] < rng.random(n_chains)[:, None]).sum(axis=1)
         cum_d, cum_u = (np.cumsum(m, axis=1).tolist() for m in (hzmc.d, hzmc.u))
-        legs = (lambda x, u: bisect_left(cum_d[x], u), lambda x, u: bisect_left(cum_u[x], u))
+        legs = (lambda x, u: bisect_left(cum_d[x], u, 0, last),
+                lambda x, u: bisect_left(cum_u[x], u, 0, last))
         carry = int
     else:
         first = hzmc.rho0.sampler(rng.random(n_chains))
@@ -104,18 +123,18 @@ def sample_hzmc_lines(hzmc: HzmcSpec, length: int, n_chains: int, seed: int) -> 
 def step_pca(line: np.ndarray, model: ModelInstance, t: int = 0) -> np.ndarray:
     """One synchronous update; cell j of the output is drawn from the kernel
     of input cells (j, j+1), the last cell of a cycle pairing with the first,
-    with uniform j of the (seed, t) block."""
+    with uniform j of the (seed, t) block.  The cells of a finite line must
+    be letters 0 .. kappa - 1; ``simulate_diagram`` checks its ``init``."""
     line = np.asarray(line)
     if line.size < 2:
         raise ValueError("width must be >= 2")
+    if isinstance(model.kernel, TransitionTensor):
+        line = line.astype(np.intp)
     if model.lattice == "cycle":
         a, b = line, np.roll(line, -1)
     else:
         a, b = line[:-1], line[1:]
-    kernel, u = model.kernel, row_uniforms(model.seed, t, a.size)
-    if isinstance(kernel, TransitionTensor):
-        return _inverse_cdf(kernel.cumulative[a.astype(int), b.astype(int)], u)
-    return kernel.sampler(a, b, u)
+    return model.kernel.sampler(a, b, row_uniforms(model.seed, t, a.size))
 
 
 DIAGRAM_MAGIC = b"ZPD1"
@@ -395,6 +414,9 @@ def simulate_diagram(model: ModelInstance, init: np.ndarray, t_steps: int) -> Sp
         raise ValueError(f"need t_steps >= 0, got {t_steps}")
     if model.lattice != "cycle" and t_steps >= line.size:
         raise ValueError("shrinking window: need width > t_steps")
+    if isinstance(model.kernel, TransitionTensor) and not (
+            line.min() >= 0 and line.max() < model.kernel.size):
+        raise ValueError(f"init cells must be letters in [0, {model.kernel.size})")
     states = np.full((t_steps + 1, line.size), np.nan)
     states[0] = line
     for t in range(t_steps):

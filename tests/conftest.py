@@ -5,7 +5,7 @@ import pytest
 
 from zigzag_pca.core_types import (DensityLaw, GridMeasure, HzmcSpec, KernelDensity, MarkovKernel,
                                    TransitionTensor, gauss_legendre_rule, normalize_rows)
-from zigzag_pca.stats import KS_COEFF, DistanceResult
+from zigzag_pca.stats import KS_COEFF, MAX_LAG, DistanceResult, _autocorr
 
 
 def three_letter_tensor() -> TransitionTensor:
@@ -76,6 +76,34 @@ def pair_blocks(first, tail_of):
         tail = tail_of(p)
         for m in range(first.shape[1]):
             yield first[p, m][:, None] * tail
+
+
+def fresh_philox_row_uniforms(seed, t, width):
+    """The block of step t from a Philox built for it, keyed (seed << 64) + t:
+    the reference for ``simulator.row_uniforms``, which re-keys one Philox a
+    thread and must give these bits."""
+    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(t))).random(width)
+
+
+def inverse_cdf_step_reference(line, model, t):
+    """``simulator.step_pca`` on a TransitionTensor by the gather of each
+    cell's whole cumulative row, whose entries below the cell's uniform it
+    counts: the reference for the bisection of the tensor's search table,
+    whose draws must equal these wherever a row's total is not below u."""
+    line = np.asarray(line)
+    a, b = (line, np.roll(line, -1)) if model.lattice == "cycle" else (line[:-1], line[1:])
+    cumulative = np.cumsum(model.kernel.t, axis=2)
+    u = fresh_philox_row_uniforms(model.seed, t, a.size)
+    return (cumulative[a.astype(int), b.astype(int)] < u[:, None]).sum(axis=1)
+
+
+def batch_autocorr_reference(batches):
+    """The lag 1 .. MAX_LAG autocorrelations of each batch, one
+    ``stats._autocorr`` call a row and NaN for a row of zero variance: the
+    reference for ``stats._batch_autocorr``, whose entries must equal these
+    bit for bit."""
+    return np.array([_autocorr(row) if row.var() > 0 else np.full(MAX_LAG, np.nan)
+                     for row in batches])
 
 
 def factorization_gap(t, d, u, du):

@@ -213,6 +213,28 @@ class TestCheck:
         assert code == 1 and captured.err == ""
         assert not json.loads(captured.out)["passed"]
 
+    @pytest.mark.parametrize("model, command, halfwidth", [
+        ("gauss", "check", "1e4"), ("gauss", "check", "1e154"),
+        ("gauss_diag", "check", "1e4"), ("gauss_diag", "check", "1e154"),
+        ("gauss", "verify", "1e4"), ("gauss", "verify", "1e154"), ("beta", "solve", "1e154")])
+    def test_grid_that_misses_the_initial_law_is_refused(self, files, capsys, tmp_path, model,
+                                                          command, halfwidth):
+        # an even grid this wide has no node near the chain's mass: every
+        # density underflows to 0 and each residual would read 0.0
+        args = {"check": [], "solve": ["--out", tmp_path / "spec.json"],
+                "verify": ["--spec", tmp_path / "gauss.spec.json"]}[command]
+        if command == "verify":
+            assert run_main("solve", "--model", files[model], "--out", args[1]) == 0
+            capsys.readouterr()
+        code = run_main(command, "--model", files[model], *args, "--grid-points", 32,
+                        "--grid-halfwidth", halfwidth)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: the chain's initial law has density 0 at each of "
+                                       "the 32 grid nodes")
+        assert not (tmp_path / "spec.json").exists()
+
 
 class TestNearlyReducible:
     """Kernels whose diagonal chain t(x, x; .) is nearly reducible."""

@@ -130,6 +130,20 @@ class TestQuadratureConditions:
         assert not rep1.passed
         assert not rep2.passed
 
+    @pytest.mark.parametrize("points, refused", [(32, True), (33, False)])
+    def test_grid_without_initial_mass_is_refused(self, gauss31, points, refused):
+        # at halfwidth 1e4 the only node that sees the chain is the centre of
+        # an odd grid; an even grid reads every residual as 0.0
+        grid = gauss_legendre_grid(1e4, points)
+        hz = ck.gaussian_invariant_hzmc(gauss31)
+        assert bool(np.any(hz.rho0.density(grid.points) > 0)) is not refused
+        run = lambda: ck.quadrature_check_conditions(ck.gaussian_kernel_density(gauss31), hz, grid)
+        if refused:
+            with pytest.raises(ValueError, match="density 0 at each of the 32 grid nodes"):
+                run()
+        else:
+            assert not all(rep.passed for rep in run())
+
 
 class TestBetaFamily:
     def test_positivity_guards(self):

@@ -15,8 +15,8 @@ from zigzag_pca import continuous_kernels as ck
 from zigzag_pca import finite_solver as fs
 from zigzag_pca import simulator as sim
 from zigzag_pca import stats as st
-from zigzag_pca.core_types import HzmcSpec, SpaceTimeDiagram, TransitionTensor
-from conftest import _cpus
+from zigzag_pca.core_types import HzmcSpec, SpaceTimeDiagram, TransitionTensor, normalize_rows
+from conftest import _cpus, fresh_philox_row_uniforms, inverse_cdf_step_reference
 
 
 def copy_left_tensor(kappa=3):
@@ -39,6 +39,48 @@ class TestRowUniforms:
         small = sim.row_uniforms(1, 0, 50)
         big = sim.row_uniforms(1, 0, 80)
         assert np.array_equal(small, big[:50])
+
+    @pytest.mark.parametrize("t", [0, 1, 2 ** 64 - 1])
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 63, 2 ** 64 - 1])
+    def test_rekeyed_stream_matches_a_fresh_philox(self, seed, t):
+        for width in (0, 1, 601, 4000, 601):     # the state of a longer block does not carry
+            got = sim.row_uniforms(seed, t, width)
+            assert got.tobytes() == fresh_philox_row_uniforms(seed, t, width).tobytes()
+
+    def test_two_threads_interleaved_match_a_fresh_philox(self):
+        # each thread re-keys its own Philox: a switch between the re-key and
+        # the draw must not hand one thread the other's stream
+        wrong, done, turn = [], [], threading.Barrier(2, timeout=30)
+
+        def run(offset):        # thread 0 draws seeds 3 and 2**64 - 1, thread 1 4 and 2**64 - 2
+            for seed in (3 + offset, 2 ** 64 - 1 - offset):
+                for t in range(40):
+                    for width in (1, 601):
+                        turn.wait()
+                        got = sim.row_uniforms(seed, t, width)
+                        if got.tobytes() != fresh_philox_row_uniforms(seed, t, width).tobytes():
+                            wrong.append((seed, t, width))
+                        done.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == [] and len(done) == 2 * 2 * 40 * 2
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+    def test_seed_outside_the_key_range_refused(self, seed):
+        with pytest.raises(ValueError):
+            fresh_philox_row_uniforms(seed, 0, 4)           # as Philox itself refuses it
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            sim.row_uniforms(seed, 0, 4)
 
 
 class TestSampleHzmcLine:
@@ -203,17 +245,77 @@ class TestStepPca:
         with pytest.raises(ValueError, match="width must be >= 2"):
             sim.step_pca(np.array([1]), model)
 
-    @pytest.mark.parametrize("kappa", [2, 4, 16])
-    def test_cumulative_table_matches_per_cell_sums(self, kappa):
-        # the draw reads rows of the kernel's cumulative table; they must be
-        # the very sums a per-cell cumsum of t[a, b] gives
+    @pytest.mark.parametrize("kappa", [1, 2, 3, 4, 16])
+    def test_search_table_matches_per_cell_sums(self, kappa):
+        # the draw bisects rows of the kernel's search table: the first
+        # kappa - 1 sums a per-cell cumsum of t[a, b] gives, then +inf
         tens = fs.random_positive_tensor(kappa, seed=kappa)
+        width = (1 << (kappa - 1).bit_length()) - 1
+        assert width >= kappa - 1 and (width + 1) & width == 0
+        table = tens.search_table.reshape(kappa, kappa, width)
         rng = np.random.default_rng(kappa)
         a, b = rng.integers(0, kappa, 500), rng.integers(0, kappa, 500)
-        assert np.array_equal(tens.cumulative[a, b], np.cumsum(tens.t[a, b], axis=1))
-        u = rng.random(500)
-        expect = (np.cumsum(tens.t[a, b], axis=1) < u[:, None]).sum(axis=1)
-        assert np.array_equal(sim._inverse_cdf(tens.cumulative[a, b], u), expect)
+        assert np.array_equal(table[a, b, :kappa - 1], np.cumsum(tens.t[a, b], axis=1)[:, :-1])
+        assert np.all(table[:, :, kappa - 1:] == np.inf)
+        assert tens.search_table is tens.search_table and not tens.search_table.flags.writeable
+
+    @pytest.mark.parametrize("lattice", ["N", "cycle"])
+    @pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5, 16, 64])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["positive", "with-zeros"])
+    def test_bisection_matches_the_cumulative_gather(self, kappa, lattice, zeros):
+        tens = fs.random_positive_tensor(kappa, seed=kappa + 100)
+        if zeros:       # ties in the cumulative rows, and rows that end in zeros
+            rng = np.random.default_rng(kappa)
+            t = np.where(rng.random(tens.t.shape) < 0.5, 0.0, tens.t)
+            t[..., 0] += t.sum(axis=2) == 0
+            tens = TransitionTensor(normalize_rows(t)[0])
+        model = sim.ModelInstance(kernel=tens, lattice=lattice, seed=kappa)
+        rng = np.random.default_rng(kappa + 1)
+        for width, t in ((2, 0), (601, 3), (4000, 2 ** 40)):
+            line = rng.integers(0, kappa, width).astype(float)
+            got = sim.step_pca(line, model, t)
+            assert got.tolist() == inverse_cdf_step_reference(line, model, t).tolist()
+
+    @pytest.mark.parametrize("kappa", [2, 5, 16])
+    def test_uniform_on_a_row_entry_counts_the_entries_below_it(self, monkeypatch, kappa):
+        tens = fs.random_positive_tensor(kappa, seed=kappa)
+        cum = np.cumsum(tens.t, axis=2)
+        rng = np.random.default_rng(kappa)
+        line = rng.integers(0, kappa, 3000)
+        a, b = line[:-1], line[1:]
+        u = cum[a, b, rng.integers(0, kappa - 1, a.size)]      # ties at every cell
+        monkeypatch.setattr(sim, "row_uniforms", lambda seed, t, width: u)
+        got = sim.step_pca(line, sim.ModelInstance(tens, "N"), 0)
+        assert got.tolist() == (cum[a, b] < u[:, None]).sum(axis=1).tolist()
+
+
+class TestRowTotalBelowOne:
+    """A stochastic row may sum to 1 - ROW_TOL; a uniform above its rounded
+    total draws the last letter, never letter kappa."""
+
+    TOTAL = 1 - 5e-13
+    ROW = np.array([0.5, 0.5 - 5e-13])
+
+    @pytest.mark.parametrize("u", [TOTAL, np.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("lattice", ["N", "cycle"])
+    def test_step(self, monkeypatch, u, lattice):
+        tens = TransitionTensor(np.broadcast_to(self.ROW, (2, 2, 2)).copy())
+        assert tens.t.sum(axis=2).max() <= u
+        monkeypatch.setattr(sim, "row_uniforms", lambda seed, t, width: np.full(width, u))
+        out = sim.step_pca(np.array([0, 1, 1, 0, 1]), sim.ModelInstance(tens, lattice), 0)
+        assert out.tolist() == [1] * out.size
+
+    @pytest.mark.parametrize("u", [TOTAL, np.nextafter(1.0, 0.0)])
+    def test_first_cell_and_legs(self, monkeypatch, u):
+        class Top:          # every uniform of the line stream is u
+            def random(self, size):
+                return np.full(size, u)
+
+        spec = HzmcSpec(d=np.array([self.ROW, [0.25, 0.75]]), u=np.array([self.ROW, self.ROW]),
+                        rho0=self.ROW)
+        monkeypatch.setattr(sim, "_line_rng", lambda seed: Top())
+        lines = sim.sample_hzmc_lines(spec, 9, 3, seed=0)
+        assert lines.tolist() == [[1.0] * 9] * 3
 
 
 class TestSimulateDiagram:
@@ -251,6 +353,12 @@ class TestSimulateDiagram:
             assert np.all(ok[outside])
             if t > 0:
                 assert ra[s - t] != rb[s - t]  # the cone edge really moves
+
+    @pytest.mark.parametrize("init", [[0, 1, 3, 0], [0, -1, 2, 0], [0, np.nan, 2, 0]])
+    def test_init_outside_the_alphabet_refused(self, init):
+        model = sim.ModelInstance(kernel=copy_left_tensor(), lattice="N", seed=1)
+        with pytest.raises(ValueError, match="letters in \\[0, 3\\)"):
+            sim.simulate_diagram(model, np.array(init, dtype=float), 2)
 
     def test_shrink_needs_enough_width(self):
         tens = copy_left_tensor()

@@ -67,6 +67,30 @@ def test_import_loads_no_thread_pool():
     assert proc.stdout == "[]\n"
 
 
+def test_import_builds_no_philox_and_no_search_table():
+    """The row stream's Philox and a tensor's search table are made on first
+    use: one Philox for the first block a thread draws, none for the next."""
+    src = os.path.dirname(os.path.dirname(zigzag_pca.__file__))
+    code = """if True:
+        import gc, numpy as np
+        made, real = [], np.random.Philox
+        np.random.Philox = lambda *a, **k: made.append(1) or real(*a, **k)
+        import zigzag_pca, zigzag_pca.cli
+        from zigzag_pca import simulator as sim
+        from zigzag_pca.core_types import TransitionTensor
+        tables = [o for o in gc.get_objects()
+                  if isinstance(o, TransitionTensor) and "search_table" in vars(o)]
+        at_import = (len(made), len(tables), sorted(vars(sim._ROW_STREAM)))
+        sim.row_uniforms(1, 2, 3)
+        sim.row_uniforms(4, 5, 6)
+        print(at_import, len(made))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == "(0, 0, []) 1\n"
+
+
 def test_one_thread_pool_in_the_package():
     """Every thread the package starts comes from ``core_types.threaded_map``,
     and ``simulator`` reaches nothing private of ``continuous_kernels``."""

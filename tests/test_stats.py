@@ -3,7 +3,7 @@ import pytest
 from scipy.special import ndtr
 
 from zigzag_pca import stats as st
-from conftest import two_sample_distance
+from conftest import batch_autocorr_reference, two_sample_distance
 
 
 class TestSummarizeLine:
@@ -51,6 +51,37 @@ class TestSummarizeLine:
             ok &= abs(s.variance - 4.0) <= 4 * s.se_variance
             hits += bool(ok)
         assert hits >= 99
+
+
+class TestBatchAutocorr:
+    @pytest.mark.parametrize("kind", ["walk", "constant", "one-constant-batch"])
+    @pytest.mark.parametrize("n", [10, 57, 3901, 400_001])
+    def test_matches_the_per_batch_loop(self, n, kind):
+        x = np.random.default_rng(n).standard_normal(n).cumsum()
+        nb = int(np.sqrt(n))
+        blen = n // nb
+        if kind == "constant":
+            x[:] = 1.25
+        elif kind == "one-constant-batch":
+            x[blen:2 * blen] = -0.5
+        batches = x[:nb * blen].reshape(nb, blen)
+        want = batch_autocorr_reference(batches)
+        with np.errstate(invalid="ignore"):
+            got = st._batch_autocorr(batches, batches.mean(axis=1))
+        assert got.tobytes() == want.tobytes()
+        s = st.summarize_line(x)
+        if kind == "constant":
+            assert not s.autocorr_defined and all(np.isnan(s.se_autocorr))
+        else:
+            se = np.nanstd(want, axis=0, ddof=1) / np.sqrt(nb)
+            assert np.array(s.se_autocorr).tobytes() == se.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 40, 1 << 13])
+    def test_chunks_do_not_move_a_bit(self, monkeypatch, chunk):
+        x = np.random.default_rng(5).standard_normal(20_000)
+        want = st.summarize_line(x)
+        monkeypatch.setattr(st, "_AC_CHUNK", chunk)
+        assert st.summarize_line(x) == want
 
 
 class TestKsDistance:
