@@ -649,8 +649,8 @@ def _cond_residuals(kernel: KernelDensity, hzmc: HzmcSpec, grid: GridMeasure, ov
 
     fact = max(_split_rows(n, n, n, lambda blocks: _factorization_sweep(      # a == b skipped
         t_of, du, d_mat, u_t, blocks, np.eye(n, dtype=bool))), key=lambda r: r[0])
-    comm = sup_residual([np.abs(du - ud)], du.shape)
-    stat = sup_residual([np.abs(apply_law(rho0, d, grid) - rho_p)], (n,))
+    comm = sup_residual([(0, np.abs(du - ud))], du.shape)
+    stat = sup_residual([(0, np.abs(apply_law(rho0, d, grid) - rho_p))], (n,))
     return fact, comm, stat, differs
 
 

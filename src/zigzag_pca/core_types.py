@@ -224,7 +224,7 @@ class TransitionTensor:
         if not np.all(arr >= 0):     # also refuses NaN, which every comparison fails
             raise ValueError("tensor entries must be nonnegative numbers")
         rowsums = arr.sum(axis=2)
-        worst, bad = sup_residual([np.abs(rowsums - 1.0)], rowsums.shape)
+        worst, bad = sup_residual([(0, np.abs(rowsums - 1.0))], rowsums.shape)
         if worst > ROW_TOL:
             raise ValueError(f"row {bad} sums to {rowsums[bad]!r}; off by {worst:g} > {ROW_TOL:g}")
         object.__setattr__(self, "t", arr)
@@ -476,18 +476,18 @@ class CheckReport:
 
 def sup_residual(blocks, shape: tuple) -> tuple[float, tuple]:
     """The residual rule of every condition report: the largest entry of the
-    array of ``shape`` that the C-ordered ``blocks`` make up, one after the
-    other, and its index, the first one on ties.  A NaN counts as +inf, so an
-    undefined residual fails instead of passing."""
-    worst, where, start = -np.inf, 0, 0
-    for blk in blocks:
+    array of ``shape`` that the ``(offset, block)`` pairs make up, each block
+    C-ordered from its flat offset, in any order, and its index, the first
+    one in C order on ties.  A NaN counts as +inf, so an undefined residual
+    fails instead of passing."""
+    worst, where = -np.inf, 0
+    for start, blk in blocks:
         i = int(blk.argmax())
         m = float(blk.flat[i])
         if m != m:      # argmax stops at the first NaN; an earlier +inf ties with it
             i, m = int(np.argmax(~(blk < np.inf))), np.inf
-        if m > worst:
+        if m > worst or (m == worst and start + i < where):
             worst, where = m, start + i
-        start += blk.size
     return worst, tuple(int(j) for j in np.unravel_index(where, shape))
 
 

@@ -29,6 +29,8 @@ reference to the conditions above.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -40,7 +42,8 @@ from .core_types import (_BLOCK, EXACT_TOL, CheckReport, ChzmcSpec, HzmcSpec, Tr
 
 MAX_KAPPA = 64
 SIZE_GUARD = 10**7
-_PIECE = _BLOCK // 4     # entries in a piece of a chain walk: 128 KB, so two stay in L2
+_PIECE = _BLOCK // 4     # entries in a piece of a chain walk: 128 KB, so a lockstep
+                          # walk's two pieces and two tail pieces stay in L2
 
 
 class BaseTriple(NamedTuple):
@@ -126,7 +129,7 @@ def check_belyaev(tensor: TransitionTensor, tol: float = EXACT_TOL) -> CheckRepo
     permutes r.  Witnesses: the argmax (a, b, c) and max |log t|.
     """
     r, log_t_max = tensor.interaction
-    residual, where = sup_residual([np.abs(r)], r.shape)
+    residual, where = sup_residual([(0, np.abs(r))], r.shape)
     return CheckReport("quartic-identity", residual, tol,
                        witnesses={"argmax": where, "max_abs_log_t": log_t_max})
 
@@ -136,7 +139,7 @@ def check_belyaev_diag(tensor: TransitionTensor, tol: float = EXACT_TOL) -> Chec
     the b = a entries of ``check_belyaev``'s interaction r, so its residual
     never exceeds that one."""
     on_diag = np.abs(np.einsum("aac->ac", tensor.interaction[0]))
-    residual, where = sup_residual([on_diag], on_diag.shape)
+    residual, where = sup_residual([(0, on_diag)], on_diag.shape)
     return CheckReport("quartic-identity-diag", residual, tol, witnesses={"argmax": where})
 
 
@@ -203,7 +206,7 @@ def check_eta_cubic(built: HzmcKernels, tol: float = EXACT_TOL) -> CheckReport:
     lhs = w / s0[:, None]                             # lhs[a, b]
     cvec = big_b[built.triple.a0, :]                  # C[a]   = B[a0, a]
     rhs = ((built.up / s0[:, None]).T @ big_b) / cvec[:, None]     # rhs[a, b]
-    residual, where = sup_residual([np.abs(lhs - rhs)], lhs.shape)
+    residual, where = sup_residual([(0, np.abs(lhs - rhs))], lhs.shape)
     return CheckReport(
         condition="cubic-equation",
         residual=residual,
@@ -251,6 +254,7 @@ def _factorization_sweep(t_of, du: np.ndarray, d: np.ndarray, u_t: np.ndarray, b
     rhs = np.empty_like(lhs)
 
     def gaps():
+        offset = 0
         for rows, cols in blocks:
             nr, nc = _extent((rows, cols))
             gap = np.multiply(t_of((rows, cols)), du[rows, cols, None], out=lhs[:nr, :nc])
@@ -258,7 +262,8 @@ def _factorization_sweep(t_of, du: np.ndarray, d: np.ndarray, u_t: np.ndarray, b
             np.abs(gap, out=gap)
             if skip is not None:
                 gap[skip[rows, cols]] = 0.0
-            yield gap
+            yield offset, gap
+            offset += gap.size
 
     with np.errstate(invalid="ignore"):
         worst, (a, b, c) = sup_residual(gaps(), (blocks[-1][0].stop - start, du.shape[1], n))
@@ -272,8 +277,8 @@ def check_toom_conditions(tensor: TransitionTensor, hzmc: HzmcSpec,
     d, u, rho0 = hzmc.d, hzmc.u, hzmc.rho0
     du = d @ u
     r1, w1 = _factorization_sweep(tensor.__getitem__, du, d, u.T)     # one block, no thread
-    r2, w2 = sup_residual([np.abs(du - u @ d)], du.shape)
-    r3, _ = sup_residual([np.abs(rho0 @ d - rho0)], rho0.shape)
+    r2, w2 = sup_residual([(0, np.abs(du - u @ d))], du.shape)
+    r3, _ = sup_residual([(0, np.abs(rho0 @ d - rho0))], rho0.shape)
 
     return (
         CheckReport("factorization", r1, tol, witnesses={"argmax": w1 if r1 > tol else None}),
@@ -314,30 +319,103 @@ def _grow(w: np.ndarray, link: np.ndarray, links: int) -> np.ndarray:
     return w
 
 
-def _chain_blocks(first: np.ndarray, tail_of):
-    """Walk the chain w[p, m, b, c] = first[p, m, b] tail_of(p)[b, c] in C
-    order, in pieces of at most _PIECE entries: whole pairs (p, m) while one
-    fits, else whole rows b, else slices of a row; each entry is the one
-    product first[p, m, b] tail[b, c] wherever the cuts fall.  Pieces share
-    one buffer, valid until the next; one tail is alive at a time."""
+def _tail_factors(w: np.ndarray, link: np.ndarray, links: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tail ``_grow(w, link, links)[0]`` as the factors (link, under) of
+    tail[a, j, b, r] = link[a, j, b] under[b, r], ``under`` grown one link
+    less, so a walk holds 1/kappa^2 of the tail.  With no link to peel the
+    tail w[0] is the link, with a one-letter last axis, and under the unit:
+    x * 1 is exact, so every entry keeps the bits of the whole tail's."""
+    if links == 0:
+        return w[0][:, :, None], np.ones((1, 1))
+    return link, _grow(w, link, links - 1)[0]
+
+
+def _boxes(start: int, stop: int, dims: tuple):
+    """The flat range [start, stop) of a C-ordered array of shape ``dims`` as
+    boxes, one slice an axis, in C order: at most two an axis, and one where
+    the range is whole slabs along some axis."""
+    if start >= stop:
+        return
+    slab = math.prod(dims[1:])
+    (i, lo), (j, hi) = divmod(start, slab), divmod(stop, slab)
+    if i == j:
+        for box in _boxes(lo, hi, dims[1:]):
+            yield (slice(i, i + 1), *box)
+        return
+    if lo:
+        for box in _boxes(lo, slab, dims[1:]):
+            yield (slice(i, i + 1), *box)
+        i += 1
+    if j > i:
+        yield (slice(i, j), *(slice(None),) * (len(dims) - 1))
+    for box in _boxes(0, hi, dims[1:]):
+        yield (slice(j, j + 1), *box)
+
+
+@functools.cache
+def _tail_cuts(dims: tuple, budget: int) -> tuple:
+    """How ``_tail_pieces`` cuts a tail of shape ``dims`` (a, j, b, r) for a
+    budget of entries: whole while it fits, else whole rows a, else slices
+    of a row.  Each cut is (flat offset, range of a, rows by columns, boxes);
+    a box (``_boxes``) is one multiply: the index into link and into under
+    and the span of the piece it fills.  Taken once per shape and budget."""
+    rows, cols = dims[0], math.prod(dims[1:])
+    db, dc = max(1, budget // cols), min(cols, budget)
+    cuts = []
+    for b0, c0 in product(range(0, rows, db), range(0, cols, dc)):
+        nb, nc = min(db, rows - b0), min(dc, cols - c0)
+        start, at, boxes = b0 * cols + c0, 0, []
+        for box in _boxes(start, start + nb * nc, dims):
+            shape = tuple(len(range(d)[s]) for s, d in zip(box, dims))
+            boxes.append(((*box[:3], None), box[2:], slice(at, at + math.prod(shape)), shape))
+            at += math.prod(shape)
+        cuts.append((start, slice(b0, b0 + nb), (nb, nc), tuple(boxes)))
+    return tuple(cuts)
+
+
+def _tail_pieces(link: np.ndarray, under: np.ndarray):
+    """The tail link[a, j, b] under[b, r] in C-ordered pieces of at most
+    _PIECE entries, cut by ``_tail_cuts``.  Yields (flat offset, range of a,
+    piece as rows by columns); the pieces share one scratch the size of the
+    largest, valid until the next."""
+    cuts = _tail_cuts((*link.shape, under.shape[1]), _PIECE)
+    scratch = np.empty(math.prod(cuts[0][2]))
+    for start, rows, shape, boxes in cuts:
+        for lk, un, span, box in boxes:
+            np.multiply(link[lk], under[un], out=scratch[span].reshape(box))
+        yield start, rows, scratch[:math.prod(shape)].reshape(shape)
+
+
+def _chain_blocks(first: np.ndarray, factors_of):
+    """Walk the chain w[p, m, a, j, b, r] = first[p, m, a] (link[a, j, b] under[b, r]),
+    (link, under) = factors_of(p) (``_tail_factors``), as (flat offset, piece)
+    pairs of at most _PIECE entries.  Each tail piece (``_tail_pieces``) is
+    computed once for a leading cell p and multiplied into each of its pairs
+    (p, m) in turn, whole pairs a piece while the tail fits one, so pieces
+    leave C order where the tail is cut; each entry is the one product
+    first[p, m, a] (link[a, j, b] under[b, r]) wherever the cuts fall.
+    Pieces share one buffer, valid until the next; one under is alive at a
+    time."""
     pairs, buf = first.shape[1], np.empty(_PIECE)
     for p in range(first.shape[0]):
-        tail = tail_of(p)
-        rows, cols = tail.shape
-        dm, db, dc = max(1, _PIECE // tail.size), max(1, _PIECE // cols), min(cols, _PIECE)
-        for m0, b0, c0 in product(range(0, pairs, dm), range(0, rows, db), range(0, cols, dc)):
-            f, t = first[p, m0:m0 + dm, b0:b0 + db, None], tail[b0:b0 + db, c0:c0 + dc]
-            yield np.multiply(f, t, out=buf[:f.shape[0] * t.size].reshape(f.shape[0], *t.shape))
-        del tail, t         # t is a view: it would keep the tail alive
+        link, under = factors_of(p)
+        size = link.size * under.shape[1]
+        dm = max(1, _PIECE // size)
+        for start, rows, piece in _tail_pieces(link, under):
+            for m0 in range(0, pairs, dm):
+                f = first[p, m0:m0 + dm, rows, None]
+                out = buf[:f.shape[0] * piece.size].reshape(f.shape[0], *piece.shape)
+                yield (p * pairs + m0) * size + start, np.multiply(f, piece, out=out)
+        del link, under
 
 
 def _fill(blocks, shape: tuple) -> np.ndarray:
-    """The whole chain of a block walk, as an array of ``shape``."""
+    """The whole chain of a block walk, as an array of ``shape``: each piece
+    written at its flat offset."""
     w = np.empty(shape)
-    flat, start = w.reshape(-1), 0
-    for blk in blocks:
+    flat = w.reshape(-1)
+    for start, blk in blocks:
         flat[start:start + blk.size] = blk.reshape(-1)
-        start += blk.size
     return w
 
 
@@ -346,8 +424,8 @@ def _sup_distance(blocks, ref_blocks, shape: tuple, tol: float) -> tuple[float, 
     ``shape``, taken in lockstep (each block of ``blocks`` is overwritten);
     its index only when it exceeds ``tol``, else None, as it would only name
     rounding noise."""
-    resid, where = sup_residual((np.abs(np.subtract(a, b, out=a), out=a)
-                                 for a, b in zip(blocks, ref_blocks)), shape)
+    resid, where = sup_residual(((start, np.abs(np.subtract(a, b, out=a), out=a))
+                                 for (start, a), (_, b) in zip(blocks, ref_blocks)), shape)
     return resid, where if resid > tol else None
 
 
@@ -359,12 +437,15 @@ def _push_link(t: np.ndarray, ud: np.ndarray) -> np.ndarray:
 
 def _zigzag_blocks(start: np.ndarray, link: np.ndarray, k: int):
     """Block walk of w(b0, c0, ..., b_{k+1}) = start(b0) prod_i link[b_i, c_i, b_{i+1}]:
-    the step from b0 times the chain from b1, grown from ``link`` alone once
-    (from a unit law, which leaves every entry's bits as they are)."""
+    the step from b0 times the chain from b1, held as the link from b1 times
+    the chain from b2 (``_tail_factors``), grown from ``link`` alone once
+    (from a unit law, which leaves every entry's bits as they are).  Every
+    pair (b0, c0) reads the one tail, so all are walked as pairs of one
+    leading cell, and each tail piece is computed once a window."""
     kappa = link.shape[0]
     first = np.asarray(start, dtype=float)[:, None, None] * link     # the step from b0
-    tail = _grow(np.ones((1, kappa, 1)), link, k)[0]
-    return _chain_blocks(first, lambda p: tail)
+    factors = _tail_factors(np.ones((1, kappa, 1)), link, k)
+    return _chain_blocks(first.reshape(1, -1, kappa), lambda p: factors)
 
 
 def _zigzag_chain(start: np.ndarray, link: np.ndarray, k: int) -> np.ndarray:
@@ -399,9 +480,10 @@ def bruteforce_invariance(tensor: TransitionTensor, hzmc: HzmcSpec, k_max: int,
     own cylinder weights on every window size up to k_max.  The witness
     ``argmax`` (k, then the cells) is None on a pass: it would name noise.
     Each window is walked in cache-sized pieces (``_chain_blocks``), the two
-    laws in lockstep, so two tails of kappa^(2k+1) entries and two pieces
-    are alive, never a whole window; every entry is the product
-    ``push_forward_zigzag`` and ``hzmc_cylinder_weights`` compute.
+    laws in lockstep, so each law's tail one link short, kappa^(2k-1)
+    entries, one tail piece and one piece are alive, never a whole tail or
+    window; every entry is the product ``push_forward_zigzag`` and
+    ``hzmc_cylinder_weights`` compute.
 
     The witness ``complete`` says whether the windows checked settle every
     window.  In exact arithmetic window 0 alone does once rho0 > 0: its

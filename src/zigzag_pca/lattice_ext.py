@@ -22,8 +22,8 @@ import numpy as np
 from .core_types import (EXACT_TOL, CheckReport, ChzmcSpec, TransitionTensor,
                          check_chain_entries, sup_residual)
 from .finite_solver import (InvariantSolve, _chain_blocks, _construct, _factorization_sweep, _fill,
-                            _grow, _push_link, _require_positive, _size_guard, _sup_distance,
-                            check_belyaev, select_base_triple)
+                            _push_link, _require_positive, _size_guard, _sup_distance,
+                            _tail_factors, check_belyaev, select_base_triple)
 
 ZERO_SKIP = 1e-14
 
@@ -48,17 +48,20 @@ def partition_function(d: np.ndarray, u: np.ndarray, n: int) -> float:
 
 def _cyclic_blocks(link: np.ndarray, n: int, scale: float = 1.0):
     """Pieced walk (``finite_solver._chain_blocks``) of
-    w(x0, m0, x1, m1, ..., x_{n-1}, m_{n-1}) = scale prod_i link[x_i, m_i, x_{i+1 mod n}],
-    the diagonal for n = 1: the link from (x0, m0) times ``scale``, times the
-    tail for x0, the closing link link[x_{n-1}, m_{n-1}, x0] grown leftward to
-    x1 (``finite_solver._grow``)."""
+    w(x0, m0, x1, m1, ..., x_{n-1}, m_{n-1}) = scale prod_i link[x_i, m_i, x_{i+1 mod n}]:
+    the link from (x0, m0) times ``scale``, times the tail for x0, the
+    closing link link[x_{n-1}, m_{n-1}, x0] grown leftward to x1, held as
+    the link from x1 times that grown to x2 (``finite_solver._tail_factors``,
+    n - 3 links).  Below three cells no link is peeled: the tail is the
+    closing link itself for n = 2, and the unit after the diagonal for n = 1."""
     kappa = link.shape[0]
     if n == 1:
         diag = link[np.arange(kappa), :, np.arange(kappa)] * scale
-        return _chain_blocks(diag[:, :, None], lambda x0: np.ones((1, 1)))
+        unit = _tail_factors(np.ones((1, 1, 1)), link, 0)
+        return _chain_blocks(diag[:, :, None], lambda x0: unit)
     closing = link.transpose(2, 0, 1)
-    return _chain_blocks(link * scale, lambda x0: _grow(closing[x0:x0 + 1].reshape(1, kappa, -1),
-                                                        link, n - 2)[0])
+    return _chain_blocks(link * scale, lambda x0: _tail_factors(
+        closing[x0:x0 + 1].reshape(1, kappa, -1), link, n - 2))
 
 
 def chzmc_density(spec: ChzmcSpec) -> np.ndarray:
@@ -80,13 +83,14 @@ def check_cycle_commutation(d: np.ndarray, u: np.ndarray, n: int,
     Screened first by the stronger matrix identity du = ud (sufficient); the
     full n-tuple sweep runs only when screening fails.  It walks the two
     products prod_i du(x_i; x_{i+1 mod n}) and prod_i ud(x_i; x_{i+1 mod n})
-    in lockstep pieces (``_cyclic_blocks``), holding two kappa^(n-1) tails.
+    in lockstep pieces (``_cyclic_blocks``), holding each product's tail for
+    one x0 one link short, kappa^(n-2) entries, and never a whole tail.
     The report notes which branch decided.  Beyond the size guard a failed
     screen leaves the question undecided: the report fails with residual inf.
     """
     du = d @ u
     ud = u @ d
-    screen, _ = sup_residual([np.abs(du - ud)], du.shape)
+    screen, _ = sup_residual([(0, np.abs(du - ud))], du.shape)
     if screen <= tol:
         return CheckReport("cycle-commutation", screen, tol,
                            notes="decided by matrix commutation")
@@ -159,8 +163,9 @@ def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,
     link, over z.
 
     Both laws are walked in cache-sized pieces, in lockstep, the chain for
-    one x0 alive at a time, so two tails of kappa^(2n-2) entries and two
-    pieces are held, never the whole law; every entry is the product
+    one x0 alive at a time and held one link short, so two tails of
+    kappa^(2n-4) entries, a tail piece and a piece each are held, never a
+    whole tail or the whole law; every entry is the product
     ``chzmc_density`` computes.  The law's piece sums are added up and
     checked as ``chzmc_density`` checks its total."""
     d, u, n = spec.d, spec.u, spec.n
@@ -169,9 +174,9 @@ def bruteforce_cycle_invariance(tensor: TransitionTensor, spec: ChzmcSpec,
     sums = []
 
     def law():
-        for blk in _cyclic_blocks(d[:, :, None] * u[None], n, 1.0 / spec.z):
+        for start, blk in _cyclic_blocks(d[:, :, None] * u[None], n, 1.0 / spec.z):
             sums.append(blk.sum())
-            yield blk
+            yield start, blk
 
     resid, where = _sup_distance(_cyclic_blocks(_push_link(tensor.t, u @ d), n, 1.0 / spec.z),
                                  law(), (kappa,) * (2 * n), tol)

@@ -123,13 +123,16 @@ def sample_hzmc_lines(hzmc: HzmcSpec, length: int, n_chains: int, seed: int) -> 
 def step_pca(line: np.ndarray, model: ModelInstance, t: int = 0) -> np.ndarray:
     """One synchronous update; cell j of the output is drawn from the kernel
     of input cells (j, j+1), the last cell of a cycle pairing with the first,
-    with uniform j of the (seed, t) block.  The cells of a finite line must
-    be letters 0 .. kappa - 1; ``simulate_diagram`` checks its ``init``."""
-    line = np.asarray(line)
+    with uniform j of the (seed, t) block.  A finite line is read as ``intp``
+    letters, with no copy when it already is, and a cell outside [0, kappa)
+    is refused: it would read another row of the kernel's search table."""
+    finite = isinstance(model.kernel, TransitionTensor)
+    line = np.asarray(line, dtype=np.intp if finite else None)
     if line.size < 2:
         raise ValueError("width must be >= 2")
-    if isinstance(model.kernel, TransitionTensor):
-        line = line.astype(np.intp)
+    # one reduction: read as unsigned, a negative cell is above every letter
+    if finite and line.view(np.uintp).max() >= model.kernel.size:
+        raise ValueError(f"line cells must be letters in [0, {model.kernel.size})")
     if model.lattice == "cycle":
         a, b = line, np.roll(line, -1)
     else:
@@ -405,8 +408,10 @@ def simulate_diagram(model: ModelInstance, init: np.ndarray, t_steps: int) -> Sp
     """Iterate the model from ``init``; a pure function of (seed, model, init).
 
     Open-window rows lose one cell per step and are NaN padded on the right;
-    cyclic runs keep their width.
+    cyclic runs keep their width.  A finite line is held as the sampler's
+    letters between steps; only the diagram rows are floats.
     """
+    finite = isinstance(model.kernel, TransitionTensor)
     line = np.asarray(init, dtype=float)
     if line.size < 2:
         raise ValueError("width must be >= 2")
@@ -414,13 +419,14 @@ def simulate_diagram(model: ModelInstance, init: np.ndarray, t_steps: int) -> Sp
         raise ValueError(f"need t_steps >= 0, got {t_steps}")
     if model.lattice != "cycle" and t_steps >= line.size:
         raise ValueError("shrinking window: need width > t_steps")
-    if isinstance(model.kernel, TransitionTensor) and not (
-            line.min() >= 0 and line.max() < model.kernel.size):
+    if finite and not (line.min() >= 0 and line.max() < model.kernel.size):
         raise ValueError(f"init cells must be letters in [0, {model.kernel.size})")
     states = np.full((t_steps + 1, line.size), np.nan)
     states[0] = line
+    cells = np.intp if finite else float
+    line = line.astype(cells, copy=False)
     for t in range(t_steps):
-        line = np.asarray(step_pca(line, model, t), dtype=float)
+        line = np.asarray(step_pca(line, model, t), dtype=cells)
         states[t + 1, : line.size] = line
     states.setflags(write=False)        # the diagram takes it without a copy
     return SpaceTimeDiagram(states)

@@ -69,13 +69,14 @@ def iterated_nu_eta(tensor, triple, start):
 
 def pair_blocks(first, tail_of):
     """The chain walk w[p, m, b, c] = first[p, m, b] tail_of(p)[b, c] one
-    leading pair (p, m) a block, first[p, m][:, None] * tail_of(p): the
-    reference for the pieced walk of ``finite_solver._chain_blocks``, whose
-    entries must equal these bit for bit."""
+    leading pair (p, m) a block, first[p, m][:, None] * tail_of(p), in C
+    order with each block's flat offset: the reference for the pieced walk of
+    ``finite_solver._chain_blocks``, whose entries must equal these bit for
+    bit."""
     for p in range(first.shape[0]):
         tail = tail_of(p)
         for m in range(first.shape[1]):
-            yield first[p, m][:, None] * tail
+            yield (p * first.shape[1] + m) * tail.size, first[p, m][:, None] * tail
 
 
 def fresh_philox_row_uniforms(seed, t, width):

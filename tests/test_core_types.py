@@ -185,22 +185,30 @@ class TestCheckReport:
 
 class TestSupResidual:
     def test_nan_in_a_later_block_is_inf_at_its_index(self):
-        blocks = [np.array([[0.0, 5.0]]), np.array([[1.0, np.nan], [9.0, np.nan]])]
+        blocks = [(0, np.array([[0.0, 5.0]])), (2, np.array([[1.0, np.nan], [9.0, np.nan]]))]
         assert sup_residual(blocks, (3, 2)) == (np.inf, (1, 1))
 
     def test_nan_ties_with_an_earlier_inf(self):
-        assert sup_residual([np.array([0.0, np.inf, np.nan])], (3,)) == (np.inf, (1,))
+        assert sup_residual([(0, np.array([0.0, np.inf, np.nan]))], (3,)) == (np.inf, (1,))
 
     def test_tie_across_blocks_keeps_the_first(self):
-        blocks = [np.array([0.0, 2.0]), np.array([2.0, 1.0]), np.array([0.5, 2.0])]
+        blocks = [(0, np.array([0.0, 2.0])), (2, np.array([2.0, 1.0])), (4, np.array([0.5, 2.0]))]
         assert sup_residual(blocks, (3, 2)) == (2.0, (0, 1))
+
+    def test_tie_out_of_order_keeps_the_first_in_c_order(self):
+        # blocks emitted last-first: each later block ties, and holds the
+        # smaller flat index, so the lowest index wins, and a NaN ties with +inf
+        blocks = [(4, np.array([0.5, 2.0])), (2, np.array([2.0, 1.0])), (0, np.array([0.0, 2.0]))]
+        assert sup_residual(blocks, (3, 2)) == (2.0, (0, 1))
+        nan_later = [(3, np.array([np.inf, 0.0])), (0, np.array([0.0, np.nan, 0.0]))]
+        assert sup_residual(nan_later, (5,)) == (np.inf, (1,))
 
     @given(hst.lists(hst.sampled_from([0.0, 1e-17, 0.5, 3.0, np.inf]), min_size=1, max_size=24),
            hst.sampled_from([(1, 1), (2, 3)]))
     @settings(max_examples=100, deadline=None)
     def test_one_array_is_max_and_argmax_bitwise(self, values, tile):
         diff = np.tile(np.asarray(values), tile)
-        residual, where = sup_residual([diff], diff.shape)
+        residual, where = sup_residual([(0, diff)], diff.shape)
         assert np.array_equal(residual, diff.max()) and type(residual) is float
         assert where == tuple(int(i) for i in np.unravel_index(diff.argmax(), diff.shape))
 

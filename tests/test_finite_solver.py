@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import time
 import tracemalloc
 
@@ -395,7 +396,7 @@ class TestFactorizationSweep:
         for d, u in (built, (solved.d, solved.u)):
             du = d @ u
             gap = factorization_gap(tens.t, d, u, du)
-            resid, where = sup_residual([gap], gap.shape)
+            resid, where = sup_residual([(0, gap)], gap.shape)
             shown = where if resid > EXACT_TOL else None
             assert fs._factorization_sweep(tens.__getitem__, du, d, u.T) == (resid, where)
             spec = HzmcSpec(d=d, u=u, rho0=fs.stationary_distribution(d).vector)
@@ -404,7 +405,7 @@ class TestFactorizationSweep:
             for n in (1, 2, 3):
                 live = np.linalg.matrix_power(du, n - 1).T > lx.ZERO_SKIP
                 masked = gap * live[:, :, None]
-                resid_n, where_n = sup_residual([masked], masked.shape)
+                resid_n, where_n = sup_residual([(0, masked)], masked.shape)
                 rep = lx.check_chzmc_conditions(
                     tens, ChzmcSpec(d=d, u=u, n=n, z=lx.partition_function(d, u, n)))[0]
                 assert (rep.residual.hex(), rep.witnesses["argmax"]) == (
@@ -420,7 +421,7 @@ class TestFactorizationSweep:
         du = d @ u
         gap = factorization_gap(tens.t, d, u, du)
         whole = fs._factorization_sweep(tens.__getitem__, du, d, u.T)
-        assert whole == sup_residual([gap], gap.shape)
+        assert whole == sup_residual([(0, gap)], gap.shape)
         for budget in (kappa, 4 * kappa, 20 * kappa, kappa ** 3):
             for edge in (1, 4, kappa - 1):
                 parts = [fs._factorization_sweep(tens.__getitem__, du, d, u.T,
@@ -431,7 +432,7 @@ class TestFactorizationSweep:
         skip[whole[1][:2]] = True
         gap[whole[1][:2]] = 0.0
         assert fs._factorization_sweep(tens.__getitem__, du, d, u.T, skip=skip) == \
-            sup_residual([gap], gap.shape)
+            sup_residual([(0, gap)], gap.shape)
 
 
 def free_chain(kappa: int, seed: int):
@@ -671,6 +672,16 @@ def walked_reports(kappa: int) -> list[str]:
     return [json.dumps(rep.to_dict(), sort_keys=True) for rep in reps]
 
 
+def whole_tail_walk(first, factors_of):
+    """``pair_blocks`` fed the whole tail of each leading cell: the last
+    ``fs._grow`` step, the link prepended to under, which the walker peels."""
+    def tail_of(p):
+        link, under = factors_of(p)
+        return fs._grow(under[None], link, 1)[0]
+
+    return pair_blocks(first, tail_of)
+
+
 class TestPiecedWalk:
     """The chain walk cuts its pieces by a budget of entries; where the cuts
     fall changes no entry and no report."""
@@ -696,7 +707,7 @@ class TestPiecedWalk:
         shape = (1, 1, 1, 12)
 
         def walk(tail):
-            return fs._chain_blocks(np.ones((1, 1, 1)), lambda p: tail)
+            return fs._chain_blocks(np.ones((1, 1, 1)), lambda p: (np.ones((1, 1, 1)), tail))
 
         assert fs._sup_distance(walk(tie), walk(zero), shape, EXACT_TOL) == (3.0, (0, 0, 0, 1))
         assert fs._sup_distance(walk(nan), walk(zero), shape, EXACT_TOL) == (np.inf, (0, 0, 0, 6))
@@ -709,12 +720,17 @@ class TestPiecedWalk:
         link = fs._push_link(tens.t, spec.u @ spec.d)
         first = (spec.rho0 @ spec.d)[:, None, None] * link
         tail = fs._grow(np.ones((1, kappa, 1)), link, k)[0]
-        sizes = [piece.size for piece in fs._chain_blocks(first, lambda p: tail)]
+
+        def walk():
+            return fs._chain_blocks(first, lambda p: fs._tail_factors(np.ones((1, kappa, 1)),
+                                                                      link, k))
+
+        sizes = [piece.size for _, piece in walk()]
         assert sum(sizes) == kappa ** (2 * k + 3) and max(sizes) <= fs._PIECE
         if tail.size <= fs._PIECE:           # whole pairs of one leading cell a piece
             assert max(sizes) == min(kappa, fs._PIECE // tail.size) * tail.size
         shape = (kappa,) * (2 * k + 3)
-        pieced = fs._fill(fs._chain_blocks(first, lambda p: tail), shape)
+        pieced = fs._fill(walk(), shape)
         assert pieced.tobytes() == fs._fill(pair_blocks(first, lambda p: tail), shape).tobytes()
 
     @pytest.mark.parametrize("kappa, k, n", [(2, 0, 1), (2, 8, 10), (3, 1, 2), (3, 4, 6)])
@@ -727,9 +743,87 @@ class TestPiecedWalk:
                     lx.chzmc_density(cyc)]
 
         pieced = laws()
-        monkeypatch.setattr(fs, "_chain_blocks", pair_blocks)
-        monkeypatch.setattr(lx, "_chain_blocks", pair_blocks)
+        monkeypatch.setattr(fs, "_chain_blocks", whole_tail_walk)
+        monkeypatch.setattr(lx, "_chain_blocks", whole_tail_walk)
         assert [w.tobytes() for w in pieced] == [w.tobytes() for w in laws()]
+
+    @pytest.mark.parametrize("budget", [1, 3, None])
+    @pytest.mark.parametrize("kappa", [2, 3])
+    def test_unit_factors_match_the_pair_walk(self, monkeypatch, kappa, budget):
+        # k = 0 and n = 1, 2 peel no link: the walker multiplies by the unit
+        if budget is not None:
+            monkeypatch.setattr(fs, "_PIECE", budget)
+        tens, spec = oracle_case("tampered", kappa, 90 + kappa)
+        link = fs._push_link(tens.t, spec.u @ spec.d)
+
+        def laws():
+            return [fs._zigzag_chain(spec.rho0 @ spec.d, link, 0),
+                    *(fs._fill(lx._cyclic_blocks(link, n, 0.5), (kappa,) * (2 * n))
+                      for n in (1, 2))]
+
+        pieced = laws()
+        monkeypatch.setattr(fs, "_chain_blocks", whole_tail_walk)
+        monkeypatch.setattr(lx, "_chain_blocks", whole_tail_walk)
+        assert [w.tobytes() for w in pieced] == [w.tobytes() for w in laws()]
+
+    @pytest.mark.parametrize("budget", [1, 5, None])
+    @pytest.mark.parametrize("kappa, n", [(2, 1), (2, 2), (2, 3), (3, 4), (4, 5)])
+    def test_one_letter_middle_axis_matches_the_pair_walk(self, monkeypatch, kappa, n, budget):
+        # the cycle sweep's products walk du[:, None, :]: a link whose middle
+        # axis has one letter
+        if budget is not None:
+            monkeypatch.setattr(fs, "_PIECE", budget)
+        d, u, _ = free_chain(kappa, 40 + n)
+        link = (d @ u)[:, None, :]
+        pieced = fs._fill(lx._cyclic_blocks(link, n), (kappa,) * n)
+        monkeypatch.setattr(lx, "_chain_blocks", whole_tail_walk)
+        assert pieced.tobytes() == fs._fill(lx._cyclic_blocks(link, n), (kappa,) * n).tobytes()
+
+    def test_tie_between_pieces_out_of_c_order_keeps_the_smaller_index(self, monkeypatch):
+        # a tail of 4 cut in two pieces, each multiplied into both pairs m:
+        # offsets come out 0, 4, 2, 6, and |a - b| reads 3 at 4 (second piece)
+        # and at 2 (third), so the later piece holds the first maximum
+        monkeypatch.setattr(fs, "_PIECE", 2)
+        unit = np.ones((1, 1, 1))
+
+        def walk(first, under):
+            return fs._chain_blocks(np.array(first, dtype=float).reshape(1, 2, 1),
+                                    lambda p: (unit, np.array([under], dtype=float)))
+
+        a, b = walk([1, 1], [3, 0, 3, 0]), walk([1, 0], [3, 0, 0, 0])
+        assert [start for start, _ in walk([1, 1], [3, 0, 3, 0])] == [0, 4, 2, 6]
+        assert fs._sup_distance(a, b, (2, 4), EXACT_TOL) == (3.0, (0, 2))
+
+    def test_boxes_tile_a_flat_range_in_c_order(self):
+        dims = (3, 2, 4, 5)
+        flat = np.arange(math.prod(dims)).reshape(dims)
+        for start in range(0, flat.size + 1, 7):
+            for stop in range(start, flat.size + 1, 11):
+                boxes = list(fs._boxes(start, stop, dims))
+                cells = [i for box in boxes for i in flat[box].ravel().tolist()]
+                assert cells == list(range(start, stop)) and len(boxes) <= 2 * len(dims) - 1
+
+    @pytest.mark.parametrize("budget", [5, None])
+    def test_each_tail_is_cut_once_per_leading_cell(self, monkeypatch, budget):
+        # the half line's tail is the same for every leading pair: one cut a
+        # window and law; a cycle's depends on x0: one cut a cell and law
+        if budget is not None:
+            monkeypatch.setattr(fs, "_PIECE", budget)
+        cuts, pieces = [], fs._tail_pieces
+        monkeypatch.setattr(fs, "_tail_pieces", lambda *a: cuts.append(1) or pieces(*a))
+        tens, spec = oracle_case("factorized", 3, 5)
+        assert fs.bruteforce_invariance(tens, spec, 3).passed and len(cuts) == 2 * 4
+        cuts.clear()
+        cyc = lx.solve_chzmc(tens, 4).spec
+        assert lx.bruteforce_cycle_invariance(tens, cyc).passed and len(cuts) == 2 * 3
+
+    def test_small_tails_fill_whole_pieces(self):
+        # kappa 16, k 1 (finite-decide's verify): tails of 16^3 entries, four
+        # pairs (p, m) a piece, so no piece is smaller than the budget
+        tens, spec = oracle_case("factorized", 16, 3)
+        link = fs._push_link(tens.t, spec.u @ spec.d)
+        sizes = {piece.size for _, piece in fs._zigzag_blocks(spec.rho0 @ spec.d, link, 1)}
+        assert sizes == {fs._PIECE} == {2**14}
 
 
 class TestBlockWalk:
@@ -768,21 +862,23 @@ class TestBlockWalk:
 
     def test_tie_across_blocks_keeps_first(self):
         blocks = [np.zeros(3), np.array([0.0, 3.0, 0.0]), np.array([3.0, 0.0, 3.0])]
-        resid, where = fs._sup_distance(iter(blocks), iter([np.zeros(3)] * 3), (3, 3), EXACT_TOL)
+        resid, where = fs._sup_distance(zip((0, 3, 6), blocks), zip((0, 3, 6), [np.zeros(3)] * 3),
+                                        (3, 3), EXACT_TOL)
         assert (resid, where) == (3.0, (1, 1))
 
     @pytest.mark.parametrize("nan_block", [0, 1])
     def test_nan_block_fails(self, nan_block):
         blocks = [np.array([0.0, 0.5, 0.0]), np.array([0.0, 0.0, 7.0])]
         blocks[nan_block][1] = np.nan
-        resid, where = fs._sup_distance(iter(blocks), iter([np.zeros(3)] * 2), (2, 3), EXACT_TOL)
+        resid, where = fs._sup_distance(zip((0, 3), blocks), zip((0, 3), [np.zeros(3)] * 2),
+                                        (2, 3), EXACT_TOL)
         assert resid == np.inf and where == (nan_block, 1)       # no later block overwrites it
         assert not CheckReport("push-forward-oracle", resid, EXACT_TOL).passed
 
     def test_largest_half_line_window_memory(self):
         # kappa^(2k+3) = 2^23 entries, the largest window SIZE_GUARD admits: a
-        # whole window is 64 MiB; the oracle holds the two laws' 16 MiB tails
-        # and two pieces, a peak of 36 MiB while the second tail grows
+        # whole window is 64 MiB, its tail 16 MiB; the oracle holds each law's
+        # tail one link short, 4 MiB, and pieces, a peak of 9 MiB
         tens, _, _ = fs.make_factorized_tensor(2, 7)
         spec = fs.solve_invariant_hzmc(tens).spec
         tracemalloc.start()
@@ -792,7 +888,7 @@ class TestBlockWalk:
         finally:
             tracemalloc.stop()
         assert rep.passed and len(rep.witnesses["per_k"]) == 11
-        assert peak < 48 * 2**20
+        assert peak < 16 * 2**20
 
 
 class TestCorpusProperties:

@@ -245,6 +245,24 @@ class TestStepPca:
         with pytest.raises(ValueError, match="width must be >= 2"):
             sim.step_pca(np.array([1]), model)
 
+    @pytest.mark.parametrize("lattice", ["N", "cycle"])
+    @pytest.mark.parametrize("cell", [3, -1])
+    def test_cell_outside_the_alphabet_refused(self, lattice, cell):
+        # a cell kappa or -1 would move the table offset into another row
+        model = sim.ModelInstance(kernel=copy_left_tensor(3), lattice=lattice)
+        for line in ([0, 1, 2, cell, 1], [cell, 0, 1, 2, 1]):
+            for dtype in (np.intp, float):
+                with pytest.raises(ValueError, match=r"letters in \[0, 3\)"):
+                    sim.step_pca(np.array(line, dtype=dtype), model)
+
+    def test_letters_are_read_without_a_copy(self, monkeypatch):
+        line = np.array([0, 1, 2, 1, 0], dtype=np.intp)
+        seen = []
+        tens = copy_left_tensor(3)
+        monkeypatch.setattr(TransitionTensor, "sampler", lambda self, a, b, u: seen.append(a))
+        sim.step_pca(line, sim.ModelInstance(kernel=tens, lattice="N"))
+        assert np.shares_memory(seen[0], line)
+
     @pytest.mark.parametrize("kappa", [1, 2, 3, 4, 16])
     def test_search_table_matches_per_cell_sums(self, kappa):
         # the draw bisects rows of the kernel's search table: the first
@@ -359,6 +377,20 @@ class TestSimulateDiagram:
         model = sim.ModelInstance(kernel=copy_left_tensor(), lattice="N", seed=1)
         with pytest.raises(ValueError, match="letters in \\[0, 3\\)"):
             sim.simulate_diagram(model, np.array(init, dtype=float), 2)
+
+    def test_finite_line_is_held_as_letters(self, monkeypatch):
+        # each step reads the letters the last one drew; only the rows are floats
+        step, seen = sim.step_pca, []
+
+        def spy(line, model, t):
+            seen.append(line)
+            return step(line, model, t)
+
+        monkeypatch.setattr(sim, "step_pca", spy)
+        model = sim.ModelInstance(kernel=copy_left_tensor(), lattice="N", seed=1)
+        diag = sim.simulate_diagram(model, np.array([0, 1, 2, 0, 1, 2]), 3)
+        assert all(line.dtype == np.intp for line in seen) and diag.states.dtype == float
+        assert [list(line) for line in seen] == [[0, 1, 2, 0, 1, 2], [0, 1, 2, 0, 1], [0, 1, 2, 0]]
 
     def test_shrink_needs_enough_width(self):
         tens = copy_left_tensor()
