@@ -1,9 +1,10 @@
 """Command-line surface: check, solve, verify, simulate, report.
 
 Exit codes: 0 everything passed, 1 a condition failed, 2 bad input
-(unreadable or malformed files, parameters outside their domain).  All
-randomness flows from --seed; reports embed the seed, grid and tolerance so
-runs are reproducible from the JSON alone.
+(unreadable or malformed files, parameters outside their domain).  Only
+simulate and the Gaussian verify draw, from --seed; a report embeds the
+tolerance, and the seed and grid where its command read them, so a run is
+reproducible from its JSON alone.
 """
 
 from __future__ import annotations
@@ -98,17 +99,13 @@ def _read(path, what: str, reader=_read_json):
 
 
 def _payload(args, reports, grid=None, **extras) -> dict:
-    doc = {
-        "command": args.command,
-        "model": args.model,
-        "seed": args.seed,
-        "tolerance": args.tol,
-        "grid": None if grid is None else {"points": int(grid.size),
-                                           "halfwidth": float(grid.halfwidth)},
-        "reports": [r.to_dict() for r in reports],
-        "passed": all(r.passed for r in reports),
-    }
-    doc.update(extras)
+    """The report, with the seed only where the route drew, the grid only where it ran."""
+    doc = {"command": args.command, "model": args.model, "seed": args.seed, "tolerance": args.tol,
+           "grid": None if grid is None else {"points": int(grid.size),
+                                              "halfwidth": float(grid.halfwidth)}}
+    doc = {key: val for key, val in doc.items() if val is not None}
+    doc.update(reports=[r.to_dict() for r in reports], passed=all(r.passed for r in reports),
+               **extras)
     return doc
 
 
@@ -195,9 +192,8 @@ def _verify_line(args, model, fam, tensor) -> int:
         raise ValueError("spec kernels incompatible with model alphabet")
     if spec.get("lattice", "N") not in ("N", "Z"):
         raise ValueError(f"lattice must be 'N' or 'Z', got {spec['lattice']!r}")
-    kmax = 2 if args.kmax is None else args.kmax
-    rep = fs.bruteforce_invariance(tensor, HzmcSpec(d=d, u=u, rho0=rho0), kmax, tol=args.tol)
-    return _report(args, [rep], kmax=kmax)
+    rep = fs.bruteforce_invariance(tensor, HzmcSpec(d=d, u=u, rho0=rho0), args.kmax, tol=args.tol)
+    return _report(args, [rep], kmax=args.kmax)
 
 
 def _verify_cycle(args, model, fam, tensor) -> int:
@@ -261,17 +257,17 @@ def _verify_grid(args, model, fam: Family, params) -> int:
     # the AR(1) chain the spec states (verify reaches only the Gaussian families)
     hz = ck.ar1_hzmc(ck.Ar1Params(phi=number("phi"), innovation_var=number("sigma_prime_sq")),
                      number("stationary_std"))
-    width = 20_001 if args.mc_width is None else args.mc_width     # the Monte-Carlo line
-    if width < 2:               # before the battery: the refusal costs no quadrature
+    if args.width < 2:          # before the battery: the refusal costs no quadrature
         raise ValueError("width must be >= 2")
-    if 3 * width > fs.SIZE_GUARD:       # the zigzag line of 2 width + 1 cells, the stepped line
-        raise ValueError(f"--width {width} would hold {3 * width} float64 cells, "
+    if 3 * args.width > fs.SIZE_GUARD:  # the zigzag line of 2 width + 1 cells, the stepped line
+        raise ValueError(f"--width {args.width} would hold {3 * args.width} float64 cells, "
                          f"over the {fs.SIZE_GUARD} guard")
     reports, grid = _grid_battery(args, model, fam, params, hz)
-    zig = sim.sample_hzmc_lines(hz, 2 * width + 1, 1, args.seed)[0]
+    zig = sim.sample_hzmc_lines(hz, 2 * args.width + 1, 1, args.seed)[0]     # the Monte-Carlo line
     inst = sim.ModelInstance(kernel=fam.battery(params), lattice="N", seed=args.seed)
     z = sim.step_pca(zig[1::2], inst, t=0)
-    ks = st.ks_distance(z[::7], hz.rho0.cdf)
+    with np.errstate(over="ignore"):    # x / s0 past the float range is a cdf of 0 or 1
+        ks = st.ks_distance(z[::7], hz.rho0.cdf)
     reports.append(CheckReport("monte-carlo-stationarity", ks.distance, ks.threshold,
                                witnesses={"n": ks.n},
                                notes="KS of the stepped line against the stationary law"))
@@ -338,27 +334,35 @@ def cmd_report(doc: dict) -> int:
     return 0
 
 
-def _cell(check, solve, verify, simulate, options=()) -> dict:
-    return dict(check=check, solve=solve, verify=verify, simulate=simulate, options=options)
+# The optional flags of check, solve, verify and simulate, and their types.
+OPTIONS = {"--seed": int, "--tol": float, "--grid-points": int, "--grid-halfwidth": float,
+           "--kmax": int, "--width": int, "--steps": int}
+
+
+def _cell(check, solve, verify, simulate) -> dict:
+    return dict(check=check, solve=solve, verify=verify, simulate=simulate)
 
 
 # What each command runs on each (kernel kind, lattice) cell, "line" being 'N' or 'Z': the
-# function main calls with (args, model, family, parameters), or why the command exits 2.
-# ``options`` are the flags of CELL_OPTIONS that the cell reads; the others exit 2.
-CELL_OPTIONS = {"grid_points": "--grid-points", "grid_halfwidth": "--grid-halfwidth",
-                "kmax": "--kmax", "mc_width": "--width"}      # dest -> flag
-_GRID = ("--grid-points", "--grid-halfwidth")
+# function main calls with (args, model, family, parameters) and the flags of OPTIONS it
+# reads, each with the value it takes when not given (None: the model's grid), or why the
+# command exits 2.  A flag that the route does not read exits 2 as well.
+_FINITE = {"--tol": EXACT_TOL}
+_GRID = {"--tol": QUAD_TOL, "--grid-points": None, "--grid-halfwidth": None}
+_SIMULATE = (cmd_simulate, {"--seed": 0, "--steps": 10, "--width": 1000})
 ROUTES = {
-    ("finite", "line"): _cell(functools.partial(_check_finite, _construct_line),
-                              functools.partial(_solve_finite, _construct_line),
-                              _verify_line, cmd_simulate, ("--kmax",)),
-    ("finite", "cycle"): _cell(functools.partial(_check_finite, _construct_cycle),
-                               functools.partial(_solve_finite, _construct_cycle), _verify_cycle,
+    ("finite", "line"): _cell((functools.partial(_check_finite, _construct_line), _FINITE),
+                              (functools.partial(_solve_finite, _construct_line), _FINITE),
+                              (_verify_line, {**_FINITE, "--kmax": 2}), _SIMULATE),
+    ("finite", "cycle"): _cell((functools.partial(_check_finite, _construct_cycle), _FINITE),
+                               (functools.partial(_solve_finite, _construct_cycle), _FINITE),
+                               (_verify_cycle, _FINITE),
                                "an exact sampler of the cyclic law does not exist yet"),
-    **{(name, "line"): _cell(_check_grid, _solve_closed_form, _verify_grid, cmd_simulate,
-                             (*_GRID, "--width")) for name in ("gaussian", "gaussian_diag")},
-    ("beta", "line"): _cell(_check_grid, _solve_beta, "no invariant chain to verify (solve "
-                            "names the drift)", cmd_simulate, _GRID),
+    **{(name, "line"): _cell((_check_grid, _GRID), (_solve_closed_form, {}),
+                             (_verify_grid, {**_GRID, "--width": 20_001, "--seed": 0}), _SIMULATE)
+       for name in ("gaussian", "gaussian_diag")},
+    ("beta", "line"): _cell((_check_grid, _GRID), (_solve_beta, _GRID), "no invariant chain to "
+                            "verify (solve names the drift)", _SIMULATE),
     **{(name, "cycle"): _cell(*["named families run on the lattice 'N' or 'Z' only"] * 4)
        for name in FAMILIES},
 }
@@ -373,26 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
                                             "cellular dynamics")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, out_required=False, battery=True):
+    def command(name, help_text, out_required=False):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--model", required=True, help="model JSON file")
         sp.add_argument("--out", required=out_required, help="output path")
-        sp.add_argument("--seed", type=int, default=0)
-        if battery:
-            sp.add_argument("--tol", type=float, default=None)
-            sp.add_argument("--grid-points", type=int, default=None)
-            sp.add_argument("--grid-halfwidth", type=float, default=None)
+        for flag, kind in OPTIONS.items():      # ROUTES says which of them a route reads
+            sp.add_argument(flag, type=kind)
         return sp
 
     command("check", "run the applicable condition battery")
     command("solve", "construct and write the invariant chain", out_required=True)
-    sp = command("verify", "independent oracle against a solved spec")
-    sp.add_argument("--spec", required=True, help="spec JSON from solve")
-    sp.add_argument("--kmax", type=int, default=None)
-    sp.add_argument("--width", dest="mc_width", type=int, default=None)
-    sp = command("simulate", "run the model and dump the diagram", battery=False)
-    sp.add_argument("--steps", type=int, default=10)
-    sp.add_argument("--width", type=int, default=1000)
+    command("verify", "independent oracle against a solved spec").add_argument(
+        "--spec", required=True, help="spec JSON from solve")
+    command("simulate", "run the model and dump the diagram")
 
     sp = sub.add_parser("report", help="pretty-print a report JSON")
     sp.add_argument("--in", dest="infile", required=True)
@@ -404,7 +401,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(_read(args.infile, "report"))
-        if not 0 <= args.seed < 1 << 64:        # (seed << 64) + t keys a Philox stream
+        if args.seed is not None and not 0 <= args.seed < 1 << 64:   # (seed << 64) + t keys Philox
             raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
         model = _read(args.model, "model", load_model)
         block, lattice = model["family"], model["lattice"]
@@ -414,20 +411,21 @@ def main(argv=None) -> int:
         fam = FINITE if block is None else FAMILIES[kind]
         params = model["tensor"] if block is None else _read_params(fam.params, block)
         line = lattice in ("N", "Z")
-        cell = ROUTES[kind, "line" if line else "cycle"]
         where = (("a finite-alphabet model" if block is None else f"family {kind!r}")
                  + f" on {lattice if line else {'cycle': lattice[1]}!r}")
-        route = cell[args.command]
+        route = ROUTES[kind, "line" if line else "cycle"][args.command]
         if isinstance(route, str):
             raise ValueError(f"{args.command} does not apply to {where}: {route}")
-        for dest, flag in CELL_OPTIONS.items():
-            if getattr(args, dest, None) is not None and flag not in cell["options"]:
-                raise ValueError(f"{flag} does not apply to {where}")
-        if hasattr(args, "tol"):        # the battery commands; --tol 0 means zero
-            args.tol = (EXACT_TOL if block is None else QUAD_TOL) if args.tol is None else args.tol
-            if not (math.isfinite(args.tol) and args.tol >= 0):
-                raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
-        return route(args, model, fam, params)
+        run, reads = route
+        for flag in OPTIONS:        # a flag that is given counts, 0 included
+            dest = flag[2:].replace("-", "_")
+            if getattr(args, dest) is None:
+                setattr(args, dest, reads.get(flag))
+            elif flag not in reads:
+                raise ValueError(f"{flag} does not apply to {args.command} on {where}")
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
+        return run(args, model, fam, params)
     except (OSError, ValueError) as exc:     # bad input: exit 2, one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

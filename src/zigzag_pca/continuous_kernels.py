@@ -137,15 +137,17 @@ class GaussianPcaParams:
                 "variance grows without bound and no integrable invariant profile exists")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        if not math.isfinite(2.0 * (self.sigma * self.sigma / float(self.contraction))):
+            raise ValueError(f"sigma {self.sigma:g} is too large: 2 sigma^2 / l overflows float64")
 
     @property
     def contraction(self) -> float:
         """l = 1 + sqrt(1 - 4/m^2)."""
-        return 1.0 + np.sqrt(1.0 - 4.0 / self.m ** 2)
+        return 1.0 + np.sqrt(1.0 - 4.0 / (self.m * self.m))
 
     @property
     def stationary_std(self) -> float:
-        return float((1.0 - 4.0 / self.m ** 2) ** -0.25 * self.sigma)
+        return float((1.0 - 4.0 / (self.m * self.m)) ** -0.25 * self.sigma)
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,8 @@ class BetaPcaParams:
         for name in ("alpha", "beta", "theta"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.drift_per_step):
+            raise ValueError("the drift per step (alpha + beta) / theta overflows float64")
 
     @property
     def drift_per_step(self) -> float:
@@ -272,7 +276,8 @@ def default_gaussian_grid(params: GaussianPcaParams,
 
 def ar1_parameters(params: GaussianPcaParams) -> Ar1Params:
     l = params.contraction
-    return Ar1Params(phi=2.0 / (params.m * l), innovation_var=2.0 * params.sigma ** 2 / l)
+    # 2 (sigma^2 / l) has the bits of 2 sigma^2 / l and does not overflow where 2 sigma^2 would
+    return Ar1Params(phi=2.0 / (params.m * l), innovation_var=2.0 * (params.sigma ** 2 / l))
 
 
 def ar1_hzmc(ar: Ar1Params, s0: float) -> HzmcSpec:
@@ -667,12 +672,13 @@ def quadrature_check_conditions(kernel: KernelDensity, hzmc: HzmcSpec, grid: Gri
     the entries the override writes; where ``kernel`` is finite, that is
     the probe's report on the two kernels.
 
-    An overflow on a wide grid (the normal density's z z from |z| > 1.3e154,
-    the pair mass w_a w_b) gives inf or a density of 0 without a warning.
+    An overflow, on a wide grid (the normal density's z z from |z| > 1.3e154,
+    the pair mass w_a w_b) or of a chain too narrow for it, gives inf or a
+    density of 0, and inf - inf a NaN that fails its report, without a warning.
     A grid on whose every node the chain's initial law has density 0 would
     pass each residual at 0 and is refused with a ValueError.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         (r1, w1), (r2, w2), (r3, w3), differs = _cond_residuals(kernel, hzmc, grid, override)
         reports = (
             CheckReport("factorization", r1, tol, witnesses={"argmax": w1}),

@@ -13,6 +13,7 @@ isolated failures across seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,23 +38,12 @@ class LineSummary:
 _AC_CHUNK = 1 << 13
 
 
-def _autocorr(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    centered = x - x.mean()
-    c0 = float(np.dot(centered, centered)) / n
-    if c0 == 0.0:
-        return np.full(MAX_LAG, np.nan)
-    out = np.empty(MAX_LAG)
-    for k in range(1, MAX_LAG + 1):
-        out[k - 1] = float(np.dot(centered[:-k], centered[k:])) / n / c0
-    return out
-
-
 def _batch_autocorr(batches: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """_autocorr of each row of ``batches`` (whose row means are ``means``),
-    NaN for a constant row, as an (rows, MAX_LAG) array: one ``np.vecdot``
-    a lag over chunks of about _AC_CHUNK doubles.  vecdot runs np.dot's
-    kernel on each row, so every entry has _autocorr's bits."""
+    """The lag 1..MAX_LAG autocorrelations of each row of ``batches`` (whose
+    row means are ``means``), NaN for a constant row, as an (rows, MAX_LAG)
+    array: one ``np.vecdot`` a lag over chunks of about _AC_CHUNK doubles.
+    vecdot runs np.dot's kernel on each row, so every entry has the bits of
+    one ``np.dot`` a row and lag; the whole line is read as one row."""
     rows, blen = batches.shape
     out = np.empty((rows, MAX_LAG))
     step = max(1, _AC_CHUNK // blen)
@@ -69,11 +59,15 @@ def _batch_autocorr(batches: np.ndarray, means: np.ndarray) -> np.ndarray:
 def summarize_line(values) -> LineSummary:
     """Mean, unbiased variance, lag-1..MAX_LAG autocorrelations, and
     batch-means standard errors.  Needs at least 10 values; a constant line
-    reports its autocorrelations as undefined."""
+    reports its autocorrelations as undefined.  A line beyond 2^256 is read over
+    a power of two, so no square overflows; its moments scale back (inf past float64)."""
     x = np.asarray(values, dtype=float).ravel()
     n = x.size
     if n < 10:
         raise ValueError(f"need at least 10 values, got {n}")
+    top = float(max(x.max(), -x.min()))
+    scale = math.ldexp(1.0, math.frexp(top)[1]) if 2.0 ** 256 < top < math.inf else 1.0
+    x = x / scale if scale != 1.0 else x
     mean = float(x.mean())
     variance = float(x.var(ddof=1))
 
@@ -86,18 +80,20 @@ def summarize_line(values) -> LineSummary:
     se_variance = float(bvars.std(ddof=1) / np.sqrt(nb))
 
     defined = variance > 0.0
+    ac = se_ac = np.full(MAX_LAG, np.nan)
     if defined:
-        ac = _autocorr(x)
         with np.errstate(invalid="ignore"):
+            ac = _batch_autocorr(x[None], np.array([mean]))[0]
             bacs = _batch_autocorr(batches, bmeans)
-            se_ac = np.nanstd(bacs, axis=0, ddof=1) / np.sqrt(nb)
-    else:
-        ac = np.full(MAX_LAG, np.nan)
-        se_ac = np.full(MAX_LAG, np.nan)
+        # a lag defined in fewer than two batches has no spread: NaN, and no numpy warning
+        short = np.count_nonzero(~np.isnan(bacs), axis=0) < 2
+        bacs[:, short] = 0.0
+        se_ac = np.nanstd(bacs, axis=0, ddof=1) / np.sqrt(nb)
+        se_ac[short] = np.nan
 
-    return LineSummary(n=n, mean=mean, variance=variance,
+    return LineSummary(n=n, mean=mean * scale, variance=variance * scale * scale,
                        autocorr=tuple(float(a) for a in ac),
-                       se_mean=se_mean, se_variance=se_variance,
+                       se_mean=se_mean * scale, se_variance=se_variance * scale * scale,
                        se_autocorr=tuple(float(s) for s in se_ac),
                        autocorr_defined=bool(defined))
 

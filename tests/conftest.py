@@ -5,7 +5,7 @@ import pytest
 
 from zigzag_pca.core_types import (DensityLaw, GridMeasure, HzmcSpec, KernelDensity, MarkovKernel,
                                    TransitionTensor, gauss_legendre_rule, normalize_rows)
-from zigzag_pca.stats import KS_COEFF, MAX_LAG, DistanceResult, _autocorr
+from zigzag_pca.stats import KS_COEFF, MAX_LAG, DistanceResult
 
 
 def three_letter_tensor() -> TransitionTensor:
@@ -98,12 +98,23 @@ def inverse_cdf_step_reference(line, model, t):
     return (cumulative[a.astype(int), b.astype(int)] < u[:, None]).sum(axis=1)
 
 
+def autocorr_reference(x):
+    """The lag 1 .. MAX_LAG autocorrelations of ``x``, one ``np.dot`` a lag."""
+    n = x.size
+    centered = x - x.mean()
+    c0 = float(np.dot(centered, centered)) / n
+    out = np.empty(MAX_LAG)
+    for k in range(1, MAX_LAG + 1):
+        out[k - 1] = float(np.dot(centered[:-k], centered[k:])) / n / c0
+    return out
+
+
 def batch_autocorr_reference(batches):
     """The lag 1 .. MAX_LAG autocorrelations of each batch, one
-    ``stats._autocorr`` call a row and NaN for a row of zero variance: the
+    ``autocorr_reference`` call a row and NaN for a row of zero variance: the
     reference for ``stats._batch_autocorr``, whose entries must equal these
     bit for bit."""
-    return np.array([_autocorr(row) if row.var() > 0 else np.full(MAX_LAG, np.nan)
+    return np.array([autocorr_reference(row) if row.var() > 0 else np.full(MAX_LAG, np.nan)
                      for row in batches])
 
 

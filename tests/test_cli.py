@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
 import zigzag_pca
@@ -644,6 +646,90 @@ class TestRoutes:
         assert f"{command} does not apply to {name} on {on!r}: " in captured.err
 
 
+# every (kernel kind, lattice, command) route that runs, and a value of each optional flag
+# that differs from every route's default and that every route reading the flag accepts
+RUNNING = [(kind, lattice, command) for (kind, lattice), cell in cli.ROUTES.items()
+           for command in COMMANDS if not isinstance(cell[command], str)]
+FLAG_VALUES = {"--seed": 7, "--tol": 0.5, "--grid-points": 17, "--grid-halfwidth": 9.0,
+               "--kmax": 1, "--width": 40, "--steps": 2}
+_UNIFORM = encode_array(np.full((2, 2), 0.5))
+
+
+class TestRouteFlags:
+    """The flags a route lists in ``cli.ROUTES`` are the flags it reads: each listed flag
+    changes what the route prints or writes, and each other flag exits 2 with one error
+    line, before any file is written."""
+
+    @staticmethod
+    def _model(root, kind, lattice):
+        """A model on which every running command of the cell exits 0 or 1, and a spec for
+        its verify: written by hand on the finite cells, whose generic kernel solve cannot
+        build, else the one solve writes."""
+        root.mkdir(exist_ok=True)
+        model, spec = root / "model.json", root / "spec.json"
+        on = "N" if lattice == "line" else {"cycle": 3}
+        if kind == "finite":
+            save_model(model, fs.random_positive_tensor(2, 41), on)
+            doc = ({"type": "hzmc", "d": _UNIFORM, "u": _UNIFORM, "rho0": ["0.5", "0.5"]}
+                   if lattice == "line" else {"type": "chzmc", "n": 3, "d": _UNIFORM,
+                                              "u": _UNIFORM})
+            spec.write_text(json.dumps(doc))
+        else:
+            _write_model(model, {"alphabet": {"grid": {"points": 33}}, "lattice": on,
+                                 "kernel": {"family": kind, **ROUTE_FAMILIES[kind]}})
+            run_main("solve", "--model", model, "--out", spec)
+        return model, spec
+
+    @staticmethod
+    def _run(root, model, spec, command, *flags):
+        """(exit code, stdout, stderr, bytes of every file written) of one run that
+        writes into an empty directory ``root / "out"``, removed after."""
+        out = root / "out"
+        out.mkdir()
+        extra = {"check": ("--out", out / "report.json"), "solve": ("--out", out / "spec.json"),
+                 "verify": ("--spec", spec, "--out", out / "report.json"),
+                 "simulate": ("--out", out / "sim")}[command]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_main(command, "--model", model, *extra, *flags)
+        written = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        for p in out.iterdir():
+            p.unlink()
+        out.rmdir()
+        return code, stdout.getvalue(), stderr.getvalue(), written
+
+    @pytest.mark.parametrize("kind, lattice, command", RUNNING, ids=map("-".join, RUNNING))
+    def test_each_flag_is_read_or_refused(self, tmp_path, capsys, kind, lattice, command):
+        model, spec = self._model(tmp_path / "in", kind, lattice)
+        capsys.readouterr()
+        base = self._run(tmp_path, model, spec, command)
+        assert base[0] in (0, 1) and base[2] == ""
+        reads = cli.ROUTES[kind, lattice][command][1]
+        for flag, value in FLAG_VALUES.items():
+            code, out, err, written = self._run(tmp_path, model, spec, command, flag, value)
+            if flag in reads:
+                assert code in (0, 1) and err == "", (flag, err)
+                assert (out, written) != (base[1], base[3]), f"{flag} changed nothing"
+            else:
+                assert code == 2 and out == "" and written == {}, flag
+                assert _single_error_line(err) and f"{flag} does not apply to {command} " in err
+
+    @pytest.mark.parametrize("model, argv", [
+        ("two_letter", ("verify", "--seed", 5)), ("two_letter_cycle", ("verify", "--seed", 5)),
+        ("gauss", ("solve", "--grid-points", 100000)), ("gauss", ("solve", "--grid-halfwidth", -3)),
+        ("gauss", ("solve", "--tol", 5)), ("gauss_diag", ("solve", "--tol", 5))])
+    def test_flags_refused_before_their_values_are_read(self, files, capsys, tmp_path, model,
+                                                        argv):
+        command, *flag = argv
+        extra = ("--spec", files[model]) if command == "verify" else ()
+        code = run_main(command, "--model", files[model], "--out", tmp_path / "out", *extra,
+                        *flag)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and _single_error_line(captured.err)
+        assert f"{flag[0]} does not apply to {command} " in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_console_entry_point(files):
     # the child imports the package from where this process found it, so the
     # test needs neither an install nor PYTHONPATH
@@ -1176,13 +1262,6 @@ class TestBadInput:
         assert "'cycle': 3" in capsys.readouterr().err
         assert not (tmp_path / "sim.csv").exists()
 
-    @pytest.mark.parametrize("argv", [("check", "--kmax", "3"), ("check", "--steps", "3"),
-                                      ("solve", "--width", "9"), ("simulate", "--tol", "1e-3")])
-    def test_subcommands_refuse_flags_they_do_not_read(self, files, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            run_main(argv[0], "--model", files["two_letter"], "--out", "/dev/null", *argv[1:])
-        assert exc.value.code == 2
-
 
 
 class TestFamilyParameters:
@@ -1191,8 +1270,8 @@ class TestFamilyParameters:
     FIELDS = TestBadInput.FAMILY_FIELDS
 
     @pytest.mark.parametrize("family,field,value", [
-        ("beta", "theta", -1), ("beta", "alpha", 0), ("gaussian", "m", 1),
-        ("gaussian", "sigma", 0), ("gaussian_diag", "m", -2)])
+        ("beta", "theta", -1), ("beta", "theta", 5e-324), ("beta", "alpha", 0),
+        ("gaussian", "m", 1), ("gaussian", "sigma", 0), ("gaussian_diag", "m", -2)])
     def test_out_of_domain_value_names_the_model_field(self, tmp_path, capsys, family, field,
                                                        value):
         kernel = {"family": family, **self.FIELDS[family], field: value}
@@ -1203,6 +1282,49 @@ class TestFamilyParameters:
         assert captured.out == ""
         assert _single_error_line(captured.err)
         assert re.search(rf"\b{field}\b", captured.err), captured.err
+
+    SIGMA_RUNS = {"check": (), "solve": ("--out", "spec.json"),
+                  "simulate": ("--width", 64, "--steps", 3, "--out", "sim")}
+
+    def _run_sigma(self, tmp_path, family, sigma, command):
+        path = _write_model(tmp_path / "model.json", {"alphabet": {"grid": {"points": 33}},
+                                                      "kernel": {"family": family, "m": 3,
+                                                                 "sigma": sigma},
+                                                      "lattice": "N"})
+        extra = [tmp_path / a if a in ("spec.json", "sim") else a
+                 for a in self.SIGMA_RUNS[command]]
+        return run_main(command, "--model", path, *extra)
+
+    @pytest.mark.parametrize("command", sorted(SIGMA_RUNS))
+    @pytest.mark.parametrize("family", ["gaussian", "gaussian_diag"])
+    @pytest.mark.parametrize("sigma", [1e160, 1e300])
+    def test_sigma_beyond_the_float_range_is_one_error_line(self, tmp_path, capsys, family,
+                                                            sigma, command):
+        # 2 sigma^2 / l, the spec's sigma_prime_sq, cannot be a finite double
+        assert self._run_sigma(tmp_path, family, sigma, command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and _single_error_line(captured.err)
+        assert f"sigma {sigma:g} is too large" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    @pytest.mark.parametrize("command", sorted(SIGMA_RUNS))
+    @pytest.mark.parametrize("family", ["gaussian", "gaussian_diag"])
+    def test_sigma_1e154_still_runs(self, tmp_path, capsys, family, command):
+        assert self._run_sigma(tmp_path, family, 1e154, command) == 0
+        assert capsys.readouterr().err == ""
+        if command == "solve":
+            spec = json.loads((tmp_path / "spec.json").read_text())
+            assert spec["sigma_prime_sq"] == 2.0 * (1e154 ** 2 / spec["l"])
+
+    @pytest.mark.parametrize("field", ["sigma_prime_sq", "stationary_std"])
+    def test_gaussian_spec_too_narrow_for_the_grid_fails(self, files, capsys, tmp_path, field):
+        # the chain's densities pass 1e308 on the grid: exit 1, with no numpy warning
+        spec = tmp_path / "spec.json"
+        run_main("solve", "--model", files["gauss"], "--out", spec)
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), field: 5e-324}))
+        capsys.readouterr()
+        assert run_main("verify", "--model", files["gauss"], "--spec", spec, "--width", 64) == 1
+        assert capsys.readouterr().err == ""
 
     def test_beta_domain_message(self, tmp_path, capsys):
         kernel = {"family": "beta", "alpha": 1, "beta": 1, "m": 1, "theta": -1}
@@ -1250,13 +1372,46 @@ class TestFamilyParameters:
         assert cli.build_parser.cache_info().misses == 1
         assert cli.build_parser.cache_info().hits == 1
 
-_FUZZ_BASES = [
-    TENSOR_DOC,
-    {**TENSOR_DOC, "lattice": {"cycle": 3}},
-    GAUSS_DOC,
-    {"alphabet": {"grid": {"points": 17, "halfwidth": 6.0}},
-     "kernel": {"family": "beta", "alpha": 1, "beta": 1, "m": 1, "theta": 1}, "lattice": "N"},
-]
+# The fuzzer's documents: a finite half-line model, a finite cycle model, one model of each
+# named family, the spec each model's solve writes, and a check report.  A mutation replaces
+# or drops one field, sometimes two, with a value of FUZZ_POOL; a flag takes a value of the
+# same pool.  Whatever the input, the exit code is 0, 1 or 2, no exception escapes (a numpy
+# RuntimeWarning is one here, see pyproject.toml), and exit 2 prints one error line.
+FUZZ_MODELS = {
+    "finite-line": TENSOR_DOC,
+    "finite-cycle": {**TENSOR_DOC, "lattice": {"cycle": 3}},
+    "gaussian": GAUSS_DOC,
+    "gaussian_diag": {**GAUSS_DOC, "kernel": {"family": "gaussian_diag", "m": 3, "sigma": 1}},
+    "beta": {"alphabet": {"grid": {"points": 17, "halfwidth": 6.0}},
+             "kernel": {"family": "beta", "alpha": 1, "beta": 1, "m": 1, "theta": 1},
+             "lattice": "N"},
+}
+FUZZ_POOL = ["drop", "abc", None, True, False, [1.0], [], {}, 0, -0.0, 1, -1, -3, 2.5, 33,
+             10 ** 7, 10 ** 30, 1 << 64, 1e160, -1e160, 1e-160, -1e-160, 1e300, 5e-324,
+             float("nan"), float("inf"), -float("inf")]
+# the model whose sigma ** 2 once raised OverflowError out of check, solve and simulate
+_SIGMA_1E160 = ("gaussian", {**GAUSS_DOC, "kernel": {"family": "gaussian", "m": 3,
+                                                     "sigma": 1e160}})
+
+
+def _fuzz(examples):
+    """A fixed example budget, drawn the same on every run."""
+    return settings(max_examples=examples, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+
+@pytest.fixture(scope="module")
+def fuzz_docs(tmp_path_factory):
+    """The specs that solve writes for the fuzzer's models, and a check report."""
+    root = tmp_path_factory.mktemp("fuzz")
+    specs = {}
+    for name, doc in FUZZ_MODELS.items():
+        model, spec = _write_model(root / f"{name}.json", doc), root / f"{name}-spec.json"
+        if run_main("solve", "--model", model, "--out", spec) == 0:
+            specs[name] = json.loads(spec.read_text())
+    run_main("check", "--model", root / "finite-line.json", "--out", root / "report.json")
+    return specs, json.loads((root / "report.json").read_text())
 
 
 def _paths(doc, prefix=()):
@@ -1282,26 +1437,84 @@ def _mutate(doc, path, replacement):
 
 
 @hst.composite
-def _mutated_docs(draw):
-    base = draw(hst.sampled_from(_FUZZ_BASES))
-    path = draw(hst.sampled_from([p for p in _paths(base) if p]))
-    replacement = draw(hst.sampled_from(["drop", "abc", -1.0, -3, None, [1.0], []]))
-    if replacement == "drop" and isinstance(path[-1], int):
-        replacement = None
-    return _mutate(base, path, replacement)
+def _mutated(draw, bases):
+    """(name, the named document with one field replaced or dropped, sometimes two)."""
+    name = draw(hst.sampled_from(sorted(bases)))
+    doc = bases[name]
+    for _ in range(draw(hst.sampled_from([1, 1, 2]))):
+        paths = [p for p in _paths(doc) if p]
+        if not paths:
+            break
+        path = draw(hst.sampled_from(paths))
+        replacement = draw(hst.sampled_from(FUZZ_POOL))
+        if replacement == "drop" and isinstance(path[-1], int):
+            replacement = None
+        doc = _mutate(doc, path, replacement)
+    return name, doc
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_mutated_docs(), command=hst.sampled_from(["check", "solve", "simulate"]))
-def test_exit_code_contract_on_mutated_models(tmp_path, capsys, doc, command):
-    """Whatever the document, the exit code is 0, 1 or 2 and stderr holds at
-    most one error line: no traceback, no uncaught exception."""
-    path = _write_model(tmp_path / "fuzz.json", doc)
-    extra = {"solve": ("--out", tmp_path / "spec.json"),
+def _holds_the_exit_contract(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run_main(*argv)
+        except SystemExit as exc:      # argparse refuses a flag value: usage, then one error
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+    else:
+        assert err == "" or _single_error_line(err), err
+
+
+def _route_argv(tmp_path, name, command, spec):
+    """The argv of ``command`` on the model in tmp_path, with the flags that keep each route
+    small (a Gaussian verify's Monte-Carlo line of 64 cells)."""
+    extra = {"solve": ("--out", tmp_path / "out.json"),
+             "verify": ("--spec", spec, *(("--width", 64) if "gauss" in name else ())),
              "simulate": ("--steps", 3, "--width", 64, "--out", tmp_path / "sim")}
-    capsys.readouterr()
-    code = run_main(command, "--model", path, *extra.get(command, ()))
-    err = capsys.readouterr().err
-    assert code in (0, 1, 2)
-    assert err == "" or _single_error_line(err)
+    return (command, "--model", tmp_path / "fuzz.json", *extra.get(command, ()))
+
+
+def _write_spec(tmp_path, specs, name, doc=None):
+    return _write_model(tmp_path / "spec.json", doc if doc is not None else specs.get(name, {}))
+
+
+@_fuzz(450)
+@example(case=_SIGMA_1E160, command="check")
+@example(case=_SIGMA_1E160, command="solve")
+@example(case=_SIGMA_1E160, command="simulate")
+@given(case=_mutated(FUZZ_MODELS), command=hst.sampled_from(COMMANDS))
+def test_exit_code_contract_on_mutated_models(tmp_path, fuzz_docs, case, command):
+    name, doc = case
+    _write_model(tmp_path / "fuzz.json", doc)
+    spec = _write_spec(tmp_path, fuzz_docs[0], name)
+    _holds_the_exit_contract(*_route_argv(tmp_path, name, command, spec))
+
+
+@_fuzz(200)
+@given(data=hst.data())
+def test_exit_code_contract_on_mutated_specs(tmp_path, fuzz_docs, data):
+    name, doc = data.draw(_mutated(fuzz_docs[0]))
+    _write_model(tmp_path / "fuzz.json", FUZZ_MODELS[name])
+    spec = _write_spec(tmp_path, fuzz_docs[0], name, doc)
+    _holds_the_exit_contract(*_route_argv(tmp_path, name, "verify", spec))
+
+
+@_fuzz(120)
+@given(data=hst.data())
+def test_exit_code_contract_on_mutated_reports(tmp_path, fuzz_docs, data):
+    _, doc = data.draw(_mutated({"report": fuzz_docs[1]}))
+    _holds_the_exit_contract("report", "--in", _write_model(tmp_path / "report.json", doc))
+
+
+@_fuzz(450)
+@given(name=hst.sampled_from(sorted(FUZZ_MODELS)), command=hst.sampled_from(COMMANDS),
+       flag=hst.sampled_from(sorted(cli.OPTIONS)),
+       value=hst.sampled_from([v for v in FUZZ_POOL if v != "drop"]))
+def test_exit_code_contract_on_flags(tmp_path, fuzz_docs, name, command, flag, value):
+    _write_model(tmp_path / "fuzz.json", FUZZ_MODELS[name])
+    spec = _write_spec(tmp_path, fuzz_docs[0], name)
+    _holds_the_exit_contract(*_route_argv(tmp_path, name, command, spec), flag, value)

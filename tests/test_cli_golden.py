@@ -76,38 +76,38 @@ CASES = {
 # case -> ((exit code, sha256) of check, of solve, of verify)
 GOLDEN = {
     "beta": (
-        (1, "4e1adecd54c293c07d6bfe780a4c91424a80152334f0c9ebe36482fd2a701e20"),
-        (1, "81568a7e7ee2390180965ade4868288ea8555b0f53d13ebd0e8121c6dcac78a5"),
+        (1, "74e3dfd1cd5eb0626ef128c71208b997895a3aed814afeba8c1cc5800471fe48"),
+        (1, "2b39e479726f91c8cef695b61d495f88e1193c7ad913d93fa2b514b158d69296"),
     ),
     "fac2-cycle3": (
-        (0, "197cc37f801a076177b72e2f2b8f206fcf96bb53678daaf52ffcca6f7bed0b7a"),
+        (0, "31f1400aa1e6c86d8a2f39a66c97d3de978cdf639180892ea8f1ecc69dd8a853"),
         (0, "2ea31dddd189154cbd4b30ee5cdb3ccfc8c63452cb4c32cd67eefc649a94ac9b"),
-        (0, "bb96c09aa238dc926178234d894788343325f371e413fab57f2d732e5c3b43b6"),
+        (0, "b01cd881f54755ba84944c165bc83af8d4d27aadd781b426d64335eb6305676e"),
     ),
     "fac3-cycle4-sweep": (
-        (0, "43d6198ff292bd201cb433b372ef25e3c7d6e499465e20e8058bfc08b832eb27"),
+        (0, "f8436b474c42d3a1831f4d2c77c014dfbb3a37aece8e5f7a5a5d7c573f5a4092"),
         (0, "3e302b4704309969d523801ff3d802d3381713e81c3b5d4e913c27c1fa507c69"),
-        (1, "d7cc56da30735b904a4dafef0db6fa47d6fd3628cdbf4f5c47114345251e8f4a"),
+        (1, "fa5924696673c521775c5dbadf4b0e7d4b3bbfc2db647b28455e63da437795b0"),
     ),
     "fac3-half": (
-        (0, "9f9f69a4499912ffc709acad15913585a4143e4d2c75164109e8bbe6c502e781"),
+        (0, "13cd788832c1d51a4a529dc7d2f0ad03b5d1a0e8fe43ed2a6d22ae51e6014b1f"),
         (0, "3e2434e5a3e8bf05c41313aec9653eaaf1bc335eba98a10390234331fd5d988c"),
-        (0, "3a68ea3202832feabb617feaf006b44c77c7995a299670543a40653da079cb74"),
+        (0, "823982653ceb2f2e6d11a120bd8eee74e4d285ce1d72bf28014d9394c2800306"),
     ),
     "gaussian": (
-        (0, "f4eb71975dd170d9213e648994f3dde61ebfc552de6690269e5bec19518cbdcd"),
+        (0, "30800e7f2656b8c8e7485fc284ba34b8f3968f5cc8b375611790a2efe64bf0b9"),
         (0, "2e3412633ec5b6bfbc717ac09082d5b085aafcedb48d44f20d82151664dd7419"),
         (0, "4bd0f926ebf58c9c28ae8aef3c76d5aa2efd5fd32dab4b45952cf1a89bde5a23"),
     ),
     "gaussian_diag": (
-        (0, "53ad0b419b8f823892e90626a05bd1f1623fa83a474a963caba26d6d866ec16e"),
+        (0, "d61e9d96ef39978f809bcdd71a2eeec54cf0c7ef98c5923ff8138c4d4b2ebc15"),
         (0, "2e3412633ec5b6bfbc717ac09082d5b085aafcedb48d44f20d82151664dd7419"),
         (0, "4bd0f926ebf58c9c28ae8aef3c76d5aa2efd5fd32dab4b45952cf1a89bde5a23"),
     ),
     "gen3-half": (
-        (1, "01aac1f19c3e0c85d9a5a834706d128d5979deca5ce2545078511ab4c414eabf"),
-        (1, "4e1a493e36591f7674f9e539b7c2fb4942ff6a2e7661d4c7de334ac7d7bbb444"),
-        (1, "bf2165d87419e4fecb5234379a764e3c08508b9c079663e5593b91239c0890fa"),
+        (1, "07bd6d96b7e6436d6bbb9c83c7b3db8a114d2b687f0165a15f1de77240a042fb"),
+        (1, "6a2b4b7e78b4ee4bd94183266f7ae0ffca9a3e3420f79013bb389b44eb397dd2"),
+        (1, "4bd067002dc1a9c960b5d478a31248bab243bac47ee80bf37c9066d21526a7ce"),
     ),
 }
 

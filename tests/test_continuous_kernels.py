@@ -42,6 +42,25 @@ class TestGaussianParams:
         with pytest.raises(ValueError, match="sigma"):
             ck.GaussianPcaParams(3.0, 0.0)
 
+    @pytest.mark.parametrize("sigma", [1.3e154, 1e160, 1e300])
+    def test_sigma_whose_innovation_variance_overflows_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma .* is too large"):
+            ck.GaussianPcaParams(3.0, sigma)
+
+    @pytest.mark.parametrize("m", [3.0, -3.0, 1e160])
+    def test_innovation_variance_finite_up_to_the_limit(self, m):
+        # 2 (sigma^2 / l) has the bits of 2 sigma^2 / l and stays finite where it can
+        for sigma in (0.3, 1.0, 7.0, 1e154, 1.25e154):
+            par = ck.GaussianPcaParams(m, sigma)
+            ar = ck.ar1_parameters(par)
+            assert np.isfinite(ar.innovation_var)
+            if sigma < 1e100:
+                assert ar.innovation_var == 2.0 * sigma ** 2 / par.contraction
+
+    def test_huge_m_is_the_decoupled_limit(self):
+        par = ck.GaussianPcaParams(1e160, 2.0)
+        assert par.contraction == 2.0 and par.stationary_std == 2.0
+
 
 class TestGaussianDensity:
     def test_centered_row_integrates_to_one(self, gauss31, gauss_grid):

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import ndtr
 
 from zigzag_pca import stats as st
-from conftest import batch_autocorr_reference, two_sample_distance
+from conftest import autocorr_reference, batch_autocorr_reference, two_sample_distance
 
 
 class TestSummarizeLine:
@@ -30,6 +30,25 @@ class TestSummarizeLine:
         s = st.summarize_line(x)
         assert abs(s.autocorr[0] - phi) < 3 * s.se_autocorr[0]
         assert abs(s.variance - 1 / (1 - phi ** 2)) < 3 * s.se_variance
+
+    @pytest.mark.parametrize("power", [0, 10, 300])
+    def test_huge_line_is_scaled_exactly(self, power):
+        # a line beyond 2^256 is read over a power of two: the moments scale back exactly
+        # (the variance to inf beyond the float range), the autocorrelations do not move
+        x, scale = np.random.default_rng(4).standard_normal(400).cumsum(), 2.0 ** (400 + power)
+        small, big = st.summarize_line(x), st.summarize_line(x * scale)
+        assert big.mean == small.mean * scale and big.se_mean == small.se_mean * scale
+        assert big.variance == small.variance * scale * scale
+        assert big.se_variance == small.se_variance * scale * scale
+        assert np.isfinite(big.variance) == (power < 100)
+        assert big.autocorr == small.autocorr and big.se_autocorr == small.se_autocorr
+
+    def test_lags_defined_in_one_batch_have_no_spread(self):
+        # every batch of ten but the last is constant: no numpy warning, NaN spread
+        x = np.repeat(np.arange(10.0), 10)
+        x[-5:] += 0.5
+        s = st.summarize_line(x)
+        assert s.autocorr_defined and np.isnan(s.se_autocorr).all()
 
     def test_short_input_rejected(self):
         with pytest.raises(ValueError, match="at least 10"):
@@ -75,6 +94,12 @@ class TestBatchAutocorr:
         else:
             se = np.nanstd(want, axis=0, ddof=1) / np.sqrt(nb)
             assert np.array(s.se_autocorr).tobytes() == se.tobytes()
+
+    @pytest.mark.parametrize("n", [10, 4001, 100_001])
+    def test_whole_line_is_one_dot_a_lag(self, n):
+        # summarize_line reads the whole line as one row of the batch kernel
+        x = np.random.default_rng(n).standard_normal(n).cumsum()
+        assert st.summarize_line(x).autocorr == tuple(autocorr_reference(x))
 
     @pytest.mark.parametrize("chunk", [1, 40, 1 << 13])
     def test_chunks_do_not_move_a_bit(self, monkeypatch, chunk):
